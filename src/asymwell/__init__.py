@@ -7,7 +7,6 @@ from .bounds import BoundPair, bounds_at
 from .classical import ClassicalModel, classical_density, classical_model
 from .momentum import MomentumDensity, density_series, peak_separation, phi
 from .potential import Exponential, Linear, WellSpec, evaluate, match_smoothings, sample
-from .report import RunConfig, main
 from .shooting import (
     GridSolution,
     NodeCountError,
@@ -41,7 +40,6 @@ __all__ = [
     "MatchKind",
     "MomentumDensity",
     "NodeCountError",
-    "RunConfig",
     "ScanResolutionError",
     "WellSpec",
     "bounds_at",
@@ -53,7 +51,6 @@ __all__ = [
     "evaluate",
     "find_spectrum",
     "find_spectrum_numeric",
-    "main",
     "match_smoothings",
     "normalize",
     "peak_separation",

@@ -11,8 +11,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import Field, dataclass, field, fields, replace
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 from scipy.integrate import simpson
@@ -28,34 +28,49 @@ from .potential import Exponential, Linear, WellSpec
 __all__ = ["RunConfig", "Table", "cmd_spectrum", "cmd_wavefunction", "cmd_compare",
            "cmd_smoothing", "cmd_momentum", "write_table", "main"]
 
-_DEFAULT_E_MAX = 35.0
+_DEFAULT_E_MAX = 35.0  # CLI only: RunConfig itself needs e_max or n_max set
 _BOUND_MARGIN = 1e-12
+
+
+def _flag(default: object, **metadata: object):
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class RunConfig:
-    """One CLI invocation's worth of physics and output settings."""
+    """One CLI invocation's worth of physics and output settings.
 
-    a: float = 3.0
-    b: float = 3.0
-    v0: float = 20.0
-    smoothing: str = "none"             # none | exponential | linear
-    delta: float = 0.2
-    epsilon: float = 0.4
-    e_max: float | None = None
-    n_max: int | None = None
-    grid: int = 4000
-    samples: int = 801                  # wavefunction sampling
-    p_max: float | None = None          # momentum range; None picks max(8k, 16)
-    points: int | None = None           # momentum samples; None picks 400 per unit
-    fmt: str = "csv"                    # csv | json
-    out: str = "-"
+    This is the only declaration of the CLI settings.  Every field is the flag
+    ``--<name>`` (underscores as dashes) with the field's type and default; its
+    metadata holds the flag's ``help`` and ``choices``, the one subcommand that
+    owns it (``command``; absent means every subcommand), ``cutoff`` for the
+    two mutually exclusive cutoffs, and ``header=False`` to keep it out of the
+    table header.
+    """
+
+    a: float = _flag(3.0, help="left half-width")
+    b: float = _flag(3.0, help="right half-width")
+    v0: float = _flag(20.0, help="step height")
+    smoothing: str = _flag("none", choices=("none", "exponential", "linear"))
+    delta: float = _flag(0.2, help="sigmoid smoothing scale")
+    epsilon: float = _flag(0.4, help="linear ramp half-width")
+    e_max: float | None = _flag(None, cutoff=True,
+                                help=f"energy cutoff (default {_DEFAULT_E_MAX:g})")
+    n_max: int | None = _flag(None, cutoff=True,
+                              help="number of states instead of an energy cutoff")
+    grid: int = _flag(4000, help="cells for the numeric solver")
+    samples: int = _flag(801, command="wavefunction")
+    p_max: float | None = _flag(None, command="momentum")  # None picks max(8k, 16)
+    points: int | None = _flag(None, command="momentum")   # None picks 400 per unit
+    format: str = _flag("csv", choices=("csv", "json"))
+    out: str = _flag("-", header=False, help="output path ('-' for stdout)")
 
     def __post_init__(self) -> None:
-        if self.smoothing not in ("none", "exponential", "linear"):
-            raise ValueError(f"unknown smoothing family {self.smoothing!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            if choices and getattr(self, f.name) not in choices:
+                raise ValueError(f"{f.name} must be one of {', '.join(choices)}, "
+                                 f"got {getattr(self, f.name)!r}")
         if (self.e_max is None) == (self.n_max is None):
             raise ValueError("exactly one of e_max / n_max must be set")
         if self.e_max is not None and not self.e_max > 0:
@@ -81,6 +96,11 @@ class RunConfig:
         return (self.n_max * math.pi / width) ** 2 + self.v0 + 1.0
 
 
+def _fields(command: str | None) -> list[Field]:
+    """RunConfig fields owned by ``command``; None selects the shared ones."""
+    return [f for f in fields(RunConfig) if f.metadata.get("command") == command]
+
+
 @dataclass
 class Table:
     command: str
@@ -102,14 +122,13 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _config_items(config: RunConfig, **extras: object) -> list[tuple[str, object]]:
-    items: list[tuple[str, object]] = [
-        ("a", config.a), ("b", config.b), ("v0", config.v0),
-        ("smoothing", config.smoothing), ("delta", config.delta),
-        ("epsilon", config.epsilon), ("e_max", config.e_max),
-        ("n_max", config.n_max), ("grid", config.grid), ("format", config.fmt),
-    ]
+def _config_items(config: RunConfig, command: str,
+                  **extras: object) -> list[tuple[str, object]]:
+    """Header items: the shared settings, ``extras``, then ``command``'s own settings."""
+    items = [(f.name, getattr(config, f.name)) for f in _fields(None)
+             if f.metadata.get("header", True)]
     items.extend(extras.items())
+    items.extend((f.name, getattr(config, f.name)) for f in _fields(command))
     return items
 
 
@@ -120,6 +139,13 @@ def _analytic_states(config: RunConfig) -> list[spectrum_mod.EigenState]:
             raise RuntimeError(f"only {len(states)} states found, n_max={config.n_max}")
         states = states[: config.n_max]
     return states
+
+
+def _nth(states: list, n: int):
+    if n < 1 or n > len(states):
+        raise ValueError(f"state n={n} not found below the energy cutoff "
+                         f"({len(states)} states available)")
+    return states[n - 1]
 
 
 def _bounds_or_none(spec: WellSpec, energy: float):
@@ -141,34 +167,25 @@ def cmd_spectrum(config: RunConfig) -> Table:
     energies = [st.energy for st in states]
     if any(e2 <= e1 for e1, e2 in zip(energies, energies[1:])):
         raise RuntimeError("emitted energies are not strictly increasing")
-    return Table("spectrum", _config_items(config),
+    return Table("spectrum", _config_items(config, "spectrum"),
                  ["n", "energy", "k", "q_or_qbar", "branch"], rows)
 
 
-def cmd_wavefunction(config: RunConfig, n: int, n_samples: int | None = None) -> Table:
+def cmd_wavefunction(config: RunConfig, n: int) -> Table:
     """Aligned series {x, psi, density, potential, classical_density} for state n."""
-    if n_samples is None:
-        n_samples = config.samples
-    if n_samples < 5:
-        raise ValueError(f"n_samples must be at least 5, got {n_samples}")
+    if config.samples < 5:
+        raise ValueError(f"n_samples must be at least 5, got {config.samples}")
     well = config.well()
-    xs = np.linspace(-config.a, config.b, n_samples)
+    xs = np.linspace(-config.a, config.b, config.samples)
     if well.is_step:
-        states = _analytic_states(config)
-        if n < 1 or n > len(states):
-            raise ValueError(f"state n={n} not found below the energy cutoff "
-                             f"({len(states)} states available)")
-        state = states[n - 1]
+        state = _nth(_analytic_states(config), n)
         values = spectrum_mod.psi(state, xs)
         energy = state.energy
     else:
         sols = shooting_mod.find_spectrum_numeric(well, config.energy_cap(), config.grid)
         if config.n_max is not None:
             sols = sols[: config.n_max]
-        if n < 1 or n > len(sols):
-            raise ValueError(f"state n={n} not found below the energy cutoff "
-                             f"({len(sols)} states available)")
-        sol = sols[n - 1]
+        sol = _nth(sols, n)
         values = np.interp(xs, sol.grid, sol.values)
         energy = sol.energy
     pot = potential_mod.sample(well, xs)
@@ -178,14 +195,14 @@ def cmd_wavefunction(config: RunConfig, n: int, n_samples: int | None = None) ->
 
     if abs(values[0]) > 1e-9 or abs(values[-1]) > 1e-9:
         raise RuntimeError("wavefunction does not vanish at the walls")
-    h = (config.a + config.b) / (n_samples - 1)
+    h = (config.a + config.b) / (config.samples - 1)
     norm_tol = max(2e-6, (math.sqrt(energy) * h) ** 4)
     if abs(float(simpson(dens, x=xs)) - 1.0) > norm_tol:
         raise RuntimeError("emitted density column is not unit-normalized")
 
     rows = [[float(x), float(v), float(d), float(p), float(c)]
             for x, v, d, p, c in zip(xs, values, dens, pot, cls)]
-    return Table("wavefunction", _config_items(config, n=n, samples=n_samples),
+    return Table("wavefunction", _config_items(config, "wavefunction", n=n),
                  ["x", "psi", "density", "potential", "classical_density"], rows)
 
 
@@ -214,24 +231,21 @@ def cmd_compare(config: RunConfig) -> Table:
                 kind = spectrum_mod.classify_matching(st).kind.value
             rows.append([st.n, st.energy, p_left, model.p_left,
                          pair.lower, pair.upper, kind])
-    return Table("compare", _config_items(config),
+    return Table("compare", _config_items(config, "compare"),
                  ["n", "energy", "p_left_qm", "p_left_cl", "lower_bound",
                   "upper_bound", "match_class"], rows)
 
 
-def cmd_smoothing(config: RunConfig, delta: float | None = None) -> Table:
+def cmd_smoothing(config: RunConfig) -> Table:
     """Sharp-step vs smoothed spectrum and left-side probabilities, state by state.
 
     The smoothing family follows the configuration (exponential unless
-    ``linear`` is selected); a ``delta`` argument overrides the configured
-    exponential scale.  Classical values are taken at the sharp-step energies.
+    ``linear`` is selected).  Classical values are taken at the sharp-step
+    energies.
     """
-    scale = config.delta if delta is None else delta
-    if config.smoothing == "linear":
-        smooth_well = WellSpec(config.a, config.b, config.v0, Linear(config.epsilon))
-        scale = config.epsilon
-    else:
-        smooth_well = WellSpec(config.a, config.b, config.v0, Exponential(scale))
+    family = "linear" if config.smoothing == "linear" else "exponential"
+    smooth_well = replace(config, smoothing=family).well()
+    scale = config.epsilon if family == "linear" else config.delta
     step_states = _analytic_states(config)
     cap = config.energy_cap() * 1.05 + config.v0 * scale + 1.0
     smooth_sols = shooting_mod.find_spectrum_numeric(smooth_well, cap, config.grid)
@@ -248,31 +262,25 @@ def cmd_smoothing(config: RunConfig, delta: float | None = None) -> Table:
         p_smooth = shooting_mod.side_probability_numeric(sol)
         p_cl = classical_mod.classical_model(spec, st.energy).p_left
         rows.append([st.n, st.energy, sol.energy, de, p_step, p_smooth, p_cl])
-    return Table("smoothing", _config_items(config, scale=scale),
+    return Table("smoothing", _config_items(config, "smoothing", scale=scale),
                  ["n", "e_step", "e_smooth", "de_over_e", "p_left_step",
                   "p_left_smooth", "p_left_cl"], rows)
 
 
-def cmd_momentum(config: RunConfig, n: int, p_max: float | None = None,
-                 n_points: int | None = None) -> Table:
+def cmd_momentum(config: RunConfig, n: int) -> Table:
     """Momentum density series {p, density} for state n, with k/q markers."""
     if config.smoothing != "none":
         raise ValueError("momentum densities are computed from the closed-form "
                          "states and require the sharp step")
-    states = _analytic_states(config)
-    if n < 1 or n > len(states):
-        raise ValueError(f"state n={n} not found below the energy cutoff "
-                         f"({len(states)} states available)")
-    state = states[n - 1]
-    if p_max is None:
-        p_max = config.p_max
-    if n_points is None:
-        n_points = config.points
+    state = _nth(_analytic_states(config), n)
+    p_max = config.p_max
     if p_max is None:
         p_max = max(8.0 * state.k, 16.0)
+    n_points = config.points
     if n_points is None:
         n_points = int(2.0 * p_max * 400.0)
         n_points += 1 - (n_points % 2)  # odd count puts a sample exactly at p = 0
+    config = replace(config, p_max=p_max, points=n_points)  # header shows the range used
     series = momentum_mod.density_series(state, p_max, n_points)
 
     dens = series.density
@@ -284,7 +292,7 @@ def cmd_momentum(config: RunConfig, n: int, p_max: float | None = None,
     if series.q_marker is not None:
         markers["q"] = series.q_marker
     rows = [[float(p), float(d)] for p, d in zip(series.p_grid, dens)]
-    return Table("momentum", _config_items(config, n=n, p_max=p_max, points=n_points),
+    return Table("momentum", _config_items(config, "momentum", n=n),
                  ["p", "density"], rows, markers=markers)
 
 
@@ -319,7 +327,7 @@ def render_json(table: Table) -> str:
 
 
 def write_table(table: Table, config: RunConfig) -> None:
-    text = render_csv(table) if config.fmt == "csv" else render_json(table)
+    text = render_csv(table) if config.format == "csv" else render_json(table)
     if config.out == "-":
         sys.stdout.write(text)
     else:
@@ -330,6 +338,22 @@ def write_table(table: Table, config: RunConfig) -> None:
 # ---------------------------------------------------------------- CLI
 
 
+# subcommand -> (help, whether it takes the state index --n); main runs cmd_<name>
+_COMMANDS = {
+    "spectrum": ("eigenvalue table", False),
+    "wavefunction": ("sampled state with overlays", True),
+    "compare": ("quantum vs classical probabilities", False),
+    "smoothing": ("sharp step vs smoothed well", False),
+    "momentum": ("momentum density series", True),
+}
+
+
+def _add_flag(parser, f: Field, hint: object) -> None:
+    kind = next((t for t in get_args(hint) if t is not type(None)), hint)
+    parser.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default,
+                        choices=f.metadata.get("choices"), help=f.metadata.get("help"))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asymwell",
@@ -338,83 +362,34 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(natural units hbar = 2m = 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--a", type=float, default=3.0, help="left half-width")
-        p.add_argument("--b", type=float, default=3.0, help="right half-width")
-        p.add_argument("--v0", type=float, default=20.0, help="step height")
-        p.add_argument("--smoothing", choices=["none", "exponential", "linear"],
-                       default="none")
-        p.add_argument("--delta", type=float, default=0.2,
-                       help="sigmoid smoothing scale")
-        p.add_argument("--epsilon", type=float, default=0.4,
-                       help="linear ramp half-width")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--e-max", type=float, default=None,
-                           help="energy cutoff (default 35)")
-        group.add_argument("--n-max", type=int, default=None,
-                           help="number of states instead of an energy cutoff")
-        p.add_argument("--grid", type=int, default=4000,
-                       help="cells for the numeric solver")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-
-    p_spec = sub.add_parser("spectrum", help="eigenvalue table")
-    add_common(p_spec)
-
-    p_wave = sub.add_parser("wavefunction", help="sampled state with overlays")
-    add_common(p_wave)
-    p_wave.add_argument("--n", type=int, required=True, help="state index (1-based)")
-    p_wave.add_argument("--samples", type=int, default=801)
-
-    p_cmp = sub.add_parser("compare", help="quantum vs classical probabilities")
-    add_common(p_cmp)
-
-    p_sm = sub.add_parser("smoothing", help="sharp step vs smoothed well")
-    add_common(p_sm)
-
-    p_mom = sub.add_parser("momentum", help="momentum density series")
-    add_common(p_mom)
-    p_mom.add_argument("--n", type=int, required=True, help="state index (1-based)")
-    p_mom.add_argument("--p-max", type=float, default=None)
-    p_mom.add_argument("--points", type=int, default=None)
-
+    hints = get_type_hints(RunConfig)
+    for command, (help_text, takes_state) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        cutoff = p.add_mutually_exclusive_group()
+        for f in _fields(None):
+            _add_flag(cutoff if f.metadata.get("cutoff") else p, f, hints[f.name])
+        if takes_state:
+            p.add_argument("--n", type=int, required=True, help="state index (1-based)")
+        for f in _fields(command):
+            _add_flag(p, f, hints[f.name])
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    e_max = args.e_max
-    if e_max is None and args.n_max is None:
-        e_max = _DEFAULT_E_MAX
-    return RunConfig(a=args.a, b=args.b, v0=args.v0, smoothing=args.smoothing,
-                     delta=args.delta, epsilon=args.epsilon, e_max=e_max,
-                     n_max=args.n_max, grid=args.grid,
-                     samples=getattr(args, "samples", 801),
-                     p_max=getattr(args, "p_max", None),
-                     points=getattr(args, "points", None),
-                     fmt=args.format, out=args.out)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    command = args.pop("command")
+    state = {"n": args.pop("n")} if "n" in args else {}
     stage = "config"
     try:
-        config = _config_from_args(args)
+        if args["e_max"] is None and args["n_max"] is None:
+            args["e_max"] = _DEFAULT_E_MAX
+        config = RunConfig(**args)
         stage = "solve"
-        if args.command == "spectrum":
-            table = cmd_spectrum(config)
-        elif args.command == "wavefunction":
-            table = cmd_wavefunction(config, args.n, args.samples)
-        elif args.command == "compare":
-            table = cmd_compare(config)
-        elif args.command == "smoothing":
-            table = cmd_smoothing(config)
-        else:
-            table = cmd_momentum(config, args.n, args.p_max, args.points)
+        table = globals()[f"cmd_{command}"](config, **state)
         stage = "emit"
         write_table(table, config)
     except (ValueError, RuntimeError, OSError) as exc:
-        print(f"asymwell {args.command}: {stage}: {exc}", file=sys.stderr)
+        print(f"asymwell {command}: {stage}: {exc}", file=sys.stderr)
         return 1
     return 0
 

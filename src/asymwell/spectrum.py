@@ -136,12 +136,14 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
     _require_step(spec)
     if not e_max > 0:
         raise ValueError(f"e_max must be positive, got {e_max}")
-    # the scan visits E near 0 where the evanescent factor reaches sinh(2 sqrt(v0) b),
-    # which must stay inside double precision
+    # normalizing a state below the step evaluates sinh(2 qbar b) in
+    # _sinh_sq_integral, which overflows once qbar*b passes about 355; qbar
+    # approaches sqrt(v0) for the lowest states
     if math.sqrt(spec.v0) * spec.b > 350.0:
         raise ValueError(
-            f"step height v0={spec.v0} is too large for this geometry: evanescent "
-            f"factors overflow double precision (need sqrt(v0)*b <= 350)"
+            f"step height v0={spec.v0} is too large for this geometry: normalizing "
+            f"the evanescent side would overflow double precision "
+            f"(need sqrt(v0)*b <= 350)"
         )
 
     step = scan_step(spec.a, spec.b)

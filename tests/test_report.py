@@ -64,7 +64,7 @@ class TestWavefunctionTable:
         assert ratio == pytest.approx(1.0, abs=0.02)
 
     def test_overlay_columns(self):
-        table = cmd_wavefunction(cfg(), n=5, n_samples=601)
+        table = cmd_wavefunction(cfg(samples=601), n=5)
         xs = np.array([r[0] for r in table.rows])
         pot = np.array([r[3] for r in table.rows])
         cls = np.array([r[4] for r in table.rows])
@@ -136,7 +136,7 @@ class TestSmoothingTable:
         assert table.rows[0][3] > 0.2
 
     def test_delta_override(self):
-        table = cmd_smoothing(cfg(), delta=0.1)
+        table = cmd_smoothing(cfg(delta=0.1))
         assert ("scale", 0.1) in table.config_items
 
     def test_linear_family(self):
@@ -147,7 +147,7 @@ class TestSmoothingTable:
     def test_vanishing_scale_reproduces_sharp_step(self):
         # delta far below the grid resolution: every shift collapses to the
         # cross-solver discretization level, orders below 1e-3
-        table = cmd_smoothing(cfg(e_max=16.0), delta=1e-4)
+        table = cmd_smoothing(cfg(e_max=16.0, delta=1e-4))
         assert all(abs(r[3]) < 1e-3 for r in table.rows)
 
 
@@ -162,7 +162,7 @@ class TestMomentumTable:
         assert table.markers["q"] == pytest.approx(math.sqrt(0.835686317145), rel=1e-8)
 
     def test_below_threshold_has_no_q_marker(self):
-        table = cmd_momentum(cfg(), n=1, p_max=10.0, n_points=801)
+        table = cmd_momentum(cfg(p_max=10.0, points=801), n=1)
         assert "q" not in table.markers
 
 
@@ -181,7 +181,7 @@ class TestEmission:
         assert "0.948700140577" in text
 
     def test_json_schema(self):
-        doc = json.loads(render_json(cmd_momentum(cfg(), n=6, p_max=8.0, n_points=41)))
+        doc = json.loads(render_json(cmd_momentum(cfg(p_max=8.0, points=41), n=6)))
         assert set(doc) == {"command", "config", "columns", "rows", "markers"}
         assert doc["columns"] == ["p", "density"]
         assert doc["config"]["a"] == 3
