@@ -148,6 +148,17 @@ def _nth(states: list, n: int):
     return states[n - 1]
 
 
+def _cubic_interp(x: np.ndarray, grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """4-point Lagrange interpolation on a uniform grid, O(h^4) for smooth data."""
+    h = (grid[-1] - grid[0]) / (len(grid) - 1)
+    u = (x - grid[0]) / h
+    i = np.clip(np.floor(u).astype(int), 1, len(grid) - 3)
+    s = u - i
+    y = [values[i + d] for d in (-1, 0, 1, 2)]
+    return (-s * (s - 1) * (s - 2) * y[0] + 3 * (s + 1) * (s - 1) * (s - 2) * y[1]
+            - 3 * (s + 1) * s * (s - 2) * y[2] + (s + 1) * s * (s - 1) * y[3]) / 6.0
+
+
 def _bounds_or_none(spec: WellSpec, energy: float):
     if energy > spec.v0 * (1.0 + _BOUND_MARGIN):
         return bounds_mod.bounds_at(spec, energy)
@@ -186,7 +197,7 @@ def cmd_wavefunction(config: RunConfig, n: int) -> Table:
         if config.n_max is not None:
             sols = sols[: config.n_max]
         sol = _nth(sols, n)
-        values = np.interp(xs, sol.grid, sol.values)
+        values = _cubic_interp(xs, sol.grid, sol.values)
         energy = sol.energy
     pot = potential_mod.sample(well, xs)
     model = classical_mod.classical_model(config.step_well(), energy)
@@ -357,6 +368,7 @@ def _add_flag(parser, f: Field, hint: object) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asymwell",
+        allow_abbrev=False,
         description="Bound states, classical comparisons, probability bounds, and "
                     "momentum densities for a hard-walled well with a stepped floor "
                     "(natural units hbar = 2m = 1).",
@@ -364,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     hints = get_type_hints(RunConfig)
     for command, (help_text, takes_state) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         cutoff = p.add_mutually_exclusive_group()
         for f in _fields(None):
             _add_flag(cutoff if f.metadata.get("cutoff") else p, f, hints[f.name])

@@ -1,8 +1,6 @@
 """Numerov shooting solver for smoothed wells (and the sharp step as a cross-check).
 
-The wavefunction is integrated left to right with psi(-a) = 0, psi'(-a) = 1;
-trial energies where psi(b) crosses zero are the eigenvalues.  The three-term
-Numerov recurrence for psi'' = f(x) psi,
+The three-term Numerov recurrence for psi'' = f(x) psi,
 
     (1 - t[i+1]) psi[i+1] = (2 + 10 t[i]) psi[i] - (1 - t[i-1]) psi[i-1],
     t = h^2 f / 12,
@@ -10,6 +8,19 @@ Numerov recurrence for psi'' = f(x) psi,
 is fourth-order accurate for smooth f.  Across the sharp step the order drops
 to h^2 even with the v0/2 midpoint sample, so for smoothing=None the
 closed-form solver remains authoritative and this one is a consistency check.
+
+Eigenvalues are the trial energies where the forward solution from
+psi(-a) = 0, psi'(-a) = 1 crosses zero at x = b.  Since the recurrence is
+linear, psi(b) is a product of 2x2 step matrices; the sweep multiplies them
+in blocks of 32 cells, vectorized over blocks and energies, then carries the
+state through the blocks in order with a positive rescale against overflow.
+
+A converged state's trajectory is stitched from both walls: the forward
+solution up to its largest |psi| among the classically allowed samples at or
+left of the step, and the backward solution from b beyond it.  Integrated inward, a right side under the
+barrier is the decaying mode itself, so the node audit sees a clean tail
+(B. R. Johnson, J. Chem. Phys. 69, 4678 (1978), integrates from both ends
+for the same reason).
 """
 from __future__ import annotations
 
@@ -28,6 +39,9 @@ __all__ = ["GridSolution", "NodeCountError", "shoot", "find_spectrum_numeric",
 
 _BISECT_TOL = 1e-12          # relative; well inside the 1e-9 contract
 _RENORM_CAP = 1e250          # rescale the running solution past this magnitude
+_BLOCK = 32                  # Numerov steps multiplied together per transfer block
+_BLOCK_GROWTH = 1e40         # bound on one block's amplification, far below 1e308 / cap
+_CHUNK = 32                  # trial energies per pass; temporaries stay near 1 MB
 _MAX_REFINES = 2
 
 
@@ -62,40 +76,113 @@ def _build_grid(spec: WellSpec, n_grid: int) -> tuple[np.ndarray, float]:
     return xs, h
 
 
+def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.ndarray:
+    """Forward Numerov solutions from psi(-a) = 0 for the energies ``e``.
+
+    Step i maps (psi[i], psi[i-1]) to (psi[i+1], psi[i]) by the matrix
+    [[A_i, -B_i], [1, 0]].  The steps are grouped into blocks of up to
+    ``_BLOCK`` cells; each block's product is formed by running the two basis
+    solutions through it, vectorized over all blocks and energies.  The state
+    is then carried through the blocks one after another, with the positive
+    ``_RENORM_CAP`` rescale applied between blocks.  A block is short enough
+    that its amplification stays below ``_BLOCK_GROWTH``, so the carry cannot
+    overflow between two checks.
+
+    Returns psi(b) per energy, or with ``path`` the whole trajectory, shape
+    (len(v), len(e)), with every rescale applied to the earlier samples too.
+    """
+    c = h * h / 12.0
+    n, m = len(v) - 2, e.size
+    # sup-norm bound on one step matrix over the chunk: |A_i| + |B_i|
+    t_lo, t_hi = c * (v.min() - e.max()), c * (v.max() - e.min())
+    if t_hi < 1.0:
+        g = (max(abs(2.0 + 10.0 * t_lo), abs(2.0 + 10.0 * t_hi)) + 1.0 - t_lo) / (1.0 - t_hi)
+        k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g))))
+        growth = g**k
+    else:  # grid too coarse for a bound: one cell per block, checked every cell
+        k, growth = 1, math.inf
+    nb = -(-n // k)
+    # step i = 1 + j + k*b sits at [j, b]; steps past the last one repeat psi
+    step = np.minimum(np.arange(nb * k).reshape(nb, k).T, n - 1)
+    den = (1.0 - c * v[step + 2])[..., None] + c * e
+    a_mat = (2.0 + 10.0 * c * v[step + 1])[..., None] - 10.0 * c * e
+    a_mat /= den
+    b_mat = (1.0 - c * v[step])[..., None] + c * e
+    b_mat /= den
+    del den
+    tail = n - (nb - 1) * k
+    a_mat[tail:, -1] = 1.0
+    b_mat[tail:, -1] = 0.0
+
+    # hist[(j + 1) % depth, s] is basis solution s after j steps into each
+    # block; basis 0 starts from (psi, psi_prev) = (1, 0), basis 1 from (0, 1).
+    # Only a trajectory keeps every step; a sweep cycles through three slots.
+    depth = k + 2 if path else 3
+    hist = np.empty((depth, 2, nb, m))
+    hist[0, 0], hist[0, 1], hist[1, 0], hist[1, 1] = 0.0, 1.0, 1.0, 0.0
+    tmp = np.empty((2, nb, m))
+    for j in range(k):
+        nxt = hist[(j + 2) % depth]
+        np.multiply(a_mat[j], hist[(j + 1) % depth], out=nxt)
+        np.multiply(b_mat[j], hist[j % depth], out=tmp)
+        nxt -= tmp
+    # block transfer matrices, rows (psi, psi_prev) by basis columns
+    ends = [(k + 1) % depth, k % depth]
+    blocks = np.ascontiguousarray(hist[ends].transpose(2, 0, 1, 3))
+
+    state = np.zeros((2, m))
+    state[0] = h * (1.0 + h * h * (v[0] - e) / 6.0)
+    bound = float(np.abs(state).max())
+    if path:
+        starts = np.empty((nb, 2, m))
+        levels = np.zeros((nb, m))
+        level = np.zeros(m)
+    for blk in range(nb):
+        if path:
+            starts[blk], levels[blk] = state, level
+        state = (blocks[blk] * state).sum(axis=1)
+        bound *= growth
+        if bound > _RENORM_CAP:
+            big = np.abs(state).max(axis=0) > _RENORM_CAP
+            state[:, big] *= 1e-250
+            if path:
+                level[big] += 1
+            bound = float(np.abs(state).max())
+    if not path:
+        return state[0]
+    inner = (hist[1 : k + 1] * starts.transpose(1, 0, 2)).sum(axis=1)  # (k, nb, m)
+    inner *= 1e-250 ** (level - levels)
+    out = np.concatenate([np.zeros((1, m)), inner.transpose(1, 0, 2).reshape(nb * k, m),
+                          state[:1]])
+    return out[: n + 2]
+
+
 def _sweep_final(v: np.ndarray, h: float, energies: np.ndarray) -> np.ndarray:
     """psi(b) for each trial energy (vectorized); zeros of this are eigenvalues."""
     e = np.atleast_1d(np.asarray(energies, dtype=float))
-    c = h * h / 12.0
-    t_prev = c * (v[0] - e)
-    t_cur = c * (v[1] - e)
-    prev = np.zeros(e.shape)
-    cur = np.full(e.shape, h) * (1.0 + h * h * (v[0] - e) / 6.0)
-    for i in range(1, len(v) - 1):
-        t_next = c * (v[i + 1] - e)
-        nxt = ((2.0 + 10.0 * t_cur) * cur - (1.0 - t_prev) * prev) / (1.0 - t_next)
-        prev, cur = cur, nxt
-        t_prev, t_cur = t_cur, t_next
-        big = np.abs(cur) > _RENORM_CAP
-        if big.any():
-            prev[big] *= 1e-250
-            cur[big] *= 1e-250
-    return cur
-
-
-def _sweep_full(v: np.ndarray, h: float, energy: float) -> np.ndarray:
-    """Whole trajectory at one energy, for normalization after convergence."""
-    n = len(v)
-    f = v - energy
-    t = h * h * f / 12.0
-    out = np.zeros(n)
-    out[1] = h * (1.0 + h * h * f[0] / 6.0)
-    for i in range(1, n - 1):
-        out[i + 1] = ((2.0 + 10.0 * t[i]) * out[i] - (1.0 - t[i - 1]) * out[i - 1]) / (
-            1.0 - t[i + 1]
-        )
-        if abs(out[i + 1]) > _RENORM_CAP:
-            out[: i + 2] *= 1e-250
+    out = np.empty(e.shape)
+    for lo in range(0, e.size, _CHUNK):
+        out[lo : lo + _CHUNK] = _transfer_blocks(v, h, e[lo : lo + _CHUNK], path=False)
     return out
+
+
+def _sweep_full(v: np.ndarray, h: float, energy: float, split: int) -> np.ndarray:
+    """Whole trajectory at one energy, stitched from both walls.
+
+    ``split`` is the last grid index at or left of the step.  The forward
+    solution from -a is kept up to its largest |psi| among the classically
+    allowed samples in [0, split]; the backward solution from b, scaled to
+    agree there, supplies the rest.  Each half is then integrated toward the
+    barrier it faces, so under a barrier it is the decaying mode itself
+    rather than a growing one cancelled by roundoff.
+    """
+    e = np.asarray([float(energy)])
+    allowed = np.flatnonzero(v[: split + 1] <= energy)
+    stop = max(int(allowed[-1]) if allowed.size else split, 2)
+    fwd = _transfer_blocks(v[: stop + 1], h, e, path=True)[:, 0]
+    match = int(np.argmax(np.abs(fwd)))
+    bwd = _transfer_blocks(v[match:][::-1], h, e, path=True)[::-1, 0]
+    return np.concatenate([fwd[:match], bwd * (fwd[match] / bwd[0])])
 
 
 def shoot(spec: WellSpec, energy: float, n_grid: int) -> float:
@@ -109,8 +196,9 @@ def find_spectrum_numeric(spec: WellSpec, e_max: float, n_grid: int) -> list[Gri
     """Every numeric bound state with 0 < E <= e_max, ordered by energy.
 
     Uses the same scan-cell policy as the closed-form solver, bisection on the
-    shooting mismatch, Simpson normalization, and a node-count audit with one
-    round of 10x scan refinement before reporting failure.
+    shooting mismatch psi(b), Simpson normalization of the two-sided
+    trajectory, and a node-count audit with up to two rounds of 10x scan
+    refinement before reporting failure.
     """
     if not e_max > 0:
         raise ValueError(f"e_max must be positive, got {e_max}")
@@ -143,11 +231,9 @@ def interior_nodes(sol: GridSolution) -> int:
 
     Genuine nodes of these states always sit where the wavefunction swings at
     order-of-peak amplitude (the matching conditions bound the side-amplitude
-    ratio well away from zero), while evanescent tails near the right wall
-    carry a residual admixture of the growing solution at the
-    sqrt(peak * energy tolerance) level, around 1e-6 of the peak, which can
-    flip sign spuriously.  The floor separates the two regimes by orders of
-    magnitude on both sides.
+    ratio well away from zero).  Roundoff and the sub-tolerance energy error
+    perturb the stitched trajectory far below the floor, so only an
+    unresolved or misindexed eigenvalue changes the count.
     """
     interior = sol.values[1:-1]
     floor = 1e-4 * float(np.max(np.abs(sol.values)))
@@ -155,8 +241,8 @@ def interior_nodes(sol: GridSolution) -> int:
 
 
 def _normalized_solution(spec, xs, v, h, energy, n) -> GridSolution:
-    values = _sweep_full(v, h, energy)
-    values[-1] = 0.0  # converged mismatch is sub-tolerance; pin the wall exactly
+    split = int(np.searchsorted(xs, 0.0, side="right")) - 1
+    values = _sweep_full(v, h, energy, split)
     norm = simpson(values**2, x=xs)
     values = values / math.sqrt(norm)
     if values[1] < 0:

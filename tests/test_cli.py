@@ -1,5 +1,5 @@
 """The command line as a whole: frozen table bytes, the flags each subcommand
-accepts, and a clean ``python -m asymwell.report`` start."""
+accepts, and clean ``python -m asymwell`` and ``python -m asymwell.report`` starts."""
 import hashlib
 import json
 import os
@@ -79,9 +79,8 @@ def test_every_flag_reaches_config_and_header(command, cutoff, tmp_path, monkeyp
 
 @pytest.mark.parametrize("command", list(OWN_FLAGS))
 def test_flags_of_other_commands_rejected(command):
-    # --n is left out: argparse reads it as an abbreviation of --n-max
     foreign = {flag for own in OWN_FLAGS.values() for flag in own}
-    foreign -= set(OWN_FLAGS[command]) | {"--n"}
+    foreign -= set(OWN_FLAGS[command])
     assert foreign
     own = [f"{flag}={value}" for flag, value in OWN_FLAGS[command].items()]
     for flag in sorted(foreign):
@@ -89,12 +88,43 @@ def test_flags_of_other_commands_rejected(command):
             main([command, *own, flag, "5"])
 
 
-def test_cold_module_run_prints_nothing_on_stderr():
+@pytest.mark.parametrize("argv", [["spectrum", "--n", "3"], ["spectrum", "--e", "30"],
+                                  ["momentum", "--n", "2", "--p", "5"]])
+def test_abbreviated_flags_rejected(argv, capsys):
+    # spectrum takes no --n; an abbreviation must not be read as --n-max
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_smoothed_wavefunction_on_a_coarser_grid(capsys):
+    # 801 samples fall between the 2000 cells; the emitted density must still
+    # pass the unit-norm check
+    argv = "wavefunction --n 3 --smoothing linear --epsilon 0.3 --e-max 25 --grid 2000"
+    assert main(argv.split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    body = [line for line in lines if not line.startswith("#")]
+    assert body[0] == "x,psi,density,potential,classical_density" and len(body) == 1 + 801
+
+
+def _run_module(module: str, *args: str) -> subprocess.CompletedProcess:
     src = str(Path(asymwell.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "asymwell.report", "spectrum"],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, env=env, timeout=120)
+
+
+def test_cold_module_run_prints_nothing_on_stderr():
+    proc = _run_module("asymwell.report", "spectrum")
     assert proc.returncode == 0
     assert proc.stderr == b""
     assert proc.stdout.startswith(b"# asymwell spectrum\n")
+
+
+def test_package_runs_as_module():
+    proc = _run_module("asymwell", "spectrum")
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256["spectrum"]

@@ -12,15 +12,31 @@ from asymwell import (
     classical_model,
     find_spectrum,
     find_spectrum_numeric,
+    sample,
     shoot,
     side_probabilities,
     side_probability_numeric,
 )
-from asymwell.shooting import interior_nodes
+from asymwell.shooting import _build_grid, _sweep_final, _transfer_blocks, interior_nodes
 from oracles import fd_left_probability, fd_spectrum
 
 STEP = WellSpec(3.0, 3.0, 20.0)
 SMOOTH = WellSpec(3.0, 3.0, 20.0, Exponential(0.2))
+
+# the CLI's standard smoothing study (cap 35 * 1.05 + 20 * 0.2 + 1) at
+# n_grid = 4000, frozen from the per-cell sweep the blocked one replaced
+STUDY_ENERGIES = [
+    1.1835289901468058,
+    4.471769890050929,
+    9.376287002957547,
+    15.276727130118525,
+    20.33095083428198,
+    22.05816603954299,
+    25.082330226001794,
+    28.832382863468954,
+    33.1823474018951,
+    38.21661985804094,
+]
 
 # frozen delta = 0.2 energies at n_grid = 4000, cross-checked against the
 # finite-difference oracle on the same grid (agreement ~1e-5 relative)
@@ -64,6 +80,57 @@ class TestShoot:
         # qbar * b ~ 670 drives the raw recurrence past 1e290 without rescaling
         value = shoot(WellSpec(3.0, 3.0, 5e4), 1.0, 2000)
         assert math.isfinite(value)
+
+
+def scalar_sweep(v, h, energy):
+    """psi over the grid by the plain per-cell recurrence, with the number of
+    1e-250 rescales it needed; samples before a rescale are left as they were."""
+    c = h * h / 12.0
+    t = [c * (vi - energy) for vi in v]
+    psi = [0.0, h * (1.0 + h * h * (v[0] - energy) / 6.0)]
+    rescales = 0
+    for i in range(1, len(v) - 1):
+        psi.append(((2.0 + 10.0 * t[i]) * psi[i] - (1.0 - t[i - 1]) * psi[i - 1])
+                   / (1.0 - t[i + 1]))
+        if abs(psi[-1]) > 1e250:
+            psi[-2] *= 1e-250
+            psi[-1] *= 1e-250
+            rescales += 1
+    return np.array(psi), rescales
+
+
+class TestKernel:
+    @pytest.mark.parametrize("spec", [STEP, SMOOTH, WellSpec(3.0, 3.0, 1e5)],
+                             ids=["step", "sigmoid", "deep"])
+    def test_sweep_sign_matches_scalar_recurrence(self, spec):
+        xs, h = _build_grid(spec, 1000)
+        v = sample(spec, xs)
+        energies = np.linspace(0.3, 60.0, 83)
+        swept = _sweep_final(v, h, energies)
+        total = 0
+        for e, got in zip(energies, swept):
+            ref, rescales = scalar_sweep(v, h, e)
+            total += rescales
+            assert np.sign(got) == np.sign(ref[-1]) != 0, e
+        if spec.v0 > 1e4:
+            assert total >= len(energies)  # the rescale fired on every trial energy
+
+    def test_trajectory_matches_scalar_recurrence(self):
+        # 1003 points: the last block of 32 steps is partly padding
+        xs = np.linspace(-3.0, 3.0, 1003)
+        v = sample(SMOOTH, xs)
+        h = xs[1] - xs[0]
+        for e in (1.2, 17.0, 33.2):
+            ref, rescales = scalar_sweep(v, h, e)
+            assert rescales == 0
+            path = _transfer_blocks(v, h, np.asarray([e]), path=True)[:, 0]
+            assert path.shape == ref.shape
+            np.testing.assert_allclose(path, ref, rtol=0, atol=1e-9 * np.abs(ref).max())
+            assert path[-1] == _sweep_final(v, h, e)[0]
+
+    def test_standard_study_energies_unchanged(self):
+        sols = find_spectrum_numeric(SMOOTH, 41.75, 4000)
+        assert [s.energy for s in sols] == pytest.approx(STUDY_ENERGIES, rel=1e-10)
 
 
 class TestConvergenceOrder:
@@ -193,6 +260,43 @@ class TestQuarterWavelengthRule:
         p6 = side_probability_numeric(sols[5])
         p_cl = classical_model(STEP, sols[5].energy).p_left
         assert abs(p6 - p_cl) < 0.05
+
+
+class TestDeepSteps:
+    """Wells whose right side is deeply evanescent: the node audit must pass
+    on the first scan, and the energies must match the independent routes."""
+
+    @pytest.mark.parametrize("v0", [60.0, 200.0, 1000.0])
+    def test_sharp_step_matches_closed_form(self, v0):
+        spec = WellSpec(3.0, 3.0, v0)
+        states = find_spectrum(spec, 30.0)
+        sols = find_spectrum_numeric(spec, 30.0, 4000)
+        assert len(sols) == len(states)
+        for sol, st in zip(sols, states):
+            # the documented O(h^2) error of the sampled step
+            assert sol.energy == pytest.approx(st.energy, rel=2e-5)
+            assert interior_nodes(sol) == sol.n - 1
+
+    @pytest.mark.parametrize("v0", [80.0, 500.0])
+    def test_sigmoid_matches_fd_oracle(self, v0):
+        spec = WellSpec(3.0, 3.0, v0, Exponential(0.2))
+        sols = find_spectrum_numeric(spec, 30.0, 4000)
+        energies, _, _ = fd_spectrum(spec, len(sols) + 1, 4000)
+        assert energies[len(sols)] > 30.0  # no state missing below the cap
+        for sol, e in zip(sols, energies):
+            assert sol.energy == pytest.approx(e, rel=1e-4)
+
+    def test_wide_sigmoid_left_barrier(self):
+        # V passes the low levels while still left of x = 0, so the forward
+        # solution grows before the step; the match stays in allowed samples
+        spec = WellSpec(3.0, 3.0, 5000.0, Exponential(0.5))
+        sols = find_spectrum_numeric(spec, 120.0, 4000)
+        energies, vecs, xs = fd_spectrum(spec, len(sols) + 1, 4000)
+        assert len(sols) == 3 and energies[3] > 120.0
+        for sol, e, vec in zip(sols, energies, vecs):
+            assert sol.energy == pytest.approx(e, rel=1e-4)
+            assert side_probability_numeric(sol) == pytest.approx(
+                fd_left_probability(xs, vec), abs=1e-6)
 
 
 class TestNodeAudit:
