@@ -15,7 +15,6 @@ from dataclasses import Field, dataclass, field, fields, replace
 from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import bounds as bounds_mod
 from . import classical as classical_mod
@@ -23,6 +22,7 @@ from . import momentum as momentum_mod
 from . import potential as potential_mod
 from . import shooting as shooting_mod
 from . import spectrum as spectrum_mod
+from ._simpson import simpson
 from .potential import Exponential, Linear, WellSpec
 
 __all__ = ["RunConfig", "Table", "cmd_spectrum", "cmd_wavefunction", "cmd_compare",
@@ -208,7 +208,7 @@ def cmd_wavefunction(config: RunConfig, n: int) -> Table:
         raise RuntimeError("wavefunction does not vanish at the walls")
     h = (config.a + config.b) / (config.samples - 1)
     norm_tol = max(2e-6, (math.sqrt(energy) * h) ** 4)
-    if abs(float(simpson(dens, x=xs)) - 1.0) > norm_tol:
+    if abs(simpson(dens, xs) - 1.0) > norm_tol:
         raise RuntimeError("emitted density column is not unit-normalized")
 
     rows = [[float(x), float(v), float(d), float(p), float(c)]

@@ -28,9 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from ._rootscan import bracket_and_bisect, count_sign_changes, scan_step
+from ._simpson import simpson
 from .potential import WellSpec, sample
 
 __all__ = ["GridSolution", "NodeCountError", "shoot", "find_spectrum_numeric",
@@ -243,7 +243,7 @@ def interior_nodes(sol: GridSolution) -> int:
 def _normalized_solution(spec, xs, v, h, energy, n) -> GridSolution:
     split = int(np.searchsorted(xs, 0.0, side="right")) - 1
     values = _sweep_full(v, h, energy, split)
-    norm = simpson(values**2, x=xs)
+    norm = simpson(values**2, xs)
     values = values / math.sqrt(norm)
     if values[1] < 0:
         values = -values
@@ -258,7 +258,7 @@ def side_probability_numeric(sol: GridSolution) -> float:
     """
     xs, ys = sol.grid, sol.values**2
     iz = int(np.searchsorted(xs, 0.0, side="right")) - 1
-    left = float(simpson(ys[: iz + 1], x=xs[: iz + 1]))
+    left = simpson(ys[: iz + 1], xs[: iz + 1])
     if xs[iz] == 0.0:
         return left
     width = -xs[iz]

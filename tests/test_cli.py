@@ -24,6 +24,18 @@ GOLDEN_SHA256 = {
         "8af13d01b7d5d1fafb4a9ea835e3064bd4e26c79cb57496d619caed867e41e8a",
 }
 
+# sha256 of tables that go through the Numerov solver and its Simpson
+# quadrature, recorded while that quadrature was scipy.integrate.simpson;
+# "--a 2 --b 4.3" integrates a left half with an even number of samples
+SHOOTING_SHA256 = {
+    "smoothing": "896a502a79308a692548ef8f6628cd16e31c6d30402386a7850ebdc62d333440",
+    "smoothing --smoothing linear":
+        "5b8499b69eeca1906e26a0d8604e06b74e8291d6480fae5304fa27df20ec5999",
+    "smoothing --a 2 --b 4.3": "6bdfdf7f7d550672fbe64a64b52358f3911891ffcbe694f9e3e6d837e610e07c",
+    "wavefunction --n 3 --smoothing exponential --epsilon 0.2":
+        "3a1cb337c7cc5c3849852bb3fbafd663a3cc461277d26686f0530ad55204bc78",
+}
+
 # a non-default value for every flag; --out is set by the test itself
 SHARED_FLAGS = {"--a": 2.5, "--b": 3.5, "--v0": 15.0, "--smoothing": "linear",
                 "--delta": 0.3, "--epsilon": 0.5, "--grid": 2000, "--format": "json"}
@@ -41,11 +53,11 @@ def _key(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-@pytest.mark.parametrize("args", list(GOLDEN_SHA256))
+@pytest.mark.parametrize("args", [*GOLDEN_SHA256, *SHOOTING_SHA256])
 def test_standard_tables_match_frozen_digests(args, capsys):
     assert main(args.split()) == 0
     out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == GOLDEN_SHA256[args]
+    assert hashlib.sha256(out).hexdigest() == {**GOLDEN_SHA256, **SHOOTING_SHA256}[args]
 
 
 @pytest.mark.parametrize("cutoff", list(CUTOFF_FLAGS))
@@ -108,12 +120,15 @@ def test_smoothed_wavefunction_on_a_coarser_grid(capsys):
     assert body[0] == "x,psi,density,potential,classical_density" and len(body) == 1 + 801
 
 
-def _run_module(module: str, *args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(asymwell.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", module, *args],
-                          capture_output=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+
+def _run_module(module: str, *args: str) -> subprocess.CompletedProcess:
+    return _run_python("-m", module, *args)
 
 
 def test_cold_module_run_prints_nothing_on_stderr():
@@ -127,4 +142,29 @@ def test_package_runs_as_module():
     proc = _run_module("asymwell", "spectrum")
     assert proc.returncode == 0
     assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256["spectrum"]
+
+
+# print the scipy modules a run left in sys.modules, after its own output
+_SCIPY_LOADED = ("import sys\n"
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+                 " file=sys.stderr)\n")
+
+
+def test_import_loads_no_scipy():
+    proc = _run_python("-c", "import asymwell, asymwell.report\n" + _SCIPY_LOADED)
+    assert proc.returncode == 0
+    assert proc.stderr == b"[]\n"
+
+
+def test_package_run_loads_no_scipy():
+    # python -m asymwell spectrum, run in-process so sys.modules can be read after it
+    run = ("import runpy\n"
+           "try:\n"
+           "    runpy.run_module('asymwell', run_name='__main__', alter_sys=True)\n"
+           "except SystemExit as exc:\n"
+           "    assert exc.code == 0, exc.code\n")
+    proc = _run_python("-c", run + _SCIPY_LOADED, "spectrum")
+    assert proc.returncode == 0
+    assert proc.stderr == b"[]\n"
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256["spectrum"]
