@@ -7,37 +7,55 @@ from typing import Callable
 import numpy as np
 
 _EPS = np.finfo(float).eps
+_MAX_REFINES = 3
+_EDGE = 1e-8                 # relative; count and fn round apart by up to ~5e-11
+
+
+class ScanResolutionError(RuntimeError):
+    """The root scan and the Sturm count disagree even on the finest scan grid."""
 
 
 def scan_step(a: float, b: float) -> float:
     """Default energy scan resolution.
 
-    The level spacing of the enclosing flat well of width (a + b) lower-bounds
-    the root separation, so half its ground-state energy is a safe cell size;
-    0.1 caps the cell for narrow wells.
+    Half the ground-state energy of the enclosing flat well of width (a + b),
+    capped at 0.1 for narrow wells.  Roots closer than one cell are caught by
+    the Sturm count in ``bracket_and_bisect``.
     """
     return min(0.1, math.pi**2 / (2.0 * (a + b) ** 2))
 
 
 def bracket_and_bisect(
     fn: Callable[[np.ndarray], np.ndarray],
+    count: Callable[[float], int],
     e_max: float,
     step: float,
     tol_rel: float,
 ) -> list[float]:
-    """All odd-multiplicity roots of ``fn`` in (0, e_max], in increasing order.
+    """All roots of ``fn`` in (0, e_max], in increasing order.
 
     ``fn`` must accept a 1-D energy array and return function values of the
-    same shape.  Cells of width ``step`` are scanned for sign changes and each
-    bracket is refined by bisection until the interval width drops below
-    ``tol_rel * max(1, E)`` (floored at a few ulp).  Roots landing exactly on
-    a grid point are returned as-is.
+    same shape; ``count(E)`` is the exact (Sturm) number of its roots below E.
+    Cells of width ``step`` are scanned for sign changes and each bracket is
+    bisected until it is narrower than ``tol_rel * max(1, E)`` (floored at a
+    few ulp); roots landing exactly on a grid point are returned as-is.  A scan
+    whose number of roots disagrees with the count at e_max is repeated 10x
+    finer; a root within a relative ``_EDGE`` of e_max may count on either side.
     """
+    fewest, most = count(e_max * (1.0 - _EDGE)), count(e_max * (1.0 + _EDGE))
+    for cell in (step / 10.0**r for r in range(_MAX_REFINES + 1)):
+        roots = _scan_and_bisect(fn, e_max, cell, tol_rel)
+        if fewest <= len(roots) <= most:
+            return roots
+    raise ScanResolutionError(f"the root scan found {len(roots)} roots in (0, {e_max:.9g}] "
+                              f"but the Sturm count is {most}, even at scan step {cell:.3e}")
+
+
+def _scan_and_bisect(fn, e_max: float, step: float, tol_rel: float) -> list[float]:
+    """Odd-multiplicity roots seen by one scan with cells of width ``step``."""
     n_cells = int(math.ceil(e_max / step))
     grid = np.minimum(step * np.arange(1, n_cells + 1), e_max)
     grid = np.unique(grid)
-    if len(grid) < 2:
-        return []
     vals = fn(grid)
 
     exact: list[float] = [float(g) for g, v in zip(grid, vals) if v == 0.0]

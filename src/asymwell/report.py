@@ -29,7 +29,6 @@ __all__ = ["RunConfig", "Table", "cmd_spectrum", "cmd_wavefunction", "cmd_compar
            "cmd_smoothing", "cmd_momentum", "write_table", "main"]
 
 _DEFAULT_E_MAX = 35.0  # CLI only: RunConfig itself needs e_max or n_max set
-_BOUND_MARGIN = 1e-12
 
 
 def _flag(default: object, **metadata: object):
@@ -160,7 +159,7 @@ def _cubic_interp(x: np.ndarray, grid: np.ndarray, values: np.ndarray) -> np.nda
 
 
 def _bounds_or_none(spec: WellSpec, energy: float):
-    if energy > spec.v0 * (1.0 + _BOUND_MARGIN):
+    if energy > spec.v0 * (1.0 + bounds_mod._MARGIN):
         return bounds_mod.bounds_at(spec, energy)
     return None
 

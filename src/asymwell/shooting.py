@@ -15,12 +15,12 @@ linear, psi(b) is a product of 2x2 step matrices; the sweep multiplies them
 in blocks of 32 cells, vectorized over blocks and energies, then carries the
 state through the blocks in order with a positive rescale against overflow.
 
-A converged state's trajectory is stitched from both walls: the forward
-solution up to its largest |psi| among the classically allowed samples at or
-left of the step, and the backward solution from b beyond it.  Integrated inward, a right side under the
-barrier is the decaying mode itself, so the node audit sees a clean tail
-(B. R. Johnson, J. Chem. Phys. 69, 4678 (1978), integrates from both ends
-for the same reason).
+A converged state is stitched from both walls: the forward solution up to its
+largest |psi| among the classically allowed samples at or left of the step,
+then the solution from b, which under a barrier is the decaying mode itself,
+so the node check sees a clean tail (B. R. Johnson, J. Chem. Phys. 69, 4678
+(1978), integrates from both ends for the same reason).  The solution from b
+also gives the Sturm count that the root scan is checked against.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ _RENORM_CAP = 1e250          # rescale the running solution past this magnitude
 _BLOCK = 32                  # Numerov steps multiplied together per transfer block
 _BLOCK_GROWTH = 1e40         # bound on one block's amplification, far below 1e308 / cap
 _CHUNK = 32                  # trial energies per pass; temporaries stay near 1 MB
-_MAX_REFINES = 2
 
 
 class NodeCountError(RuntimeError):
@@ -185,6 +184,13 @@ def _sweep_full(v: np.ndarray, h: float, energy: float, split: int) -> np.ndarra
     return np.concatenate([fwd[:match], bwd * (fwd[match] / bwd[0])])
 
 
+def _count_below(v: np.ndarray, h: float, energy: float) -> int:
+    """Sturm count: states below ``energy``, the sign changes of the solution from
+    psi(b) = 0; it crosses the barrier first, so no rescale can zero its nodes."""
+    path = _transfer_blocks(v[::-1], h, np.asarray([float(energy)]), path=True)
+    return count_sign_changes(path[1:, 0])
+
+
 def shoot(spec: WellSpec, energy: float, n_grid: int) -> float:
     """Shooting mismatch psi(b) for one trial energy on an n_grid-cell grid."""
     xs, h = _build_grid(spec, n_grid)
@@ -195,35 +201,29 @@ def shoot(spec: WellSpec, energy: float, n_grid: int) -> float:
 def find_spectrum_numeric(spec: WellSpec, e_max: float, n_grid: int) -> list[GridSolution]:
     """Every numeric bound state with 0 < E <= e_max, ordered by energy.
 
-    Uses the same scan-cell policy as the closed-form solver, bisection on the
-    shooting mismatch psi(b), Simpson normalization of the two-sided
-    trajectory, and a node-count audit with up to two rounds of 10x scan
-    refinement before reporting failure.
+    The roots of the shooting mismatch psi(b) come from the shared scan, Sturm
+    count check and bisection; each state is the Simpson-normalized two-sided
+    trajectory.  A grid too coarse for the floor raises ``ValueError``; a bad
+    stitch (interior node count other than n - 1) raises ``NodeCountError``.
     """
     if not e_max > 0:
         raise ValueError(f"e_max must be positive, got {e_max}")
     xs, h = _build_grid(spec, n_grid)
     v = sample(spec, xs)
-    fn = lambda es: _sweep_final(v, h, es)
-
-    step = scan_step(spec.a, spec.b)
-    last_bad = None
-    for _ in range(_MAX_REFINES + 1):
-        roots = bracket_and_bisect(fn, e_max, step, _BISECT_TOL)
-        sols = [_normalized_solution(spec, xs, v, h, e, n) for n, e in enumerate(roots, start=1)]
-        last_bad = None
-        for s in sols:
-            counted = interior_nodes(s)
-            if counted != s.n - 1:
-                last_bad = (s.n, counted, s.energy)
-                break
-        if last_bad is None:
-            return sols
-        step /= 10.0
-    raise NodeCountError(
-        f"numeric state {last_bad[0]} shows {last_bad[1]} interior nodes, expected "
-        f"{last_bad[0] - 1}; an eigenvalue is likely unresolved near E={last_bad[2]:.9g}"
-    )
+    if h * h * v.max() >= 12.0:  # the recurrence flips sign every cell under the step
+        need = 2 * int(spec.width * math.sqrt(v.max() / 12.0) / 2.0) + 2
+        raise ValueError(f"n_grid={n_grid} is too coarse for a floor of height "
+                         f"{v.max():.6g}: Numerov needs n_grid >= {need} here")
+    roots = bracket_and_bisect(lambda es: _sweep_final(v, h, es),
+                               lambda e: _count_below(v, h, e),
+                               e_max, scan_step(spec.a, spec.b), _BISECT_TOL)
+    sols = [_normalized_solution(spec, xs, v, h, e, n) for n, e in enumerate(roots, start=1)]
+    for s in sols:
+        counted = interior_nodes(s)
+        if counted != s.n - 1:
+            raise NodeCountError(f"numeric state {s.n} at E={s.energy:.9g} shows {counted} "
+                                 f"interior nodes, expected {s.n - 1}: bad stitch")
+    return sols
 
 
 def interior_nodes(sol: GridSolution) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds as _bounds
-from ._rootscan import bracket_and_bisect, count_sign_changes, scan_step
+from ._rootscan import ScanResolutionError, bracket_and_bisect, scan_step
 from .potential import WellSpec
 
 __all__ = [
@@ -39,12 +39,6 @@ __all__ = [
 
 _BISECT_TOL = 1e-13          # relative; well inside the 1e-10 contract
 _RESIDUAL_TOL = 1e-6         # matching-residual gate for spurious roots
-_NODE_GRID = 2000            # samples for interior node counting
-_MAX_REFINES = 3
-
-
-class ScanResolutionError(RuntimeError):
-    """Two roots fell inside one scan cell and refinement could not split them."""
 
 
 @dataclass(frozen=True)
@@ -129,9 +123,9 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
     """Every bound state with 0 < E <= e_max, normalized, ordered by energy.
 
     Sign changes of the characteristic are bracketed on an energy grid and
-    refined by bisection.  A node-count audit (state n must have exactly n - 1
-    interior zeros) guards against two roots hiding in one scan cell; on a
-    mismatch the scan is repeated with a 10x finer grid before giving up.
+    refined by bisection.  The closed-form Sturm count of states below e_max
+    catches two roots hiding in one scan cell; ``ScanResolutionError`` is
+    raised if finer scans do not resolve them.
     """
     _require_step(spec)
     if not e_max > 0:
@@ -146,36 +140,24 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
             f"(need sqrt(v0)*b <= 350)"
         )
 
-    step = scan_step(spec.a, spec.b)
-    fn = lambda es: _characteristic_many(spec, es)
-    last_bad = None
-    for _ in range(_MAX_REFINES + 1):
-        roots = bracket_and_bisect(fn, e_max, step, _BISECT_TOL)
-        states = [_solve_state(spec, e, n) for n, e in enumerate(roots, start=1)]
-        bad = _first_node_mismatch(states)
-        if bad is None:
-            return states
-        last_bad = bad
-        step /= 10.0
-    n, lo, hi = last_bad
-    raise ScanResolutionError(
-        f"node-count audit failed for state {n} even at scan step {step * 10:.3e}: "
-        f"a root is likely unresolved in the energy interval ({lo:.9g}, {hi:.9g})"
-    )
+    roots = bracket_and_bisect(lambda es: _characteristic_many(spec, es),
+                               lambda e: _count_below(spec, e),
+                               e_max, scan_step(spec.a, spec.b), _BISECT_TOL)
+    return [_solve_state(spec, e, n) for n, e in enumerate(roots, start=1)]
 
 
-def _first_node_mismatch(states: list[EigenState]) -> tuple[int, float, float] | None:
-    for i, st in enumerate(states):
-        if _interior_nodes(st) != st.n - 1:
-            lo = states[i - 1].energy if i > 0 else 0.0
-            hi = states[i + 1].energy if i + 1 < len(states) else st.energy + 1.0
-            return st.n, lo, hi
-    return None
+def _count_below(spec: WellSpec, energy: float) -> int:
+    """Sturm count: bound states below ``energy``, the zeros of psi = sin(k (x + a)).
 
-
-def _interior_nodes(state: EigenState) -> int:
-    xs = np.linspace(-state.spec.a, state.spec.b, _NODE_GRID)
-    return count_sign_changes(psi(state, xs[1:-1]))
+    floor(ka / pi) on the left; above the step the Pruefer phase, rescaled from
+    k to q at x = 0 within its half-turn, then advances by q b; below it one
+    more zero if psi(0) and psi(b) = g(E) differ in sign."""
+    k = math.sqrt(energy)
+    m, r = divmod(k * spec.a, math.pi)
+    if energy > spec.v0:
+        q = math.sqrt(energy - spec.v0)
+        return int(m + (math.atan2(q * math.sin(r), k * math.cos(r)) + q * spec.b) // math.pi)
+    return int(m) + ((-1.0) ** m * characteristic(spec, energy) < 0.0)
 
 
 def _require_step(spec: WellSpec) -> None:

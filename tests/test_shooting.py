@@ -8,6 +8,7 @@ from scipy.integrate import simpson
 from asymwell import (
     Exponential,
     GridSolution,
+    NodeCountError,
     WellSpec,
     classical_model,
     find_spectrum,
@@ -17,7 +18,15 @@ from asymwell import (
     side_probabilities,
     side_probability_numeric,
 )
-from asymwell.shooting import _build_grid, _sweep_final, _transfer_blocks, interior_nodes
+from asymwell import shooting
+from asymwell.shooting import (
+    _build_grid,
+    _count_below,
+    _sweep_final,
+    _transfer_blocks,
+    interior_nodes,
+)
+from asymwell.spectrum import _count_below as closed_form_count
 from oracles import fd_left_probability, fd_spectrum
 
 STEP = WellSpec(3.0, 3.0, 20.0)
@@ -263,8 +272,8 @@ class TestQuarterWavelengthRule:
 
 
 class TestDeepSteps:
-    """Wells whose right side is deeply evanescent: the node audit must pass
-    on the first scan, and the energies must match the independent routes."""
+    """Wells whose right side is deeply evanescent: every stitched state must
+    pass the node check, and the energies must match the independent routes."""
 
     @pytest.mark.parametrize("v0", [60.0, 200.0, 1000.0])
     def test_sharp_step_matches_closed_form(self, v0):
@@ -276,6 +285,24 @@ class TestDeepSteps:
             # the documented O(h^2) error of the sampled step
             assert sol.energy == pytest.approx(st.energy, rel=2e-5)
             assert interior_nodes(sol) == sol.n - 1
+
+    def test_step_past_the_closed_form_guard(self):
+        # the solution from -a grows by ~1e580 under this step, so a rescale
+        # past the barrier underflows its left-side samples to 0; the Sturm
+        # count must not lose their sign changes
+        spec = WellSpec(3.0, 3.0, 2e5)
+        sols = find_spectrum_numeric(spec, 60.0, 4000)
+        energies, _, _ = fd_spectrum(spec, len(sols) + 1, 4000)
+        assert len(sols) == 7 and energies[7] > 60.0
+        for sol, e in zip(sols, energies):
+            assert sol.energy == pytest.approx(e, rel=1e-4)
+
+    def test_grid_too_coarse_for_the_step_rejected(self):
+        # at h^2 v0 / 12 >= 1 the recurrence flips sign every cell under the step
+        spec = WellSpec(3.0, 3.0, 1e7)
+        with pytest.raises(ValueError, match="n_grid >= 5478"):
+            find_spectrum_numeric(spec, 60.0, 4000)
+        assert len(find_spectrum_numeric(spec, 60.0, 5478)) == 7
 
     @pytest.mark.parametrize("v0", [80.0, 500.0])
     def test_sigmoid_matches_fd_oracle(self, v0):
@@ -299,6 +326,25 @@ class TestDeepSteps:
                 fd_left_probability(xs, vec), abs=1e-6)
 
 
+class TestSturmCount:
+    @pytest.mark.parametrize("v0", [20.0, 60.0, 1000.0, 5000.0])
+    def test_matches_closed_form_count_between_levels(self, v0):
+        spec = WellSpec(3.0, 3.0, v0)
+        energies = [st.energy for st in find_spectrum(spec, 100.0)]
+        xs, h = _build_grid(spec, 4000)
+        v = sample(spec, xs)
+        gaps = [0.5 * (lo + hi) for lo, hi in zip([0.0] + energies, energies + [100.0])]
+        numeric = [_count_below(v, h, e) for e in gaps]
+        assert numeric == [closed_form_count(spec, e) for e in gaps]
+        assert numeric == list(range(len(gaps)))
+
+    def test_cutoff_on_a_level(self, numeric_smooth_035):
+        # the count from b puts levels 2 and 3 ~1e-11 away from the roots of
+        # psi(b), so a cutoff exactly on one falls between the two
+        for sol in numeric_smooth_035[1:3]:
+            assert len(find_spectrum_numeric(SMOOTH, sol.energy, 4000)) in (sol.n - 1, sol.n)
+
+
 class TestNodeAudit:
     def test_interior_nodes_counts_genuine_flips(self, numeric_smooth_035):
         sol = numeric_smooth_035[3]
@@ -309,3 +355,15 @@ class TestNodeAudit:
         doctored = GridSolution(spec=good.spec, n=1, energy=good.energy,
                                 grid=good.grid, values=good.values, step=good.step)
         assert interior_nodes(doctored) != doctored.n - 1
+
+    def test_bad_stitch_raises_at_once(self, monkeypatch):
+        stitched = shooting._sweep_full
+
+        def flipped(v, h, energy, split):
+            values = stitched(v, h, energy, split)
+            values[split:] *= -1.0  # a sign slip at the stitch adds a node
+            return values
+
+        monkeypatch.setattr(shooting, "_sweep_full", flipped)
+        with pytest.raises(NodeCountError, match="state 1 .* 1 interior nodes, expected 0"):
+            find_spectrum_numeric(STEP, 5.0, 2000)

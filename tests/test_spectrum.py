@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from asymwell import (
@@ -16,7 +17,8 @@ from asymwell import (
     psi,
     side_probabilities,
 )
-from asymwell.spectrum import _first_node_mismatch
+from asymwell._rootscan import bracket_and_bisect
+from asymwell.spectrum import ScanResolutionError, _characteristic_many, _count_below
 
 # 12-digit spectrum of the standard well (a = b = 3, v0 = 20), frozen after
 # cross-checking against 50-digit root refinement, Numerov shooting, and
@@ -32,6 +34,11 @@ STANDARD_ENERGIES = [
     29.237195004516,
     33.303046846815,
 ]
+
+# sqrt(v0) * b stays below the 350 overflow guard
+lengths = st.floats(min_value=0.5, max_value=10.0)
+heights = st.floats(min_value=0.0, max_value=1000.0)
+cutoffs = st.floats(min_value=1.0, max_value=300.0)
 
 
 class TestCharacteristic:
@@ -101,13 +108,26 @@ class TestFindSpectrum:
             ratio = standard_states[n - 1].energy / (n * math.pi / 3.0) ** 2
             assert 0.82 <= ratio <= 0.88
 
-    def test_node_counts(self, states_e100):
-        for st in states_e100:
-            xs = np.linspace(-3.0, 3.0, 2000)[1:-1]
-            vals = psi(st, xs)
+    @given(a=lengths, b=lengths, v0=heights, e_max=cutoffs)
+    @example(a=3.0, b=3.0, v0=20.0, e_max=100.0)
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_node_counts(self, a, b, v0, e_max):
+        for state in find_spectrum(WellSpec(a, b, v0), e_max):
+            xs = np.linspace(-a, b, 2000)[1:-1]
+            vals = psi(state, xs)
             nz = vals[vals != 0]
             flips = int(np.sum(np.sign(nz[1:]) != np.sign(nz[:-1])))
-            assert flips == st.n - 1
+            assert flips == state.n - 1
+
+    @given(a=lengths, b=lengths, v0=heights, e_max=cutoffs)
+    @example(a=3.0, b=3.0, v0=20.0, e_max=100.0)
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_count_below_indexes_the_levels(self, a, b, v0, e_max):
+        spec = WellSpec(a, b, v0)
+        energies = [state.energy for state in find_spectrum(spec, e_max)]
+        assert _count_below(spec, e_max) == len(energies)
+        gaps = [0.5 * (lo + hi) for lo, hi in zip([0.0] + energies, energies)]
+        assert [_count_below(spec, e) for e in gaps] == list(range(len(energies)))
 
     def test_tiny_step_reduces_to_flat_well(self):
         states = find_spectrum(WellSpec(3.0, 3.0, 1e-12), 1.2)
@@ -124,14 +144,14 @@ class TestFindSpectrum:
         with pytest.raises(ValueError, match="overflow"):
             find_spectrum(WellSpec(3.0, 3.0, 2e5), 40.0)
 
-    def test_node_audit_flags_a_dropped_root(self, states_e100):
-        # removing a state and renumbering must trip the consistency check
-        doctored = [replace(st, n=i) for i, st in enumerate(states_e100[:5], start=1)]
-        assert _first_node_mismatch(doctored) is None
-        dropped = [replace(st, n=i)
-                   for i, st in enumerate(states_e100[:2] + states_e100[3:6], start=1)]
-        bad = _first_node_mismatch(dropped)
-        assert bad is not None and bad[0] == 3
+    def test_count_flags_a_dropped_root(self, standard_spec, states_e100):
+        # a second zero at state 3's energy cancels its sign change, so every
+        # scan finds 17 roots against a Sturm count of 18
+        e3 = states_e100[2].energy
+        hidden = lambda es: _characteristic_many(standard_spec, es) * (es - e3)
+        with pytest.raises(ScanResolutionError, match="found 17 roots .* Sturm count is 18"):
+            bracket_and_bisect(hidden, lambda e: _count_below(standard_spec, e),
+                               100.0, 0.1, 1e-13)
 
 
 class TestNormalization:
