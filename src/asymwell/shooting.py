@@ -20,7 +20,8 @@ largest |psi| among the classically allowed samples at or left of the step,
 then the solution from b, which under a barrier is the decaying mode itself,
 so the node check sees a clean tail (B. R. Johnson, J. Chem. Phys. 69, 4678
 (1978), integrates from both ends for the same reason).  The solution from b
-also gives the Sturm count that the root scan is checked against.
+also gives the Sturm count, one trajectory per 32 trial energies, that gives
+each root its own bracket in the shared root policy.
 """
 from __future__ import annotations
 
@@ -128,6 +129,7 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     # block transfer matrices, rows (psi, psi_prev) by basis columns
     ends = [(k + 1) % depth, k % depth]
     blocks = np.ascontiguousarray(hist[ends].transpose(2, 0, 1, 3))
+    del a_mat, b_mat, tmp    # a trajectory's samples need the room
 
     state = np.zeros((2, m))
     state[0] = h * (1.0 + h * h * (v[0] - e) / 6.0)
@@ -149,10 +151,12 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
             bound = float(np.abs(state).max())
     if not path:
         return state[0]
-    inner = (hist[1 : k + 1] * starts.transpose(1, 0, 2)).sum(axis=1)  # (k, nb, m)
+    out = np.empty((nb * k + 2, m))
+    out[0], out[-1] = 0.0, state[0]
+    inner = out[1:-1].reshape(nb, k, m).transpose(1, 0, 2)  # (k, nb, m) view, filled in place
+    np.multiply(hist[1 : k + 1, 0], starts[:, 0], out=inner)
+    inner += hist[1 : k + 1, 1] * starts[:, 1]
     inner *= 1e-250 ** (level - levels)
-    out = np.concatenate([np.zeros((1, m)), inner.transpose(1, 0, 2).reshape(nb * k, m),
-                          state[:1]])
     return out[: n + 2]
 
 
@@ -184,38 +188,51 @@ def _sweep_full(v: np.ndarray, h: float, energy: float, split: int) -> np.ndarra
     return np.concatenate([fwd[:match], bwd * (fwd[match] / bwd[0])])
 
 
-def _count_below(v: np.ndarray, h: float, energy: float) -> int:
-    """Sturm count: states below ``energy``, the sign changes of the solution from
-    psi(b) = 0; it crosses the barrier first, so no rescale can zero its nodes."""
-    path = _transfer_blocks(v[::-1], h, np.asarray([float(energy)]), path=True)
-    return count_sign_changes(path[1:, 0])
+def _count_below(v: np.ndarray, h: float, energies) -> np.ndarray:
+    """Sturm count: states below each energy, the sign changes of the solution
+    from psi(b) = 0; it crosses the barrier first, so no rescale can zero its
+    nodes."""
+    e = np.atleast_1d(np.asarray(energies, dtype=float))
+    out = np.empty(e.shape, dtype=int)
+    for lo in range(0, e.size, _CHUNK):
+        path = _transfer_blocks(v[::-1], h, e[lo : lo + _CHUNK], path=True)
+        out[lo : lo + _CHUNK] = count_sign_changes(path[1:])
+    return out.reshape(np.shape(energies))
+
+
+def _stable_grid(spec: WellSpec, n_grid: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Grid, spacing and sampled floor; a grid too coarse for the floor raises
+    ``ValueError``, since the recurrence flips sign every cell where
+    h^2 V / 12 >= 1."""
+    xs, h = _build_grid(spec, n_grid)
+    v = sample(spec, xs)
+    if h * h * v.max() >= 12.0:
+        need = 2 * int(spec.width * math.sqrt(v.max() / 12.0) / 2.0) + 2
+        raise ValueError(f"n_grid={n_grid} is too coarse for a floor of height "
+                         f"{v.max():.6g}: Numerov needs n_grid >= {need} here")
+    return xs, h, v
 
 
 def shoot(spec: WellSpec, energy: float, n_grid: int) -> float:
     """Shooting mismatch psi(b) for one trial energy on an n_grid-cell grid."""
-    xs, h = _build_grid(spec, n_grid)
-    v = sample(spec, xs)
+    _, h, v = _stable_grid(spec, n_grid)
     return float(_sweep_final(v, h, np.asarray([energy]))[0])
 
 
 def find_spectrum_numeric(spec: WellSpec, e_max: float, n_grid: int) -> list[GridSolution]:
     """Every numeric bound state with 0 < E <= e_max, ordered by energy.
 
-    The roots of the shooting mismatch psi(b) come from the shared scan, Sturm
-    count check and bisection; each state is the Simpson-normalized two-sided
-    trajectory.  A grid too coarse for the floor raises ``ValueError``; a bad
-    stitch (interior node count other than n - 1) raises ``NodeCountError``.
+    The roots of the shooting mismatch psi(b) come from the shared
+    count-directed root policy, with the count from ``_count_below``; each
+    state is the Simpson-normalized two-sided trajectory.  A grid too coarse
+    for the floor raises ``ValueError``; a bad stitch (interior node count
+    other than n - 1) raises ``NodeCountError``.
     """
     if not e_max > 0:
         raise ValueError(f"e_max must be positive, got {e_max}")
-    xs, h = _build_grid(spec, n_grid)
-    v = sample(spec, xs)
-    if h * h * v.max() >= 12.0:  # the recurrence flips sign every cell under the step
-        need = 2 * int(spec.width * math.sqrt(v.max() / 12.0) / 2.0) + 2
-        raise ValueError(f"n_grid={n_grid} is too coarse for a floor of height "
-                         f"{v.max():.6g}: Numerov needs n_grid >= {need} here")
+    xs, h, v = _stable_grid(spec, n_grid)
     roots = bracket_and_bisect(lambda es: _sweep_final(v, h, es),
-                               lambda e: _count_below(v, h, e),
+                               lambda es: _count_below(v, h, es),
                                e_max, scan_step(spec.a, spec.b), _BISECT_TOL)
     sols = [_normalized_solution(spec, xs, v, h, e, n) for n, e in enumerate(roots, start=1)]
     for s in sols:

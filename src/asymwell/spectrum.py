@@ -9,8 +9,8 @@ which below the step (E < v0, q = i qbar) continues to
     k cos(ka) sinh(qbar b) + qbar cosh(qbar b) sin(ka) = 0.
 
 Dividing the q-sector by q merges both branches into one characteristic
-function that is real-analytic in E across E = v0, so a single scan catches
-every root with no branch bookkeeping.
+function that is real-analytic in E across E = v0, so one root search
+catches every root with no branch bookkeeping.
 """
 from __future__ import annotations
 
@@ -122,10 +122,11 @@ def _characteristic_many(spec: WellSpec, energies: np.ndarray) -> np.ndarray:
 def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
     """Every bound state with 0 < E <= e_max, normalized, ordered by energy.
 
-    Sign changes of the characteristic are bracketed on an energy grid and
-    refined by bisection.  The closed-form Sturm count of states below e_max
-    catches two roots hiding in one scan cell; ``ScanResolutionError`` is
-    raised if finer scans do not resolve them.
+    The closed-form Sturm count gives every root of the characteristic a
+    bracket of its own, which the shared root policy polishes; the energies
+    are the floats of the fixed-step scan and bisection.  ``ScanResolutionError``
+    is raised where the count places a level but the characteristic keeps its
+    sign.
     """
     _require_step(spec)
     if not e_max > 0:
@@ -141,23 +142,26 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
         )
 
     roots = bracket_and_bisect(lambda es: _characteristic_many(spec, es),
-                               lambda e: _count_below(spec, e),
+                               lambda es: _count_below(spec, es),
                                e_max, scan_step(spec.a, spec.b), _BISECT_TOL)
     return [_solve_state(spec, e, n) for n, e in enumerate(roots, start=1)]
 
 
-def _count_below(spec: WellSpec, energy: float) -> int:
-    """Sturm count: bound states below ``energy``, the zeros of psi = sin(k (x + a)).
+def _count_below(spec: WellSpec, energies) -> np.ndarray:
+    """Sturm count: bound states below each energy, the zeros of psi = sin(k (x + a)).
 
     floor(ka / pi) on the left; above the step the Pruefer phase, rescaled from
     k to q at x = 0 within its half-turn, then advances by q b; below it one
     more zero if psi(0) and psi(b) = g(E) differ in sign."""
-    k = math.sqrt(energy)
-    m, r = divmod(k * spec.a, math.pi)
-    if energy > spec.v0:
-        q = math.sqrt(energy - spec.v0)
-        return int(m + (math.atan2(q * math.sin(r), k * math.cos(r)) + q * spec.b) // math.pi)
-    return int(m) + ((-1.0) ** m * characteristic(spec, energy) < 0.0)
+    e = np.atleast_1d(np.asarray(energies, dtype=float))
+    k = np.sqrt(e)
+    n, r = np.divmod(k * spec.a, math.pi)
+    up = e > spec.v0
+    q = np.sqrt(e[up] - spec.v0)
+    n[up] += (np.arctan2(q * np.sin(r[up]), k[up] * np.cos(r[up])) + q * spec.b) // math.pi
+    dn = ~up
+    n[dn] += np.where(n[dn] % 2.0 == 0.0, 1.0, -1.0) * _characteristic_many(spec, e[dn]) < 0.0
+    return n.astype(int).reshape(np.shape(energies))
 
 
 def _require_step(spec: WellSpec) -> None:

@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from asymwell import Exponential, WellSpec, find_spectrum, find_spectrum_numeric
 
 STANDARD = WellSpec(3.0, 3.0, 20.0)
+
+# the same examples on every run, however long each takes
+settings.register_profile("asymwell", derandomize=True, deadline=None)
+settings.load_profile("asymwell")
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@
 Nothing here calls the solvers under test: the Hamiltonian is diagonalized as
 a dense finite-difference matrix, classical probabilities come from a
 time-stepped bounce simulation, and momentum amplitudes from adaptive
-quadrature of the transform integral.
+quadrature of the transform integral.  ``reference_roots`` is the fixed-step
+scan and bisection whose floats the count-directed root policy reports.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad, simpson
 from scipy.linalg import eigh_tridiagonal
 
-from asymwell import WellSpec, sample
+from asymwell import ScanResolutionError, WellSpec, sample
 from asymwell.spectrum import EigenState, psi
 
 
@@ -108,3 +109,63 @@ def flat_well_phi(n: int, a: float, p: float) -> complex:
     j = num / ((kappa - p) * (kappa + p))
     phase = complex(math.cos(p * a), math.sin(p * a))
     return math.sqrt(2.0 / a) * phase * j / math.sqrt(2.0 * math.pi)
+
+
+_EPS = np.finfo(float).eps
+_MAX_REFINES = 3
+_EDGE = 1e-8
+
+
+def reference_roots(fn, count, e_max: float, step: float, tol_rel: float) -> list[float]:
+    """All roots of ``fn`` in (0, e_max] by the fixed-step scan and bisection.
+
+    The scan's cells of width ``step`` are bisected until narrower than
+    ``tol_rel * max(1, E)``; a scan whose number of roots disagrees with the
+    Sturm count ``count(E)`` (called with one energy) at e_max is repeated 10x
+    finer, up to three times, and then raises ``ScanResolutionError``.
+    """
+    fewest, most = count(e_max * (1.0 - _EDGE)), count(e_max * (1.0 + _EDGE))
+    for cell in (step / 10.0**r for r in range(_MAX_REFINES + 1)):
+        roots = _scan_and_bisect(fn, e_max, cell, tol_rel)
+        if fewest <= len(roots) <= most:
+            return roots
+    raise ScanResolutionError(f"the root scan found {len(roots)} roots in (0, {e_max:.9g}] "
+                              f"but the Sturm count is {most}, even at scan step {cell:.3e}")
+
+
+def _scan_and_bisect(fn, e_max: float, step: float, tol_rel: float) -> list[float]:
+    """Odd-multiplicity roots seen by one scan with cells of width ``step``."""
+    n_cells = int(math.ceil(e_max / step))
+    grid = np.minimum(step * np.arange(1, n_cells + 1), e_max)
+    grid = np.unique(grid)
+    vals = fn(grid)
+
+    exact: list[float] = [float(g) for g, v in zip(grid, vals) if v == 0.0]
+    sign = np.sign(vals)
+    nz = sign != 0
+    # a sign change across a cell whose endpoints are both nonzero
+    flips = nz[:-1] & nz[1:] & (sign[:-1] != sign[1:])
+    lo = grid[:-1][flips].copy()
+    hi = grid[1:][flips].copy()
+    flo = vals[:-1][flips].copy()
+
+    active = np.ones(lo.shape, dtype=bool)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        tol = np.maximum(tol_rel * np.maximum(1.0, mid), 8.0 * _EPS * np.maximum(1.0, mid))
+        active &= (hi - lo) > tol
+        if not active.any():
+            break
+        fm = np.empty_like(mid)
+        fm[active] = fn(mid[active])
+        hit = active & (fm == 0.0)
+        lo[hit] = mid[hit]
+        hi[hit] = mid[hit]
+        active &= ~hit
+        same = active & (np.sign(fm) == np.sign(flo))
+        lo[same] = mid[same]
+        flo[same] = fm[same]
+        other = active & ~same
+        hi[other] = mid[other]
+    roots = [float(0.5 * (l + h)) for l, h in zip(lo, hi)] + exact
+    return sorted(roots)

@@ -55,7 +55,7 @@ class TestClosedForms:
 
 class TestClassicalOrdering:
     @given(a=lengths, b=lengths, v0=heights, above=st.floats(1e-3, 1e4))
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=200)
     def test_classical_lies_inside(self, a, b, v0, above):
         spec = WellSpec(a, b, v0)
         e = v0 + above

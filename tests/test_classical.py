@@ -51,7 +51,7 @@ class TestTraversingRegime:
         assert classical_density(model, 0.4) == pytest.approx(1.0 / 6.0)
 
     @given(a=lengths, b=lengths, v0=heights, above=st.floats(1e-3, 1e3))
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=200)
     def test_normalization_identity(self, a, b, v0, above):
         model = classical_model(WellSpec(a, b, v0), v0 + above)
         assert model.density_left * a + model.density_right * b == pytest.approx(1.0, abs=1e-12)
@@ -68,7 +68,7 @@ class TestTraversingRegime:
             assert abs(model.density_left * a + model.density_right * b - 1.0) < 1e-12
 
     @given(a=lengths, b=lengths, v0=heights, above=st.floats(1e-3, 1e3))
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     def test_equivalent_forms_agree(self, a, b, v0, above):
         e = v0 + above
         p = classical_model(WellSpec(a, b, v0), e).p_left
@@ -79,7 +79,7 @@ class TestTraversingRegime:
 
     @given(a=lengths, b=lengths, v0=heights,
            e1=st.floats(1e-2, 1e3), bump=st.floats(1e-2, 1e3))
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     def test_monotone_and_bounded_by_geometric_ratio(self, a, b, v0, e1, bump):
         spec = WellSpec(a, b, v0)
         p1 = classical_model(spec, v0 + e1).p_left

@@ -69,7 +69,7 @@ class TestLimitsAndShape:
 
     @given(x1=st.floats(-2.9, 2.9), x2=st.floats(-2.9, 2.9),
            delta=st.floats(0.05, 1.0))
-    @settings(max_examples=80, derandomize=True, deadline=None)
+    @settings(max_examples=80)
     def test_sigmoid_monotone(self, x1, x2, delta):
         # strictly increasing in exact arithmetic; float64 saturates the tails
         lo, hi = sorted((x1, x2))
@@ -81,7 +81,7 @@ class TestLimitsAndShape:
 
     @given(x1=st.floats(-2.9, 2.9), x2=st.floats(-2.9, 2.9),
            eps=st.floats(0.05, 2.0))
-    @settings(max_examples=80, derandomize=True, deadline=None)
+    @settings(max_examples=80)
     def test_ramp_non_decreasing(self, x1, x2, eps):
         lo, hi = sorted((x1, x2))
         spec = WellSpec(3.0, 3.0, 20.0, Linear(eps))
@@ -90,7 +90,7 @@ class TestLimitsAndShape:
     @given(a=lengths, b=lengths, v0=heights, frac=st.floats(0.0, 1.0),
            family=st.sampled_from(["none", "exp", "lin"]),
            scale=st.floats(0.05, 0.4))
-    @settings(max_examples=120, derandomize=True, deadline=None)
+    @settings(max_examples=120)
     def test_bounded_by_floor_and_step(self, a, b, v0, frac, family, scale):
         if family == "exp":
             smoothing = Exponential(scale)

@@ -8,6 +8,7 @@ from scipy.integrate import simpson
 from asymwell import (
     Exponential,
     GridSolution,
+    Linear,
     NodeCountError,
     WellSpec,
     classical_model,
@@ -26,8 +27,9 @@ from asymwell.shooting import (
     _transfer_blocks,
     interior_nodes,
 )
+from asymwell._rootscan import scan_step
 from asymwell.spectrum import _count_below as closed_form_count
-from oracles import fd_left_probability, fd_spectrum
+from oracles import fd_left_probability, fd_spectrum, reference_roots
 
 STEP = WellSpec(3.0, 3.0, 20.0)
 SMOOTH = WellSpec(3.0, 3.0, 20.0, Exponential(0.2))
@@ -84,6 +86,11 @@ class TestShoot:
             shoot(STEP, 1.0, 99)
         with pytest.raises(ValueError):
             shoot(STEP, 1.0, 4001)
+
+    def test_grid_too_coarse_for_the_floor_rejected(self):
+        # at h^2 v0 / 12 >= 1 the recurrence flips sign every cell under the step
+        with pytest.raises(ValueError, match="n_grid >= 5478"):
+            shoot(WellSpec(3.0, 3.0, 1e7), 1.0, 4000)
 
     def test_overflow_guard_keeps_values_finite(self):
         # qbar * b ~ 670 drives the raw recurrence past 1e290 without rescaling
@@ -324,6 +331,31 @@ class TestDeepSteps:
             assert sol.energy == pytest.approx(e, rel=1e-4)
             assert side_probability_numeric(sol) == pytest.approx(
                 fd_left_probability(xs, vec), abs=1e-6)
+
+
+class TestFixedScanParity:
+    """The count-directed roots are the fixed-step scan's floats, bit for bit."""
+
+    @pytest.mark.parametrize("spec, e_max", [
+        (SMOOTH, 41.75),                                             # the standard study
+        (WellSpec(2.0, 5.0, 300.0, Linear(0.4)), 100.0),
+        (WellSpec(3.0, 3.0, 60.0), 30.0),
+        (WellSpec(3.0, 3.0, 1000.0), 30.0),
+        # low floor: the ground state at E = 0.46 has the lowest count bracket,
+        # which starts near E = 0, where psi(b) is far larger than near the root
+        (WellSpec(3.9177, 3.9406, 2.0805, Exponential(0.0676)), 20.43),
+    ])
+    def test_states_match_the_fixed_scan(self, spec, e_max):
+        xs, h = _build_grid(spec, 4000)
+        v = sample(spec, xs)
+        energies = reference_roots(lambda es: _sweep_final(v, h, es),
+                                   lambda e: _count_below(v, h, e),
+                                   e_max, scan_step(spec.a, spec.b), shooting._BISECT_TOL)
+        sols = find_spectrum_numeric(spec, e_max, 4000)
+        assert [sol.energy for sol in sols] == energies
+        for sol in sols:
+            expected = shooting._normalized_solution(spec, xs, v, h, sol.energy, sol.n)
+            assert np.array_equal(sol.values, expected.values)
 
 
 class TestSturmCount:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from asymwell import (
@@ -17,8 +17,10 @@ from asymwell import (
     psi,
     side_probabilities,
 )
-from asymwell._rootscan import bracket_and_bisect
+from asymwell import spectrum
+from asymwell._rootscan import bracket_and_bisect, scan_step
 from asymwell.spectrum import ScanResolutionError, _characteristic_many, _count_below
+from oracles import reference_roots
 
 # 12-digit spectrum of the standard well (a = b = 3, v0 = 20), frozen after
 # cross-checking against 50-digit root refinement, Numerov shooting, and
@@ -110,7 +112,7 @@ class TestFindSpectrum:
 
     @given(a=lengths, b=lengths, v0=heights, e_max=cutoffs)
     @example(a=3.0, b=3.0, v0=20.0, e_max=100.0)
-    @settings(max_examples=100, derandomize=True, deadline=None)
+    @settings(max_examples=100)
     def test_node_counts(self, a, b, v0, e_max):
         for state in find_spectrum(WellSpec(a, b, v0), e_max):
             xs = np.linspace(-a, b, 2000)[1:-1]
@@ -121,7 +123,7 @@ class TestFindSpectrum:
 
     @given(a=lengths, b=lengths, v0=heights, e_max=cutoffs)
     @example(a=3.0, b=3.0, v0=20.0, e_max=100.0)
-    @settings(max_examples=100, derandomize=True, deadline=None)
+    @settings(max_examples=100)
     def test_count_below_indexes_the_levels(self, a, b, v0, e_max):
         spec = WellSpec(a, b, v0)
         energies = [state.energy for state in find_spectrum(spec, e_max)]
@@ -145,13 +147,31 @@ class TestFindSpectrum:
             find_spectrum(WellSpec(3.0, 3.0, 2e5), 40.0)
 
     def test_count_flags_a_dropped_root(self, standard_spec, states_e100):
-        # a second zero at state 3's energy cancels its sign change, so every
-        # scan finds 17 roots against a Sturm count of 18
+        # a second zero at state 3's energy cancels its sign change, so fn keeps
+        # its sign across the bracket where the Sturm count places level 3
         e3 = states_e100[2].energy
         hidden = lambda es: _characteristic_many(standard_spec, es) * (es - e3)
-        with pytest.raises(ScanResolutionError, match="found 17 roots .* Sturm count is 18"):
-            bracket_and_bisect(hidden, lambda e: _count_below(standard_spec, e),
+        with pytest.raises(ScanResolutionError, match=r"level 3 in \[.*N\(lo\) = 2, N\(hi\) = 3"):
+            bracket_and_bisect(hidden, lambda es: _count_below(standard_spec, es),
                                100.0, 0.1, 1e-13)
+
+    @given(a=lengths, b=lengths, v0=st.floats(min_value=0.0, max_value=1e4),
+           e_max=st.floats(min_value=1.0, max_value=1e4))
+    @example(a=3.0, b=3.0, v0=20.0, e_max=1e4)
+    @example(a=6.375, b=9.8125, v0=0.0, e_max=73.0)  # flat floor: levels on scan points
+    @example(a=7.981306055915094, b=7.5, v0=100.0, e_max=100.0)  # g = 0 on a run of floats
+    @settings(max_examples=200)
+    def test_energies_match_the_fixed_scan(self, a, b, v0, e_max):
+        # the count-directed policy reports the fixed-step scan's floats
+        assume(math.sqrt(v0) * b <= 350.0)
+        spec = WellSpec(a, b, v0)
+        try:
+            expected = reference_roots(lambda es: _characteristic_many(spec, es),
+                                       lambda e: _count_below(spec, e),
+                                       e_max, scan_step(a, b), spectrum._BISECT_TOL)
+        except ScanResolutionError:
+            assume(False)  # the fixed scan gave up; the count-directed policy resolves
+        assert [state.energy for state in find_spectrum(spec, e_max)] == expected
 
 
 class TestNormalization:
