@@ -23,8 +23,9 @@ class Exponential:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", float(self.delta))
-        if not self.delta > 0:
-            raise ValueError(f"smoothing scale delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"smoothing scale delta must be finite and positive, "
+                             f"got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,9 @@ class Linear:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", float(self.epsilon))
-        if not self.epsilon > 0:
-            raise ValueError(f"ramp half-width epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"ramp half-width epsilon must be finite and positive, "
+                             f"got {self.epsilon}")
 
 
 Smoothing = Union[Exponential, Linear]
@@ -51,9 +53,9 @@ class WellSpec:
     (``smoothing=None``) or by one of the two smoothing families.
 
     Attributes:
-        a: left half-width (> 0).
-        b: right half-width (> 0).
-        v0: step height (>= 0).
+        a: left half-width (finite, > 0).
+        b: right half-width (finite, > 0).
+        v0: step height (finite, >= 0).
         smoothing: None for the sharp step, or an Exponential / Linear profile.
     """
 
@@ -66,12 +68,12 @@ class WellSpec:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "v0", float(self.v0))
-        if not self.a > 0:
-            raise ValueError(f"a must be positive, got {self.a}")
-        if not self.b > 0:
-            raise ValueError(f"b must be positive, got {self.b}")
-        if not self.v0 >= 0:
-            raise ValueError(f"v0 must be non-negative, got {self.v0}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"a must be finite and positive, got {self.a}")
+        if not 0 < self.b < math.inf:
+            raise ValueError(f"b must be finite and positive, got {self.b}")
+        if not 0 <= self.v0 < math.inf:
+            raise ValueError(f"v0 must be finite and non-negative, got {self.v0}")
         if isinstance(self.smoothing, Linear) and not self.smoothing.epsilon < min(self.a, self.b):
             raise ValueError(
                 f"ramp must stay inside the well: epsilon={self.smoothing.epsilon} "

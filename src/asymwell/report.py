@@ -72,11 +72,13 @@ class RunConfig:
                                  f"got {getattr(self, f.name)!r}")
         if (self.e_max is None) == (self.n_max is None):
             raise ValueError("exactly one of e_max / n_max must be set")
-        if self.e_max is not None and not self.e_max > 0:
-            raise ValueError(f"e_max must be positive, got {self.e_max}")
+        if self.e_max is not None and not 0 < self.e_max < math.inf:
+            raise ValueError(f"e_max must be finite and positive, got {self.e_max}")
         if self.n_max is not None and self.n_max < 1:
             raise ValueError(f"n_max must be at least 1, got {self.n_max}")
         self.well()  # fail fast on bad geometry or smoothing scales
+        # cmd_smoothing smooths a sharp-step configuration too, with either scale
+        Exponential(self.delta), Linear(self.epsilon)
 
     def well(self) -> WellSpec:
         if self.smoothing == "exponential":

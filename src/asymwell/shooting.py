@@ -19,9 +19,12 @@ A converged state is stitched from both walls: the forward solution up to its
 largest |psi| among the classically allowed samples at or left of the step,
 then the solution from b, which under a barrier is the decaying mode itself,
 so the node check sees a clean tail (B. R. Johnson, J. Chem. Phys. 69, 4678
-(1978), integrates from both ends for the same reason).  The solution from b
-also gives the Sturm count, one trajectory per 32 trial energies, that gives
-each root its own bracket in the shared root policy.
+(1978), integrates from both ends for the same reason).  All states of a
+spectrum share the trajectories: per 32 of them, one forward pass as far as
+the last of them needs it and one backward pass from b, each column scaled as
+a pass of its own would leave it.  The solution from b also gives the Sturm count, one
+trajectory per 32 trial energies, that gives each root its own bracket in the
+shared root policy.
 """
 from __future__ import annotations
 
@@ -76,7 +79,8 @@ def _build_grid(spec: WellSpec, n_grid: int) -> tuple[np.ndarray, float]:
     return xs, h
 
 
-def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.ndarray:
+def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
+                     ends: np.ndarray | None = None) -> np.ndarray:
     """Forward Numerov solutions from psi(-a) = 0 for the energies ``e``.
 
     Step i maps (psi[i], psi[i-1]) to (psi[i+1], psi[i]) by the matrix
@@ -89,7 +93,9 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     overflow between two checks.
 
     Returns psi(b) per energy, or with ``path`` the whole trajectory, shape
-    (len(v), len(e)), with every rescale applied to the earlier samples too.
+    (len(v), len(e)).  Each column of a trajectory carries the rescales of a
+    pass over ``v[: end + 1]``, with ``end`` its entry of ``ends`` (default the
+    last sample), applied to all its samples.
     """
     c = h * h / 12.0
     n, m = len(v) - 2, e.size
@@ -127,8 +133,7 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
         np.multiply(b_mat[j], hist[j % depth], out=tmp)
         nxt -= tmp
     # block transfer matrices, rows (psi, psi_prev) by basis columns
-    ends = [(k + 1) % depth, k % depth]
-    blocks = np.ascontiguousarray(hist[ends].transpose(2, 0, 1, 3))
+    blocks = np.ascontiguousarray(hist[[(k + 1) % depth, k % depth]].transpose(2, 0, 1, 3))
     del a_mat, b_mat, tmp    # a trajectory's samples need the room
 
     state = np.zeros((2, m))
@@ -136,18 +141,17 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     bound = float(np.abs(state).max())
     if path:
         starts = np.empty((nb, 2, m))
-        levels = np.zeros((nb, m))
-        level = np.zeros(m)
+        fired = np.zeros((nb, m), dtype=bool)
     for blk in range(nb):
         if path:
-            starts[blk], levels[blk] = state, level
+            starts[blk] = state
         state = (blocks[blk] * state).sum(axis=1)
         bound *= growth
         if bound > _RENORM_CAP:
             big = np.abs(state).max(axis=0) > _RENORM_CAP
             state[:, big] *= 1e-250
             if path:
-                level[big] += 1
+                fired[blk] = big
             bound = float(np.abs(state).max())
     if not path:
         return state[0]
@@ -156,7 +160,21 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     inner = out[1:-1].reshape(nb, k, m).transpose(1, 0, 2)  # (k, nb, m) view, filled in place
     np.multiply(hist[1 : k + 1, 0], starts[:, 0], out=inner)
     inner += hist[1 : k + 1, 1] * starts[:, 1]
-    inner *= 1e-250 ** (level - levels)
+    # levels[blk]: rescales before block blk, and levels[nb] after the last
+    levels = np.zeros((nb + 1, m))
+    np.cumsum(fired, axis=0, out=levels[1:])
+    final = levels[-1]
+    if ends is not None:
+        # a pass that ends at sample ``end`` has the same blocks up to block
+        # ``last``, the one holding its end, and stops there; unless that
+        # block is full, its copy is padded, so its last check sees
+        # (psi[end], psi[end]), here still unscaled
+        cols = np.arange(m)
+        last = (ends - 2) // k
+        over = np.abs(out[ends, cols]) > _RENORM_CAP
+        final = np.where((ends - 1) % k == 0, levels[last + 1, cols], levels[last, cols] + over)
+    # samples past a column's end keep their own level, so no 1e250 power overflows
+    inner *= 1e-250 ** np.maximum(final - levels[:-1], 0.0)
     return out[: n + 2]
 
 
@@ -169,8 +187,18 @@ def _sweep_final(v: np.ndarray, h: float, energies: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep_full(v: np.ndarray, h: float, energy: float, split: int) -> np.ndarray:
-    """Whole trajectory at one energy, stitched from both walls.
+def _trajectories(v: np.ndarray, h: float, e: np.ndarray, ends: np.ndarray):
+    """Trajectories from v[0], ``_CHUNK`` energies at a time: yields each
+    chunk's slice and its path over ``v[: max(end) + 1]``, every column scaled
+    as its own pass over ``v[: end + 1]`` would leave it."""
+    for lo in range(0, e.size, _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
+        top = int(ends[sl].max())
+        yield sl, _transfer_blocks(v[: top + 1], h, e[sl], path=True, ends=ends[sl])
+
+
+def _stitched(v: np.ndarray, h: float, energies, split: int) -> np.ndarray:
+    """Trajectories at the given energies, stitched from both walls, one row each.
 
     ``split`` is the last grid index at or left of the step.  The forward
     solution from -a is kept up to its largest |psi| among the classically
@@ -178,14 +206,27 @@ def _sweep_full(v: np.ndarray, h: float, energy: float, split: int) -> np.ndarra
     agree there, supplies the rest.  Each half is then integrated toward the
     barrier it faces, so under a barrier it is the decaying mode itself
     rather than a growing one cancelled by roundoff.
+
+    Each chunk of energies takes one forward and one backward pass.  A row is
+    the stitch of its own two single-energy passes bit for bit whenever the
+    chunk's block length is theirs: blocks stay at the full 32 cells while
+    h^2 (max V - E) / 12 is below about 0.5.
     """
-    e = np.asarray([float(energy)])
-    allowed = np.flatnonzero(v[: split + 1] <= energy)
-    stop = max(int(allowed[-1]) if allowed.size else split, 2)
-    fwd = _transfer_blocks(v[: stop + 1], h, e, path=True)[:, 0]
-    match = int(np.argmax(np.abs(fwd)))
-    bwd = _transfer_blocks(v[match:][::-1], h, e, path=True)[::-1, 0]
-    return np.concatenate([fwd[:match], bwd * (fwd[match] / bwd[0])])
+    e = np.asarray(energies, dtype=float)
+    allowed = v[: split + 1, None] <= e
+    stop = np.where(allowed.any(axis=0), split - np.argmax(allowed[::-1], axis=0), split)
+    stop = np.maximum(stop, 2)
+    out = np.empty((e.size, len(v)))
+    for sl, fwd in _trajectories(v, h, e, stop):
+        beyond = np.arange(len(fwd))[:, None] > stop[sl]
+        match = np.argmax(np.where(beyond, -1.0, np.abs(fwd)), axis=0)
+        first = int(match.min())
+        bwd = _transfer_blocks(v[first:][::-1], h, e[sl], path=True,
+                               ends=len(v) - 1 - match)[::-1]
+        for col, (row, j) in enumerate(zip(out[sl], match)):
+            row[:j] = fwd[:j, col]
+            row[j:] = bwd[j - first :, col] * (fwd[j, col] / bwd[j - first, col])
+    return out
 
 
 def _count_below(v: np.ndarray, h: float, energies) -> np.ndarray:
@@ -194,9 +235,8 @@ def _count_below(v: np.ndarray, h: float, energies) -> np.ndarray:
     nodes."""
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     out = np.empty(e.shape, dtype=int)
-    for lo in range(0, e.size, _CHUNK):
-        path = _transfer_blocks(v[::-1], h, e[lo : lo + _CHUNK], path=True)
-        out[lo : lo + _CHUNK] = count_sign_changes(path[1:])
+    for sl, path in _trajectories(v[::-1], h, e, np.full(e.size, len(v) - 1)):
+        out[sl] = count_sign_changes(path[1:])
     return out.reshape(np.shape(energies))
 
 
@@ -228,13 +268,13 @@ def find_spectrum_numeric(spec: WellSpec, e_max: float, n_grid: int) -> list[Gri
     for the floor raises ``ValueError``; a bad stitch (interior node count
     other than n - 1) raises ``NodeCountError``.
     """
-    if not e_max > 0:
-        raise ValueError(f"e_max must be positive, got {e_max}")
+    if not 0 < e_max < math.inf:
+        raise ValueError(f"e_max must be finite and positive, got {e_max}")
     xs, h, v = _stable_grid(spec, n_grid)
     roots = bracket_and_bisect(lambda es: _sweep_final(v, h, es),
                                lambda es: _count_below(v, h, es),
                                e_max, scan_step(spec.a, spec.b), _BISECT_TOL)
-    sols = [_normalized_solution(spec, xs, v, h, e, n) for n, e in enumerate(roots, start=1)]
+    sols = _normalized_solution(spec, xs, v, h, roots)
     for s in sols:
         counted = interior_nodes(s)
         if counted != s.n - 1:
@@ -257,14 +297,16 @@ def interior_nodes(sol: GridSolution) -> int:
     return count_sign_changes(np.where(np.abs(interior) > floor, interior, 0.0))
 
 
-def _normalized_solution(spec, xs, v, h, energy, n) -> GridSolution:
+def _normalized_solution(spec, xs, v, h, energies) -> list[GridSolution]:
+    """The Simpson-normalized stitched state at each energy, numbered from 1."""
     split = int(np.searchsorted(xs, 0.0, side="right")) - 1
-    values = _sweep_full(v, h, energy, split)
-    norm = simpson(values**2, xs)
-    values = values / math.sqrt(norm)
-    if values[1] < 0:
-        values = -values
-    return GridSolution(spec=spec, n=n, energy=energy, grid=xs, values=values, step=h)
+    sols = []
+    for n, (energy, values) in enumerate(zip(energies, _stitched(v, h, energies, split)), start=1):
+        values = values / math.sqrt(simpson(values**2, xs))
+        if values[1] < 0:
+            values = -values
+        sols.append(GridSolution(spec=spec, n=n, energy=energy, grid=xs, values=values, step=h))
+    return sols
 
 
 def side_probability_numeric(sol: GridSolution) -> float:

@@ -129,8 +129,8 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
     sign.
     """
     _require_step(spec)
-    if not e_max > 0:
-        raise ValueError(f"e_max must be positive, got {e_max}")
+    if not 0 < e_max < math.inf:
+        raise ValueError(f"e_max must be finite and positive, got {e_max}")
     # normalizing a state below the step evaluates sinh(2 qbar b) in
     # _sinh_sq_integral, which overflows once qbar*b passes about 355; qbar
     # approaches sqrt(v0) for the lowest states

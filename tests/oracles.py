@@ -4,7 +4,9 @@ Nothing here calls the solvers under test: the Hamiltonian is diagonalized as
 a dense finite-difference matrix, classical probabilities come from a
 time-stepped bounce simulation, and momentum amplitudes from adaptive
 quadrature of the transform integral.  ``reference_roots`` is the fixed-step
-scan and bisection whose floats the count-directed root policy reports.
+scan and bisection whose floats the count-directed root policy reports, and
+``reference_solution`` the one-state-at-a-time stitch whose values the batched
+one reproduces.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from scipy.integrate import quad, simpson
 from scipy.linalg import eigh_tridiagonal
 
 from asymwell import ScanResolutionError, WellSpec, sample
+from asymwell.shooting import _transfer_blocks
 from asymwell.spectrum import EigenState, psi
 
 
@@ -169,3 +172,32 @@ def _scan_and_bisect(fn, e_max: float, step: float, tol_rel: float) -> list[floa
         hi[other] = mid[other]
     roots = [float(0.5 * (l + h)) for l, h in zip(lo, hi)] + exact
     return sorted(roots)
+
+
+def reference_solution(xs: np.ndarray, v: np.ndarray, h: float, energy: float) -> np.ndarray:
+    """Normalized Numerov state at one energy, stitched from two single-energy
+    trajectory passes, a forward one from -a and a backward one from b."""
+    split = int(np.searchsorted(xs, 0.0, side="right")) - 1
+    values = _sweep_full(v, h, energy, split)
+    norm = simpson(values**2, x=xs)
+    values = values / math.sqrt(norm)
+    if values[1] < 0:
+        values = -values
+    return values
+
+
+def _sweep_full(v: np.ndarray, h: float, energy: float, split: int) -> np.ndarray:
+    """Whole trajectory at one energy, stitched from both walls.
+
+    ``split`` is the last grid index at or left of the step.  The forward
+    solution from -a is kept up to its largest |psi| among the classically
+    allowed samples in [0, split]; the backward solution from b, scaled to
+    agree there, supplies the rest.
+    """
+    e = np.asarray([float(energy)])
+    allowed = np.flatnonzero(v[: split + 1] <= energy)
+    stop = max(int(allowed[-1]) if allowed.size else split, 2)
+    fwd = _transfer_blocks(v[: stop + 1], h, e, path=True)[:, 0]
+    match = int(np.argmax(np.abs(fwd)))
+    bwd = _transfer_blocks(v[match:][::-1], h, e, path=True)[::-1, 0]
+    return np.concatenate([fwd[:match], bwd * (fwd[match] / bwd[0])])

@@ -3,8 +3,10 @@ accepts, and clean ``python -m asymwell`` and ``python -m asymwell.report`` star
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -118,6 +120,22 @@ def test_smoothed_wavefunction_on_a_coarser_grid(capsys):
     lines = capsys.readouterr().out.splitlines()
     body = [line for line in lines if not line.startswith("#")]
     assert body[0] == "x,psi,density,potential,classical_density" and len(body) == 1 + 801
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --e-max inf", "spectrum --a inf", "spectrum --b inf", "spectrum --v0 inf",
+    "smoothing --delta inf", "smoothing --smoothing linear --epsilon inf",
+    "compare --e-max nan", "spectrum --v0 nan",
+])
+def test_non_finite_flags_fail_at_config(argv, capsys):
+    command, flag = argv.split()[0], argv.split()[-2]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv.split()) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"asymwell {command}: config: ([\w-]+ )*{_key(flag)} must be finite.*\n",
+                        err), err
 
 
 def _run_python(*args: str) -> subprocess.CompletedProcess:

@@ -137,6 +137,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             WellSpec(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["a", "b", "v0"])
+    def test_non_finite_geometry(self, field, value):
+        kwargs = {"a": 3.0, "b": 3.0, "v0": 20.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            WellSpec(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_smoothing_scales(self, value):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            Exponential(value)
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            Linear(value)
+
     def test_bad_smoothing_scales(self):
         with pytest.raises(ValueError):
             Exponential(0.0)

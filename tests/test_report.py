@@ -212,6 +212,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "momentum: solve:" in err
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["a", "b", "v0", "delta", "epsilon", "e_max"])
+    def test_non_finite_settings_rejected(self, field, value):
+        # delta and epsilon are checked whatever the smoothing, since the
+        # smoothing command uses one of them on a sharp-step configuration
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cfg(**{field: value})
+
     def test_conflicting_cutoffs_rejected(self):
         with pytest.raises(SystemExit):
             main(["spectrum", "--e-max", "35", "--n-max", "9"])

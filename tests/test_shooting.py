@@ -29,7 +29,7 @@ from asymwell.shooting import (
 )
 from asymwell._rootscan import scan_step
 from asymwell.spectrum import _count_below as closed_form_count
-from oracles import fd_left_probability, fd_spectrum, reference_roots
+from oracles import fd_left_probability, fd_spectrum, reference_roots, reference_solution
 
 STEP = WellSpec(3.0, 3.0, 20.0)
 SMOOTH = WellSpec(3.0, 3.0, 20.0, Exponential(0.2))
@@ -87,6 +87,11 @@ class TestShoot:
         with pytest.raises(ValueError):
             shoot(STEP, 1.0, 4001)
 
+    @pytest.mark.parametrize("e_max", [math.inf, math.nan])
+    def test_non_finite_cutoff_rejected(self, e_max):
+        with pytest.raises(ValueError, match="e_max must be finite and positive"):
+            find_spectrum_numeric(SMOOTH, e_max, 4000)
+
     def test_grid_too_coarse_for_the_floor_rejected(self):
         # at h^2 v0 / 12 >= 1 the recurrence flips sign every cell under the step
         with pytest.raises(ValueError, match="n_grid >= 5478"):
@@ -143,6 +148,21 @@ class TestKernel:
             assert path.shape == ref.shape
             np.testing.assert_allclose(path, ref, rtol=0, atol=1e-9 * np.abs(ref).max())
             assert path[-1] == _sweep_final(v, h, e)[0]
+
+    def test_trajectory_to_ends_matches_shorter_passes(self):
+        # from b under a v0 = 1e5 step at E = 30 the solution passes the
+        # rescale cap near sample 1226, inside a block, so a pass that stops
+        # just past it rescales once more than the blocks before its end did,
+        # and one that stops before it never rescales
+        xs, h = _build_grid(WellSpec(3.0, 3.0, 1e5), 4000)
+        v = sample(WellSpec(3.0, 3.0, 1e5), xs)[::-1]
+        ends = np.append(np.arange(1200, 1265), 4000)
+        e = np.full(ends.size, 30.0)
+        path = _transfer_blocks(v, h, e, path=True, ends=ends)
+        for col, end in enumerate(ends):
+            alone = _transfer_blocks(v[: end + 1], h, e[:1], path=True)[:, 0]
+            assert np.array_equal(path[: end + 1, col], alone), end
+        assert abs(path[1200, 0]) > 1e200 > abs(path[1200, -1])
 
     def test_standard_study_energies_unchanged(self):
         sols = find_spectrum_numeric(SMOOTH, 41.75, 4000)
@@ -354,8 +374,23 @@ class TestFixedScanParity:
         sols = find_spectrum_numeric(spec, e_max, 4000)
         assert [sol.energy for sol in sols] == energies
         for sol in sols:
-            expected = shooting._normalized_solution(spec, xs, v, h, sol.energy, sol.n)
-            assert np.array_equal(sol.values, expected.values)
+            assert np.array_equal(sol.values, reference_solution(xs, v, h, sol.energy))
+
+    @pytest.mark.parametrize("spec, e_max, n_grid, count", [
+        # the backward pass rescales once, twice and many times under the step
+        (WellSpec(3.0, 3.0, 1e5), 30.0, 4000, 5),
+        (WellSpec(3.0, 3.0, 2e5), 30.0, 4000, 5),
+        (WellSpec(3.0, 3.0, 1e7), 30.0, 5478, 5),  # blocks shorter than 32 cells
+        (WellSpec(3.0, 3.0, 5000.0, Exponential(0.5)), 120.0, 4000, 3),
+        (SMOOTH, 1000.0, 4000, 60),                 # two chunks of states
+    ], ids=["step-1e5", "step-2e5", "step-1e7", "wide-sigmoid", "sigmoid-e1000"])
+    def test_batched_stitch_matches_single_energy_passes(self, spec, e_max, n_grid, count):
+        xs, h = _build_grid(spec, n_grid)
+        v = sample(spec, xs)
+        sols = find_spectrum_numeric(spec, e_max, n_grid)
+        assert len(sols) == count
+        for sol in sols:
+            assert np.array_equal(sol.values, reference_solution(xs, v, h, sol.energy))
 
 
 class TestSturmCount:
@@ -389,13 +424,13 @@ class TestNodeAudit:
         assert interior_nodes(doctored) != doctored.n - 1
 
     def test_bad_stitch_raises_at_once(self, monkeypatch):
-        stitched = shooting._sweep_full
+        stitched = shooting._stitched
 
-        def flipped(v, h, energy, split):
-            values = stitched(v, h, energy, split)
-            values[split:] *= -1.0  # a sign slip at the stitch adds a node
+        def flipped(v, h, energies, split):
+            values = stitched(v, h, energies, split)
+            values[:, split:] *= -1.0  # a sign slip at the stitch adds a node
             return values
 
-        monkeypatch.setattr(shooting, "_sweep_full", flipped)
+        monkeypatch.setattr(shooting, "_stitched", flipped)
         with pytest.raises(NodeCountError, match="state 1 .* 1 interior nodes, expected 0"):
             find_spectrum_numeric(STEP, 5.0, 2000)

@@ -93,6 +93,11 @@ class TestFindSpectrum:
         assert [st.branch for st in standard_states[:4]] == ["evanescent"] * 4
         assert [st.branch for st in standard_states[4:]] == ["oscillatory"] * 5
 
+    @pytest.mark.parametrize("e_max", [math.inf, math.nan])
+    def test_non_finite_cutoff_rejected(self, standard_spec, e_max):
+        with pytest.raises(ValueError, match="e_max must be finite and positive"):
+            find_spectrum(standard_spec, e_max)
+
     def test_flat_well_reduction(self):
         states = find_spectrum(WellSpec(3.0, 3.0, 0.0), 1.2)
         assert len(states) == 2
