@@ -20,9 +20,12 @@ both:
    that bracket's end, so only the ones inside it are evaluated, in one call
    per round over all roots.
 
-The replay reproduces the scan's floats only while ``fn`` returns the same
-value for an energy whatever other energies share its call, which both
-solvers' functions do (the Numerov sweep at full block length with no rescale).
+The policy sees only energies, values and counts: how a solver evaluates
+``fn`` and its count (the closed form's Pruefer phase, the sign changes of a
+Numerov trajectory) stays in that solver's module.  The replay reproduces the
+scan's floats only while ``fn`` returns the same value for an energy whatever
+other energies share its call, which both solvers' functions do (the Numerov
+sweep at full block length with no rescale).
 """
 from __future__ import annotations
 
@@ -266,12 +269,3 @@ def _first_at_or_above(x: np.ndarray, cell: float) -> np.ndarray:
     j += cell * j < x
     return j
 
-
-def count_sign_changes(values: np.ndarray) -> np.ndarray:
-    """Sign alternations of the nonzero entries along axis 0 (zeros ignored)."""
-    s = np.sign(values)
-    if not s.all():           # carry the last nonzero sign across each zero
-        last = np.where(s != 0.0, np.arange(len(s)).reshape((-1,) + (1,) * (s.ndim - 1)), 0)
-        np.maximum.accumulate(last, axis=0, out=last)
-        s = np.take_along_axis(s, last, axis=0)
-    return np.sum(s[1:] * s[:-1] < 0.0, axis=0)

@@ -76,6 +76,12 @@ class RunConfig:
             raise ValueError(f"e_max must be finite and positive, got {self.e_max}")
         if self.n_max is not None and self.n_max < 1:
             raise ValueError(f"n_max must be at least 1, got {self.n_max}")
+        if self.p_max is not None and not 0 < self.p_max < math.inf:
+            raise ValueError(f"p_max must be finite and positive, got {self.p_max}")
+        if self.points is not None and not self.points >= 3:
+            raise ValueError(f"points must be at least 3, got {self.points}")
+        if not self.samples >= 5:
+            raise ValueError(f"samples must be at least 5, got {self.samples}")
         self.well()  # fail fast on bad geometry or smoothing scales
         # cmd_smoothing smooths a sharp-step configuration too, with either scale
         Exponential(self.delta), Linear(self.epsilon)
@@ -185,8 +191,6 @@ def cmd_spectrum(config: RunConfig) -> Table:
 
 def cmd_wavefunction(config: RunConfig, n: int) -> Table:
     """Aligned series {x, psi, density, potential, classical_density} for state n."""
-    if config.samples < 5:
-        raise ValueError(f"n_samples must be at least 5, got {config.samples}")
     well = config.well()
     xs = np.linspace(-config.a, config.b, config.samples)
     if well.is_step:

@@ -21,8 +21,10 @@ then the solution from b, which under a barrier is the decaying mode itself,
 so the node check sees a clean tail (B. R. Johnson, J. Chem. Phys. 69, 4678
 (1978), integrates from both ends for the same reason).  All states of a
 spectrum share the trajectories: per 32 of them, one forward pass as far as
-the last of them needs it and one backward pass from b, each column scaled as
-a pass of its own would leave it.  The solution from b also gives the Sturm count, one
+the last of them needs it and one backward pass from b.  Every step past a
+column's own end is the identity, so the column is the pass of its own that
+ends there, rescales included, and repeats its last sample beyond it.  The
+solution from b also gives the Sturm count, its sign changes over one
 trajectory per 32 trial energies, that gives each root its own bracket in the
 shared root policy.
 """
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootscan import bracket_and_bisect, count_sign_changes, scan_step
+from ._rootscan import bracket_and_bisect, scan_step
 from ._simpson import simpson
 from .potential import WellSpec, sample
 
@@ -43,6 +45,7 @@ __all__ = ["GridSolution", "NodeCountError", "shoot", "find_spectrum_numeric",
 
 _BISECT_TOL = 1e-12          # relative; well inside the 1e-9 contract
 _RENORM_CAP = 1e250          # rescale the running solution past this magnitude
+_RENORM = 1.0 / _RENORM_CAP  # by this factor, exactly 1e-250
 _BLOCK = 32                  # Numerov steps multiplied together per transfer block
 _BLOCK_GROWTH = 1e40         # bound on one block's amplification, far below 1e308 / cap
 _CHUNK = 32                  # trial energies per pass; temporaries stay near 1 MB
@@ -92,11 +95,15 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
     that its amplification stays below ``_BLOCK_GROWTH``, so the carry cannot
     overflow between two checks.
 
-    Returns psi(b) per energy, or with ``path`` the whole trajectory, shape
-    (len(v), len(e)).  Each column of a trajectory carries the rescales of a
-    pass over ``v[: end + 1]``, with ``end`` its entry of ``ends`` (default the
-    last sample), applied to all its samples.
+    Every step past a column's end, its entry of ``ends`` (default the last
+    sample), is the identity (A = 1, B = 0), so psi[end] repeats there and the
+    column is a pass over ``v[: end + 1]`` of its own: the same block products,
+    carry, rescale checks and levels.  Returns psi(b) per energy, or with
+    ``path`` the whole trajectory as far as the furthest end, shape
+    (max(ends) + 1, len(e)), every sample at its column's final rescale level.
     """
+    if ends is not None:
+        v = v[: int(ends.max()) + 1]
     c = h * h / 12.0
     n, m = len(v) - 2, e.size
     # sup-norm bound on one step matrix over the chunk: |A_i| + |B_i|
@@ -108,7 +115,7 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
     else:  # grid too coarse for a bound: one cell per block, checked every cell
         k, growth = 1, math.inf
     nb = -(-n // k)
-    # step i = 1 + j + k*b sits at [j, b]; steps past the last one repeat psi
+    # step i = 1 + j + k*b sits at [j, b]
     step = np.minimum(np.arange(nb * k).reshape(nb, k).T, n - 1)
     den = (1.0 - c * v[step + 2])[..., None] + c * e
     a_mat = (2.0 + 10.0 * c * v[step + 1])[..., None] - 10.0 * c * e
@@ -116,9 +123,10 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
     b_mat = (1.0 - c * v[step])[..., None] + c * e
     b_mat /= den
     del den
-    tail = n - (nb - 1) * k
-    a_mat[tail:, -1] = 1.0
-    b_mat[tail:, -1] = 0.0
+    for col, end in [(slice(None), n + 1)] if ends is None else enumerate(ends):
+        blk, j = divmod(end - 1, k)     # step ``end`` is the first past the end
+        a_mat[j:, blk : blk + 1, col] = a_mat[:, blk + 1 :, col] = 1.0
+        b_mat[j:, blk : blk + 1, col] = b_mat[:, blk + 1 :, col] = 0.0
 
     # hist[(j + 1) % depth, s] is basis solution s after j steps into each
     # block; basis 0 starts from (psi, psi_prev) = (1, 0), basis 1 from (0, 1).
@@ -149,7 +157,7 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
         bound *= growth
         if bound > _RENORM_CAP:
             big = np.abs(state).max(axis=0) > _RENORM_CAP
-            state[:, big] *= 1e-250
+            state[:, big] *= _RENORM
             if path:
                 fired[blk] = big
             bound = float(np.abs(state).max())
@@ -160,21 +168,8 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
     inner = out[1:-1].reshape(nb, k, m).transpose(1, 0, 2)  # (k, nb, m) view, filled in place
     np.multiply(hist[1 : k + 1, 0], starts[:, 0], out=inner)
     inner += hist[1 : k + 1, 1] * starts[:, 1]
-    # levels[blk]: rescales before block blk, and levels[nb] after the last
-    levels = np.zeros((nb + 1, m))
-    np.cumsum(fired, axis=0, out=levels[1:])
-    final = levels[-1]
-    if ends is not None:
-        # a pass that ends at sample ``end`` has the same blocks up to block
-        # ``last``, the one holding its end, and stops there; unless that
-        # block is full, its copy is padded, so its last check sees
-        # (psi[end], psi[end]), here still unscaled
-        cols = np.arange(m)
-        last = (ends - 2) // k
-        over = np.abs(out[ends, cols]) > _RENORM_CAP
-        final = np.where((ends - 1) % k == 0, levels[last + 1, cols], levels[last, cols] + over)
-    # samples past a column's end keep their own level, so no 1e250 power overflows
-    inner *= 1e-250 ** np.maximum(final - levels[:-1], 0.0)
+    # samples in block blk take the rescales at the ends of blocks blk, blk+1, ...
+    inner *= _RENORM ** np.cumsum(fired[::-1], axis=0)[::-1]
     return out[: n + 2]
 
 
@@ -187,16 +182,6 @@ def _sweep_final(v: np.ndarray, h: float, energies: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trajectories(v: np.ndarray, h: float, e: np.ndarray, ends: np.ndarray):
-    """Trajectories from v[0], ``_CHUNK`` energies at a time: yields each
-    chunk's slice and its path over ``v[: max(end) + 1]``, every column scaled
-    as its own pass over ``v[: end + 1]`` would leave it."""
-    for lo in range(0, e.size, _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        top = int(ends[sl].max())
-        yield sl, _transfer_blocks(v[: top + 1], h, e[sl], path=True, ends=ends[sl])
-
-
 def _stitched(v: np.ndarray, h: float, energies, split: int) -> np.ndarray:
     """Trajectories at the given energies, stitched from both walls, one row each.
 
@@ -207,26 +192,38 @@ def _stitched(v: np.ndarray, h: float, energies, split: int) -> np.ndarray:
     barrier it faces, so under a barrier it is the decaying mode itself
     rather than a growing one cancelled by roundoff.
 
-    Each chunk of energies takes one forward and one backward pass.  A row is
-    the stitch of its own two single-energy passes bit for bit whenever the
-    chunk's block length is theirs: blocks stay at the full 32 cells while
-    h^2 (max V - E) / 12 is below about 0.5.
+    Each chunk of energies takes one forward and one backward pass, every
+    column ending where its own pass would.  Past its stop a forward column
+    repeats psi[stop], so the first largest |psi| lies at or before the stop.
+    A row is the stitch of its own two single-energy passes bit for bit
+    whenever the chunk's block length is theirs: blocks stay at the full 32
+    cells while h^2 (max V - E) / 12 is below about 0.5.
     """
     e = np.asarray(energies, dtype=float)
     allowed = v[: split + 1, None] <= e
     stop = np.where(allowed.any(axis=0), split - np.argmax(allowed[::-1], axis=0), split)
     stop = np.maximum(stop, 2)
     out = np.empty((e.size, len(v)))
-    for sl, fwd in _trajectories(v, h, e, stop):
-        beyond = np.arange(len(fwd))[:, None] > stop[sl]
-        match = np.argmax(np.where(beyond, -1.0, np.abs(fwd)), axis=0)
-        first = int(match.min())
-        bwd = _transfer_blocks(v[first:][::-1], h, e[sl], path=True,
-                               ends=len(v) - 1 - match)[::-1]
+    for lo in range(0, e.size, _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
+        fwd = _transfer_blocks(v, h, e[sl], path=True, ends=stop[sl])
+        match = np.argmax(np.abs(fwd), axis=0)
+        # the backward trajectory ends at v[-1], so it is indexed from the end
+        bwd = _transfer_blocks(v[::-1], h, e[sl], path=True, ends=len(v) - 1 - match)[::-1]
         for col, (row, j) in enumerate(zip(out[sl], match)):
             row[:j] = fwd[:j, col]
-            row[j:] = bwd[j - first :, col] * (fwd[j, col] / bwd[j - first, col])
+            row[j:] = bwd[j - len(v) :, col] * (fwd[j, col] / bwd[j - len(v), col])
     return out
+
+
+def count_sign_changes(values: np.ndarray) -> np.ndarray:
+    """Sign alternations of the nonzero entries along axis 0 (zeros ignored)."""
+    s = np.sign(values)
+    if not s.all():           # carry the last nonzero sign across each zero
+        last = np.where(s != 0.0, np.arange(len(s)).reshape((-1,) + (1,) * (s.ndim - 1)), 0)
+        np.maximum.accumulate(last, axis=0, out=last)
+        s = np.take_along_axis(s, last, axis=0)
+    return np.sum(s[1:] * s[:-1] < 0.0, axis=0)
 
 
 def _count_below(v: np.ndarray, h: float, energies) -> np.ndarray:
@@ -235,8 +232,9 @@ def _count_below(v: np.ndarray, h: float, energies) -> np.ndarray:
     nodes."""
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     out = np.empty(e.shape, dtype=int)
-    for sl, path in _trajectories(v[::-1], h, e, np.full(e.size, len(v) - 1)):
-        out[sl] = count_sign_changes(path[1:])
+    for lo in range(0, e.size, _CHUNK):
+        path = _transfer_blocks(v[::-1], h, e[lo : lo + _CHUNK], path=True)
+        out[lo : lo + _CHUNK] = count_sign_changes(path[1:])
     return out.reshape(np.shape(energies))
 
 

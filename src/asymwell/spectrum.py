@@ -216,7 +216,7 @@ def _solve_state(spec: WellSpec, energy: float, n: int) -> EigenState:
     if A < 0:
         A, B = -A, -B
     return EigenState(n=n, energy=energy, k=k, q_or_qbar=w, below_threshold=below,
-                      amp_left=A, amp_right=B, spec=replace(spec, smoothing=None))
+                      amp_left=A, amp_right=B, spec=spec)
 
 
 def normalize(state: EigenState) -> EigenState:
@@ -225,7 +225,7 @@ def normalize(state: EigenState) -> EigenState:
     Idempotent; the incoming amplitudes are ignored.  Raises if the energy is
     not a root of the characteristic or if the matching is degenerate.
     """
-    return _solve_state(state.spec, state.energy, state.n)
+    return _solve_state(replace(state.spec, smoothing=None), state.energy, state.n)
 
 
 def _sin_sq_integral(kappa: float, length: float) -> float:

@@ -126,15 +126,19 @@ def test_smoothed_wavefunction_on_a_coarser_grid(capsys):
     "spectrum --e-max inf", "spectrum --a inf", "spectrum --b inf", "spectrum --v0 inf",
     "smoothing --delta inf", "smoothing --smoothing linear --epsilon inf",
     "compare --e-max nan", "spectrum --v0 nan",
+    "momentum --n 2 --p-max inf", "momentum --n 2 --p-max nan",
+    # counts below their floor fail at the same stage
+    "momentum --n 2 --points 2", "wavefunction --n 2 --samples 3",
 ])
 def test_non_finite_flags_fail_at_config(argv, capsys):
-    command, flag = argv.split()[0], argv.split()[-2]
+    command, flag, value = argv.split()[0], argv.split()[-2], argv.split()[-1]
+    bound = "finite" if value in ("inf", "nan") else "at least"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv.split()) == 1
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
-    assert re.fullmatch(rf"asymwell {command}: config: ([\w-]+ )*{_key(flag)} must be finite.*\n",
+    assert re.fullmatch(rf"asymwell {command}: config: ([\w-]+ )*{_key(flag)} must be {bound}.*\n",
                         err), err
 
 

@@ -213,11 +213,20 @@ class TestCli:
         assert "momentum: solve:" in err
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
-    @pytest.mark.parametrize("field", ["a", "b", "v0", "delta", "epsilon", "e_max"])
+    @pytest.mark.parametrize("field", ["a", "b", "v0", "delta", "epsilon", "e_max", "p_max"])
     def test_non_finite_settings_rejected(self, field, value):
         # delta and epsilon are checked whatever the smoothing, since the
         # smoothing command uses one of them on a sharp-step configuration
         with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cfg(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("p_max", 0.0, "p_max must be finite and positive"),
+        ("points", 2, "points must be at least 3"),
+        ("samples", 4, "samples must be at least 5"),
+    ])
+    def test_out_of_range_settings_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
             cfg(**{field: value})
 
     def test_conflicting_cutoffs_rejected(self):

@@ -153,7 +153,8 @@ class TestKernel:
         # from b under a v0 = 1e5 step at E = 30 the solution passes the
         # rescale cap near sample 1226, inside a block, so a pass that stops
         # just past it rescales once more than the blocks before its end did,
-        # and one that stops before it never rescales
+        # and one that stops before it never rescales; past its end a column
+        # repeats psi[end], which the stitch's search for the largest |psi| needs
         xs, h = _build_grid(WellSpec(3.0, 3.0, 1e5), 4000)
         v = sample(WellSpec(3.0, 3.0, 1e5), xs)[::-1]
         ends = np.append(np.arange(1200, 1265), 4000)
@@ -162,6 +163,7 @@ class TestKernel:
         for col, end in enumerate(ends):
             alone = _transfer_blocks(v[: end + 1], h, e[:1], path=True)[:, 0]
             assert np.array_equal(path[: end + 1, col], alone), end
+            assert (path[end:, col] == alone[-1]).all(), end
         assert abs(path[1200, 0]) > 1e200 > abs(path[1200, -1])
 
     def test_standard_study_energies_unchanged(self):
