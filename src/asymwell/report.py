@@ -41,10 +41,10 @@ class RunConfig:
 
     This is the only declaration of the CLI settings.  Every field is the flag
     ``--<name>`` (underscores as dashes) with the field's type and default; its
-    metadata holds the flag's ``help`` and ``choices``, the one subcommand that
-    owns it (``command``; absent means every subcommand), ``cutoff`` for the
-    two mutually exclusive cutoffs, and ``header=False`` to keep it out of the
-    table header.
+    metadata holds the flag's ``help`` and ``choices``, the least value ``floor``
+    of a count, the one subcommand that owns it (``command``; absent means every
+    subcommand), ``cutoff`` for the two mutually exclusive cutoffs, and
+    ``header=False`` to keep it out of the table header.
     """
 
     a: float = _flag(3.0, help="left half-width")
@@ -55,33 +55,31 @@ class RunConfig:
     epsilon: float = _flag(0.4, help="linear ramp half-width")
     e_max: float | None = _flag(None, cutoff=True,
                                 help=f"energy cutoff (default {_DEFAULT_E_MAX:g})")
-    n_max: int | None = _flag(None, cutoff=True,
+    n_max: int | None = _flag(None, cutoff=True, floor=1,
                               help="number of states instead of an energy cutoff")
-    grid: int = _flag(4000, help="cells for the numeric solver")
-    samples: int = _flag(801, command="wavefunction")
+    grid: int = _flag(4000, floor=100, help="cells for the numeric solver")
+    samples: int = _flag(801, command="wavefunction", floor=5)
     p_max: float | None = _flag(None, command="momentum")  # None picks max(8k, 16)
-    points: int | None = _flag(None, command="momentum")   # None picks 400 per unit
+    points: int | None = _flag(None, command="momentum", floor=3)  # None picks 400 per unit
     format: str = _flag("csv", choices=("csv", "json"))
     out: str = _flag("-", header=False, help="output path ('-' for stdout)")
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            choices = f.metadata.get("choices")
-            if choices and getattr(self, f.name) not in choices:
-                raise ValueError(f"{f.name} must be one of {', '.join(choices)}, "
-                                 f"got {getattr(self, f.name)!r}")
+            value, meta = getattr(self, f.name), f.metadata
+            if "choices" in meta and value not in meta["choices"]:
+                raise ValueError(f"{f.name} must be one of {', '.join(meta['choices'])}, "
+                                 f"got {value!r}")
+            if "floor" in meta and value is not None and not value >= meta["floor"]:
+                raise ValueError(f"{f.name} must be at least {meta['floor']}, got {value}")
         if (self.e_max is None) == (self.n_max is None):
             raise ValueError("exactly one of e_max / n_max must be set")
         if self.e_max is not None and not 0 < self.e_max < math.inf:
             raise ValueError(f"e_max must be finite and positive, got {self.e_max}")
-        if self.n_max is not None and self.n_max < 1:
-            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
         if self.p_max is not None and not 0 < self.p_max < math.inf:
             raise ValueError(f"p_max must be finite and positive, got {self.p_max}")
-        if self.points is not None and not self.points >= 3:
-            raise ValueError(f"points must be at least 3, got {self.points}")
-        if not self.samples >= 5:
-            raise ValueError(f"samples must be at least 5, got {self.samples}")
+        if self.grid % 2:
+            raise ValueError(f"grid must be even, got {self.grid}")
         self.well()  # fail fast on bad geometry or smoothing scales
         # cmd_smoothing smooths a sharp-step configuration too, with either scale
         Exponential(self.delta), Linear(self.epsilon)
@@ -115,18 +113,6 @@ class Table:
     columns: list[str]
     rows: list[list]
     markers: dict[str, float] = field(default_factory=dict)
-
-
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
-def _fmt(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
 
 
 def _config_items(config: RunConfig, command: str,
@@ -216,8 +202,7 @@ def cmd_wavefunction(config: RunConfig, n: int) -> Table:
     if abs(simpson(dens, xs) - 1.0) > norm_tol:
         raise RuntimeError("emitted density column is not unit-normalized")
 
-    rows = [[float(x), float(v), float(d), float(p), float(c)]
-            for x, v, d, p, c in zip(xs, values, dens, pot, cls)]
+    rows = np.column_stack((xs, values, dens, pot, cls)).tolist()
     return Table("wavefunction", _config_items(config, "wavefunction", n=n),
                  ["x", "psi", "density", "potential", "classical_density"], rows)
 
@@ -307,7 +292,7 @@ def cmd_momentum(config: RunConfig, n: int) -> Table:
     markers = {"k": series.k_marker}
     if series.q_marker is not None:
         markers["q"] = series.q_marker
-    rows = [[float(p), float(d)] for p, d in zip(series.p_grid, dens)]
+    rows = np.column_stack((series.p_grid, dens)).tolist()
     return Table("momentum", _config_items(config, "momentum", n=n),
                  ["p", "density"], rows, markers=markers)
 
@@ -315,31 +300,46 @@ def cmd_momentum(config: RunConfig, n: int) -> Table:
 # ---------------------------------------------------------------- emission
 
 
+def _csv_cell(value: object) -> str:
+    return f"{value:.12g}" if isinstance(value, float) else "" if value is None else str(value)
+
+
+def _json_cell(value: object) -> str:
+    """JSON of a cell; a float is the repr of its 12-digit rounding, which is its ``.12g``
+    token when that is a decimal with a point and no exponent, or with exponent -05 to -99."""
+    if not isinstance(value, float):
+        return json.dumps(value)
+    text = f"{value:.12g}"
+    if "." in text and "e" not in text or text[-4:-2] == "e-":
+        return text
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text) or repr(float(text))
+
+
+def _json_block(items, brackets: str = "[]", pad: str = "  ") -> str:
+    """JSON array of ``items``, or with ``{}`` object of (key, JSON) pairs, in indent=2 layout."""
+    if brackets == "{}":
+        items = [f"{json.dumps(k)}: {v}" for k, v in sorted(dict(items).items())]
+    body = f",\n{pad}  ".join(items)
+    return f"{brackets[0]}\n{pad}  {body}\n{pad}{brackets[1]}" if items else brackets
+
+
 def render_csv(table: Table) -> str:
-    lines = [f"# asymwell {table.command}"]
-    for key, value in table.config_items:
-        lines.append(f"# {key} = {_fmt(value)}")
-    for key in sorted(table.markers):
-        lines.append(f"# marker {key} = {_fmt(table.markers[key])}")
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    header = [*table.config_items, *((f"marker {k}", v) for k, v in sorted(table.markers.items()))]
+    lines = [f"# asymwell {table.command}", *(f"# {k} = {_csv_cell(v)}" for k, v in header),
+             ",".join(table.columns), *(",".join(map(_csv_cell, row)) for row in table.rows)]
     return "\n".join(lines) + "\n"
 
 
 def render_json(table: Table) -> str:
-    def scrub(v):
-        return _round12(v) if isinstance(v, float) else v
-
-    doc = {
-        "command": table.command,
-        "config": {k: scrub(v) for k, v in table.config_items},
-        "columns": table.columns,
-        "rows": [[scrub(v) for v in row] for row in table.rows],
-    }
+    """Laid out as json.dumps(doc, sort_keys=True, indent=2) would; rows inline, for speed."""
+    rows = ["[\n      " + ",\n      ".join(map(_json_cell, row)) + "\n    ]" if row else "[]"
+            for row in table.rows]
+    doc = {"columns": _json_block(list(map(json.dumps, table.columns))),
+           "command": json.dumps(table.command), "rows": _json_block(rows),
+           "config": _json_block([(k, _json_cell(v)) for k, v in table.config_items], "{}")}
     if table.markers:
-        doc["markers"] = {k: scrub(v) for k, v in table.markers.items()}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        doc["markers"] = _json_block([(k, _json_cell(v)) for k, v in table.markers.items()], "{}")
+    return _json_block(doc.items(), "{}", "") + "\n"
 
 
 def write_table(table: Table, config: RunConfig) -> None:
@@ -405,7 +405,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         table = globals()[f"cmd_{command}"](config, **state)
         stage = "emit"
         write_table(table, config)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"asymwell {command}: {stage}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -6,10 +6,14 @@ time-stepped bounce simulation, and momentum amplitudes from adaptive
 quadrature of the transform integral.  ``reference_roots`` is the fixed-step
 scan and bisection whose floats the count-directed root policy reports, and
 ``reference_solution`` the one-state-at-a-time stitch whose values the batched
-one reproduces.
+one reproduces.  ``render_csv`` and ``render_json`` are the table renderers
+as they were before emission formatted each number once: every float goes
+through ``.12g`` for CSV, and through a ``.12g`` round trip and the pure-Python
+``json.dumps(indent=2)`` encoder for JSON.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -201,3 +205,42 @@ def _sweep_full(v: np.ndarray, h: float, energy: float, split: int) -> np.ndarra
     match = int(np.argmax(np.abs(fwd)))
     bwd = _transfer_blocks(v[match:][::-1], h, e, path=True)[::-1, 0]
     return np.concatenate([fwd[:match], bwd * (fwd[match] / bwd[0])])
+
+
+def _round12(x: float) -> float:
+    return float(f"{x:.12g}")
+
+
+def _fmt(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def render_csv(table) -> str:
+    lines = [f"# asymwell {table.command}"]
+    for key, value in table.config_items:
+        lines.append(f"# {key} = {_fmt(value)}")
+    for key in sorted(table.markers):
+        lines.append(f"# marker {key} = {_fmt(table.markers[key])}")
+    lines.append(",".join(table.columns))
+    for row in table.rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def render_json(table) -> str:
+    def scrub(v):
+        return _round12(v) if isinstance(v, float) else v
+
+    doc = {
+        "command": table.command,
+        "config": {k: scrub(v) for k, v in table.config_items},
+        "columns": table.columns,
+        "rows": [[scrub(v) for v in row] for row in table.rows],
+    }
+    if table.markers:
+        doc["markers"] = {k: scrub(v) for k, v in table.markers.items()}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -38,6 +39,18 @@ SHOOTING_SHA256 = {
         "3a1cb337c7cc5c3849852bb3fbafd663a3cc461277d26686f0530ad55204bc78",
 }
 
+# sha256 of the JSON form of the standard tables, recorded while render_json
+# still dumped the whole document with json.dumps(indent=2); the compare table
+# holds null, int and string cells
+JSON_SHA256 = {
+    "spectrum --format json": "ebf8ad83e9695015202a77bef334c1c77e59258b13d07717c1305fcbd3d28fba",
+    "compare --e-max 100 --format json":
+        "715e100f2ab9e7b317809e333fa53e9431f81835790c264a50758a2a5205ed2a",
+    "wavefunction --n 6 --format json":
+        "a8a5d7a930c799ac71a39584deb449889b45949bd144a3c8017ad76da41449d0",
+    "smoothing --format json": "71a5a818e34637561cfced1435e8098f48ce8b1218ef704b2e897337d5e74afd",
+}
+
 # a non-default value for every flag; --out is set by the test itself
 SHARED_FLAGS = {"--a": 2.5, "--b": 3.5, "--v0": 15.0, "--smoothing": "linear",
                 "--delta": 0.3, "--epsilon": 0.5, "--grid": 2000, "--format": "json"}
@@ -60,6 +73,13 @@ def test_standard_tables_match_frozen_digests(args, capsys):
     assert main(args.split()) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == {**GOLDEN_SHA256, **SHOOTING_SHA256}[args]
+
+
+@pytest.mark.parametrize("args", list(JSON_SHA256))
+def test_json_tables_match_frozen_digests(args, capsys):
+    assert main(args.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == JSON_SHA256[args]
 
 
 @pytest.mark.parametrize("cutoff", list(CUTOFF_FLAGS))
@@ -142,11 +162,12 @@ def test_non_finite_flags_fail_at_config(argv, capsys):
                         err), err
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str, preexec_fn=None) -> subprocess.CompletedProcess:
     src = str(Path(asymwell.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120,
+                          preexec_fn=preexec_fn)
 
 
 def _run_module(module: str, *args: str) -> subprocess.CompletedProcess:
@@ -190,3 +211,31 @@ def test_package_run_loads_no_scipy():
     assert proc.returncode == 0
     assert proc.stderr == b"[]\n"
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256["spectrum"]
+
+
+def _cap_address_space() -> None:
+    # 1 GiB holds the interpreter and numpy but none of the arrays asked for below,
+    # so their allocation fails at once whatever memory the host has
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    "momentum --n 2 --points 1000000000000", "momentum --n 2 --p-max 1e9",
+    "wavefunction --n 2 --samples 100000000000",
+])
+def test_oversized_counts_fail_at_solve(argv):
+    proc = _run_python("-m", "asymwell", *argv.split(), preexec_fn=_cap_address_space)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert proc.stdout == b""
+    assert re.fullmatch(rf"asymwell {argv.split()[0]}: solve: Unable to allocate .*\n", err), err
+
+
+@pytest.mark.parametrize("command", list(OWN_FLAGS))
+@pytest.mark.parametrize("grid, message", [("0", "at least 100"), ("101", "even")])
+def test_bad_grid_fails_at_config(command, grid, message, capsys):
+    # the grid is refused before any solving, also by the closed-form tables
+    argv = [command, *(f"{flag}={value}" for flag, value in OWN_FLAGS[command].items())]
+    assert main([*argv, "--grid", grid]) == 1
+    err = capsys.readouterr().err
+    assert err == f"asymwell {command}: config: grid must be {message}, got {grid}\n"

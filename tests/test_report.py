@@ -3,11 +3,14 @@ import json
 import math
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from asymwell.report import (
     RunConfig,
+    Table,
     cmd_compare,
     cmd_momentum,
     cmd_smoothing,
@@ -191,6 +194,72 @@ class TestEmission:
         a = render_json(cmd_compare(cfg()))
         b = render_json(cmd_compare(cfg()))
         assert a == b
+
+
+# floats where the .12g token and repr of the rounded float part ways, or round
+# to a new decade: exponents +12 to +15, 1e16 and up, below 1e-4, integral values
+EDGE_FLOATS = st.one_of(
+    st.floats(1e12, 1e16, exclude_max=True), st.floats(-1e16, -1e12, exclude_min=True),
+    st.floats(1e16, 1e300), st.floats(-1e-4, 1e-4, allow_subnormal=True),
+    st.integers(-10**16, 10**16).map(float),
+    st.integers(-3, 17).map(lambda e: 10.0**e - 10.0**(e - 12) / 2),
+    st.sampled_from([999999999999.5, 9999999999999.5, 99999999999999.5, 1e12, 1e16,
+                     9.99999999999951e15, 9.9999999999995e-5, -0.0, 0.0, math.nan,
+                     math.inf, -math.inf, 5e-324, 1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+CELLS = st.one_of(EDGE_FLOATS, st.none(), st.integers(), st.booleans(), st.text(max_size=6))
+KEYS = st.text(max_size=6)
+
+
+@st.composite
+def tables(draw):
+    width = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=6))
+    if draw(st.booleans()):
+        rows.append([])  # a row with no cells
+    return Table(draw(KEYS), draw(st.lists(st.tuples(KEYS, CELLS), max_size=6)),
+                 draw(st.lists(KEYS, min_size=width, max_size=width)), rows,
+                 markers=draw(st.dictionaries(KEYS, EDGE_FLOATS, max_size=3)))
+
+
+class TestRendererParity:
+    """The renderers format each number once and write the bytes of the
+    reference renderers in ``oracles``, which round-trip every float."""
+
+    @given(tables())
+    @settings(max_examples=400)
+    def test_csv_matches_reference(self, table):
+        assert render_csv(table) == oracles.render_csv(table)
+
+    @given(tables())
+    @settings(max_examples=400)
+    def test_json_matches_reference(self, table):
+        assert render_json(table) == oracles.render_json(table)
+
+    @given(st.lists(EDGE_FLOATS, min_size=1, max_size=50))
+    @settings(max_examples=300)
+    def test_float_cells_match_reference(self, values):
+        table = Table("floats", [("x", values[0])], ["v"], [[v] for v in values],
+                      markers={"k": values[-1]})
+        assert render_csv(table) == oracles.render_csv(table)
+        assert render_json(table) == oracles.render_json(table)
+
+    @pytest.mark.parametrize("rows", [[], [[1.5, None, "x"]]])
+    @pytest.mark.parametrize("markers", [{}, {"q": 2.0, "k": 1e12}])
+    def test_empty_rows_and_markers(self, rows, markers):
+        table = Table("t", [("a", 3.0), ("grid", 4000), ("smoothing", "none"),
+                            ("e_max", None)], ["p", "n", "s"], rows, markers=markers)
+        assert render_csv(table) == oracles.render_csv(table)
+        assert render_json(table) == oracles.render_json(table)
+
+    def test_standard_tables_match_reference(self):
+        # momentum n=1 lies below the step and has no q marker
+        for table in (cmd_momentum(cfg(), n=1), cmd_momentum(cfg(), n=5),
+                      cmd_wavefunction(cfg(), n=6), cmd_compare(cfg(e_max=100.0)),
+                      cmd_smoothing(cfg())):
+            assert render_csv(table) == oracles.render_csv(table)
+            assert render_json(table) == oracles.render_json(table)
 
 
 class TestCli:
