@@ -51,6 +51,18 @@ JSON_SHA256 = {
     "smoothing --format json": "71a5a818e34637561cfced1435e8098f48ce8b1218ef704b2e897337d5e74afd",
 }
 
+# sha256 of compare tables recorded before the table was built from arrays:
+# evanescent and oscillatory states, equal envelopes (empty match_class), a
+# state-count cutoff, and 63 states with both match classes
+COMPARE_SHA256 = {
+    "compare --a 2 --b 4 --v0 60 --e-max 300":
+        "a06efcc0cb5d7520f41e214672f3d4bea2eb58cfd9959e9aa8c723d054e326ac",
+    "compare --v0 0": "948ff86e4d1553a31b7f4f38c680cc2b737d3616a7c5c0b163cbeb597bc6062d",
+    "compare --n-max 5": "a3230fca6ed5877ff5714f5ffdcef06c58af51b188255e88c44418d23fa602ff",
+    "compare --a 1 --b 1 --v0 100 --e-max 1e4 --format json":
+        "fc15fc5e2fb08a15256197baba5e668bbaa9cc45cb6be6485821330c1a3bd6bd",
+}
+
 # a non-default value for every flag; --out is set by the test itself
 SHARED_FLAGS = {"--a": 2.5, "--b": 3.5, "--v0": 15.0, "--smoothing": "linear",
                 "--delta": 0.3, "--epsilon": 0.5, "--grid": 2000, "--format": "json"}
@@ -80,6 +92,13 @@ def test_json_tables_match_frozen_digests(args, capsys):
     assert main(args.split()) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == JSON_SHA256[args]
+
+
+@pytest.mark.parametrize("args", list(COMPARE_SHA256))
+def test_compare_tables_match_frozen_digests(args, capsys):
+    assert main(args.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == COMPARE_SHA256[args]
 
 
 @pytest.mark.parametrize("cutoff", list(CUTOFF_FLAGS))

@@ -1,8 +1,11 @@
-"""Shared root policy: count brackets, secant polish, the replayed scan and its failures, on synthetic roots."""
+"""Shared root policy: count brackets, secant polish, the replayed scan and its failures, on
+synthetic roots; and the energies the closed-form solver hands it, call for call."""
+import hashlib
+
 import numpy as np
 import pytest
 
-from asymwell import ScanResolutionError
+from asymwell import ScanResolutionError, WellSpec, spectrum
 from asymwell._rootscan import bracket_and_bisect
 from oracles import reference_roots
 
@@ -97,3 +100,35 @@ def test_root_exactly_on_a_count_probe():
     roots = bracket_and_bisect(fn, count, 2.0, 0.1, 1e-13)
     assert roots == reference_roots(fn, count, 2.0, 0.1, 1e-13)
     assert roots == pytest.approx([0.5, 1.0, 1.02], rel=1e-12)
+
+
+# sha256 over every energy array the closed-form solver hands to fn and to
+# count, tagged and in call order, recorded before the array state solve and
+# the C-level reductions of the polish and replay loops
+CALL_LOG_SHA256 = {
+    (3.0, 3.0, 20.0, 100.0):
+        "faaccb4f756e3515a5760abef2a0842645fc1b702bee70f37ec235b53749c6b3",
+    (2.0, 4.0, 60.0, 300.0):
+        "6266270ac9bd11078e72b745854e5a883c84dfe87b66a89c83d90d6ccf8a1218",
+    (1.0, 1.0, 100.0, 1e4):
+        "ed8a4a81867066431dbd804a9df94808ebd3c1074738987179a9d2a8bbd0003d",
+}
+
+
+@pytest.mark.parametrize("well", list(CALL_LOG_SHA256))
+def test_closed_form_calls_see_the_same_energies(well, monkeypatch):
+    digest = hashlib.sha256()
+
+    def logged(tag, f):
+        def call(es):
+            digest.update(tag + np.ascontiguousarray(es, dtype=float).tobytes())
+            return f(es)
+        return call
+
+    def policy(fn, count, *args):
+        return bracket_and_bisect(logged(b"fn", fn), logged(b"count", count), *args)
+
+    monkeypatch.setattr(spectrum, "bracket_and_bisect", policy)
+    a, b, v0, e_max = well
+    assert spectrum.find_spectrum(WellSpec(a, b, v0), e_max)
+    assert digest.hexdigest() == CALL_LOG_SHA256[well]
