@@ -250,6 +250,26 @@ def test_oversized_counts_fail_at_solve(argv):
     assert re.fullmatch(rf"asymwell {argv.split()[0]}: solve: Unable to allocate .*\n", err), err
 
 
+@pytest.mark.parametrize("argv", ["spectrum --a 1e200 --b 1 --e-max 1e-300",
+                                  "compare --e-max 1e300"])
+def test_uncountable_level_counts_fail_at_solve(argv):
+    # more levels below e_max than 2**53: refused before the scan, with no
+    # traceback from the scan step and no cast warning from the count
+    proc = _run_python("-m", "asymwell", *argv.split())
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert proc.stdout == b""
+    assert re.fullmatch(rf"asymwell {argv.split()[0]}: solve: e_max=\S+ holds \S+ levels.*\n",
+                        err), err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_closed_form_wavefunction_ends_on_positive_zero(n, capsys):
+    assert main(["wavefunction", "--n", str(n)]) == 0
+    assert capsys.readouterr().out.endswith("\n3,0,0,20,0\n")
+
+
 @pytest.mark.parametrize("command", list(OWN_FLAGS))
 @pytest.mark.parametrize("grid, message", [("0", "at least 100"), ("101", "even")])
 def test_bad_grid_fails_at_config(command, grid, message, capsys):

@@ -1,12 +1,14 @@
 """Shared root policy: count brackets, secant polish, the replayed scan and its failures, on
 synthetic roots; and the energies the closed-form solver hands it, call for call."""
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from asymwell import ScanResolutionError, WellSpec, spectrum
-from asymwell._rootscan import bracket_and_bisect
+from asymwell._rootscan import bracket_and_bisect, scan_step
 from oracles import reference_roots
 
 
@@ -132,3 +134,14 @@ def test_closed_form_calls_see_the_same_energies(well, monkeypatch):
     a, b, v0, e_max = well
     assert spectrum.find_spectrum(WellSpec(a, b, v0), e_max)
     assert digest.hexdigest() == CALL_LOG_SHA256[well]
+
+
+@given(a=st.floats(min_value=1e-300, max_value=1e308), b=st.floats(min_value=1e-300, max_value=1e308))
+@example(a=1e200, b=1.0)
+def test_scan_step_never_raises(a, b):
+    # the same float as the formula wherever (a + b)**2 is finite, and 0 past it
+    try:
+        expected = min(0.1, math.pi**2 / (2.0 * (a + b) ** 2))
+    except OverflowError:
+        expected = 0.0
+    assert scan_step(a, b) == expected

@@ -147,6 +147,12 @@ class TestFindSpectrum:
     def test_empty_result_below_first_level(self, standard_spec):
         assert find_spectrum(standard_spec, 0.5) == []
 
+    def test_uncountable_level_count_rejected(self, standard_spec):
+        # about 1.9e150 levels lie below 1e300: past 2**53 the count is no longer
+        # an exact float, and the brackets could not be allocated
+        with pytest.raises(ValueError, match=r"e_max=1e\+300 holds 1\.9\d*e\+150 levels"):
+            find_spectrum(standard_spec, 1e300)
+
     def test_overflowing_step_height_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
             find_spectrum(WellSpec(3.0, 3.0, 2e5), 40.0)
@@ -233,6 +239,12 @@ class TestPsi:
         for st in standard_states:
             assert psi(st, -3.0) == 0.0
             assert psi(st, 3.0) == 0.0
+
+    def test_hard_wall_zeros_are_positive(self, standard_states):
+        # amp_right * sin(0) is -0.0 wherever amp_right < 0, which a table prints as "-0"
+        for st in standard_states:
+            assert math.copysign(1.0, psi(st, -3.0)) == math.copysign(1.0, psi(st, 3.0)) == 1.0
+            assert not np.signbit(psi(st, np.array([-3.0, 3.0]))).any()
 
     def test_flat_well_odd_state_node_at_center(self):
         st = find_spectrum(WellSpec(3.0, 3.0, 0.0), 1.2)[1]  # n = 2
