@@ -50,9 +50,14 @@ def scan_step(a: float, b: float) -> float:
     """Scan cell of the fixed-step policy whose floats ``bracket_and_bisect`` reports.
 
     Half the ground-state energy of the enclosing flat well of width (a + b),
-    capped at 0.1 for narrow wells.
+    capped at 0.1 for narrow wells, and 0 where (a + b)**2 overflows.
     """
-    return min(0.1, math.pi**2 / (2.0 * (a + b) ** 2))
+    if a + b < 1.0:   # the cap holds, also where (a + b)**2 underflows to 0
+        return 0.1
+    try:
+        return min(0.1, math.pi**2 / (2.0 * (a + b) ** 2))
+    except OverflowError:
+        return 0.0
 
 
 def bracket_and_bisect(
@@ -109,11 +114,11 @@ def _isolate(count, e_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                                   f"[0, {e[0]:.9g}], below the lowest probe: N(hi) = {n[0]}")
     while True:
         jump = np.diff(n)
-        if (jump < 0).any():
-            i = int(np.flatnonzero(jump < 0)[0])
+        if np.count_nonzero(jump < 0):
+            i = int((jump < 0).nonzero()[0][0])
             raise ScanResolutionError(f"the Sturm count decreases across [{e[i]:.9g}, "
                                       f"{e[i + 1]:.9g}]: N(lo) = {n[i]}, N(hi) = {n[i + 1]}")
-        wide = np.flatnonzero(jump > 1)
+        wide = (jump > 1).nonzero()[0]
         if not wide.size:
             break
         # split a gap holding d levels at d evenly spaced energies
@@ -122,8 +127,8 @@ def _isolate(count, e_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lo, width = np.repeat(e[wide], d), np.repeat(e[wide + 1] - e[wide], d)
         new = lo + width * (k / np.repeat(d + 1, d))
         stuck = ~((lo < new) & (new < lo + width))
-        if stuck.any():
-            i = wide[np.searchsorted(np.cumsum(d), np.flatnonzero(stuck)[0], side="right")]
+        if np.count_nonzero(stuck):
+            i = wide[np.searchsorted(np.cumsum(d), stuck.nonzero()[0][0], side="right")]
             raise ScanResolutionError(f"the Sturm count cannot separate the levels in "
                                       f"[{e[i]:.9g}, {e[i + 1]:.9g}]: N(lo) = {n[i]}, "
                                       f"N(hi) = {n[i + 1]}")
@@ -186,7 +191,7 @@ class _Brackets:
         while True:
             width = self.hi - self.lo
             handover = _HANDOVER * _tol(self.hi, tol_rel)
-            i = np.flatnonzero((width >= handover) & (age < _STALL))
+            i = ((width >= handover) & (age < _STALL)).nonzero()[0]
             if not i.size:
                 return
             lo, hi, flo, fhi = self.lo[i], self.hi[i], self.flo[i], self.fhi[i]
@@ -235,11 +240,12 @@ class _Brackets:
             active &= (b - a) > _tol(mid, tol_rel)
             below = active & (mid < self.lo)
             above = active & (mid > self.hi)
-            if below.any() or above.any():   # each root runs ahead until a midpoint needs fn
+            # each root runs ahead until a midpoint needs fn
+            if np.count_nonzero(below) or np.count_nonzero(above):
                 np.copyto(a, mid, where=below)
                 np.copyto(b, mid, where=above)
                 continue
-            i = np.flatnonzero(active)
+            i = active.nonzero()[0]
             if not i.size:
                 break
             fm = fn(mid[i])
@@ -255,7 +261,7 @@ class _Brackets:
         while True:
             first = _first_at_or_above(np.nextafter(self.lo, np.inf), cell)
             last = np.minimum(_first_at_or_above(self.hi, cell) - 1, n_cells)
-            i = np.flatnonzero(first <= last)
+            i = (first <= last).nonzero()[0]
             if not i.size:
                 return
             x = cell * np.floor(0.5 * (first[i] + last[i]))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .potential import WellSpec
 
 __all__ = ["BoundPair", "bounds_at"]
@@ -30,10 +32,16 @@ def bounds_at(spec: WellSpec, energy: float) -> BoundPair:
     Defined only strictly above the step; the upper envelope a/(a+b) is
     energy-independent and the lower one rises to meet it as E -> infinity.
     """
-    if not energy > 0:
-        raise ValueError(f"energy must be positive, got {energy}")
-    if not energy > spec.v0 * (1.0 + _MARGIN):
-        raise ValueError(f"bounds are defined only above the step: E={energy}, v0={spec.v0}")
-    upper = spec.a / (spec.a + spec.b)
-    lower = spec.a / (spec.a + spec.b * energy / (energy - spec.v0))
-    return BoundPair(lower=lower, upper=upper, energy=energy, spec=spec)
+    lower, upper = _envelopes(spec, [energy])
+    return BoundPair(lower=float(lower[0]), upper=upper, energy=energy, spec=spec)
+
+
+def _envelopes(spec: WellSpec, energies) -> tuple[np.ndarray, float]:
+    """Lower envelopes over an energy array, and the upper one."""
+    e = np.asarray(energies, dtype=float)
+    if np.count_nonzero(bad := ~(e > 0)):
+        raise ValueError(f"energy must be positive, got {float(e[bad][0])}")
+    if np.count_nonzero(bad := ~(e > spec.v0 * (1.0 + _MARGIN))):
+        raise ValueError(f"bounds are defined only above the step: E={float(e[bad][0])}, "
+                         f"v0={spec.v0}")
+    return spec.a / (spec.a + spec.b * e / (e - spec.v0)), spec.a / (spec.a + spec.b)

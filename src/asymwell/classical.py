@@ -37,30 +37,31 @@ def classical_model(spec: WellSpec, energy: float) -> ClassicalModel:
     2 * side / speed.  At E = v0 the right-side traversal time diverges and the
     left probability jumps from 1 to 0+, so no value is assigned there.
     """
+    t_left, t_right, p_left, p_right = (float(x[0]) for x in _time_shares(spec, [energy]))
+    if energy < spec.v0:
+        densities = 1.0 / spec.a, 0.0
+    else:
+        denom = spec.a * math.sqrt(energy - spec.v0) + spec.b * math.sqrt(energy)
+        densities = math.sqrt(energy - spec.v0) / denom, math.sqrt(energy) / denom
+    return ClassicalModel(energy, spec, *densities, p_left, p_right, t_left, t_right)
+
+
+def _time_shares(spec: WellSpec, energies):
+    """Per-side traversal times 2 * side / speed and their shares of the period,
+    over an energy array; below the step the right-side time is 0."""
     if spec.smoothing is not None:
         raise ValueError("classical comparison model is defined for the sharp step only")
-    if not energy > 0:
-        raise ValueError(f"energy must be positive, got {energy}")
-    if energy == spec.v0:
+    e = np.asarray(energies, dtype=float)
+    if np.count_nonzero(bad := ~(e > 0)):
+        raise ValueError(f"energy must be positive, got {float(e[bad][0])}")
+    if np.count_nonzero(e == spec.v0):
         raise ValueError("classical model is singular exactly at E = v0")
-    a, b = spec.a, spec.b
-    if energy < spec.v0:
-        v_left = 2.0 * math.sqrt(energy)
-        return ClassicalModel(energy=energy, spec=spec,
-                              density_left=1.0 / a, density_right=0.0,
-                              p_left=1.0, p_right=0.0,
-                              t_left=2.0 * a / v_left, t_right=0.0)
-    v_left = 2.0 * math.sqrt(energy)
-    v_right = 2.0 * math.sqrt(energy - spec.v0)
-    t_left = 2.0 * a / v_left
-    t_right = 2.0 * b / v_right
+    up = e > spec.v0
+    t_left = 2.0 * spec.a / (2.0 * np.sqrt(e))
+    t_right = np.zeros(e.shape)
+    t_right[up] = 2.0 * spec.b / (2.0 * np.sqrt(e[up] - spec.v0))
     period = t_left + t_right
-    denom = a * math.sqrt(energy - spec.v0) + b * math.sqrt(energy)
-    return ClassicalModel(energy=energy, spec=spec,
-                          density_left=math.sqrt(energy - spec.v0) / denom,
-                          density_right=math.sqrt(energy) / denom,
-                          p_left=t_left / period, p_right=t_right / period,
-                          t_left=t_left, t_right=t_right)
+    return t_left, t_right, t_left / period, t_right / period
 
 
 def classical_density(model: ClassicalModel, x):

@@ -152,12 +152,6 @@ def _cubic_interp(x: np.ndarray, grid: np.ndarray, values: np.ndarray) -> np.nda
             - 3 * (s + 1) * s * (s - 2) * y[2] + (s + 1) * s * (s - 1) * y[3]) / 6.0
 
 
-def _bounds_or_none(spec: WellSpec, energy: float):
-    if energy > spec.v0 * (1.0 + bounds_mod._MARGIN):
-        return bounds_mod.bounds_at(spec, energy)
-    return None
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -208,30 +202,34 @@ def cmd_wavefunction(config: RunConfig, n: int) -> Table:
 
 
 def cmd_compare(config: RunConfig) -> Table:
-    """Per-state table of quantum vs classical left-side probability and bounds."""
+    """Per-state table of quantum vs classical left-side probability and bounds.
+
+    The columns are computed over the whole spectrum at once; each check names
+    the lowest state that fails it.
+    """
     if config.smoothing != "none":
         raise ValueError("the comparison table requires the sharp step")
     spec = config.step_well()
     states = _analytic_states(config)
-    rows = []
-    for st in states:
-        p_left, p_right = spectrum_mod.side_probabilities(st)
-        if abs(p_left + p_right - 1.0) > 1e-9:
-            raise RuntimeError(f"side probabilities of state {st.n} do not sum to 1")
-        model = classical_mod.classical_model(spec, st.energy)
-        pair = _bounds_or_none(spec, st.energy)
-        if pair is None:
-            rows.append([st.n, st.energy, p_left, model.p_left, None, None, None])
-        else:
-            if not pair.lower - 1e-12 <= model.p_left <= pair.upper + 1e-12:
-                raise RuntimeError(f"classical probability escapes the bound envelope "
-                                   f"at E={st.energy}")
-            if pair.upper - pair.lower < 1e-12:
-                kind = None  # v0 ~ 0: the envelopes coincide, nothing to saturate
-            else:
-                kind = spectrum_mod.classify_matching(st).kind.value
-            rows.append([st.n, st.energy, p_left, model.p_left,
-                         pair.lower, pair.upper, kind])
+    energy = np.array([st.energy for st in states])
+    p_left, p_right = spectrum_mod._side_probabilities(spec, states)
+    if np.count_nonzero(bad := np.abs(p_left + p_right - 1.0) > 1e-9):
+        raise RuntimeError(f"side probabilities of state {bad.argmax() + 1} do not sum to 1")
+    p_cl = classical_mod._time_shares(spec, energy)[2]
+    above = energy > spec.v0 * (1.0 + bounds_mod._MARGIN)
+    lower, upper = bounds_mod._envelopes(spec, energy[above])
+    inside = (lower - 1e-12 <= p_cl[above]) & (p_cl[above] <= upper + 1e-12)
+    if np.count_nonzero(bad := ~inside):
+        raise RuntimeError(f"classical probability escapes the bound envelope "
+                           f"at E={float(energy[above][bad][0])}")
+    bound_cells = np.full((len(states), 3), None, dtype=object)
+    bound_cells[above, 0], bound_cells[above, 1] = lower, upper
+    live = ~(upper - lower < 1e-12)  # v0 ~ 0: the envelopes coincide, nothing to saturate
+    kinds, _, _ = spectrum_mod._match_classes(p_left[above][live], lower[live], upper, 0.1)
+    bound_cells[above.nonzero()[0][live], 2] = [kind.value for kind in kinds]
+    columns = (range(1, len(states) + 1), energy.tolist(), p_left.tolist(), p_cl.tolist(),
+               *bound_cells.T.tolist())
+    rows = [list(row) for row in zip(*columns)]
     return Table("compare", _config_items(config, "compare"),
                  ["n", "energy", "p_left_qm", "p_left_cl", "lower_bound",
                   "upper_bound", "match_class"], rows)

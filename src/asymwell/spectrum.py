@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -71,6 +72,9 @@ class MatchKind(enum.Enum):
     GENERIC = "generic"
 
 
+_KINDS = tuple(MatchKind)
+
+
 @dataclass(frozen=True)
 class MatchClass:
     """How close the step-boundary matching is to saturating a side-probability bound.
@@ -102,21 +106,27 @@ def characteristic(spec: WellSpec, energy: float) -> float:
 
 def _characteristic_many(spec: WellSpec, energies: np.ndarray) -> np.ndarray:
     e = np.asarray(energies, dtype=float)
-    b = spec.b
     k = np.sqrt(e)
-    S = np.full(e.shape, b, dtype=float)
-    C = np.ones(e.shape)
-    up = e > spec.v0
-    dn = e < spec.v0
-    if up.any():
-        q = np.sqrt(e[up] - spec.v0)
-        S[up] = np.sin(q * b) / q
-        C[up] = np.cos(q * b)
-    if dn.any():
-        w = np.sqrt(spec.v0 - e[dn])
-        S[dn] = np.sinh(w * b) / w
-        C[dn] = np.cosh(w * b)
+    S, C = _right_sc(e - spec.v0, spec.b)
     return k * np.cos(k * spec.a) * S + C * np.sin(k * spec.a)
+
+
+def _right_sc(d: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """S and C of the characteristic at E - v0 = d: with no masks when every d
+    has one sign, else each sign's part in turn, and S = b, C = 1 at d = 0."""
+    up, dn = d > 0.0, d < 0.0
+    n_up, n_dn = np.count_nonzero(up), np.count_nonzero(dn)
+    if n_up == d.size:
+        q = np.sqrt(d)
+        return np.sin(q * b) / q, np.cos(q * b)
+    if n_dn == d.size:
+        w = np.sqrt(-d)
+        return np.sinh(w * b) / w, np.cosh(w * b)
+    S, C = np.full(d.shape, b), np.ones(d.shape)
+    for side, n in ((up, n_up), (dn, n_dn)):
+        if n:
+            S[side], C[side] = _right_sc(d[side], b)
+    return S, C
 
 
 def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
@@ -132,7 +142,7 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
     if not 0 < e_max < math.inf:
         raise ValueError(f"e_max must be finite and positive, got {e_max}")
     # normalizing a state below the step evaluates sinh(2 qbar b) in
-    # _sinh_sq_integral, which overflows once qbar*b passes about 355; qbar
+    # _sq_integral, which overflows once qbar*b passes about 355; qbar
     # approaches sqrt(v0) for the lowest states
     if math.sqrt(spec.v0) * spec.b > 350.0:
         raise ValueError(
@@ -141,10 +151,17 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
             f"(need sqrt(v0)*b <= 350)"
         )
 
+    # the count is below sqrt(E) (a + b) / pi + 1, so only a huge cutoff needs it
+    if math.sqrt(e_max) * (spec.a + spec.b) > 2.0**52:
+        levels = float(_levels_below(spec, e_max))
+        if levels > 2.0**53:
+            raise ValueError(f"e_max={e_max!r} holds {levels:.6g} levels, more than the "
+                             f"2**53 that a float counts exactly")
+
     roots = bracket_and_bisect(lambda es: _characteristic_many(spec, es),
                                lambda es: _count_below(spec, es),
                                e_max, scan_step(spec.a, spec.b), _BISECT_TOL)
-    return [_solve_state(spec, e, n) for n, e in enumerate(roots, start=1)]
+    return _solve_state(spec, roots)
 
 
 def _count_below(spec: WellSpec, energies) -> np.ndarray:
@@ -153,6 +170,11 @@ def _count_below(spec: WellSpec, energies) -> np.ndarray:
     floor(ka / pi) on the left; above the step the Pruefer phase, rescaled from
     k to q at x = 0 within its half-turn, then advances by q b; below it one
     more zero if psi(0) and psi(b) = g(E) differ in sign."""
+    return _levels_below(spec, energies).astype(int)
+
+
+def _levels_below(spec: WellSpec, energies) -> np.ndarray:
+    """The Sturm count as floats, exact up to 2**53."""
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     k = np.sqrt(e)
     n, r = np.divmod(k * spec.a, math.pi)
@@ -161,7 +183,7 @@ def _count_below(spec: WellSpec, energies) -> np.ndarray:
     n[up] += (np.arctan2(q * np.sin(r[up]), k[up] * np.cos(r[up])) + q * spec.b) // math.pi
     dn = ~up
     n[dn] += np.where(n[dn] % 2.0 == 0.0, 1.0, -1.0) * _characteristic_many(spec, e[dn]) < 0.0
-    return n.astype(int).reshape(np.shape(energies))
+    return n.reshape(np.shape(energies))
 
 
 def _require_step(spec: WellSpec) -> None:
@@ -170,53 +192,52 @@ def _require_step(spec: WellSpec) -> None:
                          "use the shooting solver for smoothed wells")
 
 
-def _right_basis(spec: WellSpec, energy: float) -> tuple[float, bool, float, float]:
-    """Wavenumber, branch tag, and right-side basis value/derivative at x = 0."""
-    if energy < spec.v0:
-        w = math.sqrt(spec.v0 - energy)
-        return w, True, -math.sinh(w * spec.b), w * math.cosh(w * spec.b)
-    w = math.sqrt(energy - spec.v0)
-    if w == 0.0:
+def _solve_state(spec: WellSpec, energies) -> list[EigenState]:
+    """Matched, normalized states at roots of the characteristic, numbered from 1.
+
+    Each check names the lowest state that fails it.  hypot, and sinh and cosh
+    below the step, are the math module's, element by element, as numpy rounds
+    some of their values differently.
+    """
+    e = np.asarray(energies, dtype=float)
+    if np.count_nonzero(bad := ~(e > 0)):
+        raise ValueError(f"energy must be positive, got {float(e[bad][0])}")
+    if np.count_nonzero(e == spec.v0):
         raise ValueError("eigenvalue sits exactly at the branch point E = v0")
-    return w, False, -math.sin(w * spec.b), w * math.cos(w * spec.b)
-
-
-def _solve_state(spec: WellSpec, energy: float, n: int) -> EigenState:
-    """Matched, normalized amplitudes for a root of the characteristic."""
-    if not energy > 0:
-        raise ValueError(f"energy must be positive, got {energy}")
-    k = math.sqrt(energy)
-    w, below, fr0, dfr = _right_basis(spec, energy)
-    sl = math.sin(k * spec.a)
-    dl = k * math.cos(k * spec.a)
+    below = e < spec.v0
+    k = np.sqrt(e)
+    w = np.sqrt(np.abs(e - spec.v0))
+    # right-side basis value and derivative at x = 0
+    fr0, dfr = -np.sin(w * spec.b), w * np.cos(w * spec.b)
+    fr0[below] = -_each(math.sinh, w[below] * spec.b)
+    dfr[below] = w[below] * _each(math.cosh, w[below] * spec.b)
+    sl = np.sin(k * spec.a)
+    dl = k * np.cos(k * spec.a)
 
     # Continuity A*sl = B*fr0 gives (A, B) ~ (fr0, sl); the derivative match
     # A*dl = B*dfr gives (A, B) ~ (dfr, dl).  Near a node both entries of the
     # first vector vanish, so take whichever ray is better conditioned; the
     # wavenumber scale makes the two comparable.
-    scale = max(k, w)
-    norm_c = math.hypot(fr0, sl)
-    norm_d = math.hypot(dfr / scale, dl / scale)
-    if norm_c < 1e-9 and norm_d < 1e-9:
-        raise ValueError(f"degenerate matching at E={energy!r}: spurious root")
-    A, B = (fr0, sl) if norm_c >= norm_d else (dfr / scale, dl / scale)
+    scale = np.maximum(k, w)
+    norm_c = _each(math.hypot, fr0, sl)
+    norm_d = _each(math.hypot, dfr / scale, dl / scale)
+    if np.count_nonzero(bad := (norm_c < 1e-9) & (norm_d < 1e-9)):
+        raise ValueError(f"degenerate matching at E={float(e[bad][0])!r}: spurious root")
+    ray = norm_c >= norm_d
+    A, B = np.where(ray, fr0, dfr / scale), np.where(ray, sl, dl / scale)
 
-    res_psi = abs(A * sl - B * fr0) / max(abs(A), abs(B))
-    res_dpsi = abs(A * dl - B * dfr) / max(k * abs(A), w * abs(B))
-    if max(res_psi, res_dpsi) > _RESIDUAL_TOL:
-        raise ValueError(
-            f"matching residual {max(res_psi, res_dpsi):.3e} at E={energy!r}: "
-            "energy is not a root of the characteristic"
-        )
+    res = np.maximum(np.abs(A * sl - B * fr0) / np.maximum(np.abs(A), np.abs(B)),
+                     np.abs(A * dl - B * dfr) / np.maximum(k * np.abs(A), w * np.abs(B)))
+    if np.count_nonzero(bad := res > _RESIDUAL_TOL):
+        i = int(bad.argmax())
+        raise ValueError(f"matching residual {res[i]:.3e} at E={float(e[i])!r}: "
+                         "energy is not a root of the characteristic")
 
-    il = _sin_sq_integral(k, spec.a)
-    ir = _sinh_sq_integral(w, spec.b) if below else _sin_sq_integral(w, spec.b)
-    scale = math.sqrt(A * A * il + B * B * ir)
+    scale = np.sqrt(A * A * _sq_integral(k, spec.a) + B * B * _sq_integral(w, spec.b, below))
+    scale = np.where(A < 0, -scale, scale)  # sign convention: amp_left > 0
     A, B = A / scale, B / scale
-    if A < 0:
-        A, B = -A, -B
-    return EigenState(n=n, energy=energy, k=k, q_or_qbar=w, below_threshold=below,
-                      amp_left=A, amp_right=B, spec=spec)
+    return [EigenState(n, *fields, spec) for n, fields in enumerate(
+        zip(e.tolist(), k.tolist(), w.tolist(), below.tolist(), A.tolist(), B.tolist()), start=1)]
 
 
 def normalize(state: EigenState) -> EigenState:
@@ -225,31 +246,25 @@ def normalize(state: EigenState) -> EigenState:
     Idempotent; the incoming amplitudes are ignored.  Raises if the energy is
     not a root of the characteristic or if the matching is degenerate.
     """
-    return _solve_state(replace(state.spec, smoothing=None), state.energy, state.n)
+    fresh, = _solve_state(replace(state.spec, smoothing=None), [state.energy])
+    return replace(fresh, n=state.n)
 
 
-def _sin_sq_integral(kappa: float, length: float) -> float:
-    """integral_0^L sin^2(kappa u) du, cancellation-free for small kappa*L."""
-    return _x_minus_sin(2.0 * kappa * length) / (4.0 * kappa)
+def _each(fn, *arrays: np.ndarray) -> np.ndarray:
+    return np.array(list(map(fn, *(x.tolist() for x in arrays))), dtype=float)
 
 
-def _sinh_sq_integral(kappa: float, length: float) -> float:
-    """integral_0^L sinh^2(kappa u) du, cancellation-free for small kappa*L."""
-    return _sinh_minus_x(2.0 * kappa * length) / (4.0 * kappa)
-
-
-def _x_minus_sin(u: float) -> float:
-    if abs(u) < 1e-3:
-        u2 = u * u
-        return u * u2 / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
-    return u - math.sin(u)
-
-
-def _sinh_minus_x(u: float) -> float:
-    if abs(u) < 1e-3:
-        u2 = u * u
-        return u * u2 / 6.0 * (1.0 + u2 / 20.0 * (1.0 + u2 / 42.0))
-    return math.sinh(u) - u
+def _sq_integral(kappa: np.ndarray, length: float, below=False) -> np.ndarray:
+    """integral_0^L sin^2(kappa u) du, or sinh^2 where ``below``; the series
+    keeps small kappa*L free of cancellation."""
+    u = 2.0 * kappa * length
+    u2 = u * u
+    v = np.where(below, u2, -u2)
+    small = np.abs(u) < 1e-3
+    out = np.where(small, u * u2 / 6.0 * (1.0 + v / 20.0 * (1.0 + v / 42.0)), u - np.sin(u))
+    big = below & ~small
+    out[big] = _each(math.sinh, u[big]) - u[big]
+    return out / (4.0 * kappa)
 
 
 def psi(state: EigenState, x):
@@ -273,18 +288,26 @@ def psi(state: EigenState, x):
     right = ~left
     arg = state.q_or_qbar * (xs[right] - spec.b)
     out[right] = state.amp_right * (np.sinh(arg) if state.below_threshold else np.sin(arg))
+    out += 0.0  # +0.0 at the walls, where amp_right < 0 gives -0.0
     return float(out[0]) if scalar else out
 
 
 def side_probabilities(state: EigenState) -> tuple[float, float]:
     """Closed-form probabilities of the left and right halves of the well."""
-    spec = state.spec
-    il = _sin_sq_integral(state.k, spec.a)
-    if state.below_threshold:
-        ir = _sinh_sq_integral(state.q_or_qbar, spec.b)
-    else:
-        ir = _sin_sq_integral(state.q_or_qbar, spec.b)
-    return state.amp_left**2 * il, state.amp_right**2 * ir
+    p_left, p_right = _side_probabilities(state.spec, [state])
+    return float(p_left[0]), float(p_right[0])
+
+
+_STATE_ARRAYS = attrgetter("k", "q_or_qbar", "below_threshold", "amp_left", "amp_right")
+
+
+def _side_probabilities(spec: WellSpec, states) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right probabilities of states of ``spec``, as arrays; the
+    squares are pow's, as numpy's x**2 rounds some values differently."""
+    k, w, below, amp_l, amp_r = np.array(list(map(_STATE_ARRAYS, states)),
+                                         dtype=float).reshape(-1, 5).T
+    return (np.float_power(amp_l, 2.0) * _sq_integral(k, spec.a),
+            np.float_power(amp_r, 2.0) * _sq_integral(w, spec.b, below != 0.0))
 
 
 def classify_matching(state: EigenState, threshold: float = 0.1) -> MatchClass:
@@ -303,15 +326,17 @@ def classify_matching(state: EigenState, threshold: float = 0.1) -> MatchClass:
                          "(below-threshold) states")
     pair = _bounds.bounds_at(state.spec, state.energy)
     p_left, _ = side_probabilities(state)
-    gap = pair.upper - pair.lower
-    if gap <= 0:
+    (kind,), node, anti = _match_classes(np.array([p_left]), pair.lower, pair.upper, threshold)
+    return MatchClass(kind=kind, node_metric=float(node[0]), antinode_metric=float(anti[0]))
+
+
+def _match_classes(p_left: np.ndarray, lower, upper, threshold: float):
+    """Kinds, node metrics and antinode metrics of left-side probabilities
+    inside their [lower, upper] bound intervals."""
+    gap = upper - lower
+    if np.count_nonzero(gap <= 0):
         raise ValueError("degenerate bound interval")
-    node_metric = min(1.0, max(0.0, (p_left - pair.lower) / gap))
-    antinode_metric = min(1.0, max(0.0, (pair.upper - p_left) / gap))
-    if antinode_metric < threshold:
-        kind = MatchKind.NEAR_ANTINODE
-    elif node_metric < threshold:
-        kind = MatchKind.NEAR_NODE
-    else:
-        kind = MatchKind.GENERIC
-    return MatchClass(kind=kind, node_metric=node_metric, antinode_metric=antinode_metric)
+    node = np.clip((p_left - lower) / gap, 0.0, 1.0)
+    anti = np.clip((upper - p_left) / gap, 0.0, 1.0)
+    kinds = np.where(anti < threshold, 1, np.where(node < threshold, 0, 2))
+    return [_KINDS[i] for i in kinds.tolist()], node, anti

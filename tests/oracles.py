@@ -9,7 +9,10 @@ scan and bisection whose floats the count-directed root policy reports, and
 one reproduces.  ``render_csv`` and ``render_json`` are the table renderers
 as they were before emission formatted each number once: every float goes
 through ``.12g`` for CSV, and through a ``.12g`` round trip and the pure-Python
-``json.dumps(indent=2)`` encoder for JSON.
+``json.dumps(indent=2)`` encoder for JSON.  ``reference_characteristic``,
+``reference_state`` and ``reference_compare_rows`` are the closed form one
+state at a time, with the math module's functions, whose floats the array
+passes reproduce.
 """
 from __future__ import annotations
 
@@ -21,8 +24,10 @@ from scipy.integrate import quad, simpson
 from scipy.linalg import eigh_tridiagonal
 
 from asymwell import ScanResolutionError, WellSpec, sample
+from asymwell.bounds import BoundPair
+from asymwell.classical import ClassicalModel
 from asymwell.shooting import _transfer_blocks
-from asymwell.spectrum import EigenState, psi
+from asymwell.spectrum import EigenState, MatchClass, MatchKind, psi
 
 
 def fd_spectrum(spec: WellSpec, n_states: int, n_grid: int):
@@ -244,3 +249,223 @@ def render_json(table) -> str:
     if table.markers:
         doc["markers"] = {k: scrub(v) for k, v in table.markers.items()}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------- per-state closed form
+# The closed form as it was before the state solve and the compare table
+# became array passes: one state at a time, with the math module's functions.
+
+_RESIDUAL_TOL = 1e-6
+_MARGIN = 1e-12
+
+
+def reference_characteristic(spec: WellSpec, energies: np.ndarray) -> np.ndarray:
+    e = np.asarray(energies, dtype=float)
+    b = spec.b
+    k = np.sqrt(e)
+    S = np.full(e.shape, b, dtype=float)
+    C = np.ones(e.shape)
+    up = e > spec.v0
+    dn = e < spec.v0
+    if up.any():
+        q = np.sqrt(e[up] - spec.v0)
+        S[up] = np.sin(q * b) / q
+        C[up] = np.cos(q * b)
+    if dn.any():
+        w = np.sqrt(spec.v0 - e[dn])
+        S[dn] = np.sinh(w * b) / w
+        C[dn] = np.cosh(w * b)
+    return k * np.cos(k * spec.a) * S + C * np.sin(k * spec.a)
+
+
+def _right_basis(spec: WellSpec, energy: float) -> tuple[float, bool, float, float]:
+    """Wavenumber, branch tag, and right-side basis value/derivative at x = 0."""
+    if energy < spec.v0:
+        w = math.sqrt(spec.v0 - energy)
+        return w, True, -math.sinh(w * spec.b), w * math.cosh(w * spec.b)
+    w = math.sqrt(energy - spec.v0)
+    if w == 0.0:
+        raise ValueError("eigenvalue sits exactly at the branch point E = v0")
+    return w, False, -math.sin(w * spec.b), w * math.cos(w * spec.b)
+
+
+def reference_state(spec: WellSpec, energy: float, n: int) -> EigenState:
+    """Matched, normalized amplitudes for a root of the characteristic."""
+    if not energy > 0:
+        raise ValueError(f"energy must be positive, got {energy}")
+    k = math.sqrt(energy)
+    w, below, fr0, dfr = _right_basis(spec, energy)
+    sl = math.sin(k * spec.a)
+    dl = k * math.cos(k * spec.a)
+
+    # Continuity A*sl = B*fr0 gives (A, B) ~ (fr0, sl); the derivative match
+    # A*dl = B*dfr gives (A, B) ~ (dfr, dl).  Near a node both entries of the
+    # first vector vanish, so take whichever ray is better conditioned; the
+    # wavenumber scale makes the two comparable.
+    scale = max(k, w)
+    norm_c = math.hypot(fr0, sl)
+    norm_d = math.hypot(dfr / scale, dl / scale)
+    if norm_c < 1e-9 and norm_d < 1e-9:
+        raise ValueError(f"degenerate matching at E={energy!r}: spurious root")
+    A, B = (fr0, sl) if norm_c >= norm_d else (dfr / scale, dl / scale)
+
+    res_psi = abs(A * sl - B * fr0) / max(abs(A), abs(B))
+    res_dpsi = abs(A * dl - B * dfr) / max(k * abs(A), w * abs(B))
+    if max(res_psi, res_dpsi) > _RESIDUAL_TOL:
+        raise ValueError(
+            f"matching residual {max(res_psi, res_dpsi):.3e} at E={energy!r}: "
+            "energy is not a root of the characteristic"
+        )
+
+    il = _sin_sq_integral(k, spec.a)
+    ir = _sinh_sq_integral(w, spec.b) if below else _sin_sq_integral(w, spec.b)
+    scale = math.sqrt(A * A * il + B * B * ir)
+    A, B = A / scale, B / scale
+    if A < 0:
+        A, B = -A, -B
+    return EigenState(n=n, energy=energy, k=k, q_or_qbar=w, below_threshold=below,
+                      amp_left=A, amp_right=B, spec=spec)
+
+
+def _sin_sq_integral(kappa: float, length: float) -> float:
+    """integral_0^L sin^2(kappa u) du, cancellation-free for small kappa*L."""
+    return _x_minus_sin(2.0 * kappa * length) / (4.0 * kappa)
+
+
+def _sinh_sq_integral(kappa: float, length: float) -> float:
+    """integral_0^L sinh^2(kappa u) du, cancellation-free for small kappa*L."""
+    return _sinh_minus_x(2.0 * kappa * length) / (4.0 * kappa)
+
+
+def _x_minus_sin(u: float) -> float:
+    if abs(u) < 1e-3:
+        u2 = u * u
+        return u * u2 / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
+    return u - math.sin(u)
+
+
+def _sinh_minus_x(u: float) -> float:
+    if abs(u) < 1e-3:
+        u2 = u * u
+        return u * u2 / 6.0 * (1.0 + u2 / 20.0 * (1.0 + u2 / 42.0))
+    return math.sinh(u) - u
+
+
+def reference_side_probabilities(state: EigenState) -> tuple[float, float]:
+    """Closed-form probabilities of the left and right halves of the well."""
+    spec = state.spec
+    il = _sin_sq_integral(state.k, spec.a)
+    if state.below_threshold:
+        ir = _sinh_sq_integral(state.q_or_qbar, spec.b)
+    else:
+        ir = _sin_sq_integral(state.q_or_qbar, spec.b)
+    return state.amp_left**2 * il, state.amp_right**2 * ir
+
+
+def _classify_matching(state: EigenState, threshold: float = 0.1) -> MatchClass:
+    """Flag states whose boundary matching saturates a side-probability bound.
+
+    Matching near an antinode pushes the left-side probability to the
+    geometric ceiling a/(a+b); matching near a node pushes it to the
+    node-matching floor.  The metrics locate the state's probability inside
+    that interval, so a metric below ``threshold`` means the corresponding
+    bound is nearly (or fully) saturated.  Only defined above the step.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    if state.below_threshold:
+        raise ValueError("matching classification is meaningless for evanescent "
+                         "(below-threshold) states")
+    pair = _bounds_at(state.spec, state.energy)
+    p_left, _ = reference_side_probabilities(state)
+    gap = pair.upper - pair.lower
+    if gap <= 0:
+        raise ValueError("degenerate bound interval")
+    node_metric = min(1.0, max(0.0, (p_left - pair.lower) / gap))
+    antinode_metric = min(1.0, max(0.0, (pair.upper - p_left) / gap))
+    if antinode_metric < threshold:
+        kind = MatchKind.NEAR_ANTINODE
+    elif node_metric < threshold:
+        kind = MatchKind.NEAR_NODE
+    else:
+        kind = MatchKind.GENERIC
+    return MatchClass(kind=kind, node_metric=node_metric, antinode_metric=antinode_metric)
+
+
+def _classical_model(spec: WellSpec, energy: float) -> ClassicalModel:
+    """Classical model at the given energy; E = v0 exactly is rejected.
+
+    Below the step the particle is confined to the left pocket (density 1/a);
+    above it the per-side densities weight each side by the traversal time
+    2 * side / speed.  At E = v0 the right-side traversal time diverges and the
+    left probability jumps from 1 to 0+, so no value is assigned there.
+    """
+    if spec.smoothing is not None:
+        raise ValueError("classical comparison model is defined for the sharp step only")
+    if not energy > 0:
+        raise ValueError(f"energy must be positive, got {energy}")
+    if energy == spec.v0:
+        raise ValueError("classical model is singular exactly at E = v0")
+    a, b = spec.a, spec.b
+    if energy < spec.v0:
+        v_left = 2.0 * math.sqrt(energy)
+        return ClassicalModel(energy=energy, spec=spec,
+                              density_left=1.0 / a, density_right=0.0,
+                              p_left=1.0, p_right=0.0,
+                              t_left=2.0 * a / v_left, t_right=0.0)
+    v_left = 2.0 * math.sqrt(energy)
+    v_right = 2.0 * math.sqrt(energy - spec.v0)
+    t_left = 2.0 * a / v_left
+    t_right = 2.0 * b / v_right
+    period = t_left + t_right
+    denom = a * math.sqrt(energy - spec.v0) + b * math.sqrt(energy)
+    return ClassicalModel(energy=energy, spec=spec,
+                          density_left=math.sqrt(energy - spec.v0) / denom,
+                          density_right=math.sqrt(energy) / denom,
+                          p_left=t_left / period, p_right=t_right / period,
+                          t_left=t_left, t_right=t_right)
+
+
+def _bounds_at(spec: WellSpec, energy: float) -> BoundPair:
+    """Antinode (upper) and node (lower) probability envelopes at one energy.
+
+    Defined only strictly above the step; the upper envelope a/(a+b) is
+    energy-independent and the lower one rises to meet it as E -> infinity.
+    """
+    if not energy > 0:
+        raise ValueError(f"energy must be positive, got {energy}")
+    if not energy > spec.v0 * (1.0 + _MARGIN):
+        raise ValueError(f"bounds are defined only above the step: E={energy}, v0={spec.v0}")
+    upper = spec.a / (spec.a + spec.b)
+    lower = spec.a / (spec.a + spec.b * energy / (energy - spec.v0))
+    return BoundPair(lower=lower, upper=upper, energy=energy, spec=spec)
+
+
+def _bounds_or_none(spec: WellSpec, energy: float):
+    if energy > spec.v0 * (1.0 + _MARGIN):
+        return _bounds_at(spec, energy)
+    return None
+
+
+def reference_compare_rows(spec: WellSpec, states: list) -> list[list]:
+    """Rows of the compare table, state by state."""
+    rows = []
+    for st in states:
+        p_left, p_right = reference_side_probabilities(st)
+        if abs(p_left + p_right - 1.0) > 1e-9:
+            raise RuntimeError(f"side probabilities of state {st.n} do not sum to 1")
+        model = _classical_model(spec, st.energy)
+        pair = _bounds_or_none(spec, st.energy)
+        if pair is None:
+            rows.append([st.n, st.energy, p_left, model.p_left, None, None, None])
+        else:
+            if not pair.lower - 1e-12 <= model.p_left <= pair.upper + 1e-12:
+                raise RuntimeError(f"classical probability escapes the bound envelope "
+                                   f"at E={st.energy}")
+            if pair.upper - pair.lower < 1e-12:
+                kind = None  # v0 ~ 0: the envelopes coincide, nothing to saturate
+            else:
+                kind = _classify_matching(st).kind.value
+            rows.append([st.n, st.energy, p_left, model.p_left,
+                         pair.lower, pair.upper, kind])
+    return rows

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import simpson
 
+from asymwell import ScanResolutionError, WellSpec, find_spectrum, side_probabilities, spectrum
+from asymwell._rootscan import bracket_and_bisect, scan_step
 from asymwell.report import (
     RunConfig,
     Table,
@@ -260,6 +262,92 @@ class TestRendererParity:
                       cmd_smoothing(cfg())):
             assert render_csv(table) == oracles.render_csv(table)
             assert render_json(table) == oracles.render_json(table)
+
+
+def _assert_array_parity(a: float, b: float, v0: float, e_max: float):
+    """The states, side probabilities and compare rows of the array passes
+    against the per-state reference; repr tells every bit of a float, -0.0 from
+    0.0, and a numpy scalar from a float."""
+    spec = WellSpec(a, b, v0)
+    states = find_spectrum(spec, e_max)
+    roots = bracket_and_bisect(lambda es: oracles.reference_characteristic(spec, es),
+                               lambda es: spectrum._count_below(spec, es),
+                               e_max, scan_step(a, b), spectrum._BISECT_TOL)
+    reference = [oracles.reference_state(spec, e, n) for n, e in enumerate(roots, start=1)]
+    assert repr(states) == repr(reference)
+    assert (repr([side_probabilities(s) for s in states])
+            == repr([oracles.reference_side_probabilities(s) for s in reference]))
+    rows = cmd_compare(RunConfig(a=a, b=b, v0=v0, e_max=e_max)).rows
+    assert repr(rows) == repr(oracles.reference_compare_rows(spec, reference))
+    return states, rows
+
+
+def _near_step(below: bool):
+    return lambda states, rows: any(abs(s.energy / s.spec.v0 - 1.0) < 1e-9
+                                    and s.below_threshold == below for s in states)
+
+
+class TestArrayParity:
+    """The closed form solved over all roots at once gives the floats of the
+    per-state code in ``oracles``, bit for bit."""
+
+    @pytest.mark.parametrize("well, covers", [
+        pytest.param((3.0, 3.0, 20.0, 100.0), lambda states, rows: states[3].below_threshold
+                     and not states[4].below_threshold, id="below and above the step"),
+        pytest.param((3.0, 3.0, 0.0, 50.0), lambda states, rows: all(r[6] is None for r in rows),
+                     id="flat floor"),
+        # tan(k a) = -k b puts a level at v0 = k**2 = 7.07323406116; the step
+        # sits 3e-10 (relative) above or below it
+        pytest.param((3.0, 3.0, 7.0732340632818245, 12.0), _near_step(True),
+                     id="level just below the step"),
+        pytest.param((3.0, 3.0, 7.073234059037884, 12.0), _near_step(False),
+                     id="level just above the step"),
+        pytest.param((1e-4, 1.0, 0.0, 100.0), lambda states, rows: 2.0 * states[0].k * 1e-4 < 1e-3,
+                     id="series of u - sin u"),
+        pytest.param((1.0, 1e-4, 10.0, 12.0), lambda states, rows: states[0].below_threshold
+                     and 2.0 * states[0].q_or_qbar * 1e-4 < 1e-3, id="series of sinh u - u"),
+        pytest.param((3.0, 5.0, 4624.0, 100.0), lambda states, rows: states[0].below_threshold
+                     and states[0].q_or_qbar * 5.0 >= 300.0, id="qbar b near the guard"),
+        pytest.param((0.01, 5.0, 20.0, 100.0), lambda states, rows: len(states) > 5,
+                     id="a over b is 0.01 over 5"),
+        pytest.param((1.0, 1.0, 100.0, 1e4), lambda states, rows:
+                     {"near_node", "near_antinode"} <= {r[6] for r in rows},
+                     id="both match classes"),
+    ])
+    def test_wells_of_every_branch(self, well, covers):
+        assert covers(*_assert_array_parity(*well))
+
+    @given(a=st.floats(0.01, 5.0), b=st.floats(0.01, 5.0), v0=st.floats(0.0, 1e4),
+           e_max=st.floats(1.0, 2000.0))
+    @settings(max_examples=60)
+    def test_random_wells(self, a, b, v0, e_max):
+        assume(math.sqrt(v0) * b <= 350.0)
+        try:
+            _assert_array_parity(a, b, v0, e_max)
+        except ScanResolutionError:
+            assume(False)  # no root policy reaches the state solve
+
+    def test_side_probabilities(self):
+        # random amplitudes: pow and numpy's square round about 1 in 1000 squares apart
+        rng = np.random.default_rng(12)
+        spec = WellSpec(2.0, 3.0, 20.0)
+        fields = zip(rng.uniform(1e-3, 1e3, 4000).tolist(), rng.uniform(1e-3, 50.0, 4000).tolist(),
+                     (rng.random(4000) < 0.5).tolist(),
+                     *rng.uniform(-2.0, 2.0, (2, 4000)).tolist())
+        states = [spectrum.EigenState(n, 1.0, *state, spec) for n, state in enumerate(fields, 1)]
+        p_left, p_right = spectrum._side_probabilities(spec, states)
+        assert (repr(list(zip(p_left.tolist(), p_right.tolist())))
+                == repr([oracles.reference_side_probabilities(s) for s in states]))
+
+    @given(v0=st.floats(0.0, 1e3), energies=st.lists(
+        st.one_of(st.floats(1e-6, 2e3), st.just("v0")), max_size=12))
+    @settings(max_examples=300)
+    def test_characteristic(self, v0, energies):
+        # one side of v0, both sides, E = v0 exactly, and no energies at all
+        spec = WellSpec(2.0, 3.0, v0)
+        es = np.array([v0 if e == "v0" else e for e in energies], dtype=float)
+        assert (spectrum._characteristic_many(spec, es).tobytes()
+                == oracles.reference_characteristic(spec, es).tobytes())
 
 
 class TestCli:

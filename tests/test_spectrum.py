@@ -228,6 +228,12 @@ class TestNormalization:
         assert again.amp_left == pytest.approx(st.amp_left, rel=1e-13)
         assert again.amp_right == pytest.approx(st.amp_right, rel=1e-13)
 
+    def test_state_solve_names_the_lowest_failing_state(self, standard_spec, standard_states):
+        energies = [standard_states[0].energy, standard_states[1].energy + 0.5,
+                    standard_states[2].energy + 0.5]
+        with pytest.raises(ValueError, match=rf"at E={energies[1]!r}: energy is not a root"):
+            spectrum._solve_state(standard_spec, energies)
+
     def test_normalize_rejects_non_roots(self, standard_states):
         fake = replace(standard_states[0], energy=standard_states[0].energy + 0.5)
         with pytest.raises(ValueError, match="not a root"):
