@@ -72,9 +72,6 @@ class MatchKind(enum.Enum):
     GENERIC = "generic"
 
 
-_KINDS = tuple(MatchKind)
-
-
 @dataclass(frozen=True)
 class MatchClass:
     """How close the step-boundary matching is to saturating a side-probability bound.
@@ -207,12 +204,12 @@ def _solve_state(spec: WellSpec, energies) -> list[EigenState]:
     below = e < spec.v0
     k = np.sqrt(e)
     w = np.sqrt(np.abs(e - spec.v0))
-    # right-side basis value and derivative at x = 0
-    fr0, dfr = -np.sin(w * spec.b), w * np.cos(w * spec.b)
-    fr0[below] = -_each(math.sinh, w[below] * spec.b)
-    dfr[below] = w[below] * _each(math.cosh, w[below] * spec.b)
-    sl = np.sin(k * spec.a)
-    dl = k * np.cos(k * spec.a)
+    wb = w * spec.b
+    fr0, dfr = -np.sin(wb), w * np.cos(wb)  # right-side basis value and slope at x = 0
+    if np.count_nonzero(below):
+        fr0[below] = -_each(math.sinh, wb[below])
+        dfr[below] = w[below] * _each(math.cosh, wb[below])
+    sl, dl = np.sin(k * spec.a), k * np.cos(k * spec.a)
 
     # Continuity A*sl = B*fr0 gives (A, B) ~ (fr0, sl); the derivative match
     # A*dl = B*dfr gives (A, B) ~ (dfr, dl).  Near a node both entries of the
@@ -254,16 +251,18 @@ def _each(fn, *arrays: np.ndarray) -> np.ndarray:
     return np.array(list(map(fn, *(x.tolist() for x in arrays))), dtype=float)
 
 
-def _sq_integral(kappa: np.ndarray, length: float, below=False) -> np.ndarray:
+def _sq_integral(kappa: np.ndarray, length: float, below=None) -> np.ndarray:
     """integral_0^L sin^2(kappa u) du, or sinh^2 where ``below``; the series
     keeps small kappa*L free of cancellation."""
     u = 2.0 * kappa * length
-    u2 = u * u
-    v = np.where(below, u2, -u2)
-    small = np.abs(u) < 1e-3
-    out = np.where(small, u * u2 / 6.0 * (1.0 + v / 20.0 * (1.0 + v / 42.0)), u - np.sin(u))
-    big = below & ~small
-    out[big] = _each(math.sinh, u[big]) - u[big]
+    out = u - np.sin(u)
+    if below is not None and np.count_nonzero(below):
+        out[below] = _each(math.sinh, u[below]) - u[below]
+    if np.count_nonzero(small := np.abs(u) < 1e-3):
+        us = u[small]
+        u2 = us * us
+        v = u2 * (-1.0 if below is None else np.where(below[small], 1.0, -1.0))
+        out[small] = us * u2 / 6.0 * (1.0 + v / 20.0 * (1.0 + v / 42.0))
     return out / (4.0 * kappa)
 
 
@@ -338,5 +337,6 @@ def _match_classes(p_left: np.ndarray, lower, upper, threshold: float):
         raise ValueError("degenerate bound interval")
     node = np.clip((p_left - lower) / gap, 0.0, 1.0)
     anti = np.clip((upper - p_left) / gap, 0.0, 1.0)
-    kinds = np.where(anti < threshold, 1, np.where(node < threshold, 0, 2))
-    return [_KINDS[i] for i in kinds.tolist()], node, anti
+    kinds = list(MatchKind)  # near node, near antinode, generic
+    which = np.where(anti < threshold, 1, np.where(node < threshold, 0, 2))
+    return [kinds[i] for i in which.tolist()], node, anti
