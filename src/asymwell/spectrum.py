@@ -248,10 +248,11 @@ def normalize(state: EigenState) -> EigenState:
 
 
 def _each(fn, *arrays: np.ndarray) -> np.ndarray:
+    """``fn`` of the math module over arrays, element by element."""
     return np.array(list(map(fn, *(x.tolist() for x in arrays))), dtype=float)
 
 
-def _sq_integral(kappa: np.ndarray, length: float, below=None) -> np.ndarray:
+def _sq_integral(kappa: np.ndarray, length: float, below: np.ndarray | None = None) -> np.ndarray:
     """integral_0^L sin^2(kappa u) du, or sinh^2 where ``below``; the series
     keeps small kappa*L free of cancellation."""
     u = 2.0 * kappa * length
