@@ -264,6 +264,29 @@ def test_uncountable_level_counts_fail_at_solve(argv):
     assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("argv", ["compare --n-max 1" + "0" * 160,
+                                  "spectrum --n-max 100000000000000000000"],
+                         ids=["compare-1e160", "spectrum-1e20"])
+def test_huge_n_max_fails_at_config(argv):
+    # past 2**53 states, or where the cutoff it sets overflows a float, n_max
+    # is refused by name, with no traceback from the cutoff formula
+    proc = _run_python("-m", "asymwell", *argv.split())
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert proc.stdout == b""
+    assert re.fullmatch(rf"asymwell {argv.split()[0]}: config: n_max must be .*\n", err), err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("n, code", [(2, 0), (4, 1)])
+def test_smoothed_wavefunction_takes_the_lowest_n_max_states(n, code, capsys):
+    argv = f"wavefunction --n {n} --n-max 3 --smoothing exponential".split()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("asymwell wavefunction: solve: state n=4 not found"), err
+
+
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_closed_form_wavefunction_ends_on_positive_zero(n, capsys):
     # odd states have amp_right < 0, and amp_right * sin(0) printed as "-0"

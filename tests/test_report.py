@@ -112,6 +112,24 @@ class TestCompareTable:
             assert row[4] == row[5] == 0.5
             assert row[6] is None
 
+    @pytest.mark.parametrize("v0, blank", [(0.0, "all"), (1e-13, "all"), (1e-9, "none"),
+                                           (20.0, "some")])
+    def test_match_class_blank_exactly_where_classify_matching_raises(self, v0, blank):
+        # an envelope narrower than 1e-12 has nothing to saturate; the table
+        # and classify_matching decide that by one rule
+        rows = cmd_compare(cfg(v0=v0)).rows
+        states = find_spectrum(WellSpec(3.0, 3.0, v0), 35.0)
+        for st, row in zip(states, rows, strict=True):
+            if row[6] is None:
+                message = "evanescent" if st.below_threshold else "degenerate bound interval"
+                with pytest.raises(ValueError, match=message):
+                    spectrum.classify_matching(st)
+            else:
+                assert spectrum.classify_matching(st).kind.value == row[6]
+        blanks = sum(row[6] is None for row in rows)
+        assert {"all": blanks == len(rows), "none": blanks == 0,
+                "some": 0 < blanks < len(rows)}[blank]
+
     def test_asymmetric_geometry_end_to_end(self, tmp_path):
         # a != b exercises every command without relying on midpoint symmetry
         base = ["--a", "2", "--b", "4", "--v0", "10", "--e-max", "18"]

@@ -1,5 +1,7 @@
 """Numerov shooting solver: convergence order, cross-solver agreement, smoothing."""
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +98,20 @@ class TestShoot:
         # at h^2 v0 / 12 >= 1 the recurrence flips sign every cell under the step
         with pytest.raises(ValueError, match="n_grid >= 5478"):
             shoot(WellSpec(3.0, 3.0, 1e7), 1.0, 4000)
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, -1e9])
+    def test_energy_outside_the_stable_range_rejected(self, energy):
+        # h^2 (max V - E) / 12 < 1 bounds E from below at -5.33331e+06 on this
+        # grid; past it, or at a non-finite E, the recurrence gives nan or noise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"energy={energy!r}") + r".*-5\.33331e\+06"):
+                shoot(STEP, energy, 4000)
+
+    def test_stable_energies_keep_their_values(self):
+        # the floats of the blocked sweep before shoot checked its energy
+        assert shoot(STEP, -1.0, 4000) == 5707160.531500429
+        assert shoot(STEP, 10.0, 4000) == -2209.991899257402
 
     def test_overflow_guard_keeps_values_finite(self):
         # qbar * b ~ 670 drives the raw recurrence past 1e290 without rescaling
