@@ -48,19 +48,16 @@ def _j_osc(kappa: float, length: float, p: np.ndarray) -> np.ndarray:
     near_pos = np.abs(p - kappa) < _GUARD
     near_neg = np.abs(p + kappa) < _GUARD
     far = ~(near_pos | near_neg)
-    if far.any():
-        pf = p[far]
-        num = (
-            np.exp(-1j * pf * length)
-            * (-1j * pf * math.sin(kappa * length) - kappa * math.cos(kappa * length))
-            + kappa
-        )
-        out[far] = num / ((kappa - pf) * (kappa + pf))
-    if near_pos.any():
-        out[near_pos] = _j_osc_series(kappa, length, p[near_pos] - kappa)
-    if near_neg.any():
-        # J(kappa, L, -p) is the conjugate of J(kappa, L, p) for real p
-        out[near_neg] = np.conj(_j_osc_series(kappa, length, -p[near_neg] - kappa))
+    pf = p[far]
+    num = (
+        np.exp(-1j * pf * length)
+        * (-1j * pf * math.sin(kappa * length) - kappa * math.cos(kappa * length))
+        + kappa
+    )
+    out[far] = num / ((kappa - pf) * (kappa + pf))
+    out[near_pos] = _j_osc_series(kappa, length, p[near_pos] - kappa)
+    # J(kappa, L, -p) is the conjugate of J(kappa, L, p) for real p
+    out[near_neg] = np.conj(_j_osc_series(kappa, length, -p[near_neg] - kappa))
     return out
 
 

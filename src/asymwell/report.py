@@ -83,6 +83,14 @@ class RunConfig:
         self.well()  # fail fast on bad geometry or smoothing scales
         # cmd_smoothing smooths a sharp-step configuration too, with either scale
         Exponential(self.delta), Linear(self.epsilon)
+        if self.n_max is not None:
+            try:
+                fits = self.n_max <= 2**53 and self.energy_cap() < math.inf
+            except OverflowError:  # float ** raises where * and + reach inf
+                fits = False
+            if not fits:
+                raise ValueError(f"n_max must be at most 2**53 and set a finite energy "
+                                 f"cutoff, got {self.n_max}")
 
     def well(self) -> WellSpec:
         if self.smoothing == "exponential":
@@ -126,12 +134,17 @@ def _config_items(config: RunConfig, command: str,
 
 
 def _analytic_states(config: RunConfig) -> list[spectrum_mod.EigenState]:
-    states = spectrum_mod.find_spectrum(config.step_well(), config.energy_cap())
-    if config.n_max is not None:
-        if len(states) < config.n_max:
-            raise RuntimeError(f"only {len(states)} states found, n_max={config.n_max}")
-        states = states[: config.n_max]
-    return states
+    return _lowest(config, spectrum_mod.find_spectrum(config.step_well(), config.energy_cap()))
+
+
+def _lowest(config: RunConfig, states: list) -> list:
+    """The lowest ``n_max`` states when ``n_max`` is the cutoff, else all of them;
+    the cap lies above the n_max-th level of any floor between 0 and v0."""
+    if config.n_max is None:
+        return states
+    if len(states) < config.n_max:
+        raise RuntimeError(f"only {len(states)} states found, n_max={config.n_max}")
+    return states[: config.n_max]
 
 
 def _nth(states: list, n: int):
@@ -178,10 +191,8 @@ def cmd_wavefunction(config: RunConfig, n: int) -> Table:
         values = spectrum_mod.psi(state, xs)
         energy = state.energy
     else:
-        sols = shooting_mod.find_spectrum_numeric(well, config.energy_cap(), config.grid)
-        if config.n_max is not None:
-            sols = sols[: config.n_max]
-        sol = _nth(sols, n)
+        sol = _nth(_lowest(config, shooting_mod.find_spectrum_numeric(
+            well, config.energy_cap(), config.grid)), n)
         values = _cubic_interp(xs, sol.grid, sol.values)
         energy = sol.energy
     pot = potential_mod.sample(well, xs)
@@ -224,9 +235,8 @@ def cmd_compare(config: RunConfig) -> Table:
                            f"at E={float(energy[above][bad][0])}")
     bound_cells = np.full((len(states), 3), None, dtype=object)
     bound_cells[above, 0], bound_cells[above, 1] = lower, upper
-    live = ~(upper - lower < 1e-12)  # v0 ~ 0: the envelopes coincide, nothing to saturate
-    kinds, _, _ = spectrum_mod._match_classes(p_left[above][live], lower[live], upper, 0.1)
-    bound_cells[above.nonzero()[0][live], 2] = [kind.value for kind in kinds]
+    kinds, _, _ = spectrum_mod._match_classes(p_left[above], lower, upper, 0.1)
+    bound_cells[above, 2] = [None if kind is None else kind.value for kind in kinds]
     columns = (range(1, len(states) + 1), energy.tolist(), p_left.tolist(), p_cl.tolist(),
                *bound_cells.T.tolist())
     rows = [list(row) for row in zip(*columns)]

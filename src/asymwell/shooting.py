@@ -82,6 +82,11 @@ def _build_grid(spec: WellSpec, n_grid: int) -> tuple[np.ndarray, float]:
     return xs, h
 
 
+def _t_max(v: np.ndarray, h: float, energy: float) -> float:
+    """h^2 (max V - E) / 12: the recurrence is stable below 1, and past it flips sign every cell."""
+    return h * h / 12.0 * (v.max() - energy)
+
+
 def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
                      ends: np.ndarray | None = None) -> np.ndarray:
     """Forward Numerov solutions from psi(-a) = 0 for the energies ``e``.
@@ -106,14 +111,11 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
         v = v[: int(ends.max()) + 1]
     c = h * h / 12.0
     n, m = len(v) - 2, e.size
-    # sup-norm bound on one step matrix over the chunk: |A_i| + |B_i|
-    t_lo, t_hi = c * (v.min() - e.max()), c * (v.max() - e.min())
-    if t_hi < 1.0:
-        g = (max(abs(2.0 + 10.0 * t_lo), abs(2.0 + 10.0 * t_hi)) + 1.0 - t_lo) / (1.0 - t_hi)
-        k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g))))
-        growth = g**k
-    else:  # grid too coarse for a bound: one cell per block, checked every cell
-        k, growth = 1, math.inf
+    # sup-norm bound on one step matrix over the chunk, |A_i| + |B_i|; callers keep t_hi < 1
+    t_lo, t_hi = c * (v.min() - e.max()), _t_max(v, h, e.min())
+    g = (max(abs(2.0 + 10.0 * t_lo), abs(2.0 + 10.0 * t_hi)) + 1.0 - t_lo) / (1.0 - t_hi)
+    k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g))))
+    growth = g**k
     nb = -(-n // k)
     # step i = 1 + j + k*b sits at [j, b]
     step = np.minimum(np.arange(nb * k).reshape(nb, k).T, n - 1)
@@ -239,12 +241,11 @@ def _count_below(v: np.ndarray, h: float, energies) -> np.ndarray:
 
 
 def _stable_grid(spec: WellSpec, n_grid: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Grid, spacing and sampled floor; a grid too coarse for the floor raises
-    ``ValueError``, since the recurrence flips sign every cell where
-    h^2 V / 12 >= 1."""
+    """Grid, spacing and sampled floor; ``ValueError`` where the recurrence is
+    unstable at E = 0, and so at every energy the solvers scan."""
     xs, h = _build_grid(spec, n_grid)
     v = sample(spec, xs)
-    if h * h * v.max() >= 12.0:
+    if not _t_max(v, h, 0.0) < 1.0:
         need = 2 * int(spec.width * math.sqrt(v.max() / 12.0) / 2.0) + 2
         raise ValueError(f"n_grid={n_grid} is too coarse for a floor of height "
                          f"{v.max():.6g}: Numerov needs n_grid >= {need} here")
@@ -252,8 +253,11 @@ def _stable_grid(spec: WellSpec, n_grid: int) -> tuple[np.ndarray, float, np.nda
 
 
 def shoot(spec: WellSpec, energy: float, n_grid: int) -> float:
-    """Shooting mismatch psi(b) for one trial energy on an n_grid-cell grid."""
+    """Shooting mismatch psi(b) for one finite trial energy, stable on an n_grid-cell grid."""
     _, h, v = _stable_grid(spec, n_grid)
+    if not (math.isfinite(energy) and _t_max(v, h, energy) < 1.0):
+        raise ValueError(f"energy={energy!r} is outside the stable range of the {n_grid}-cell "
+                         f"grid: Numerov needs a finite E above {v.max() - 12.0 / (h * h):.6g}")
     return float(_sweep_final(v, h, np.asarray([energy]))[0])
 
 

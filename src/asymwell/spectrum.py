@@ -109,20 +109,13 @@ def _characteristic_many(spec: WellSpec, energies: np.ndarray) -> np.ndarray:
 
 
 def _right_sc(d: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """S and C of the characteristic at E - v0 = d: with no masks when every d
-    has one sign, else each sign's part in turn, and S = b, C = 1 at d = 0."""
-    up, dn = d > 0.0, d < 0.0
-    n_up, n_dn = np.count_nonzero(up), np.count_nonzero(dn)
-    if n_up == d.size:
-        q = np.sqrt(d)
-        return np.sin(q * b) / q, np.cos(q * b)
-    if n_dn == d.size:
-        w = np.sqrt(-d)
-        return np.sinh(w * b) / w, np.cosh(w * b)
-    S, C = np.full(d.shape, b), np.ones(d.shape)
-    for side, n in ((up, n_up), (dn, n_dn)):
-        if n:
-            S[side], C[side] = _right_sc(d[side], b)
+    """S and C of the characteristic at E - v0 = d, with S = b, C = 1 at d = 0."""
+    w = np.sqrt(np.abs(d))
+    wb, up = w * b, d > 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # the unused side, and 0/0 at d = 0
+        S = np.where(up, np.sin(wb), np.sinh(wb)) / w
+        C = np.where(up, np.cos(wb), np.cosh(wb))
+    S[d == 0.0], C[d == 0.0] = b, 1.0
     return S, C
 
 
@@ -206,9 +199,8 @@ def _solve_state(spec: WellSpec, energies) -> list[EigenState]:
     w = np.sqrt(np.abs(e - spec.v0))
     wb = w * spec.b
     fr0, dfr = -np.sin(wb), w * np.cos(wb)  # right-side basis value and slope at x = 0
-    if np.count_nonzero(below):
-        fr0[below] = -_each(math.sinh, wb[below])
-        dfr[below] = w[below] * _each(math.cosh, wb[below])
+    fr0[below] = -_each(math.sinh, wb[below])
+    dfr[below] = w[below] * _each(math.cosh, wb[below])
     sl, dl = np.sin(k * spec.a), k * np.cos(k * spec.a)
 
     # Continuity A*sl = B*fr0 gives (A, B) ~ (fr0, sl); the derivative match
@@ -252,18 +244,16 @@ def _each(fn, *arrays: np.ndarray) -> np.ndarray:
     return np.array(list(map(fn, *(x.tolist() for x in arrays))), dtype=float)
 
 
-def _sq_integral(kappa: np.ndarray, length: float, below: np.ndarray | None = None) -> np.ndarray:
+def _sq_integral(kappa: np.ndarray, length: float, below=False) -> np.ndarray:
     """integral_0^L sin^2(kappa u) du, or sinh^2 where ``below``; the series
     keeps small kappa*L free of cancellation."""
     u = 2.0 * kappa * length
-    out = u - np.sin(u)
-    if below is not None and np.count_nonzero(below):
-        out[below] = _each(math.sinh, u[below]) - u[below]
-    if np.count_nonzero(small := np.abs(u) < 1e-3):
-        us = u[small]
-        u2 = us * us
-        v = u2 * (-1.0 if below is None else np.where(below[small], 1.0, -1.0))
-        out[small] = us * u2 / 6.0 * (1.0 + v / 20.0 * (1.0 + v / 42.0))
+    u2 = u * u
+    v = np.where(below, u2, -u2)
+    small = np.abs(u) < 1e-3
+    out = np.where(small, u * u2 / 6.0 * (1.0 + v / 20.0 * (1.0 + v / 42.0)), u - np.sin(u))
+    big = below & ~small
+    out[big] = _each(math.sinh, u[big]) - u[big]
     return out / (4.0 * kappa)
 
 
@@ -327,17 +317,18 @@ def classify_matching(state: EigenState, threshold: float = 0.1) -> MatchClass:
     pair = _bounds.bounds_at(state.spec, state.energy)
     p_left, _ = side_probabilities(state)
     (kind,), node, anti = _match_classes(np.array([p_left]), pair.lower, pair.upper, threshold)
+    if kind is None:
+        raise ValueError("degenerate bound interval")
     return MatchClass(kind=kind, node_metric=float(node[0]), antinode_metric=float(anti[0]))
 
 
 def _match_classes(p_left: np.ndarray, lower, upper, threshold: float):
-    """Kinds, node metrics and antinode metrics of left-side probabilities
-    inside their [lower, upper] bound intervals."""
-    gap = upper - lower
-    if np.count_nonzero(gap <= 0):
-        raise ValueError("degenerate bound interval")
+    """Kinds, node metrics and antinode metrics of left-side probabilities inside
+    their [lower, upper] bound intervals; an interval narrower than 1e-12 (v0 ~ 0:
+    the envelopes coincide) has nothing to saturate, kind None and nan metrics."""
+    gap = np.where(upper - lower >= 1e-12, upper - lower, np.nan)
     node = np.clip((p_left - lower) / gap, 0.0, 1.0)
     anti = np.clip((upper - p_left) / gap, 0.0, 1.0)
-    kinds = list(MatchKind)  # near node, near antinode, generic
-    which = np.where(anti < threshold, 1, np.where(node < threshold, 0, 2))
+    kinds = [*MatchKind, None]  # near node, near antinode, generic, degenerate
+    which = np.where(anti < threshold, 1, np.where(node < threshold, 0, np.where(gap > 0, 2, 3)))
     return [kinds[i] for i in which.tolist()], node, anti

@@ -105,7 +105,8 @@ class TestShoot:
         # grid; past it, or at a non-finite E, the recurrence gives nan or noise
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=re.escape(f"energy={energy!r}") + r".*-5\.33331e\+06"):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"energy={energy!r}") + r".*-5\.33331e\+06"):
                 shoot(STEP, energy, 4000)
 
     def test_stable_energies_keep_their_values(self):
