@@ -191,8 +191,8 @@ def cmd_wavefunction(config: RunConfig, n: int) -> Table:
         values = spectrum_mod.psi(state, xs)
         energy = state.energy
     else:
-        sol = _nth(_lowest(config, shooting_mod.find_spectrum_numeric(
-            well, config.energy_cap(), config.grid)), n)
+        sols = shooting_mod.find_spectrum_numeric(well, config.energy_cap(), config.grid)
+        sol = _nth(_lowest(config, sols), n)
         values = _cubic_interp(xs, sol.grid, sol.values)
         energy = sol.energy
     pot = potential_mod.sample(well, xs)
