@@ -110,7 +110,7 @@ class TestShoot:
                 shoot(STEP, energy, 4000)
 
     def test_stable_energies_keep_their_values(self):
-        # the floats of the blocked sweep before shoot checked its energy
+        # below the floor but inside the stable range: still swept, bit for bit
         assert shoot(STEP, -1.0, 4000) == 5707160.531500429
         assert shoot(STEP, 10.0, 4000) == -2209.991899257402
 
