@@ -264,6 +264,29 @@ def test_uncountable_level_counts_fail_at_solve(argv):
     assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("compare --smoothing exponential", "the comparison table requires the sharp step"),
+    ("momentum --n 1 --smoothing linear",
+     "momentum densities are computed from the closed-form states and require the sharp step"),
+])
+def test_closed_form_tables_refuse_smoothed_wells(argv, message, capsys):
+    assert main(argv.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"asymwell {argv.split()[0]}: solve: {message}\n"
+
+
+def test_cutoff_past_the_numeric_spectrum_fails_at_solve(capsys):
+    # the 4000-cell grid's spectrum ends at 6 / h^2 = 2.67e6, below the cap of 3e6
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["smoothing", "--e-max", "3e6"]) == 1
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"asymwell smoothing: solve: e_max=\S+ .*2\.66667e\+06.*"
+                        r"n_grid >= \d+ here\n", err), err
+
+
 @pytest.mark.parametrize("argv", ["compare --n-max 1" + "0" * 160,
                                   "spectrum --n-max 100000000000000000000"],
                          ids=["compare-1e160", "spectrum-1e20"])

@@ -2,6 +2,7 @@
 synthetic roots; and the energies the closed-form solver hands it, call for call."""
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,38 @@ def test_spurious_root_raises():
     message = str(err.value)
     assert "places level 2 in [" in message
     assert "N(lo) = 1, N(hi) = 2, sign fn(lo) = -1, sign fn(hi) = -1" in message
+
+
+def test_level_below_the_lowest_probe_raises():
+    # the count claims a level in [0, e_max * 1e-9], which no bracket can hold
+    fn, _ = polynomial([0.5])
+    with pytest.raises(ScanResolutionError, match=re.escape(
+            "places 1 level(s) in [0, 2e-09], below the lowest probe: N(hi) = 1")):
+        bracket_and_bisect(fn, lambda e: np.ones(np.shape(e), dtype=int), 2.0, 0.1, 1e-13)
+
+
+def test_decreasing_count_raises():
+    # a level that the count gains at 0.5 and loses again at 1.5
+    fn, _ = polynomial([0.5])
+    with pytest.raises(ScanResolutionError, match=re.escape(
+            "decreases across [1.46666667, 1.53333333]: N(lo) = 1, N(hi) = 0")):
+        bracket_and_bisect(fn, lambda e: (e > 0.5).astype(int) - (e > 1.5), 2.0, 0.1, 1e-13)
+
+
+def test_levels_that_cannot_be_separated_raise():
+    # a double level at 1.0: the gap holding it narrows to adjacent floats
+    fn, _ = polynomial([1.0, 1.0])
+    with pytest.raises(ScanResolutionError, match=re.escape(
+            "cannot separate the levels in [1, 1]: N(lo) = 0, N(hi) = 2")):
+        bracket_and_bisect(fn, lambda e: 2 * (e > 1.0), 2.0, 0.1, 1e-13)
+
+
+def test_roots_no_scan_cell_separates_raise():
+    # 3e-15 apart: the count separates them, but no cell down to 1e-15 does
+    fn, count = polynomial([0.5, 1.0 + 1e-15, 1.0 + 4e-15])
+    with pytest.raises(ScanResolutionError, match=re.escape(
+            "no scan cell down to 1.000e-15 separates the roots in [0.5, 1]")):
+        bracket_and_bisect(fn, count, 2.0, 0.1, 1e-13)
 
 
 def test_root_exactly_on_a_count_probe():

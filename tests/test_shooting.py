@@ -89,9 +89,10 @@ class TestShoot:
         with pytest.raises(ValueError):
             shoot(STEP, 1.0, 4001)
 
-    @pytest.mark.parametrize("e_max", [math.inf, math.nan])
+    @pytest.mark.parametrize("e_max", [math.inf, math.nan, -math.inf, 0.0, -1.0])
     def test_non_finite_cutoff_rejected(self, e_max):
-        with pytest.raises(ValueError, match="e_max must be finite and positive"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"e_max must be finite and positive, got {e_max}")):
             find_spectrum_numeric(SMOOTH, e_max, 4000)
 
     def test_grid_too_coarse_for_the_floor_rejected(self):
@@ -113,6 +114,14 @@ class TestShoot:
         # below the floor but inside the stable range: still swept, bit for bit
         assert shoot(STEP, -1.0, 4000) == 5707160.531500429
         assert shoot(STEP, 10.0, 4000) == -2209.991899257402
+
+    def test_unit_block_growth_bound_keeps_full_blocks(self):
+        # on a flat floor at E = 2.4 / h^2, t = -0.2 in every cell and the bound on
+        # one block's growth is exactly 1, whose log the block length divides by
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = shoot(WellSpec(3.0, 3.0, 0.0), 1066666.6666666667, 4000)
+        assert math.isfinite(value) and abs(value) < 1e-14
 
     def test_overflow_guard_keeps_values_finite(self):
         # qbar * b ~ 670 drives the raw recurrence past 1e290 without rescaling
@@ -370,6 +379,30 @@ class TestDeepSteps:
             assert sol.energy == pytest.approx(e, rel=1e-4)
             assert side_probability_numeric(sol) == pytest.approx(
                 fd_left_probability(xs, vec), abs=1e-6)
+
+
+# the wells the top of the grid's spectrum was measured on; min V = 0 on each
+TOP_WELLS = [WellSpec(3.0, 3.0, v0) for v0 in (0.0, 20.0, 60.0, 5000.0)] + [
+    SMOOTH, WellSpec(3.0, 3.0, 20.0, Linear(0.5))]
+
+
+class TestTopOfSpectrum:
+    """Past min V + 6 / h^2 the recurrence stops oscillating and the grid holds no level."""
+
+    @pytest.mark.parametrize("n_grid", [400, 1000])
+    @pytest.mark.parametrize("spec", TOP_WELLS, ids=["flat", "v0=20", "v0=60", "v0=5000",
+                                                     "sigmoid", "ramp"])
+    def test_cutoff_past_the_top_refused(self, spec, n_grid):
+        e_max = 1.001 * n_grid**2 / 6.0       # 6 / h^2 with h = 6 / n_grid
+        with pytest.raises(ValueError, match=re.escape(f"e_max={e_max!r} ") + r".*"
+                           + re.escape(f"{n_grid**2 / 6.0:.6g}") + r".*"
+                           + re.escape(f"n_grid >= {n_grid + 2} here")):
+            find_spectrum_numeric(spec, e_max, n_grid)
+
+    def test_cutoff_just_below_the_top_solves(self):
+        e_max = 0.999 * 400**2 / 6.0
+        states = find_spectrum_numeric(STEP, e_max, 400)
+        assert len(states) == 392 and states[-1].energy <= e_max
 
 
 class TestFixedScanParity:

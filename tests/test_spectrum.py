@@ -1,5 +1,8 @@
 """Closed-form solver: characteristic function, spectrum, states, classification."""
 import math
+import re
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -93,9 +96,10 @@ class TestFindSpectrum:
         assert [st.branch for st in standard_states[:4]] == ["evanescent"] * 4
         assert [st.branch for st in standard_states[4:]] == ["oscillatory"] * 5
 
-    @pytest.mark.parametrize("e_max", [math.inf, math.nan])
+    @pytest.mark.parametrize("e_max", [math.inf, math.nan, -math.inf, 0.0, -1.0])
     def test_non_finite_cutoff_rejected(self, standard_spec, e_max):
-        with pytest.raises(ValueError, match="e_max must be finite and positive"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"e_max must be finite and positive, got {e_max}")):
             find_spectrum(standard_spec, e_max)
 
     def test_flat_well_reduction(self):
@@ -150,8 +154,18 @@ class TestFindSpectrum:
     def test_uncountable_level_count_rejected(self, standard_spec):
         # about 1.9e150 levels lie below 1e300: past 2**53 the count is no longer
         # an exact float, and the brackets could not be allocated
-        with pytest.raises(ValueError, match=r"e_max=1e\+300 holds 1\.9\d*e\+150 levels"):
-            find_spectrum(standard_spec, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"e_max=1e\+300 holds 1\.9\d*e\+150 levels"):
+                find_spectrum(standard_spec, 1e300)
+
+    def test_cutoff_at_the_float_maximum_refused_without_warnings(self, standard_spec):
+        # e_max (1 + 1e-8), the count's top probe, would overflow to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"e_max={sys.float_info.max!r} holds 2.5607e+154 levels, more than the 2**53")):
+                find_spectrum(standard_spec, sys.float_info.max)
 
     def test_overflowing_step_height_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
@@ -238,6 +252,14 @@ class TestNormalization:
         fake = replace(standard_states[0], energy=standard_states[0].energy + 0.5)
         with pytest.raises(ValueError, match="not a root"):
             normalize(fake)
+
+    @pytest.mark.parametrize("energy, message", [
+        (-1.0, "energy must be positive, got -1.0"),
+        (20.0, "eigenvalue sits exactly at the branch point E = v0"),
+    ])
+    def test_normalize_rejects_energies_off_the_domain(self, standard_states, energy, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            normalize(replace(standard_states[0], energy=energy))
 
 
 class TestPsi:
