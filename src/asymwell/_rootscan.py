@@ -76,9 +76,12 @@ def bracket_and_bisect(
     width ``step / 10**r`` that holds it, for the first r at which every root
     has a cell of its own; a root on a cell edge is returned as-is.  A level
     within a relative ``_EDGE`` of e_max counts on the side ``fn(e_max)`` puts
-    it.  ``ScanResolutionError`` names the bracket where the count places a
-    level but ``fn`` keeps its sign.
+    it.  ``ValueError`` refuses an e_max that is not finite and positive, or
+    that holds more levels than a float counts exactly; ``ScanResolutionError``
+    names the bracket where the count places a level but ``fn`` keeps its sign.
     """
+    if not 0 < e_max < math.inf:
+        raise ValueError(f"e_max must be finite and positive, got {e_max}")
     lo, hi, n_lo = _isolate(count, e_max)
     ends, where = np.unique(np.concatenate([lo, hi, [e_max]]), return_inverse=True)
     f_ends = fn(ends)
@@ -105,10 +108,16 @@ def bracket_and_bisect(
 
 def _isolate(count, e_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brackets (lo, hi] holding one level each, for every level below
-    e_max (1 + _EDGE), with N(lo) per bracket."""
-    e = e_max * np.concatenate([[_FLOOR], np.arange(1, _PROBES - 2) / (_PROBES - 2),
-                                [1.0 - _EDGE, 1.0 + _EDGE]])
-    n = np.asarray(count(e))
+    e_max (1 + _EDGE), with N(lo) per bracket.  The count is read as floats,
+    exact up to 2**53 levels, and then as ints."""
+    e = np.append(e_max * np.concatenate([[_FLOOR], np.arange(1, _PROBES - 2) / (_PROBES - 2),
+                                          [1.0 - _EDGE]]),
+                  min(e_max * (1.0 + _EDGE), np.finfo(float).max))  # finite at the float max
+    n = np.asarray(count(e), dtype=float)
+    if not n.max() <= 2.0**53:
+        raise ValueError(f"e_max={e_max!r} holds {n.max():.6g} levels, more than the "
+                         f"2**53 that a float counts exactly")
+    n = n.astype(int)
     if n[0] != 0:
         raise ScanResolutionError(f"the Sturm count places {n[0]} level(s) in "
                                   f"[0, {e[0]:.9g}], below the lowest probe: N(hi) = {n[0]}")
@@ -134,7 +143,7 @@ def _isolate(count, e_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                                       f"N(hi) = {n[i + 1]}")
         order = np.argsort(np.concatenate([e, new]), kind="stable")
         e = np.concatenate([e, new])[order]
-        n = np.concatenate([n, count(new)])[order]
+        n = np.concatenate([n, np.asarray(count(new), dtype=int)])[order]
     one = np.flatnonzero(np.diff(n) == 1)
     return e[one], e[one + 1], n[one]
 

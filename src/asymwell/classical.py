@@ -5,7 +5,6 @@ time-of-flight density on each side is constant and proportional to 1/v.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +31,15 @@ class ClassicalModel:
 def classical_model(spec: WellSpec, energy: float) -> ClassicalModel:
     """Classical model at the given energy; E = v0 exactly is rejected.
 
-    Below the step the particle is confined to the left pocket (density 1/a);
-    above it the per-side densities weight each side by the traversal time
-    2 * side / speed.  At E = v0 the right-side traversal time diverges and the
-    left probability jumps from 1 to 0+, so no value is assigned there.
+    Each side's density is its share of the period, the traversal time
+    2 * side / speed over the sum of both, spread over its length: below the
+    step the particle is confined to the left pocket (density 1/a).  At E = v0
+    the right-side traversal time diverges and the left probability jumps
+    from 1 to 0+, so no value is assigned there.
     """
     t_left, t_right, p_left, p_right = (float(x[0]) for x in _time_shares(spec, [energy]))
-    if energy < spec.v0:
-        densities = 1.0 / spec.a, 0.0
-    else:
-        denom = spec.a * math.sqrt(energy - spec.v0) + spec.b * math.sqrt(energy)
-        densities = math.sqrt(energy - spec.v0) / denom, math.sqrt(energy) / denom
-    return ClassicalModel(energy, spec, *densities, p_left, p_right, t_left, t_right)
+    return ClassicalModel(energy, spec, p_left / spec.a, p_right / spec.b,
+                          p_left, p_right, t_left, t_right)
 
 
 def _time_shares(spec: WellSpec, energies):

@@ -270,8 +270,6 @@ def find_spectrum_numeric(spec: WellSpec, e_max: float, n_grid: int) -> list[Gri
     for the floor raises ``ValueError``; a bad stitch (interior node count
     other than n - 1) raises ``NodeCountError``.
     """
-    if not 0 < e_max < math.inf:
-        raise ValueError(f"e_max must be finite and positive, got {e_max}")
     xs, h, v = _stable_grid(spec, n_grid)
     roots = bracket_and_bisect(lambda es: _sweep_final(v, h, es),
                                lambda es: _count_below(v, h, es),

@@ -129,8 +129,6 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
     sign.
     """
     _require_step(spec)
-    if not 0 < e_max < math.inf:
-        raise ValueError(f"e_max must be finite and positive, got {e_max}")
     # normalizing a state below the step evaluates sinh(2 qbar b) in
     # _sq_integral, which overflows once qbar*b passes about 355; qbar
     # approaches sqrt(v0) for the lowest states
@@ -140,13 +138,6 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
             f"the evanescent side would overflow double precision "
             f"(need sqrt(v0)*b <= 350)"
         )
-
-    # the count is below sqrt(E) (a + b) / pi + 1, so only a huge cutoff needs it
-    if math.sqrt(e_max) * (spec.a + spec.b) > 2.0**52:
-        levels = float(_levels_below(spec, e_max))
-        if levels > 2.0**53:
-            raise ValueError(f"e_max={e_max!r} holds {levels:.6g} levels, more than the "
-                             f"2**53 that a float counts exactly")
 
     roots = bracket_and_bisect(lambda es: _characteristic_many(spec, es),
                                lambda es: _count_below(spec, es),
@@ -159,12 +150,7 @@ def _count_below(spec: WellSpec, energies) -> np.ndarray:
 
     floor(ka / pi) on the left; above the step the Pruefer phase, rescaled from
     k to q at x = 0 within its half-turn, then advances by q b; below it one
-    more zero if psi(0) and psi(b) = g(E) differ in sign."""
-    return _levels_below(spec, energies).astype(int)
-
-
-def _levels_below(spec: WellSpec, energies) -> np.ndarray:
-    """The Sturm count as floats, exact up to 2**53."""
+    more zero if psi(0) and psi(b) = g(E) differ in sign.  Floats, exact up to 2**53."""
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     k = np.sqrt(e)
     n, r = np.divmod(k * spec.a, math.pi)

@@ -128,6 +128,23 @@ def test_roots_no_scan_cell_separates_raise():
         bracket_and_bisect(fn, count, 2.0, 0.1, 1e-13)
 
 
+@pytest.mark.parametrize("e_max", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_cutoff_outside_the_domain_refused(e_max):
+    fn, count = polynomial([0.5])
+    with pytest.raises(ValueError,
+                       match=re.escape(f"e_max must be finite and positive, got {e_max}")):
+        bracket_and_bisect(fn, count, e_max, 0.1, 1e-13)
+
+
+def test_uncountable_cutoff_refused():
+    # a count past 2**53 is no longer an exact float, so no bracket could be trusted
+    fn, _ = polynomial([0.5])
+    with pytest.raises(ValueError, match=re.escape(
+            "e_max=2.0 holds 1.80144e+16 levels, more than the 2**53 that a float counts "
+            "exactly")):
+        bracket_and_bisect(fn, lambda e: np.where(e > 1.0, 2.0**54, 0.0), 2.0, 0.1, 1e-13)
+
+
 def test_root_exactly_on_a_count_probe():
     # fn vanishes on the probe 2 * 15 / 30 = 1.0, an end of two brackets; the
     # level inside the other bracket must still be found
