@@ -87,6 +87,12 @@ def _t_max(v: np.ndarray, h: float, energy: float) -> float:
     return h * h / 12.0 * (v.max() - energy)
 
 
+def _e_top(v: np.ndarray, h: float) -> float:
+    """min V + 6 / h^2, the top of the grid's spectrum: past it h^2 (V - E) / 12 < -1/2 at the
+    lowest sample, where a step flips the sign of psi and the recurrence stops oscillating."""
+    return v.min() + 6.0 / (h * h)
+
+
 def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
                      ends: np.ndarray | None = None) -> np.ndarray:
     """Forward Numerov solutions from psi(-a) = 0 for the energies ``e``.
@@ -114,7 +120,7 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
     # sup-norm bound on one step matrix over the chunk, |A_i| + |B_i|; callers keep t_hi < 1
     t_lo, t_hi = c * (v.min() - e.max()), _t_max(v, h, e.min())
     g = (max(abs(2.0 + 10.0 * t_lo), abs(2.0 + 10.0 * t_hi)) + 1.0 - t_lo) / (1.0 - t_hi)
-    k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g))))
+    k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g)))) if g > 1.0 else _BLOCK
     growth = g**k
     nb = -(-n // k)
     # step i = 1 + j + k*b sits at [j, b]
@@ -267,10 +273,14 @@ def find_spectrum_numeric(spec: WellSpec, e_max: float, n_grid: int) -> list[Gri
     The roots of the shooting mismatch psi(b) come from the shared
     count-directed root policy, with the count from ``_count_below``; each
     state is the Simpson-normalized two-sided trajectory.  A grid too coarse
-    for the floor raises ``ValueError``; a bad stitch (interior node count
-    other than n - 1) raises ``NodeCountError``.
+    for the floor or for e_max raises ``ValueError``; a bad stitch (interior
+    node count other than n - 1) raises ``NodeCountError``.
     """
     xs, h, v = _stable_grid(spec, n_grid)
+    if (top := _e_top(v, h)) <= e_max < math.inf:
+        need = 2 * int(spec.width * math.sqrt((e_max - v.min()) / 6.0) / 2.0) + 2
+        raise ValueError(f"e_max={e_max!r} reaches {top:.6g}, the top of the {n_grid}-cell grid's "
+                         f"spectrum: Numerov needs n_grid >= {need} here")
     roots = bracket_and_bisect(lambda es: _sweep_final(v, h, es),
                                lambda es: _count_below(v, h, es),
                                e_max, scan_step(spec.a, spec.b), _BISECT_TOL)
