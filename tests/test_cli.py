@@ -264,6 +264,19 @@ def test_uncountable_level_counts_fail_at_solve(argv):
     assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "spectrum --a 1e-6 --b 1e-6 --v0 0 --e-max 1e16",
+    "spectrum --a 1e-150 --b 1e-150 --v0 0 --e-max 1.7976931348623157e308",
+], ids=["1e16", "float-max"])
+def test_cutoff_past_the_scan_reach_fails_at_solve(argv):
+    proc = _run_python("-W", "error::RuntimeWarning", "-m", "asymwell", *argv.split())
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert proc.stdout == b""
+    assert re.fullmatch(r"asymwell spectrum: solve: e_max=\S+ is past the fixed scan's reach: "
+                        r"its cell \S+ is below 4 eps e_max = \S+\n", err), err
+
+
 @pytest.mark.parametrize("argv, message", [
     ("compare --smoothing exponential", "the comparison table requires the sharp step"),
     ("momentum --n 1 --smoothing linear",

@@ -1,5 +1,5 @@
 """Shared root policy: count brackets, secant polish, the replayed scan and its failures, on
-synthetic roots; and the energies the closed-form solver hands it, call for call."""
+synthetic roots; and the energies both solvers hand it, call for call."""
 import hashlib
 import math
 import re
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from asymwell import ScanResolutionError, WellSpec, spectrum
+from asymwell import Exponential, ScanResolutionError, WellSpec, shooting, spectrum
 from asymwell._rootscan import bracket_and_bisect, scan_step
 from oracles import reference_roots
 
@@ -145,6 +145,20 @@ def test_uncountable_cutoff_refused():
         bracket_and_bisect(fn, lambda e: np.where(e > 1.0, 2.0**54, 0.0), 2.0, 0.1, 1e-13)
 
 
+def test_cutoff_past_the_scan_reach_refused():
+    # cells below 4 eps e_max cannot step the scan's grid, whatever the brackets
+    fn, count = polynomial([0.5])
+    with pytest.raises(ValueError, match=re.escape(
+            "e_max=2.0 is past the fixed scan's reach: its cell 1.000e-16 is below "
+            "4 eps e_max = 1.776e-15")):
+        bracket_and_bisect(fn, count, 2.0, 1e-16, 1e-13)
+
+
+def test_cutoff_past_the_scan_reach_without_levels_is_empty():
+    fn, count = polynomial([5.0])
+    assert bracket_and_bisect(fn, count, 2.0, 1e-16, 1e-13) == []
+
+
 def test_root_exactly_on_a_count_probe():
     # fn vanishes on the probe 2 * 15 / 30 = 1.0, an end of two brackets; the
     # level inside the other bracket must still be found
@@ -184,6 +198,35 @@ def test_closed_form_calls_see_the_same_energies(well, monkeypatch):
     a, b, v0, e_max = well
     assert spectrum.find_spectrum(WellSpec(a, b, v0), e_max)
     assert digest.hexdigest() == CALL_LOG_SHA256[well]
+
+
+# the same log for the Numerov route, whose fn and count both run Numerov
+# sweeps; 1000 cells keep it fast
+NUMEROV_CALL_LOG_SHA256 = {
+    (WellSpec(3.0, 3.0, 20.0, Exponential(0.2)), 100.0):
+        "7d8b405eb321085b9281d9fddd11b33a023863393d30b06a527761273dfe4ddd",
+    (WellSpec(3.0, 3.0, 60.0), 30.0):
+        "3b5f4ebbb1be9e63e3c579afb2a0bb971c7ca0f1ae4129f0f6a43341315e31f6",
+}
+
+
+@pytest.mark.parametrize("well", list(NUMEROV_CALL_LOG_SHA256), ids=["sigmoid", "step-60"])
+def test_numerov_calls_see_the_same_energies(well, monkeypatch):
+    digest = hashlib.sha256()
+
+    def logged(tag, f):
+        def call(es):
+            digest.update(tag + np.ascontiguousarray(es, dtype=float).tobytes())
+            return f(es)
+        return call
+
+    def policy(fn, count, *args):
+        return bracket_and_bisect(logged(b"fn", fn), logged(b"count", count), *args)
+
+    monkeypatch.setattr(shooting, "bracket_and_bisect", policy)
+    spec, e_max = well
+    assert shooting.find_spectrum_numeric(spec, e_max, 1000)
+    assert digest.hexdigest() == NUMEROV_CALL_LOG_SHA256[well]
 
 
 @given(a=st.floats(min_value=1e-300, max_value=1e308),

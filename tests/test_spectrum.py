@@ -167,6 +167,22 @@ class TestFindSpectrum:
                     f"e_max={sys.float_info.max!r} holds 2.5607e+154 levels, more than the 2**53")):
                 find_spectrum(standard_spec, sys.float_info.max)
 
+    def test_cutoff_past_the_scan_reach_refused(self):
+        # the narrow well's 0.1 cell is below 4 eps e_max: the count isolates
+        # every level, but no cell of the fixed scan could step to them
+        with pytest.raises(ValueError, match=re.escape(
+                "e_max=1e+16 is past the fixed scan's reach: its cell 1.000e-01 is below "
+                "4 eps e_max = 8.882e+00")):
+            find_spectrum(WellSpec(1e-6, 1e-6, 0.0), 1e16)
+
+    def test_cutoff_past_the_scan_reach_at_the_float_maximum_refused_without_warnings(self):
+        # about 8500 levels: countable, so the reach refuses it before the polish
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"e_max={sys.float_info.max!r} is past the fixed scan's reach")):
+                find_spectrum(WellSpec(1e-150, 1e-150, 0.0), sys.float_info.max)
+
     def test_overflowing_step_height_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
             find_spectrum(WellSpec(3.0, 3.0, 2e5), 40.0)
