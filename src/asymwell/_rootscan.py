@@ -26,10 +26,20 @@ Numerov trajectory) stays in that solver's module.  The replay reproduces the
 scan's floats only while ``fn`` returns the same value for an energy whatever
 other energies share its call, which both solvers' functions do (the Numerov
 sweep at full block length with no rescale).
+
+The polish and the replay loop over a few dozen brackets, where one numpy
+call costs more than its arithmetic: their time goes with the number of
+numpy calls per pass, not with the number of brackets, and they are written
+to make few.  The loop layout changes neither invariant of the policy: the
+energies handed to ``fn`` and ``count``, call for call, and the reported
+floats, bit for bit.  Tests pin both, by a sha256 over the call log of each
+solver and against a plain fixed scan (``tests/oracles.py``).
 """
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -40,6 +50,8 @@ _PROBES = 32                 # energies of the count pass, one Numerov count chu
 _FLOOR = 1e-9                # lowest probe over e_max: the closed form is 0 at E = 0
 _HANDOVER = 64               # bracket width, in bisection tolerances, that ends the polish
 _STALL = 6                   # secant passes a bracket may take to halve its width
+# the count pass's probes over e_max, below its top one
+_PROBE_AT = np.concatenate([[_FLOOR], np.arange(1, _PROBES - 2) / (_PROBES - 2), [1.0 - _EDGE]])
 
 
 class ScanResolutionError(RuntimeError):
@@ -77,8 +89,10 @@ def bracket_and_bisect(
     has a cell of its own; a root on a cell edge is returned as-is.  A level
     within a relative ``_EDGE`` of e_max counts on the side ``fn(e_max)`` puts
     it.  ``ValueError`` refuses an e_max that is not finite and positive, or
-    that holds more levels than a float counts exactly; ``ScanResolutionError``
-    names the bracket where the count places a level but ``fn`` keeps its sign.
+    that holds more levels than a float counts exactly, or, when it holds a
+    level, whose scan cell ``step`` is below 4 eps e_max, past which the scan
+    grid's points no longer step apart; ``ScanResolutionError`` names the
+    bracket where the count places a level but ``fn`` keeps its sign.
     """
     if not 0 < e_max < math.inf:
         raise ValueError(f"e_max must be finite and positive, got {e_max}")
@@ -86,22 +100,34 @@ def bracket_and_bisect(
     ends, where = np.unique(np.concatenate([lo, hi, [e_max]]), return_inverse=True)
     f_ends = fn(ends)
     flo, fhi, f_cut = f_ends[where[: lo.size]], f_ends[where[lo.size : -1]], f_ends[where[-1]]
-    bad = np.flatnonzero(np.sign(flo) == np.sign(fhi))
+    slo, shi = np.sign(flo), np.sign(fhi)
+    bad = (slo == shi).nonzero()[0]
     if bad.size:
         i = bad[0]
         raise ScanResolutionError(
             f"the Sturm count places level {n_lo[i] + 1} in [{lo[i]:.9g}, {hi[i]:.9g}], where "
             f"the scanned function does not change sign: N(lo) = {n_lo[i]}, "
-            f"N(hi) = {n_lo[i] + 1}, sign fn(lo) = {np.sign(flo[i]):+g}, "
-            f"sign fn(hi) = {np.sign(fhi[i]):+g}")
+            f"N(hi) = {n_lo[i] + 1}, sign fn(lo) = {slo[i]:+g}, sign fn(hi) = {shi[i]:+g}")
     # sign just left of each root; an end where fn is 0 takes the sign opposite
     # to the other end's, which holds whichever bracket the zero belongs to
-    roots = _Brackets(lo, hi, flo, fhi, np.where(flo != 0.0, np.sign(flo), -np.sign(fhi)))
-    cut = np.flatnonzero((lo < e_max) & (e_max < hi))
-    roots.narrow(cut, np.full(cut.size, e_max), np.full(cut.size, f_cut))
-    roots.keep(roots.hi <= e_max)
-    if not roots.lo.size:
+    s = np.where(flo != 0.0, slo, -shi)
+    # the brackets are disjoint and in order: those below e_max come first, and
+    # the next one holds e_max if any does; it keeps the side fn(e_max) gives it
+    m = int(hi.searchsorted(e_max, side="right"))
+    if m < lo.size and lo[m] < e_max:
+        if f_cut == 0.0:
+            lo[m] = hi[m] = e_max
+            flo[m] = fhi[m] = 0.0
+            m += 1
+        elif np.sign(f_cut) != s[m]:
+            hi[m], fhi[m] = e_max, f_cut
+            m += 1
+    if not m:
         return []
+    if step < 4.0 * _EPS * e_max:
+        raise ValueError(f"e_max={e_max!r} is past the fixed scan's reach: its cell {step:.3e} "
+                         f"is below 4 eps e_max = {4.0 * _EPS * e_max:.3e}")
+    roots = _Brackets(lo[:m], hi[:m], flo[:m], fhi[:m], s[:m])
     roots.polish(fn, tol_rel)
     return roots.replay(fn, e_max, step, tol_rel)
 
@@ -110,9 +136,9 @@ def _isolate(count, e_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brackets (lo, hi] holding one level each, for every level below
     e_max (1 + _EDGE), with N(lo) per bracket.  The count is read as floats,
     exact up to 2**53 levels, and then as ints."""
-    e = np.append(e_max * np.concatenate([[_FLOOR], np.arange(1, _PROBES - 2) / (_PROBES - 2),
-                                          [1.0 - _EDGE]]),
-                  min(e_max * (1.0 + _EDGE), np.finfo(float).max))  # finite at the float max
+    e = np.empty(_PROBES)
+    np.multiply(e_max, _PROBE_AT, out=e[:-1])
+    e[-1] = min(e_max * (1.0 + _EDGE), sys.float_info.max)   # finite at the float max
     n = np.asarray(count(e), dtype=float)
     if not n.max() <= 2.0**53:
         raise ValueError(f"e_max={e_max!r} holds {n.max():.6g} levels, more than the "
@@ -122,9 +148,10 @@ def _isolate(count, e_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ScanResolutionError(f"the Sturm count places {n[0]} level(s) in "
                                   f"[0, {e[0]:.9g}], below the lowest probe: N(hi) = {n[0]}")
     while True:
-        jump = np.diff(n)
-        if np.count_nonzero(jump < 0):
-            i = int((jump < 0).nonzero()[0][0])
+        jump = n[1:] - n[:-1]
+        down = (jump < 0).nonzero()[0]
+        if down.size:
+            i = down[0]
             raise ScanResolutionError(f"the Sturm count decreases across [{e[i]:.9g}, "
                                       f"{e[i + 1]:.9g}]: N(lo) = {n[i]}, N(hi) = {n[i + 1]}")
         wide = (jump > 1).nonzero()[0]
@@ -132,108 +159,131 @@ def _isolate(count, e_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             break
         # split a gap holding d levels at d evenly spaced energies
         d = jump[wide]
-        k = np.arange(d.sum()) - np.repeat(np.cumsum(d) - d, d) + 1
-        lo, width = np.repeat(e[wide], d), np.repeat(e[wide + 1] - e[wide], d)
-        new = lo + width * (k / np.repeat(d + 1, d))
-        stuck = ~((lo < new) & (new < lo + width))
-        if np.count_nonzero(stuck):
-            i = wide[np.searchsorted(np.cumsum(d), stuck.nonzero()[0][0], side="right")]
+        gap = wide.repeat(d)
+        k = np.arange(gap.size) - (d.cumsum() - d).repeat(d) + 1
+        lo, width = e[gap], e[gap + 1] - e[gap]
+        new = lo + width * (k / (jump[gap] + 1))
+        stuck = (~((lo < new) & (new < lo + width))).nonzero()[0]
+        if stuck.size:
+            i = gap[stuck[0]]
             raise ScanResolutionError(f"the Sturm count cannot separate the levels in "
                                       f"[{e[i]:.9g}, {e[i + 1]:.9g}]: N(lo) = {n[i]}, "
                                       f"N(hi) = {n[i + 1]}")
-        order = np.argsort(np.concatenate([e, new]), kind="stable")
-        e = np.concatenate([e, new])[order]
-        n = np.concatenate([n, np.asarray(count(new), dtype=int)])[order]
-    one = np.flatnonzero(np.diff(n) == 1)
+        e, n = np.concatenate([e, new]), np.concatenate([n, np.asarray(count(new), dtype=int)])
+        order = np.argsort(e, kind="stable")
+        e, n = e[order], n[order]
+    one = (jump == 1).nonzero()[0]
     return e[one], e[one + 1], n[one]
-
-
-def _tol(e: np.ndarray, tol_rel: float) -> np.ndarray:
-    """Bisection tolerance at ``e``: the fixed scan's max(tol_rel s, 8 eps s)
-    with s = max(1, e), the same float since rounding is monotone."""
-    return max(tol_rel, 8.0 * _EPS) * np.maximum(1.0, e)
 
 
 class _Brackets:
     """One bracket [lo, hi] per root, with fn at its ends (NaN where not
     evaluated) and the sign ``s`` of fn just left of the root; a root on a
-    scan point has lo == hi."""
+    scan point has lo == hi.
+
+    The polish and the replay work on whole arrays through masks and
+    preallocated buffers, not on gathered copies of the brackets still in
+    play, and keep their scalars as 0-d arrays, which numpy does not convert
+    on every call.  Their arithmetic follows the formulas in the comments
+    operation for operation, so neither the energies handed to ``fn`` nor the
+    floats reported depend on how the loops are laid out."""
 
     def __init__(self, lo, hi, flo, fhi, s):
         self.lo, self.hi, self.flo, self.fhi, self.s = lo, hi, flo, fhi, s
+        self._ns = -s
 
-    def keep(self, mask: np.ndarray) -> None:
-        for key in ("lo", "hi", "flo", "fhi", "s"):
-            setattr(self, key, getattr(self, key)[mask])
-
-    def narrow(self, i: np.ndarray, x: np.ndarray, fx: np.ndarray,
-               spread: np.ndarray | None = None) -> np.ndarray:
-        """Move an end of brackets ``i`` to ``x`` by the sign of ``fx``; returns
-        the mask of those that moved ``lo``.
-
-        A zero of fn on a scan point ends its bracket there.  Elsewhere fn may
-        vanish on a run of floats, or flip sign in its rounding noise, that the
-        scan's bisection could meet next to ``x``; with ``spread`` the bracket
-        keeps that much room on each side, to be evaluated by the replay.
-        """
-        zero = fx == 0.0
-        left = ~zero & (np.sign(fx) == self.s[i])
-        right = ~zero & ~left
-        k, z = i[zero], x[zero]
-        if spread is None:
-            self.lo[k] = self.hi[k] = z
-            self.flo[k] = self.fhi[k] = 0.0
-        else:
-            self.lo[k] = np.maximum(self.lo[k], z - spread[zero])
-            self.hi[k] = np.minimum(self.hi[k], z + spread[zero])
-            self.flo[k] = self.fhi[k] = np.nan      # signs s and -s, as assumed outside
-        self.lo[i[left]], self.flo[i[left]] = x[left], fx[left]
-        self.hi[i[right]], self.fhi[i[right]] = x[right], fx[right]
-        return left
+    def _signs(self, i: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``fx``, fn at the brackets ``i``, spread over all brackets with 0
+        elsewhere, and the masks of those where fn has the sign ``s`` of their
+        left end and of their right end; a bracket in ``i`` in neither mask
+        saw fn vanish or return NaN."""
+        full = np.zeros(self.s.size)
+        full[i] = fx
+        sign = np.sign(full)
+        return full, sign == self.s, sign == self._ns
 
     def polish(self, fn, tol_rel: float) -> None:
         """Illinois regula falsi until each bracket is narrower than
-        ``_HANDOVER`` tolerances or stops halving."""
-        ref = self.hi - self.lo
-        age = np.zeros(ref.shape, dtype=int)
-        side = np.zeros(ref.shape, dtype=int)      # end moved last: -1 lo, +1 hi
-        while True:
-            width = self.hi - self.lo
-            handover = _HANDOVER * _tol(self.hi, tol_rel)
-            i = ((width >= handover) & (age < _STALL)).nonzero()[0]
+        ``_HANDOVER`` tolerances or stops halving.  A bracket that stops
+        never resumes: its width and its reference width stay put."""
+        lo, hi, flo, fhi = self.lo, self.hi, self.flo, self.fhi
+        size = lo.size
+        # handover = _HANDOVER * tol with tol = max(tol_rel, 8 eps) max(1, hi),
+        # the replay's tolerance at hi; scaling by a power of two is exact, so
+        # its half and quarter are the same floats from scaled constants
+        scale = _HANDOVER * max(tol_rel, 8.0 * _EPS)
+        one, half, half_scale = np.array(1.0), np.array(0.5), np.array(0.5 * scale)
+        scale = np.array(scale)
+        width = hi - lo
+        half_ref = 0.5 * width
+        halved_at = np.zeros(size, dtype=int)           # pass that last halved the width
+        moved_lo = moved_hi = np.zeros(size, dtype=bool)  # end the last pass moved
+        grow, handover, margin, x, t = (np.empty(size) for _ in range(5))
+        live = np.empty(size, dtype=bool)
+        for k in itertools.count():
+            np.maximum(hi, one, out=grow)
+            np.multiply(grow, scale, out=handover)
+            np.greater_equal(width, handover, out=live)
+            live &= halved_at > k - _STALL
+            i = live.nonzero()[0]
             if not i.size:
                 return
-            lo, hi, flo, fhi = self.lo[i], self.hi[i], self.flo[i], self.fhi[i]
-            with np.errstate(all="ignore"):
-                x = hi - fhi * ((hi - lo) / (fhi - flo))
-            x = np.where(np.isfinite(x), x, 0.5 * (lo + hi))
-            # a step to within half the handover width of an end lands that far
-            # in, so a good estimate closes the bracket from both sides at once
-            x = np.clip(x, lo + 0.5 * handover[i], hi - 0.5 * handover[i])
-            left = self.narrow(i, x, fn(x), 0.25 * handover[i])
-            right = ~left & ~np.isnan(self.fhi[i])
+            with np.errstate(all="ignore"):   # not around fn, whose warnings show
+                # x = hi - fhi ((hi - lo) / (fhi - flo)), or the midpoint
+                np.subtract(fhi, flo, out=t)
+                np.divide(width, t, out=t)
+                np.multiply(fhi, t, out=t)
+                np.subtract(hi, t, out=x)
+                finite = np.isfinite(x)
+                if np.count_nonzero(finite) < size:
+                    np.copyto(x, 0.5 * (lo + hi), where=~finite)
+                # clipped to within half a handover of either end, so a good
+                # estimate closes the bracket from both sides at once
+                np.multiply(grow, half_scale, out=margin)
+                np.add(lo, margin, out=t)
+                np.maximum(x, t, out=x)
+                np.subtract(hi, margin, out=t)
+                np.minimum(x, t, out=x)
+            fx, left, right = self._signs(i, fn(x[i]))
+            if np.count_nonzero(left | right) < i.size:
+                # where fn vanishes, on a run of floats or in its rounding noise,
+                # the scan's bisection may meet more zeros next to x: keep a
+                # quarter handover of room on each side, for the replay
+                j = i[~(left | right)[i]]
+                z = j[fx[j] == 0.0]
+                spread = 0.25 * scale * grow[z]
+                lo[z] = np.maximum(lo[z], x[z] - spread)
+                hi[z] = np.minimum(hi[z], x[z] + spread)
+                flo[z] = fhi[z] = np.nan      # signs s and -s, as assumed outside
+                j = j[fx[j] != 0.0]           # NaN, or no sign s to compare with
+                hi[j], fhi[j] = x[j], fx[j]
+            np.copyto(lo, x, where=left)
+            np.copyto(flo, fx, where=left)
+            np.copyto(hi, x, where=right)
+            np.copyto(fhi, fx, where=right)
             # Illinois: halve fn at the end that stays put a second time
-            self.fhi[i[left & (side[i] < 0)]] *= 0.5
-            self.flo[i[right & (side[i] > 0)]] *= 0.5
-            side[i] = np.where(left, -1, np.where(right, 1, 0))
-            width = self.hi - self.lo
-            halved = width <= 0.5 * ref
-            ref[halved] = width[halved]
-            age = np.where(halved, 0, age + 1)
+            np.multiply(fhi, half, out=fhi, where=left & moved_lo)
+            np.multiply(flo, half, out=flo, where=right & moved_hi)
+            moved_lo, moved_hi = left, right
+            np.subtract(hi, lo, out=width)
+            halved = width <= half_ref
+            np.multiply(width, half, out=half_ref, where=halved)
+            np.copyto(halved_at, k + 1, where=halved)
 
     def replay(self, fn, e_max: float, step: float, tol_rel: float) -> list[float]:
         """The fixed scan's float for every root (see ``bracket_and_bisect``)."""
+        lo, hi = self.lo, self.hi
         r = 0
         while True:
             cell = step / 10.0**r
             if cell < 4.0 * _EPS * e_max:
                 raise ScanResolutionError(f"no scan cell down to {cell:.3e} separates the roots "
-                                          f"in [{self.lo[0]:.9g}, {self.hi[-1]:.9g}]")
+                                          f"in [{lo[0]:.9g}, {hi[-1]:.9g}]")
             n_cells = int(math.ceil(e_max / cell))
             self._to_one_cell(fn, cell, n_cells)
             on_zero = (self.flo == 0.0) | (self.fhi == 0.0)
-            zero_at = np.where(self.flo == 0.0, self.lo, self.hi)
-            j = _first_at_or_above(np.where(on_zero, zero_at, self.hi), cell)
+            zero_at = np.where(self.flo == 0.0, lo, hi)
+            j = _first_at_or_above(np.where(on_zero, zero_at, hi), cell)
             edge = on_zero & (np.minimum(cell * j, e_max) == zero_at)
             # the scan cannot see a root in (0, cell] or a root past its last
             # point, and a root on a grid point blinds both cells next to it
@@ -243,12 +293,24 @@ class _Brackets:
             r += 1
         a = cell * (j - 1)
         b = np.minimum(cell * j, e_max)
+        # bisect [a, b] until b - a <= max(tol_rel, 8 eps) max(1, mid): the
+        # scan's max(tol_rel s, 8 eps s) with s = max(1, mid), the same float
+        # since rounding is monotone
+        one, half, scale = np.array(1.0), np.array(0.5), np.array(max(tol_rel, 8.0 * _EPS))
         active = ~edge
+        mid, tol, width = (np.empty(a.size) for _ in range(3))
+        wide, below, above = (np.empty(a.size, dtype=bool) for _ in range(3))
         while True:
-            mid = 0.5 * (a + b)
-            active &= (b - a) > _tol(mid, tol_rel)
-            below = active & (mid < self.lo)
-            above = active & (mid > self.hi)
+            np.add(a, b, out=mid)
+            np.multiply(mid, half, out=mid)
+            np.maximum(mid, one, out=tol)
+            np.multiply(tol, scale, out=tol)
+            np.subtract(b, a, out=width)
+            active &= np.greater(width, tol, out=wide)
+            np.less(mid, lo, out=below)
+            below &= active
+            np.greater(mid, hi, out=above)
+            above &= active
             # each root runs ahead until a midpoint needs fn
             if np.count_nonzero(below) or np.count_nonzero(above):
                 np.copyto(a, mid, where=below)
@@ -257,24 +319,35 @@ class _Brackets:
             i = active.nonzero()[0]
             if not i.size:
                 break
-            fm = fn(mid[i])
-            hit = fm == 0.0
-            same = ~hit & (np.sign(fm) == self.s[i])
-            a[i[hit | same]] = mid[i[hit | same]]
-            b[i[hit | ~same]] = mid[i[hit | ~same]]
-        return [float(x) for x in np.where(edge, zero_at, 0.5 * (a + b))]
+            fx, left, right = self._signs(i, fn(mid[i]))
+            if np.count_nonzero(left | right) < i.size:
+                j = i[~(left | right)[i]]     # fn vanished or returned NaN
+                z = j[fx[j] == 0.0]
+                a[z] = mid[z]                 # a zero closes the window;
+                b[j] = mid[j]                 # NaN moves b, as the scan's sign test does
+            np.copyto(a, mid, where=left)
+            np.copyto(b, mid, where=right)
+        return np.where(edge, zero_at, 0.5 * (a + b)).tolist()
 
     def _to_one_cell(self, fn, cell: float, n_cells: int) -> None:
         """Evaluate the scan points inside each bracket, bisecting on the grid
-        index, until no bracket holds one."""
+        index, until no bracket holds one.  A zero of fn on a scan point ends
+        its bracket there."""
+        lo, hi, flo, fhi = self.lo, self.hi, self.flo, self.fhi
         while True:
-            first = _first_at_or_above(np.nextafter(self.lo, np.inf), cell)
-            last = np.minimum(_first_at_or_above(self.hi, cell) - 1, n_cells)
+            first = _first_at_or_above(np.nextafter(lo, np.inf), cell)
+            last = np.minimum(_first_at_or_above(hi, cell) - 1, n_cells)
             i = (first <= last).nonzero()[0]
             if not i.size:
                 return
             x = cell * np.floor(0.5 * (first[i] + last[i]))
-            self.narrow(i, x, fn(x))
+            fx = fn(x)
+            left = np.sign(fx) == self.s[i]
+            zero = fx == 0.0
+            k, y = i[left | zero], x[left | zero]
+            lo[k], flo[k] = y, fx[left | zero]
+            k, y = i[~left], x[~left]
+            hi[k], fhi[k] = y, fx[~left]
 
 
 def _first_at_or_above(x: np.ndarray, cell: float) -> np.ndarray:
