@@ -181,12 +181,12 @@ class _Brackets:
     evaluated) and the sign ``s`` of fn just left of the root; a root on a
     scan point has lo == hi.
 
-    The polish and the replay work on whole arrays through masks and
-    preallocated buffers, not on gathered copies of the brackets still in
-    play, and keep their scalars as 0-d arrays, which numpy does not convert
-    on every call.  Their arithmetic follows the formulas in the comments
-    operation for operation, so neither the energies handed to ``fn`` nor the
-    floats reported depend on how the loops are laid out."""
+    The polish and the replay work on whole arrays through masks, not on
+    gathered copies of the brackets still in play, and keep their scalars as
+    0-d arrays, which numpy does not convert on every call.  Their arithmetic
+    follows the formulas in the comments operation for operation, so neither
+    the energies handed to ``fn`` nor the floats reported depend on how the
+    loops are laid out."""
 
     def __init__(self, lo, hi, flo, fhi, s):
         self.lo, self.hi, self.flo, self.fhi, self.s = lo, hi, flo, fhi, s
@@ -196,7 +196,7 @@ class _Brackets:
         """``fx``, fn at the brackets ``i``, spread over all brackets with 0
         elsewhere, and the masks of those where fn has the sign ``s`` of their
         left end and of their right end; a bracket in ``i`` in neither mask
-        saw fn vanish or return NaN."""
+        saw fn vanish or return NaN, or has no sign ``s``."""
         full = np.zeros(self.s.size)
         full[i] = fx
         sign = np.sign(full)
@@ -207,7 +207,6 @@ class _Brackets:
         ``_HANDOVER`` tolerances or stops halving.  A bracket that stops
         never resumes: its width and its reference width stay put."""
         lo, hi, flo, fhi = self.lo, self.hi, self.flo, self.fhi
-        size = lo.size
         # handover = _HANDOVER * tol with tol = max(tol_rel, 8 eps) max(1, hi),
         # the replay's tolerance at hi; scaling by a power of two is exact, so
         # its half and quarter are the same floats from scaled constants
@@ -216,34 +215,22 @@ class _Brackets:
         scale = np.array(scale)
         width = hi - lo
         half_ref = 0.5 * width
-        halved_at = np.zeros(size, dtype=int)           # pass that last halved the width
-        moved_lo = moved_hi = np.zeros(size, dtype=bool)  # end the last pass moved
-        grow, handover, margin, x, t = (np.empty(size) for _ in range(5))
-        live = np.empty(size, dtype=bool)
+        halved_at = np.zeros(lo.size, dtype=int)  # last pass that halved the width, or 0
+        moved_lo = moved_hi = np.zeros(lo.size, dtype=bool)  # the end the last pass moved
         for k in itertools.count():
-            np.maximum(hi, one, out=grow)
-            np.multiply(grow, scale, out=handover)
-            np.greater_equal(width, handover, out=live)
-            live &= halved_at > k - _STALL
-            i = live.nonzero()[0]
+            grow = np.maximum(hi, one)
+            i = ((width >= grow * scale) & (halved_at > k - _STALL)).nonzero()[0]
             if not i.size:
                 return
             with np.errstate(all="ignore"):   # not around fn, whose warnings show
-                # x = hi - fhi ((hi - lo) / (fhi - flo)), or the midpoint
-                np.subtract(fhi, flo, out=t)
-                np.divide(width, t, out=t)
-                np.multiply(fhi, t, out=t)
-                np.subtract(hi, t, out=x)
+                x = hi - fhi * (width / (fhi - flo))
                 finite = np.isfinite(x)
-                if np.count_nonzero(finite) < size:
-                    np.copyto(x, 0.5 * (lo + hi), where=~finite)
+                if np.count_nonzero(finite) < x.size:
+                    x = np.where(finite, x, 0.5 * (lo + hi))
                 # clipped to within half a handover of either end, so a good
                 # estimate closes the bracket from both sides at once
-                np.multiply(grow, half_scale, out=margin)
-                np.add(lo, margin, out=t)
-                np.maximum(x, t, out=x)
-                np.subtract(hi, margin, out=t)
-                np.minimum(x, t, out=x)
+                margin = grow * half_scale
+                x = np.minimum(np.maximum(x, lo + margin), hi - margin)
             fx, left, right = self._signs(i, fn(x[i]))
             if np.count_nonzero(left | right) < i.size:
                 # where fn vanishes, on a run of floats or in its rounding noise,
@@ -265,7 +252,7 @@ class _Brackets:
             np.multiply(fhi, half, out=fhi, where=left & moved_lo)
             np.multiply(flo, half, out=flo, where=right & moved_hi)
             moved_lo, moved_hi = left, right
-            np.subtract(hi, lo, out=width)
+            width = hi - lo
             halved = width <= half_ref
             np.multiply(width, half, out=half_ref, where=halved)
             np.copyto(halved_at, k + 1, where=halved)
@@ -298,19 +285,11 @@ class _Brackets:
         # since rounding is monotone
         one, half, scale = np.array(1.0), np.array(0.5), np.array(max(tol_rel, 8.0 * _EPS))
         active = ~edge
-        mid, tol, width = (np.empty(a.size) for _ in range(3))
-        wide, below, above = (np.empty(a.size, dtype=bool) for _ in range(3))
         while True:
-            np.add(a, b, out=mid)
-            np.multiply(mid, half, out=mid)
-            np.maximum(mid, one, out=tol)
-            np.multiply(tol, scale, out=tol)
-            np.subtract(b, a, out=width)
-            active &= np.greater(width, tol, out=wide)
-            np.less(mid, lo, out=below)
-            below &= active
-            np.greater(mid, hi, out=above)
-            above &= active
+            mid = (a + b) * half
+            active &= (b - a) > np.maximum(mid, one) * scale
+            below = active & (mid < lo)
+            above = active & (mid > hi)
             # each root runs ahead until a midpoint needs fn
             if np.count_nonzero(below) or np.count_nonzero(above):
                 np.copyto(a, mid, where=below)
