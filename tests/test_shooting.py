@@ -1,4 +1,5 @@
 """Numerov shooting solver: convergence order, cross-solver agreement, smoothing."""
+import hashlib
 import math
 import re
 import warnings
@@ -195,6 +196,46 @@ class TestKernel:
     def test_standard_study_energies_unchanged(self):
         sols = find_spectrum_numeric(SMOOTH, 41.75, 4000)
         assert [s.energy for s in sols] == pytest.approx(STUDY_ENERGIES, rel=1e-10)
+
+
+# chunk widths either side of both carry crossovers (16 energies for a sweep,
+# 10 for a trajectory), with the single energy and the full chunk
+PIN_WIDTHS = (1, 10, 11, 16, 17, 32)
+
+# sha256 of every kernel output below, recorded from the chunk-wide carry
+KERNEL_SHA256 = {
+"sigmoid": "9c7815000cfd066ba2c2818210762394d7b0f6994d4b4b806b064d703a63eba4",
+    "ramp": "66549afcc8cd865148b333fbfc1eefa695d017efa05d5a12598f3363ad08ce9e",
+    "flat": "30012f5835bebf0cb742d2d2fb2f0f4ab38226d59b732700442449a68ae91f6e",
+    "deep": "e6ba2dca501a985ef454aa6d7235375790525b0268b98bd0e83b8332dfcb904c",
+    "coarse": "8b6ffacee9697e39baa5be804c24e216dcbb445788979651d5c65989d1933795",
+}
+
+
+class TestKernelBits:
+    """Sweeps, Sturm counts and stitch trajectories keep their bits at every chunk width."""
+
+    @pytest.mark.parametrize("name, spec, n_grid", [
+        ("sigmoid", SMOOTH, 4000),
+        ("ramp", WellSpec(2.0, 5.0, 300.0, Linear(0.4)), 4000),
+        ("flat", WellSpec(3.0, 3.0, 0.0), 4000),
+        ("deep", WellSpec(3.0, 3.0, 1e5), 4000),        # the rescale fires both ways
+        ("coarse", WellSpec(3.0, 3.0, 1e7), 5478),      # blocks shorter than 32 cells
+    ])
+    def test_outputs_pinned(self, name, spec, n_grid):
+        xs, h = _build_grid(spec, n_grid)
+        v = sample(spec, xs)
+        digest = hashlib.sha256()
+        for m in PIN_WIDTHS:
+            e = np.geomspace(0.5, 200.0, m)
+            ends = np.linspace(len(v) - 1, len(v) // 3, m).astype(int)
+            for out in (_sweep_final(v, h, e), _count_below(v, h, e),
+                        _transfer_blocks(v, h, e, path=True, ends=ends),
+                        _transfer_blocks(v[::-1], h, e, path=True, ends=ends)):
+                digest.update(np.ascontiguousarray(out, dtype=float).tobytes())
+        if name == "deep":
+            assert scalar_sweep(v, h, 30.0)[1] > 0 and scalar_sweep(v[::-1], h, 30.0)[1] > 0
+        assert digest.hexdigest() == KERNEL_SHA256[name]
 
 
 class TestConvergenceOrder:
