@@ -25,7 +25,7 @@ The policy sees only energies, values and counts: how a solver evaluates
 Numerov trajectory) stays in that solver's module.  The replay reproduces the
 scan's floats only while ``fn`` returns the same value for an energy whatever
 other energies share its call, which both solvers' functions do (the Numerov
-sweep at full block length with no rescale).
+sweep at full block length).
 
 The polish and the replay loop over a few dozen brackets, where one numpy
 call costs more than its arithmetic: their time goes with the number of

@@ -193,6 +193,23 @@ class TestKernel:
             assert (path[end:, col] == alone[-1]).all(), end
         assert abs(path[1200, 0]) > 1e200 > abs(path[1200, -1])
 
+    @pytest.mark.parametrize("spec, rescales", [
+        (WellSpec(3.0, 3.0, 1e5), 1),
+        (WellSpec(2.0, 4.3, 3e4), 1),
+        (WellSpec(4.0, 1.0, 1e5), 0),   # sqrt(v0) b ~ 316: the growth stays below the cap
+    ], ids=["3-3", "2-4.3", "4-1"])
+    def test_energy_values_independent_of_call_mates(self, spec, rescales):
+        # the root policy's replay relies on this, rescales or not
+        xs, h = _build_grid(spec, 4000)
+        v = sample(spec, xs)
+        energies = np.linspace(0.7, 150.0, 29)
+        swept, counted = _sweep_final(v, h, energies), _count_below(v, h, energies)
+        for e, psi_b, count in zip(energies, swept, counted):
+            assert _sweep_final(v, h, e)[0] == psi_b, e
+            assert _count_below(v, h, e) == count, e
+        for e in (0.7, 150.0):   # both directions
+            assert scalar_sweep(v, h, e)[1] == scalar_sweep(v[::-1], h, e)[1] == rescales
+
     def test_standard_study_energies_unchanged(self):
         sols = find_spectrum_numeric(SMOOTH, 41.75, 4000)
         assert [s.energy for s in sols] == pytest.approx(STUDY_ENERGIES, rel=1e-10)
