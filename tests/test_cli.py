@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import asymwell
@@ -159,6 +160,26 @@ def test_smoothed_wavefunction_on_a_coarser_grid(capsys):
     lines = capsys.readouterr().out.splitlines()
     body = [line for line in lines if not line.startswith("#")]
     assert body[0] == "x,psi,density,potential,classical_density" and len(body) == 1 + 801
+
+
+def test_unnormalized_wavefunction_names_its_numbers(capsys):
+    # the 100-cell solution interpolated onto 801 samples loses 2.95e-5 of its norm
+    argv = "wavefunction --n 3 --smoothing linear --grid 100"
+    assert main(argv.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"asymwell wavefunction: solve: emitted density column is not "
+                        r"unit-normalized: its Simpson integral is 0\.99997\d+, off 1 by "
+                        r"2\.95e-05, past the tolerance 2e-06 \(grid=100, samples=801\)\n",
+                        err), err
+
+
+def test_wavefunction_at_the_walls_names_its_values(monkeypatch, capsys):
+    monkeypatch.setattr(report, "_cubic_interp", lambda x, *_: np.full(x.shape, 3e-9))
+    assert main("wavefunction --n 1 --smoothing linear --samples 101".split()) == 1
+    assert capsys.readouterr().err == ("asymwell wavefunction: solve: wavefunction does not "
+                                       "vanish at the walls: psi(-a) = 3e-09, psi(b) = 3e-09, "
+                                       "past the tolerance 1e-09 (grid=4000, samples=101)\n")
 
 
 @pytest.mark.parametrize("argv", [
