@@ -200,12 +200,16 @@ def cmd_wavefunction(config: RunConfig, n: int) -> Table:
     cls = classical_mod.classical_density(model, xs)
     dens = values**2
 
+    where = f"(grid={config.grid}, samples={config.samples})"
     if abs(values[0]) > 1e-9 or abs(values[-1]) > 1e-9:
-        raise RuntimeError("wavefunction does not vanish at the walls")
+        raise RuntimeError(f"wavefunction does not vanish at the walls: psi(-a) = {values[0]:.3g}, "
+                           f"psi(b) = {values[-1]:.3g}, past the tolerance 1e-09 {where}")
     h = (config.a + config.b) / (config.samples - 1)
     norm_tol = max(2e-6, (math.sqrt(energy) * h) ** 4)
-    if abs(simpson(dens, xs) - 1.0) > norm_tol:
-        raise RuntimeError("emitted density column is not unit-normalized")
+    if abs((norm := simpson(dens, xs)) - 1.0) > norm_tol:
+        raise RuntimeError(f"emitted density column is not unit-normalized: its Simpson integral "
+                           f"is {norm:.9g}, off 1 by {abs(norm - 1.0):.3g}, past the tolerance "
+                           f"{norm_tol:.3g} {where}")
 
     rows = np.column_stack((xs, values, dens, pot, cls)).tolist()
     return Table("wavefunction", _config_items(config, "wavefunction", n=n),
