@@ -13,7 +13,10 @@ Eigenvalues are the trial energies where the forward solution from
 psi(-a) = 0, psi'(-a) = 1 crosses zero at x = b.  Since the recurrence is
 linear, psi(b) is a product of 2x2 step matrices; the sweep multiplies them
 in blocks of 32 cells, vectorized over blocks and energies, then carries the
-state through the blocks in order with a positive rescale against overflow.
+state through the blocks in order with a positive rescale against overflow:
+one energy at a time in Python floats for up to 16 energies (10 for a
+trajectory), where a numpy call costs more than its arithmetic, else all
+energies per block in numpy.  Both carries give the same bits.
 
 A converged state is stitched from both walls: the forward solution up to its
 largest |psi| among the classically allowed samples at or left of the step,
@@ -49,6 +52,7 @@ _RENORM = 1.0 / _RENORM_CAP  # by this factor, exactly 1e-250
 _BLOCK = 32                  # Numerov steps multiplied together per transfer block
 _BLOCK_GROWTH = 1e40         # bound on one block's amplification, far below 1e308 / cap
 _CHUNK = 32                  # trial energies per pass; temporaries stay near 1 MB
+_NARROW = {False: 16, True: 10}  # widest chunk carried per energy in floats: sweep, trajectory
 
 
 class NodeCountError(RuntimeError):
@@ -101,10 +105,15 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
     [[A_i, -B_i], [1, 0]].  The steps are grouped into blocks of up to
     ``_BLOCK`` cells; each block's product is formed by running the two basis
     solutions through it, vectorized over all blocks and energies.  The state
-    is then carried through the blocks one after another, with the positive
-    ``_RENORM_CAP`` rescale applied between blocks.  A block is short enough
-    that its amplification stays below ``_BLOCK_GROWTH``, so the carry cannot
-    overflow between two checks.
+    is then carried through the blocks one after another: one energy at a
+    time in Python floats for a chunk of at most ``_NARROW[path]`` energies,
+    all energies per block in numpy for a wider one.  Both make the same float
+    operations in the same order and scale an energy by ``_RENORM`` after each
+    block that leaves its |psi| or |psi_prev| past ``_RENORM_CAP``: numpy checks
+    once a bound on the chunk's largest state passes the cap, as it does at
+    every such block, then scales only the energies past it.  A block is short
+    enough that its amplification stays below ``_BLOCK_GROWTH``, so the carry
+    cannot overflow between two checks.
 
     Every step past a column's end, its entry of ``ends`` (default the last
     sample), is the identity (A = 1, B = 0), so psi[end] repeats there and the
@@ -149,26 +158,42 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
         np.multiply(b_mat[j], hist[j % depth], out=tmp)
         nxt -= tmp
     # block transfer matrices, rows (psi, psi_prev) by basis columns
-    blocks = np.ascontiguousarray(hist[[(k + 1) % depth, k % depth]].transpose(2, 0, 1, 3))
+    blocks = hist[[(k + 1) % depth, k % depth]]
+    if not (narrow := m <= _NARROW[path]):
+        blocks = np.ascontiguousarray(blocks.transpose(2, 0, 1, 3))
     del a_mat, b_mat, tmp    # a trajectory's samples need the room
 
     state = np.zeros((2, m))
     state[0] = h * (1.0 + h * h * (v[0] - e) / 6.0)
-    bound = float(np.abs(state).max())
-    if path:
-        starts = np.empty((nb, 2, m))
-        fired = np.zeros((nb, m), dtype=bool)
-    for blk in range(nb):
-        if path:
-            starts[blk] = state
-        state = (blocks[blk] * state).sum(axis=1)
-        bound *= growth
-        if bound > _RENORM_CAP:
-            big = np.abs(state).max(axis=0) > _RENORM_CAP
-            state[:, big] *= _RENORM
+    fired = np.zeros((nb, m), dtype=bool)
+    if narrow:
+        cap, ncap, starts, last = _RENORM_CAP, -_RENORM_CAP, [], []
+        rows = blocks.transpose(3, 2, 0, 1).reshape(m, -1).tolist()
+        for i, (flat, s0) in enumerate(zip(rows, state[0].tolist())):
+            s1, it, seen = 0.0, iter(flat), []
+            for blk, (b00, b01, b10, b11) in enumerate(zip(it, it, it, it)):
+                if path:
+                    seen += s0, s1
+                s0, s1 = b00 * s0 + b01 * s1, b10 * s0 + b11 * s1
+                if s0 > cap or s0 < ncap or s1 > cap or s1 < ncap:
+                    s0, s1 = s0 * _RENORM, s1 * _RENORM
+                    fired[blk, i] = True
+            starts.append(seen)
+            last.append((s0, s1))
+        state, starts = np.array(last).T, np.array(starts).reshape(m, -1, 2).transpose(1, 2, 0)
+    else:
+        bound = float(np.abs(state).max())
+        starts = np.empty((nb, 2, m)) if path else None
+        for blk in range(nb):
             if path:
+                starts[blk] = state
+            state = (blocks[blk] * state).sum(axis=1)
+            bound *= growth
+            if bound > _RENORM_CAP:
+                big = np.abs(state).max(axis=0) > _RENORM_CAP
+                state[:, big] *= _RENORM
                 fired[blk] = big
-            bound = float(np.abs(state).max())
+                bound = float(np.abs(state).max())
     if not path:
         return state[0]
     out = np.empty((nb * k + 2, m))
@@ -177,7 +202,8 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
     np.multiply(hist[1 : k + 1, 0], starts[:, 0], out=inner)
     inner += hist[1 : k + 1, 1] * starts[:, 1]
     # samples in block blk take the rescales at the ends of blocks blk, blk+1, ...
-    inner *= _RENORM ** np.cumsum(fired[::-1], axis=0)[::-1]
+    if fired.any():
+        inner *= _RENORM ** np.cumsum(fired[::-1], axis=0)[::-1]
     return out[: n + 2]
 
 
