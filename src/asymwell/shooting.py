@@ -13,10 +13,10 @@ Eigenvalues are the trial energies where the forward solution from
 psi(-a) = 0, psi'(-a) = 1 crosses zero at x = b.  Since the recurrence is
 linear, psi(b) is a product of 2x2 step matrices; the sweep multiplies them
 in blocks of 32 cells, vectorized over blocks and energies, then carries the
-state through the blocks in order with a positive rescale against overflow:
-one energy at a time in Python floats for up to 16 energies (10 for a
-trajectory), where a numpy call costs more than its arithmetic, else all
-energies per block in numpy.  Both carries give the same bits.
+state through the blocks in order, rescaling an energy after each block that
+leaves its state past the overflow cap: one energy at a time in Python floats
+for up to 16 energies (10 for a trajectory), where a numpy call costs more
+than its arithmetic, else all energies per block in numpy, with the same bits.
 
 A converged state is stitched from both walls: the forward solution up to its
 largest |psi| among the classically allowed samples at or left of the step,

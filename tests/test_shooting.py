@@ -219,9 +219,10 @@ class TestKernel:
 # 10 for a trajectory), with the single energy and the full chunk
 PIN_WIDTHS = (1, 10, 11, 16, 17, 32)
 
-# sha256 of every kernel output below, recorded from the chunk-wide carry
+# sha256 of every kernel output below, recorded while every chunk width took
+# the vectorized carry
 KERNEL_SHA256 = {
-"sigmoid": "9c7815000cfd066ba2c2818210762394d7b0f6994d4b4b806b064d703a63eba4",
+    "sigmoid": "9c7815000cfd066ba2c2818210762394d7b0f6994d4b4b806b064d703a63eba4",
     "ramp": "66549afcc8cd865148b333fbfc1eefa695d017efa05d5a12598f3363ad08ce9e",
     "flat": "30012f5835bebf0cb742d2d2fb2f0f4ab38226d59b732700442449a68ae91f6e",
     "deep": "e6ba2dca501a985ef454aa6d7235375790525b0268b98bd0e83b8332dfcb904c",
