@@ -63,9 +63,9 @@ class NodeCountError(RuntimeError):
 class GridSolution:
     """One numeric eigenstate sampled on a uniform grid over [-a, b].
 
-    ``values`` is normalized to unit Simpson norm, with the sign fixed so the
-    wavefunction rises from the left wall (matching the amp_left > 0
-    convention of the closed-form states).
+    ``values`` is normalized to unit Simpson norm and rises from the left wall
+    (the amp_left > 0 convention of the closed-form states): its energy lies in
+    the grid's spectrum, where the forward pass starts positive (``_e_top``).
     """
 
     spec: WellSpec
@@ -93,7 +93,10 @@ def _t_max(v: np.ndarray, h: float, energy: float) -> float:
 
 def _e_top(v: np.ndarray, h: float) -> float:
     """min V + 6 / h^2, the top of the grid's spectrum: past it h^2 (V - E) / 12 < -1/2 at the
-    lowest sample, where a step flips the sign of psi and the recurrence stops oscillating."""
+    lowest sample, where a step flips the sign of psi and the recurrence stops oscillating.
+    Every floor ``WellSpec`` accepts is nondecreasing, so min V = V(-a), and every level lies in
+    (V(-a), top): at or below V(-a) each t >= 0 and psi from psi(-a) = 0 only grows, and below
+    the top the forward pass's first interior sample h (1 + h^2 (V(-a) - E) / 6) is positive."""
     return v.min() + 6.0 / (h * h)
 
 
@@ -235,8 +238,7 @@ def _stitched(v: np.ndarray, h: float, energies, split: int) -> np.ndarray:
     """
     e = np.asarray(energies, dtype=float)
     allowed = v[: split + 1, None] <= e
-    stop = np.where(allowed.any(axis=0), split - np.argmax(allowed[::-1], axis=0), split)
-    stop = np.maximum(stop, 2)
+    stop = np.maximum(split - np.argmax(allowed[::-1], axis=0), 2)
     out = np.empty((e.size, len(v)))
     for lo in range(0, e.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
@@ -336,13 +338,10 @@ def interior_nodes(sol: GridSolution) -> int:
 def _normalized_solution(spec, xs, v, h, energies) -> list[GridSolution]:
     """The Simpson-normalized stitched state at each energy, numbered from 1."""
     split = int(np.searchsorted(xs, 0.0, side="right")) - 1
-    sols = []
-    for n, (energy, values) in enumerate(zip(energies, _stitched(v, h, energies, split)), start=1):
-        values = values / math.sqrt(simpson(values**2, xs))
-        if values[1] < 0:
-            values = -values
-        sols.append(GridSolution(spec=spec, n=n, energy=energy, grid=xs, values=values, step=h))
-    return sols
+    stitched = _stitched(v, h, energies, split)
+    return [GridSolution(spec=spec, n=n, energy=energy, grid=xs, step=h,
+                         values=values / math.sqrt(simpson(values**2, xs)))
+            for n, (energy, values) in enumerate(zip(energies, stitched), start=1)]
 
 
 def side_probability_numeric(sol: GridSolution) -> float:

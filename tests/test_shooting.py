@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from asymwell import (
@@ -15,6 +16,7 @@ from asymwell import (
     NodeCountError,
     WellSpec,
     classical_model,
+    evaluate,
     find_spectrum,
     find_spectrum_numeric,
     sample,
@@ -462,6 +464,32 @@ class TestTopOfSpectrum:
         e_max = 0.999 * 400**2 / 6.0
         states = find_spectrum_numeric(STEP, e_max, 400)
         assert len(states) == 392 and states[-1].energy <= e_max
+
+
+class TestSpectrumWindow:
+    """Every level lies in (V(-a), V(-a) + 6 / h^2), where the forward pass starts positive
+    and the sample at -a is classically allowed, so each state rises from the left wall
+    with no sign fixed after the stitch."""
+
+    @given(family=st.sampled_from(["step", "sigmoid", "ramp"]),
+           a=st.floats(0.05, 5.0), b=st.floats(0.05, 5.0), cells=st.integers(50, 2000),
+           height=st.floats(0.0, 1.0), scale=st.floats(0.01, 0.99), reach=st.floats(0.01, 1.0))
+    # a left half under two cells: the forward pass stops at the third sample
+    @example(family="sigmoid", a=0.02, b=3.0, cells=50, height=1.0, scale=0.1, reach=1.0)
+    @settings(max_examples=60)
+    def test_levels_lie_above_the_left_wall_and_rise_from_it(self, family, a, b, cells,
+                                                             height, scale, reach):
+        n_grid = 2 * cells
+        h = (a + b) / n_grid
+        smoothing = {"step": None, "sigmoid": Exponential(scale),
+                     "ramp": Linear(scale * min(a, b))}[family]
+        # up to 1e5, and below the 12 / h^2 the grid's stability asks for
+        spec = WellSpec(a, b, height * min(1e5, 0.99 * 12.0 / (h * h)), smoothing)
+        v_left = evaluate(spec, -spec.a)
+        e_max = v_left + reach * min(0.999 * 6.0 / (h * h), spec.v0 + (20.0 * math.pi / (a + b))**2)
+        for sol in find_spectrum_numeric(spec, e_max, n_grid):
+            assert sol.energy > v_left
+            assert sol.values[1] > 0.0
 
 
 class TestFixedScanParity:
