@@ -189,12 +189,12 @@ def cmd_wavefunction(config: RunConfig, n: int) -> Table:
     if well.is_step:
         state = _nth(_analytic_states(config), n)
         values = spectrum_mod.psi(state, xs)
-        energy = state.energy
+        energy, step = state.energy, 0.0
     else:
         sols = shooting_mod.find_spectrum_numeric(well, config.energy_cap(), config.grid)
         sol = _nth(_lowest(config, sols), n)
         values = _cubic_interp(xs, sol.grid, sol.values)
-        energy = sol.energy
+        energy, step = sol.energy, sol.step
     pot = potential_mod.sample(well, xs)
     model = classical_mod.classical_model(config.step_well(), energy)
     cls = classical_mod.classical_density(model, xs)
@@ -204,7 +204,7 @@ def cmd_wavefunction(config: RunConfig, n: int) -> Table:
     if abs(values[0]) > 1e-9 or abs(values[-1]) > 1e-9:
         raise RuntimeError(f"wavefunction does not vanish at the walls: psi(-a) = {values[0]:.3g}, "
                            f"psi(b) = {values[-1]:.3g}, past the tolerance 1e-09 {where}")
-    h = (config.a + config.b) / (config.samples - 1)
+    h = max(step, (config.a + config.b) / (config.samples - 1))  # samples or the grid under them
     norm_tol = max(2e-6, (math.sqrt(energy) * h) ** 4)
     if abs((norm := simpson(dens, xs)) - 1.0) > norm_tol:
         raise RuntimeError(f"emitted density column is not unit-normalized: its Simpson integral "
