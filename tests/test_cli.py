@@ -336,8 +336,9 @@ def test_cutoff_past_the_numeric_spectrum_fails_at_solve(capsys):
                                   "spectrum --n-max 100000000000000000000"],
                          ids=["compare-1e160", "spectrum-1e20"])
 def test_huge_n_max_fails_at_config(argv):
-    # past 2**53 states, or where the cutoff it sets overflows a float, n_max
-    # is refused by name, with no traceback from the cutoff formula
+    # past 2**53 states n_max is refused by name, before the cutoff formula
+    # runs; both inputs take that branch (test_report covers a cutoff that
+    # overflows under ** for an n_max below it)
     proc = _run_python("-m", "asymwell", *argv.split())
     err = proc.stderr.decode()
     assert proc.returncode == 1, err

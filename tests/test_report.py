@@ -1,6 +1,7 @@
 """CLI tables: content, schema, determinism, and error paths."""
 import json
 import math
+import re
 
 import numpy as np
 import oracles
@@ -407,6 +408,19 @@ class TestCli:
     def test_conflicting_cutoffs_rejected(self):
         with pytest.raises(SystemExit):
             main(["spectrum", "--e-max", "35", "--n-max", "9"])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"e_max": 1.0, "n_max": 2}, "exactly one of e_max / n_max must be set"),
+        ({"smoothing": "cubic", "e_max": 1.0},
+         "smoothing must be one of none, exponential, linear, got 'cubic'"),
+        # (pi / 3e-200) ** 2 raises OverflowError where * would give inf
+        ({"n_max": 1, "a": 1.5e-200, "b": 1.5e-200},
+         "n_max must be at most 2**53 and set a finite energy cutoff, got 1"),
+    ], ids=["both-cutoffs", "unknown-choice", "cutoff-overflows"])
+    def test_refused_configs_name_the_rule(self, kwargs, message):
+        # the parser rejects the first two before a RunConfig is built
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(**kwargs)
 
     def test_wavefunction_cli(self, tmp_path):
         out = tmp_path / "w.csv"

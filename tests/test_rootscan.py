@@ -68,6 +68,15 @@ def test_root_at_the_cutoff_counts_on_either_side():
     assert roots == pytest.approx([0.5, 1.0], rel=1e-12)
 
 
+@pytest.mark.parametrize("roots, expected", [([0.5, 1.0], [0.5, 1.0]),
+                                             ([0.33, 2.0], [0.32999999999997237, 2.0])])
+def test_root_exactly_at_the_cutoff_is_reported(roots, expected):
+    # fn(e_max) is exactly 0, so the bracket holding e_max closes on it
+    fn, count = polynomial(roots)
+    assert bracket_and_bisect(fn, count, roots[-1], 0.1, 1e-13) == expected
+    assert expected == reference_roots(fn, count, roots[-1], 0.1, 1e-13)
+
+
 def test_only_level_past_the_cutoff_leaves_nothing():
     # the count puts the level below the cutoff, fn puts it above
     fn, _ = polynomial([1.0])
