@@ -400,6 +400,9 @@ class TestCli:
         ("p_max", 0.0, "p_max must be finite and positive"),
         ("points", 2, "points must be at least 3"),
         ("samples", 4, "samples must be at least 5"),
+        # the parser rejects these two before a RunConfig is built
+        ("n_max", 2, "exactly one of e_max / n_max must be set"),
+        ("smoothing", "cubic", "smoothing must be one of none, exponential, linear, got 'cubic'"),
     ])
     def test_out_of_range_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -409,18 +412,11 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["spectrum", "--e-max", "35", "--n-max", "9"])
 
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"e_max": 1.0, "n_max": 2}, "exactly one of e_max / n_max must be set"),
-        ({"smoothing": "cubic", "e_max": 1.0},
-         "smoothing must be one of none, exponential, linear, got 'cubic'"),
+    def test_n_max_whose_cutoff_overflows_rejected(self):
         # (pi / 3e-200) ** 2 raises OverflowError where * would give inf
-        ({"n_max": 1, "a": 1.5e-200, "b": 1.5e-200},
-         "n_max must be at most 2**53 and set a finite energy cutoff, got 1"),
-    ], ids=["both-cutoffs", "unknown-choice", "cutoff-overflows"])
-    def test_refused_configs_name_the_rule(self, kwargs, message):
-        # the parser rejects the first two before a RunConfig is built
-        with pytest.raises(ValueError, match=re.escape(message)):
-            RunConfig(**kwargs)
+        with pytest.raises(ValueError, match=re.escape(
+                "n_max must be at most 2**53 and set a finite energy cutoff, got 1")):
+            RunConfig(n_max=1, a=1.5e-200, b=1.5e-200)
 
     def test_wavefunction_cli(self, tmp_path):
         out = tmp_path / "w.csv"
