@@ -214,6 +214,26 @@ class TestFindSpectrum:
             assume(False)  # the fixed scan gave up; the count-directed policy resolves
         assert [state.energy for state in find_spectrum(spec, e_max)] == expected
 
+    @pytest.mark.parametrize("spec, e_max", [
+        (WellSpec(1.0, 5.0, 2000.0), 3000.0),
+        (WellSpec(1.0, 4.0, 200.0), 4000.0),
+        (WellSpec(3.0, 3.0, 20.0), 1e4),
+    ])
+    def test_tall_step_brackets_polish_in_few_calls(self, spec, e_max, monkeypatch):
+        # below a tall step the polish must narrow the brackets, not leave
+        # them to the replay's bisection from the scan cell
+        calls = []
+
+        def policy(fn, *args):
+            def counted(es):
+                calls.append(es.size)
+                return fn(es)
+            return bracket_and_bisect(counted, *args)
+
+        monkeypatch.setattr(spectrum, "bracket_and_bisect", policy)
+        assert find_spectrum(spec, e_max)
+        assert len(calls) <= 30
+
 
 class TestNormalization:
     def test_unit_norm_by_quadrature(self, standard_states):
