@@ -11,6 +11,12 @@ which below the step (E < v0, q = i qbar) continues to
 Dividing the q-sector by q merges both branches into one characteristic
 function that is real-analytic in E across E = v0, so one root search
 catches every root with no branch bookkeeping.
+
+Below a tall step that function grows like cosh(qbar b), up to e^350 inside
+the overflow guard, which the root policy's secant polish cannot narrow.  The
+policy therefore sees it divided by cosh(qbar b) below the step and by 1 at
+and above it, the Pruefer-style rescaling: a positive finite divisor keeps
+every sign and every zero, and the quotient is bounded by 1 + k b.
 """
 from __future__ import annotations
 
@@ -108,6 +114,14 @@ def _characteristic_many(spec: WellSpec, energies: np.ndarray) -> np.ndarray:
     return k * np.cos(k * spec.a) * S + C * np.sin(k * spec.a)
 
 
+def _scaled_characteristic(spec: WellSpec, energies: np.ndarray) -> np.ndarray:
+    """The root policy's fn: g(E) / cosh(qbar b) below the step, g(E) at and
+    above it.  |fn| <= 1 + k b on both sides, as tanh(x)/x and |sin(x)/x|
+    are at most 1."""
+    e = np.asarray(energies, dtype=float)
+    return _characteristic_many(spec, e) / np.cosh(np.sqrt(np.maximum(spec.v0 - e, 0.0)) * spec.b)
+
+
 def _right_sc(d: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
     """S and C of the characteristic at E - v0 = d, with S = b, C = 1 at d = 0."""
     w = np.sqrt(np.abs(d))
@@ -123,10 +137,11 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
     """Every bound state with 0 < E <= e_max, normalized, ordered by energy.
 
     The closed-form Sturm count gives every root of the characteristic a
-    bracket of its own, which the shared root policy polishes; the energies
-    are the floats of the fixed-step scan and bisection.  ``ScanResolutionError``
-    is raised where the count places a level but the characteristic keeps its
-    sign.
+    bracket of its own, which the shared root policy polishes on the
+    characteristic divided by cosh(qbar b) below the step.  That keeps every
+    sign, so the energies are the floats of the fixed-step scan and bisection
+    of the characteristic itself.  ``ScanResolutionError`` is raised where the
+    count places a level but the characteristic keeps its sign.
     """
     _require_step(spec)
     # normalizing a state below the step evaluates sinh(2 qbar b) in
@@ -139,7 +154,7 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
             f"(need sqrt(v0)*b <= 350)"
         )
 
-    roots = bracket_and_bisect(lambda es: _characteristic_many(spec, es),
+    roots = bracket_and_bisect(lambda es: _scaled_characteristic(spec, es),
                                lambda es: _count_below(spec, es),
                                e_max, scan_step(spec.a, spec.b), _BISECT_TOL)
     return _solve_state(spec, roots)

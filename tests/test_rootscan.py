@@ -178,15 +178,15 @@ def test_root_exactly_on_a_count_probe():
 
 
 # sha256 over every energy array the closed-form solver hands to fn and to
-# count, tagged and in call order, recorded before the array state solve and
-# the C-level reductions of the polish and replay loops
+# count, tagged and in call order, recorded once fn became the characteristic
+# divided by cosh(qbar b) below the step
 CALL_LOG_SHA256 = {
     (3.0, 3.0, 20.0, 100.0):
-        "faaccb4f756e3515a5760abef2a0842645fc1b702bee70f37ec235b53749c6b3",
+        "29e22d8607fb5073648dc2f40d238c5df5133228bb167c64e9d0ca8e8fa66f2b",
     (2.0, 4.0, 60.0, 300.0):
-        "6266270ac9bd11078e72b745854e5a883c84dfe87b66a89c83d90d6ccf8a1218",
+        "39b33cb452df9f35895cdbbbbfbd53ada0c435c7aca7fea56d096fb80e986cae",
     (1.0, 1.0, 100.0, 1e4):
-        "ed8a4a81867066431dbd804a9df94808ebd3c1074738987179a9d2a8bbd0003d",
+        "fedfb70d01d48c5eab928be05a08d54c340947820e62c4c0daafc428d671c004",
 }
 
 
