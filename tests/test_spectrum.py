@@ -80,6 +80,27 @@ class TestCharacteristic:
         with pytest.raises(ValueError):
             characteristic(WellSpec(3, 3, 20, Exponential(0.2)), 1.0)
 
+    @given(a=lengths, b=lengths, v0=st.floats(min_value=0.0, max_value=1e4),
+           e_max=st.floats(min_value=1.0, max_value=1e4),
+           energies=st.lists(st.floats(min_value=1e-9, max_value=2e4), max_size=20))
+    @example(a=1.0, b=5.0, v0=2000.0, e_max=3000.0, energies=[])
+    @example(a=4.0, b=4.0, v0=5000.0, e_max=6000.0, energies=[])
+    @settings(max_examples=100)
+    def test_policy_fn_keeps_the_signs_of_the_characteristic(self, a, b, v0, e_max, energies):
+        # the root policy reads g / cosh(qbar b), whose signs must be g's: at
+        # random energies, at the branch point and within 4 ulp of each root
+        assume(math.sqrt(v0) * b <= 350.0)
+        spec = WellSpec(a, b, v0)
+        up = down = np.array([state.energy for state in find_spectrum(spec, e_max)])
+        near = []
+        for _ in range(4):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            near += [up, down]
+        es = np.concatenate([energies, [v0], *near])
+        fn = spectrum._scaled_characteristic(spec, es)
+        np.testing.assert_array_equal(np.sign(fn), np.sign(_characteristic_many(spec, es)))
+        assert np.all(np.abs(fn) <= (1.0 + np.sqrt(es) * b) * (1.0 + 1e-12))
+
 
 class TestFindSpectrum:
     def test_standard_well_spectrum(self, standard_states):
@@ -201,6 +222,8 @@ class TestFindSpectrum:
     @example(a=3.0, b=3.0, v0=20.0, e_max=1e4)
     @example(a=6.375, b=9.8125, v0=0.0, e_max=73.0)  # flat floor: levels on scan points
     @example(a=7.981306055915094, b=7.5, v0=100.0, e_max=100.0)  # g = 0 on a run of floats
+    @example(a=1.0, b=5.0, v0=2000.0, e_max=3000.0)  # tall steps: the polish's calls change most
+    @example(a=4.0, b=4.0, v0=5000.0, e_max=6000.0)
     @settings(max_examples=200)
     def test_energies_match_the_fixed_scan(self, a, b, v0, e_max):
         # the count-directed policy reports the fixed-step scan's floats
