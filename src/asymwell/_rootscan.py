@@ -12,8 +12,10 @@ both:
    brackets, one call per pass.  A bracket hands over once it is narrower
    than ``_HANDOVER`` bisection tolerances, where the last bisection steps
    cost fewer calls than more secant passes, or once it fails to halve in
-   ``_STALL`` passes: near a root under a high step ``fn`` reaches a rounding
-   floor, below which only its sign means anything.
+   ``_STALL`` passes.  A stall comes from a rounding floor, below which only
+   the sign of ``fn`` means anything, such as Numerov's near a root under a
+   high step.  The closed form's ``fn`` is scaled to stay below 1 + k b, so
+   its brackets rarely stall, and then next to E = v0, where it bends sharply.
 3. Replay: the reported float is the one a fixed scan would give, with cells
    of ``step`` refined 10x until every root has a cell of its own, bisected to
    the tolerance.  Its midpoints outside the polished bracket take the sign of
