@@ -118,8 +118,8 @@ def _scaled_characteristic(spec: WellSpec, energies: np.ndarray) -> np.ndarray:
     """The root policy's fn: g(E) / cosh(qbar b) below the step, g(E) at and
     above it.  |fn| <= 1 + k b on both sides, as tanh(x)/x and |sin(x)/x|
     are at most 1."""
-    e = np.asarray(energies, dtype=float)
-    return _characteristic_many(spec, e) / np.cosh(np.sqrt(np.maximum(spec.v0 - e, 0.0)) * spec.b)
+    qbar = np.sqrt(np.maximum(spec.v0 - energies, 0.0))   # 0 at and above the step
+    return _characteristic_many(spec, energies) / np.cosh(qbar * spec.b)
 
 
 def _right_sc(d: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
