@@ -13,7 +13,7 @@ function that is real-analytic in E across E = v0, so one root search
 catches every root with no branch bookkeeping.
 
 Below a tall step that function grows like cosh(qbar b), up to e^350 inside
-the overflow guard, which the root policy's secant polish cannot narrow.  The
+the overflow guard, where the root policy's secant polish stalls.  The
 policy therefore sees it divided by cosh(qbar b) below the step and by 1 at
 and above it, the Pruefer-style rescaling: a positive finite divisor keeps
 every sign and every zero, and the quotient is bounded by 1 + k b.
