@@ -2,6 +2,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -212,6 +213,22 @@ class TestKernel:
         for e in (0.7, 150.0):   # both directions
             assert scalar_sweep(v, h, e)[1] == scalar_sweep(v[::-1], h, e)[1] == rescales
 
+    def test_full_chunk_temporaries_stay_small(self):
+        # traced peaks of a full chunk on 4000 cells, whose arrays are about
+        # 1 MB each: 3.12 and 4.37 MiB when this test was written
+        xs, h = _build_grid(SMOOTH, 4000)
+        v = sample(SMOOTH, xs)
+        e = np.geomspace(0.5, 200.0, shooting._CHUNK)
+        for call, limit in ((lambda: _sweep_final(v, h, e), 3.2),
+                            (lambda: _transfer_blocks(v, h, e, path=True), 4.5)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit * 2**20, peak
+
     def test_standard_study_energies_unchanged(self):
         sols = find_spectrum_numeric(SMOOTH, 41.75, 4000)
         assert [s.energy for s in sols] == pytest.approx(STUDY_ENERGIES, rel=1e-10)
@@ -256,6 +273,32 @@ class TestKernelBits:
         if name == "deep":
             assert scalar_sweep(v, h, 30.0)[1] > 0 and scalar_sweep(v[::-1], h, 30.0)[1] > 0
         assert digest.hexdigest() == KERNEL_SHA256[name]
+
+    def test_columns_independent_of_chunk_width(self):
+        # every width a chunk can have, so a layout slip at a width the pins
+        # skip shows; every energy here gets full 32-cell blocks, so each
+        # column is its own width-1 pass bit for bit
+        xs, h = _build_grid(SMOOTH, 4000)
+        v = sample(SMOOTH, xs)
+        pool = np.geomspace(0.5, 200.0, shooting._CHUNK)
+        pool_ends = np.linspace(len(v) - 1, len(v) // 3, pool.size).astype(int)
+        alone = [(_sweep_final(v, h, e)[0], _count_below(v, h, e),
+                  _transfer_blocks(v, h, np.asarray([e]), path=True, ends=np.asarray([end]))[:, 0],
+                  _transfer_blocks(v[::-1], h, np.asarray([e]), path=True,
+                                   ends=np.asarray([end]))[:, 0])
+                 for e, end in zip(pool, pool_ends)]
+        for m in range(1, shooting._CHUNK + 1):
+            picks = np.roll(np.arange(pool.size), m)[:m]
+            e, ends = pool[picks], pool_ends[picks]
+            swept, counted = _sweep_final(v, h, e), _count_below(v, h, e)
+            fwd = _transfer_blocks(v, h, e, path=True, ends=ends)
+            bwd = _transfer_blocks(v[::-1], h, e, path=True, ends=ends)
+            for col, (i, end) in enumerate(zip(picks, ends)):
+                psi_b, count, fwd_ref, bwd_ref = alone[i]
+                assert swept[col] == psi_b and counted[col] == count, (m, col)
+                for path, ref in ((fwd, fwd_ref), (bwd, bwd_ref)):
+                    assert np.array_equal(path[: end + 1, col], ref), (m, col)
+                    assert (path[end:, col] == ref[-1]).all(), (m, col)
 
 
 class TestConvergenceOrder:
