@@ -12,11 +12,13 @@ closed-form solver remains authoritative and this one is a consistency check.
 Eigenvalues are the trial energies where the forward solution from
 psi(-a) = 0, psi'(-a) = 1 crosses zero at x = b.  Since the recurrence is
 linear, psi(b) is a product of 2x2 step matrices; the sweep multiplies them
-in blocks of 32 cells, vectorized over blocks and energies, then carries the
-state through the blocks in order, rescaling an energy after each block that
-leaves its state past the overflow cap: one energy at a time in Python floats
-for up to 16 energies (10 for a trajectory), where a numpy call costs more
-than its arithmetic, else all energies per block in numpy, with the same bits.
+in blocks of 32 cells, vectorized over blocks and energies with the ~125
+blocks innermost (most calls hold 2-10 energies, too few for a numpy inner
+loop), then carries the state through the blocks in order, rescaling an
+energy after each block that leaves its state past the overflow cap: one
+energy at a time in Python floats for up to 16 energies (10 for a
+trajectory), where a numpy call costs more than its arithmetic, else all
+energies per block in numpy, with the same bits.
 
 A converged state is stitched from both walls: the forward solution up to its
 largest |psi| among the classically allowed samples at or left of the step,
@@ -51,7 +53,7 @@ _RENORM_CAP = 1e250          # rescale the running solution past this magnitude
 _RENORM = 1.0 / _RENORM_CAP  # by this factor, exactly 1e-250
 _BLOCK = 32                  # Numerov steps multiplied together per transfer block
 _BLOCK_GROWTH = 1e40         # bound on one block's amplification, far below 1e308 / cap
-_CHUNK = 32                  # trial energies per pass; temporaries stay near 1 MB
+_CHUNK = 32                  # trial energies per pass; at 4000 cells ~1 MB per array, 4.5 MB peak
 _NARROW = {False: 16, True: 10}  # widest chunk carried per energy in floats: sweep, trajectory
 
 
@@ -107,7 +109,10 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
     Step i maps (psi[i], psi[i-1]) to (psi[i+1], psi[i]) by the matrix
     [[A_i, -B_i], [1, 0]].  The steps are grouped into blocks of up to
     ``_BLOCK`` cells; each block's product is formed by running the two basis
-    solutions through it, vectorized over all blocks and energies.  The state
+    solutions through it, vectorized over all blocks and energies.  Its arrays
+    are laid out (step in block k, energy m, block nb): blocks innermost, so
+    every numpy operation runs along the nb blocks, not the few energies of a
+    typical chunk.  The state
     is then carried through the blocks one after another: one energy at a
     time in Python floats for a chunk of at most ``_NARROW[path]`` energies,
     all energies per block in numpy for a wider one.  Both make the same float
@@ -135,26 +140,26 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
     k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g)))) if g > 1.0 else _BLOCK
     growth = g**k
     nb = -(-n // k)
-    # step i = 1 + j + k*b sits at [j, b]
-    step = np.minimum(np.arange(nb * k).reshape(nb, k).T, n - 1)
-    den = (1.0 - c * v[step + 2])[..., None] + c * e
-    a_mat = (2.0 + 10.0 * c * v[step + 1])[..., None] - 10.0 * c * e
+    # step i = 1 + j + k*b sits at [j, :, b]
+    step = np.minimum(np.arange(nb * k).reshape(nb, k).T, n - 1)[:, None]
+    ce = c * e[:, None]
+    a_mat, b_mat = np.empty((2, k, m, nb))
+    den = np.add(1.0 - c * v[step + 2], ce, out=b_mat)    # until B is formed over it
+    np.subtract(2.0 + 10.0 * c * v[step + 1], 10.0 * c * e[:, None], out=a_mat)
     a_mat /= den
-    b_mat = (1.0 - c * v[step])[..., None] + c * e
-    b_mat /= den
-    del den
+    np.divide((1.0 - c * v[step]) + ce, den, out=b_mat)
     for col, end in [(slice(None), n + 1)] if ends is None else enumerate(ends):
         blk, j = divmod(end - 1, k)     # step ``end`` is the first past the end
-        a_mat[j:, blk : blk + 1, col] = a_mat[:, blk + 1 :, col] = 1.0
-        b_mat[j:, blk : blk + 1, col] = b_mat[:, blk + 1 :, col] = 0.0
+        a_mat[j:, col, blk : blk + 1] = a_mat[:, col, blk + 1 :] = 1.0
+        b_mat[j:, col, blk : blk + 1] = b_mat[:, col, blk + 1 :] = 0.0
 
     # hist[(j + 1) % depth, s] is basis solution s after j steps into each
     # block; basis 0 starts from (psi, psi_prev) = (1, 0), basis 1 from (0, 1).
     # Only a trajectory keeps every step; a sweep cycles through three slots.
     depth = k + 2 if path else 3
-    hist = np.empty((depth, 2, nb, m))
+    hist = np.empty((depth, 2, m, nb))
     hist[0, 0], hist[0, 1], hist[1, 0], hist[1, 1] = 0.0, 1.0, 1.0, 0.0
-    tmp = np.empty((2, nb, m))
+    tmp = np.empty((2, m, nb))
     for j in range(k):
         nxt = hist[(j + 2) % depth]
         np.multiply(a_mat[j], hist[(j + 1) % depth], out=nxt)
@@ -162,16 +167,14 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
         nxt -= tmp
     # block transfer matrices, rows (psi, psi_prev) by basis columns
     blocks = hist[[(k + 1) % depth, k % depth]]
-    if not (narrow := m <= _NARROW[path]):
-        blocks = np.ascontiguousarray(blocks.transpose(2, 0, 1, 3))
-    del a_mat, b_mat, tmp    # a trajectory's samples need the room
+    del a_mat, b_mat, den, tmp    # a trajectory's samples need the room
 
     state = np.zeros((2, m))
     state[0] = h * (1.0 + h * h * (v[0] - e) / 6.0)
-    fired = np.zeros((nb, m), dtype=bool)
-    if narrow:
+    fired = np.zeros((m, nb), dtype=bool)
+    if m <= _NARROW[path]:
         cap, ncap, starts, last = _RENORM_CAP, -_RENORM_CAP, [], []
-        rows = blocks.transpose(3, 2, 0, 1).reshape(m, -1).tolist()
+        rows = blocks.transpose(2, 3, 0, 1).reshape(m, -1).tolist()
         for i, (flat, s0) in enumerate(zip(rows, state[0].tolist())):
             s1, it, seen = 0.0, iter(flat), []
             for blk, (b00, b01, b10, b11) in enumerate(zip(it, it, it, it)):
@@ -180,11 +183,12 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
                 s0, s1 = b00 * s0 + b01 * s1, b10 * s0 + b11 * s1
                 if s0 > cap or s0 < ncap or s1 > cap or s1 < ncap:
                     s0, s1 = s0 * _RENORM, s1 * _RENORM
-                    fired[blk, i] = True
+                    fired[i, blk] = True
             starts.append(seen)
             last.append((s0, s1))
-        state, starts = np.array(last).T, np.array(starts).reshape(m, -1, 2).transpose(1, 2, 0)
+        state, starts = np.array(last).T, np.array(starts).reshape(m, -1, 2).transpose(2, 0, 1)
     else:
+        blocks = np.ascontiguousarray(blocks.transpose(3, 0, 1, 2))
         bound = float(np.abs(state).max())
         starts = np.empty((nb, 2, m)) if path else None
         for blk in range(nb):
@@ -195,19 +199,25 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
             if bound > _RENORM_CAP:
                 big = np.abs(state).max(axis=0) > _RENORM_CAP
                 state[:, big] *= _RENORM
-                fired[blk] = big
+                fired[:, blk] = big
                 bound = float(np.abs(state).max())
+        if path:
+            starts = starts.transpose(1, 2, 0)
     if not path:
         return state[0]
-    out = np.empty((nb * k + 2, m))
-    out[0], out[-1] = 0.0, state[0]
-    inner = out[1:-1].reshape(nb, k, m).transpose(1, 0, 2)  # (k, nb, m) view, filled in place
-    np.multiply(hist[1 : k + 1, 0], starts[:, 0], out=inner)
-    inner += hist[1 : k + 1, 1] * starts[:, 1]
+    # the samples, formed in hist, which needs no temporary, then written one
+    # energy per row, so each row's blocks stay together
+    inner = hist[1 : k + 1]
+    inner *= starts
+    inner = inner[:, 0]
+    inner += hist[1 : k + 1, 1]
     # samples in block blk take the rescales at the ends of blocks blk, blk+1, ...
     if fired.any():
-        inner *= _RENORM ** np.cumsum(fired[::-1], axis=0)[::-1]
-    return out[: n + 2]
+        inner *= _RENORM ** np.cumsum(fired[:, ::-1], axis=1)[:, ::-1]
+    out = np.empty((m, nb * k + 2))
+    out[:, 0], out[:, -1] = 0.0, state[0]
+    out[:, 1:-1].reshape(m, nb, k).transpose(2, 0, 1)[...] = inner
+    return out[:, : n + 2].T
 
 
 def _sweep_final(v: np.ndarray, h: float, energies: np.ndarray) -> np.ndarray:
