@@ -205,11 +205,9 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
             starts = starts.transpose(1, 2, 0)
     if not path:
         return state[0]
-    # the samples, formed in hist, which needs no temporary, then written one
-    # energy per row, so each row's blocks stay together
-    inner = hist[1 : k + 1]
-    inner *= starts
-    inner = inner[:, 0]
+    # the samples, formed in place in hist (no temporary), then written one energy per row
+    hist[1 : k + 1] *= starts
+    inner = hist[1 : k + 1, 0]
     inner += hist[1 : k + 1, 1]
     # samples in block blk take the rescales at the ends of blocks blk, blk+1, ...
     if fired.any():
