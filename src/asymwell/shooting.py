@@ -190,10 +190,10 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
     else:
         blocks = np.ascontiguousarray(blocks.transpose(3, 0, 1, 2))
         bound = float(np.abs(state).max())
-        starts = np.empty((nb, 2, m)) if path else None
+        starts = np.empty((2, m, nb)) if path else None
         for blk in range(nb):
             if path:
-                starts[blk] = state
+                starts[..., blk] = state
             state = (blocks[blk] * state).sum(axis=1)
             bound *= growth
             if bound > _RENORM_CAP:
@@ -201,8 +201,6 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
                 state[:, big] *= _RENORM
                 fired[:, blk] = big
                 bound = float(np.abs(state).max())
-        if path:
-            starts = starts.transpose(1, 2, 0)
     if not path:
         return state[0]
     # the samples, formed in place in hist (no temporary), then written one energy per row
