@@ -287,12 +287,23 @@ class _Brackets:
         # since rounding is monotone
         one, half, scale = np.array(1.0), np.array(0.5), np.array(max(tol_rel, 8.0 * _EPS))
         active = ~edge
+        # each root runs ahead until a midpoint needs fn.  While [a, b] holds
+        # [lo, hi], wider than the tolerance at b, no midpoint stops it, so
+        # those levels go in bulk; a midpoint in [lo, hi] moves neither end
+        bulk = active & ((hi - lo) > np.maximum(b, one) * scale)
+        if bulk.any():
+            levels = int(math.log2(np.max((b - a)[bulk] / (hi - lo)[bulk]))) + 2
+            below, above = np.where(bulk, lo, -np.inf), np.where(bulk, hi, np.inf)
+            mid = np.empty_like(a)
+            for _ in range(levels):
+                np.multiply(np.add(a, b, out=mid), half, out=mid)
+                np.copyto(a, mid, where=mid < below)
+                np.copyto(b, mid, where=mid > above)
         while True:
             mid = (a + b) * half
             active &= (b - a) > np.maximum(mid, one) * scale
             below = active & (mid < lo)
             above = active & (mid > hi)
-            # each root runs ahead until a midpoint needs fn
             if np.count_nonzero(below) or np.count_nonzero(above):
                 np.copyto(a, mid, where=below)
                 np.copyto(b, mid, where=above)
