@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from asymwell import Exponential, ScanResolutionError, WellSpec, shooting, spectrum
 from asymwell._rootscan import bracket_and_bisect, scan_step
@@ -175,6 +175,44 @@ def test_root_exactly_on_a_count_probe():
     roots = bracket_and_bisect(fn, count, 2.0, 0.1, 1e-13)
     assert roots == reference_roots(fn, count, 2.0, 0.1, 1e-13)
     assert roots == pytest.approx([0.5, 1.0, 1.02], rel=1e-12)
+
+
+@st.composite
+def narrow_brackets(draw):
+    """1-6 distinct roots and a cutoff where the replayed brackets are narrowest:
+    clusters in one scan cell of 0.1, roots on scan points k * 0.1 and within
+    a few tolerances of one, and the cutoff on the top root."""
+    cells = draw(st.lists(st.integers(1, 30), min_size=1, max_size=2))
+    roots = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.sampled_from(cells))
+        offset = draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                st.integers(-4, 4)))
+        if isinstance(offset, float):   # inside the cell above k * 0.1
+            roots.append(0.1 * (k + offset))
+        else:                           # on the scan point, or a few tolerances off it
+            roots.append(k * 0.1 + offset * 1e-13 * max(1.0, k * 0.1))
+    assume(len(set(roots)) == len(roots))
+    top = max(roots)
+    return roots, draw(st.sampled_from([top, top + 0.05, top + 0.5]))
+
+
+@given(narrow_brackets())
+@example(([0.1, 0.2, 1.675], 1.725))          # roots on two neighbouring scan points
+@example(([1.5, 1.50000000000015], 1.50000000000015))   # a scan point, the cutoff above it
+@settings(max_examples=300)
+def test_narrow_brackets_replay_the_fixed_scan(case):
+    # the bulk approach assumes each scan cell holds its polished bracket,
+    # wider than the tolerance; near cell edges and in clusters it is narrowest
+    roots, e_max = case
+    fn, count = polynomial(roots)
+    try:
+        expected = reference_roots(fn, count, e_max, 0.1, 1e-13)
+    except ScanResolutionError:
+        assume(False)   # the fixed scan gave up
+    # a zero on the cutoff blinds the cell below it, where the scan may lose a root
+    assume(len(expected) == len(roots))
+    assert bracket_and_bisect(fn, count, e_max, 0.1, 1e-13) == expected
 
 
 # sha256 over every energy array the closed-form solver hands to fn and to
