@@ -275,9 +275,10 @@ class _Brackets:
             j = _first_at_or_above(np.where(on_zero, zero_at, hi), cell)
             edge = on_zero & (np.minimum(cell * j, e_max) == zero_at)
             # the scan cannot see a root in (0, cell] or a root past its last
-            # point, and a root on a grid point blinds both cells next to it
+            # point, and a root on a grid point blinds both cells next to it,
+            # though not to a root on the next grid point
             if (j[0] + edge[0] >= 2 and j[-1] <= n_cells
-                    and (j[1:] > j[:-1] + edge[:-1]).all()):
+                    and (j[1:] > j[:-1] + (edge[:-1] & ~edge[1:])).all()):
                 break
             r += 1
         a = cell * (j - 1)
