@@ -241,6 +241,7 @@ class TestFindSpectrum:
         (WellSpec(1.0, 5.0, 2000.0), 3000.0),
         (WellSpec(1.0, 4.0, 200.0), 4000.0),
         (WellSpec(3.0, 3.0, 20.0), 1e4),
+        (WellSpec(4.0, 4.0, 5000.0), 6000.0),   # a bracket ends on the branch point E = v0
     ])
     def test_tall_step_brackets_polish_in_few_calls(self, spec, e_max, monkeypatch):
         # below a tall step the polish must narrow the brackets, not leave
