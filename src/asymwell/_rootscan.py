@@ -10,17 +10,19 @@ both:
    jumps by more than one is split until every level has a bracket of its own.
 2. Secant polish: Illinois regula falsi on ``fn``, vectorized over all
    brackets, one call per pass.  A bracket hands over once it is narrower
-   than ``_HANDOVER`` bisection tolerances, where the last bisection steps
-   cost fewer calls than more secant passes, or once it fails to halve in
-   ``_STALL`` passes.  A stall comes from a rounding floor, below which only
-   the sign of ``fn`` means anything, such as Numerov's near a root under a
-   high step.  The closed form's ``fn`` is scaled to stay below 1 + k b, so
-   its brackets rarely stall, and then next to E = v0, where it bends sharply.
+   than ``_HANDOVER`` bisection tolerances: the replay's bisection gains one
+   level per call, the secant more.  A bracket that fails to halve in
+   ``_STALL`` passes takes one bisection step in place of its secant
+   estimate.  A stall comes from a rounding floor, below which only the sign
+   of ``fn`` means anything, such as Numerov's near a root under a high step,
+   or from a sharp bend, such as the closed form's at E = v0 (elsewhere its
+   ``fn`` is scaled to stay below 1 + k b, and rarely stalls).
 3. Replay: the reported float is the one a fixed scan would give, with cells
    of ``step`` refined 10x until every root has a cell of its own, bisected to
    the tolerance.  Its midpoints outside the polished bracket take the sign of
    that bracket's end, so only the ones inside it are evaluated, in one call
-   per round over all roots.
+   per round over all roots; the levels before a root's first such midpoint
+   are taken in bulk, as plain halvings.
 
 The policy sees only energies, values and counts: how a solver evaluates
 ``fn`` and its count (the closed form's Pruefer phase, the sign changes of a
@@ -50,7 +52,7 @@ _EPS = np.finfo(float).eps
 _EDGE = 1e-8                 # relative; count and fn round apart by up to ~5e-11
 _PROBES = 32                 # energies of the count pass, one Numerov count chunk
 _FLOOR = 1e-9                # lowest probe over e_max: the closed form is 0 at E = 0
-_HANDOVER = 64               # bracket width, in bisection tolerances, that ends the polish
+_HANDOVER = 8                # bracket width, in bisection tolerances, that ends the polish
 _STALL = 6                   # secant passes a bracket may take to halve its width
 # the count pass's probes over e_max, below its top one
 _PROBE_AT = np.concatenate([[_FLOOR], np.arange(1, _PROBES - 2) / (_PROBES - 2), [1.0 - _EDGE]])
@@ -206,8 +208,8 @@ class _Brackets:
 
     def polish(self, fn, tol_rel: float) -> None:
         """Illinois regula falsi until each bracket is narrower than
-        ``_HANDOVER`` tolerances or stops halving.  A bracket that stops
-        never resumes: its width and its reference width stay put."""
+        ``_HANDOVER`` tolerances, with a bisection step for a bracket that
+        has not halved its width in ``_STALL`` passes."""
         lo, hi, flo, fhi = self.lo, self.hi, self.flo, self.fhi
         # handover = _HANDOVER * tol with tol = max(tol_rel, 8 eps) max(1, hi),
         # the replay's tolerance at hi; scaling by a power of two is exact, so
@@ -221,14 +223,14 @@ class _Brackets:
         moved_lo = moved_hi = np.zeros(lo.size, dtype=bool)  # the end the last pass moved
         for k in itertools.count():
             grow = np.maximum(hi, one)
-            i = ((width >= grow * scale) & (halved_at > k - _STALL)).nonzero()[0]
+            i = (width >= grow * scale).nonzero()[0]
             if not i.size:
                 return
             with np.errstate(all="ignore"):   # not around fn, whose warnings show
                 x = hi - fhi * (width / (fhi - flo))
-                finite = np.isfinite(x)
-                if np.count_nonzero(finite) < x.size:
-                    x = np.where(finite, x, 0.5 * (lo + hi))
+                bisect = ~np.isfinite(x) | (halved_at <= k - _STALL)
+                if np.count_nonzero(bisect):
+                    x = np.where(bisect, 0.5 * (lo + hi), x)
                 # clipped to within half a handover of either end, so a good
                 # estimate closes the bracket from both sides at once
                 margin = grow * half_scale

@@ -216,15 +216,15 @@ def test_narrow_brackets_replay_the_fixed_scan(case):
 
 
 # sha256 over every energy array the closed-form solver hands to fn and to
-# count, tagged and in call order, recorded once fn became the characteristic
-# divided by cosh(qbar b) below the step
+# count, tagged and in call order, recorded once the polish handed over at 8
+# tolerances and bisected a stalled bracket
 CALL_LOG_SHA256 = {
     (3.0, 3.0, 20.0, 100.0):
-        "29e22d8607fb5073648dc2f40d238c5df5133228bb167c64e9d0ca8e8fa66f2b",
+        "4856c35dfb4aa647b342cb329c3eee1613806f5edba08b56312ebdd60e9627e9",
     (2.0, 4.0, 60.0, 300.0):
-        "39b33cb452df9f35895cdbbbbfbd53ada0c435c7aca7fea56d096fb80e986cae",
+        "13bc1c67f0e2e103508fe9554050f243f96e3bd0e312d7cb5581d41fb71c2d15",
     (1.0, 1.0, 100.0, 1e4):
-        "fedfb70d01d48c5eab928be05a08d54c340947820e62c4c0daafc428d671c004",
+        "3324649e96374f382d20f55af9255ed58b7fb3127f4687009e760d104a946543",
 }
 
 
@@ -251,9 +251,9 @@ def test_closed_form_calls_see_the_same_energies(well, monkeypatch):
 # sweeps; 1000 cells keep it fast
 NUMEROV_CALL_LOG_SHA256 = {
     (WellSpec(3.0, 3.0, 20.0, Exponential(0.2)), 100.0):
-        "7d8b405eb321085b9281d9fddd11b33a023863393d30b06a527761273dfe4ddd",
+        "39a8e8b58395f127651b54b856b0a3c0246e9f6456c49a43abcebb24ec58cec2",
     (WellSpec(3.0, 3.0, 60.0), 30.0):
-        "3b5f4ebbb1be9e63e3c579afb2a0bb971c7ca0f1ae4129f0f6a43341315e31f6",
+        "d854af66423d4840c393d71d1885b4578e030b626ed32df1351a0340b4637540",
 }
 
 
