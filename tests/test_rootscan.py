@@ -181,7 +181,7 @@ def test_root_exactly_on_a_count_probe():
 def narrow_brackets(draw):
     """1-6 distinct roots and a cutoff where the replayed brackets are narrowest:
     clusters in one scan cell of 0.1, roots on scan points k * 0.1 and within
-    a few tolerances of one, and the cutoff on the top root."""
+    a few tolerances of one, and the cutoff on the top root or above it."""
     cells = draw(st.lists(st.integers(1, 30), min_size=1, max_size=2))
     roots = []
     for _ in range(draw(st.integers(1, 6))):
