@@ -6,6 +6,8 @@ parts in 10^-3 for the standard well, and by up to ~0.09 close to the step
 threshold, where the node-matching derivation degrades.  The envelopes hold
 exactly for the classical probability.
 """
+import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +53,12 @@ class TestClosedForms:
                 bounds_at(STEP, e)
         with pytest.raises(ValueError):
             bounds_at(STEP, -5.0)
+
+    @pytest.mark.parametrize("energy", [math.inf, math.nan, -math.inf])
+    def test_non_finite_energies_refused(self, energy):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"energy must be finite and positive, got {energy}")):
+            bounds_at(STEP, energy)
 
 
 class TestClassicalOrdering:

@@ -1,5 +1,6 @@
 """Classical bounce model: densities, side probabilities, limits, oracle."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,3 +119,15 @@ class TestValidation:
     def test_smoothed_spec_rejected(self):
         with pytest.raises(ValueError):
             classical_model(WellSpec(3.0, 3.0, 20.0, Exponential(0.2)), 30.0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: classical_model(STEP, math.inf), "energy must be finite and positive, got inf"),
+        (lambda: classical_model(STEP, math.nan), "energy must be finite and positive, got nan"),
+        (lambda: classical_density(classical_model(STEP, 24.0), math.nan),
+         "position outside the well"),
+        (lambda: classical_density(classical_model(STEP, 24.0), np.array([0.0, math.nan])),
+         "position outside the well"),
+    ], ids=["model-inf", "model-nan", "density-nan", "density-array-nan"])
+    def test_non_finite_inputs_refused(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()

@@ -1,5 +1,6 @@
 """Momentum transforms: quadrature agreement, symmetry, Parseval, features."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,19 @@ class TestSymmetryAndNormalization:
             density_series(standard_states[0], -1.0, 101)
         with pytest.raises(ValueError):
             density_series(standard_states[0], 10.0, 2)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda states: density_series(states[0], math.inf, 5),
+         "p_max must be finite and positive, got inf"),
+        (lambda states: phi(states[0], math.nan), "momentum must be finite, got nan"),
+        (lambda states: phi(states[0], np.array([0.0, -math.inf])),
+         "momentum must be finite, got -inf"),
+        (lambda states: peak_separation(STEP, math.inf),
+         "energy must be finite and positive, got inf"),
+    ], ids=["density_series-inf", "phi-nan", "phi-array-inf", "peak_separation-inf"])
+    def test_non_finite_inputs_refused(self, standard_states, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(standard_states)
 
 
 def _tallest_peak_in(series, lo, hi):

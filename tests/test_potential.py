@@ -1,5 +1,6 @@
 """Potential families: values, limits, monotonicity, and validation."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,3 +159,21 @@ class TestValidation:
             Linear(-0.2)
         with pytest.raises(ValueError):
             WellSpec(1.0, 3.0, 20.0, Linear(1.0))  # ramp must stay inside the well
+
+    # NaN and +-inf lie outside every input domain: refused by name, never
+    # passed on as a value or a numpy RuntimeWarning
+    @pytest.mark.parametrize("call, message", [
+        (lambda: match_smoothings(math.inf), "delta must be finite and positive, got inf"),
+        (lambda: match_smoothings(math.nan), "delta must be finite and positive, got nan"),
+        (lambda: sample(STEP, math.nan), "position outside the well"),
+        (lambda: sample(STEP, np.array([0.0, math.nan])), "position outside the well"),
+    ], ids=["match_smoothings-inf", "match_smoothings-nan", "sample-nan", "sample-array-nan"])
+    def test_non_finite_inputs_refused(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+    @pytest.mark.parametrize("spec", [STEP, WellSpec(3.0, 3.0, 20.0, Exponential(0.2)),
+                                      WellSpec(3.0, 3.0, 20.0, Linear(0.4))],
+                             ids=["step", "sigmoid", "ramp"])
+    def test_nan_position_is_outside_the_walls(self, spec):
+        assert evaluate(spec, math.nan) == math.inf

@@ -321,6 +321,21 @@ class TestNormalization:
         with pytest.raises(ValueError, match=re.escape(message)):
             normalize(replace(standard_states[0], energy=energy))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda spec, states: characteristic(spec, math.inf),
+         "energy must be finite and positive, got inf"),
+        (lambda spec, states: normalize(replace(states[0], energy=math.inf)),
+         "energy must be finite and positive, got inf"),
+        (lambda spec, states: normalize(replace(states[0], energy=math.nan)),
+         "energy must be finite and positive, got nan"),
+        (lambda spec, states: psi(states[0], math.nan), "position outside the well"),
+        (lambda spec, states: psi(states[0], np.array([0.0, math.nan])),
+         "position outside the well"),
+    ], ids=["characteristic-inf", "normalize-inf", "normalize-nan", "psi-nan", "psi-array-nan"])
+    def test_non_finite_inputs_refused(self, standard_spec, standard_states, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(standard_spec, standard_states)
+
 
 class TestPsi:
     def test_hard_wall_zeros(self, standard_states):
