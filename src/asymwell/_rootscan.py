@@ -116,9 +116,10 @@ def bracket_and_bisect(
     # to the other end's, which holds whichever bracket the zero belongs to
     s = np.where(flo != 0.0, slo, -shi)
     # the brackets are disjoint and in order: those below e_max come first, and
-    # the next one holds e_max if any does; it keeps the side fn(e_max) gives it
+    # the next one holds e_max if any does, also as its lo, where a split of the
+    # edge window can put it; it keeps the side fn(e_max) gives it
     m = int(hi.searchsorted(e_max, side="right"))
-    if m < lo.size and lo[m] < e_max:
+    if m < lo.size and lo[m] <= e_max:
         if f_cut == 0.0:
             lo[m] = hi[m] = e_max
             flo[m] = fhi[m] = 0.0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import WellSpec
+from .potential import WellSpec, _finite
 
 __all__ = ["BoundPair", "bounds_at"]
 
@@ -32,16 +32,14 @@ def bounds_at(spec: WellSpec, energy: float) -> BoundPair:
     Defined only strictly above the step; the upper envelope a/(a+b) is
     energy-independent and the lower one rises to meet it as E -> infinity.
     """
+    if not _finite(energy, "energy") > spec.v0 * (1.0 + _MARGIN):
+        raise ValueError(f"bounds are defined only above the step: E={energy}, v0={spec.v0}")
     lower, upper = _envelopes(spec, [energy])
     return BoundPair(lower=float(lower[0]), upper=upper, energy=energy, spec=spec)
 
 
 def _envelopes(spec: WellSpec, energies) -> tuple[np.ndarray, float]:
-    """Lower envelopes over an energy array, and the upper one."""
+    """Lower envelopes over an array of finite energies above the step's
+    margin, and the upper one."""
     e = np.asarray(energies, dtype=float)
-    if np.count_nonzero(bad := ~(e > 0)):
-        raise ValueError(f"energy must be positive, got {float(e[bad][0])}")
-    if np.count_nonzero(bad := ~(e > spec.v0 * (1.0 + _MARGIN))):
-        raise ValueError(f"bounds are defined only above the step: E={float(e[bad][0])}, "
-                         f"v0={spec.v0}")
     return spec.a / (spec.a + spec.b * e / (e - spec.v0)), spec.a / (spec.a + spec.b)

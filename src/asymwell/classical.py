@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import WellSpec
+from .potential import WellSpec, _finite, _in_well
 
 __all__ = ["ClassicalModel", "classical_model", "classical_density"]
 
@@ -37,6 +37,10 @@ def classical_model(spec: WellSpec, energy: float) -> ClassicalModel:
     the right-side traversal time diverges and the left probability jumps
     from 1 to 0+, so no value is assigned there.
     """
+    if spec.smoothing is not None:
+        raise ValueError("classical comparison model is defined for the sharp step only")
+    if _finite(energy, "energy") == spec.v0:
+        raise ValueError("classical model is singular exactly at E = v0")
     t_left, t_right, p_left, p_right = (float(x[0]) for x in _time_shares(spec, [energy]))
     return ClassicalModel(energy, spec, p_left / spec.a, p_right / spec.b,
                           p_left, p_right, t_left, t_right)
@@ -44,14 +48,9 @@ def classical_model(spec: WellSpec, energy: float) -> ClassicalModel:
 
 def _time_shares(spec: WellSpec, energies):
     """Per-side traversal times 2 * side / speed and their shares of the period,
-    over an energy array; below the step the right-side time is 0."""
-    if spec.smoothing is not None:
-        raise ValueError("classical comparison model is defined for the sharp step only")
+    over an array of finite positive energies other than v0 in a sharp-step
+    well; below the step the right-side time is 0."""
     e = np.asarray(energies, dtype=float)
-    if np.count_nonzero(bad := ~(e > 0)):
-        raise ValueError(f"energy must be positive, got {float(e[bad][0])}")
-    if np.count_nonzero(e == spec.v0):
-        raise ValueError("classical model is singular exactly at E = v0")
     up = e > spec.v0
     t_left = 2.0 * spec.a / (2.0 * np.sqrt(e))
     t_right = np.zeros(e.shape)
@@ -70,8 +69,7 @@ def classical_density(model: ClassicalModel, x):
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
-    if np.any(xs < -spec.a) or np.any(xs > spec.b):
-        raise ValueError("position outside the well")
+    _in_well(spec, xs)
     mid = 0.5 * (model.density_left + model.density_right)
     out = np.where(xs < 0, model.density_left,
                    np.where(xs > 0, model.density_right, mid))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import WellSpec
+from .potential import WellSpec, _finite
 from .spectrum import EigenState
 
 __all__ = ["MomentumDensity", "phi", "density_series", "peak_separation"]
@@ -93,6 +93,8 @@ def phi(state: EigenState, p):
     ps = np.asarray(p, dtype=float)
     scalar = ps.ndim == 0
     ps = np.atleast_1d(ps)
+    if np.count_nonzero(bad := ~np.isfinite(ps)):
+        raise ValueError(f"momentum must be finite, got {float(ps[bad][0])}")
     left = state.amp_left * np.exp(1j * ps * spec.a) * _j_osc(state.k, spec.a, ps)
     j_right = (_j_evan if state.below_threshold else _j_osc)(state.q_or_qbar, spec.b, -ps)
     right = -state.amp_right * np.exp(-1j * ps * spec.b) * j_right
@@ -102,8 +104,7 @@ def phi(state: EigenState, p):
 
 def density_series(state: EigenState, p_max: float, n_points: int) -> MomentumDensity:
     """|phi(p)|^2 sampled on a symmetric grid over [-p_max, p_max]."""
-    if not p_max > 0:
-        raise ValueError(f"p_max must be positive, got {p_max}")
+    _finite(p_max, "p_max")
     if n_points < 3:
         raise ValueError(f"n_points must be at least 3, got {n_points}")
     grid = np.linspace(-p_max, p_max, n_points)
@@ -123,7 +124,7 @@ def peak_separation(spec: WellSpec, energy: float) -> float:
     Equals sqrt(E) - sqrt(E - v0), which falls off as v0 / (2 sqrt(E)) at high
     energy, so the two features merge as the energy grows.
     """
-    if not energy > spec.v0:
+    if not _finite(energy, "energy") > spec.v0:
         raise ValueError(f"peak separation is defined only above the step: "
                          f"E={energy}, v0={spec.v0}")
     return math.sqrt(energy) - math.sqrt(energy - spec.v0)

@@ -22,10 +22,7 @@ class Exponential:
     delta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", float(self.delta))
-        if not 0 < self.delta < math.inf:
-            raise ValueError(f"smoothing scale delta must be finite and positive, "
-                             f"got {self.delta}")
+        object.__setattr__(self, "delta", _finite(float(self.delta), "smoothing scale delta"))
 
 
 @dataclass(frozen=True)
@@ -35,10 +32,7 @@ class Linear:
     epsilon: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"ramp half-width epsilon must be finite and positive, "
-                             f"got {self.epsilon}")
+        object.__setattr__(self, "epsilon", _finite(float(self.epsilon), "ramp half-width epsilon"))
 
 
 Smoothing = Union[Exponential, Linear]
@@ -65,15 +59,9 @@ class WellSpec:
     smoothing: Smoothing | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "v0", float(self.v0))
-        if not 0 < self.a < math.inf:
-            raise ValueError(f"a must be finite and positive, got {self.a}")
-        if not 0 < self.b < math.inf:
-            raise ValueError(f"b must be finite and positive, got {self.b}")
-        if not 0 <= self.v0 < math.inf:
-            raise ValueError(f"v0 must be finite and non-negative, got {self.v0}")
+        object.__setattr__(self, "a", _finite(float(self.a), "a"))
+        object.__setattr__(self, "b", _finite(float(self.b), "b"))
+        object.__setattr__(self, "v0", _finite(float(self.v0), "v0", zero_ok=True))
         if isinstance(self.smoothing, Linear) and not self.smoothing.epsilon < min(self.a, self.b):
             raise ValueError(
                 f"ramp must stay inside the well: epsilon={self.smoothing.epsilon} "
@@ -94,9 +82,9 @@ def evaluate(spec: WellSpec, x: float) -> float:
 
     The sharp step takes the value v0/2 exactly at x = 0, the common limit of
     both smoothing families.  The walls themselves belong to the interior
-    (finite value); only x < -a or x > b are outside.
+    (finite value); x < -a, x > b and NaN are outside.
     """
-    if x < -spec.a or x > spec.b:
+    if not -spec.a <= x <= spec.b:
         return math.inf
     return float(_finite_value(spec, np.asarray(x, dtype=float)))
 
@@ -109,9 +97,24 @@ def sample(spec: WellSpec, xs: np.ndarray) -> np.ndarray:
     their own side of the step.
     """
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs < -spec.a) or np.any(xs > spec.b):
-        raise ValueError("sample grid extends outside the well")
+    _in_well(spec, xs)
     return _finite_value(spec, xs)
+
+
+def _finite(value: float, what: str, zero_ok: bool = False) -> float:
+    """``value`` if it is finite and positive, or non-negative with ``zero_ok``;
+    else ``ValueError`` naming ``what``.  NaN and +-inf are refused."""
+    if not (0 <= value if zero_ok else 0 < value) or not value < math.inf:
+        raise ValueError(f"{what} must be finite and {'non-negative' if zero_ok else 'positive'}, "
+                         f"got {value}")
+    return value
+
+
+def _in_well(spec: WellSpec, x, slack: float = 0.0) -> None:
+    """``ValueError`` unless every position in x lies in [-a - slack, b + slack];
+    NaN lies outside."""
+    if not np.all((-spec.a - slack <= x) & (x <= spec.b + slack)):
+        raise ValueError("position outside the well")
 
 
 def _finite_value(spec: WellSpec, x: np.ndarray) -> np.ndarray:
@@ -131,6 +134,4 @@ def match_smoothings(delta: float) -> float:
     Near the origin the sigmoid is v0/2 * (1 + x/(2 delta)) and the ramp is
     v0/2 * (1 + x/epsilon); they agree through O(x) exactly when epsilon = 2 delta.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return 2.0 * delta
+    return 2.0 * _finite(delta, "delta")

@@ -74,10 +74,9 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be at least {meta['floor']}, got {value}")
         if (self.e_max is None) == (self.n_max is None):
             raise ValueError("exactly one of e_max / n_max must be set")
-        if self.e_max is not None and not 0 < self.e_max < math.inf:
-            raise ValueError(f"e_max must be finite and positive, got {self.e_max}")
-        if self.p_max is not None and not 0 < self.p_max < math.inf:
-            raise ValueError(f"p_max must be finite and positive, got {self.p_max}")
+        for name in ("e_max", "p_max"):
+            if getattr(self, name) is not None:
+                potential_mod._finite(getattr(self, name), name)
         if self.grid % 2:
             raise ValueError(f"grid must be even, got {self.grid}")
         self.well()  # fail fast on bad geometry or smoothing scales

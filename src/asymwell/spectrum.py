@@ -29,7 +29,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from ._rootscan import ScanResolutionError, bracket_and_bisect, scan_step
-from .potential import WellSpec
+from .potential import WellSpec, _finite, _in_well
 
 __all__ = [
     "EigenState",
@@ -102,9 +102,7 @@ def characteristic(spec: WellSpec, energy: float) -> float:
     C(v0) = 1 at the branch point.
     """
     _require_step(spec)
-    if not energy > 0:
-        raise ValueError(f"energy must be positive, got {energy}")
-    return float(_characteristic_many(spec, np.asarray([energy]))[0])
+    return float(_characteristic_many(spec, np.asarray([_finite(energy, "energy")]))[0])
 
 
 def _characteristic_many(spec: WellSpec, energies: np.ndarray) -> np.ndarray:
@@ -186,13 +184,12 @@ def _require_step(spec: WellSpec) -> None:
 def _solve_state(spec: WellSpec, energies) -> list[EigenState]:
     """Matched, normalized states at roots of the characteristic, numbered from 1.
 
-    Each check names the lowest state that fails it.  hypot, and sinh and cosh
+    The energies are positive and finite, as the root policy's are.  Each
+    check names the lowest state that fails it.  hypot, and sinh and cosh
     below the step, are the math module's, element by element, as numpy rounds
     some of their values differently.
     """
     e = np.asarray(energies, dtype=float)
-    if np.count_nonzero(bad := ~(e > 0)):
-        raise ValueError(f"energy must be positive, got {float(e[bad][0])}")
     if np.count_nonzero(e == spec.v0):
         raise ValueError("eigenvalue sits exactly at the branch point E = v0")
     below = e < spec.v0
@@ -236,7 +233,7 @@ def normalize(state: EigenState) -> EigenState:
     Idempotent; the incoming amplitudes are ignored.  Raises if the energy is
     not a root of the characteristic or if the matching is degenerate.
     """
-    fresh, = _solve_state(replace(state.spec, smoothing=None), [state.energy])
+    fresh, = _solve_state(replace(state.spec, smoothing=None), [_finite(state.energy, "energy")])
     return replace(fresh, n=state.n)
 
 
@@ -268,9 +265,7 @@ def psi(state: EigenState, x):
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
-    slack = 1e-12 * spec.width
-    if np.any(xs < -spec.a - slack) or np.any(xs > spec.b + slack):
-        raise ValueError("position outside the well")
+    _in_well(spec, xs, 1e-12 * spec.width)
     xs = np.clip(xs, -spec.a, spec.b)
 
     out = np.empty(xs.shape)

@@ -314,7 +314,7 @@ class TestNormalization:
             normalize(fake)
 
     @pytest.mark.parametrize("energy, message", [
-        (-1.0, "energy must be positive, got -1.0"),
+        (-1.0, "energy must be finite and positive, got -1.0"),
         (20.0, "eigenvalue sits exactly at the branch point E = v0"),
     ])
     def test_normalize_rejects_energies_off_the_domain(self, standard_states, energy, message):
