@@ -81,6 +81,16 @@ class TestSymmetryAndNormalization:
         with pytest.raises(ValueError, match=re.escape(message)):
             call(standard_states)
 
+    @pytest.mark.parametrize("n_points", [3.5, 4.0, math.nan])
+    def test_non_integer_point_count_refused(self, standard_states, n_points):
+        with pytest.raises(ValueError, match=re.escape(f"n_points must be an integer of at "
+                                                       f"least 3, got {n_points}")):
+            density_series(standard_states[0], 10.0, n_points)
+
+    def test_numpy_integer_point_count_accepted(self, standard_states):
+        series = density_series(standard_states[0], 10.0, np.int64(5))
+        assert np.array_equal(series.p_grid, density_series(standard_states[0], 10.0, 5).p_grid)
+
 
 def _tallest_peak_in(series, lo, hi):
     mask = (series.p_grid >= lo) & (series.p_grid <= hi)
