@@ -105,8 +105,8 @@ def phi(state: EigenState, p):
 def density_series(state: EigenState, p_max: float, n_points: int) -> MomentumDensity:
     """|phi(p)|^2 sampled on a symmetric grid over [-p_max, p_max]."""
     _finite(p_max, "p_max")
-    if n_points < 3:
-        raise ValueError(f"n_points must be at least 3, got {n_points}")
+    if not isinstance(n_points, (int, np.integer)) or n_points < 3:
+        raise ValueError(f"n_points must be an integer of at least 3, got {n_points}")
     grid = np.linspace(-p_max, p_max, n_points)
     dens = np.abs(phi(state, grid)) ** 2
     return MomentumDensity(
