@@ -20,18 +20,14 @@ energy at a time in Python floats for up to 16 energies (10 for a
 trajectory), where a numpy call costs more than its arithmetic, else all
 energies per block in numpy, with the same bits.
 
-A converged state is stitched from both walls: the forward solution up to its
-largest |psi| among the classically allowed samples at or left of the step,
-then the solution from b, which under a barrier is the decaying mode itself,
-so the node check sees a clean tail (B. R. Johnson, J. Chem. Phys. 69, 4678
-(1978), integrates from both ends for the same reason).  All states of a
-spectrum share the trajectories: per 32 of them, one forward pass as far as
-the last of them needs it and one backward pass from b.  Every step past a
-column's own end is the identity, so the column is the pass of its own that
-ends there, rescales included, and repeats its last sample beyond it.  The
-solution from b also gives the Sturm count, its sign changes over one
-trajectory per 32 trial energies, that gives each root its own bracket in the
-shared root policy.
+A converged state is the solution from psi(b) = 0, one backward trajectory
+per 32 states.  Every floor ``WellSpec`` accepts is nondecreasing, so the only
+barrier lies toward b, and the pass from b is the mode that decays into it,
+so the node check sees a clean tail.  Its sample at -a, the converged
+energy's residual, is set to the boundary value 0, and each state is signed
+to rise from -a.  The solution from b also gives the Sturm count, its sign
+changes over one trajectory per 32 trial energies, that gives each root its
+own bracket in the shared root policy.
 """
 from __future__ import annotations
 
@@ -65,9 +61,8 @@ class NodeCountError(RuntimeError):
 class GridSolution:
     """One numeric eigenstate sampled on a uniform grid over [-a, b].
 
-    ``values`` is normalized to unit Simpson norm and rises from the left wall
-    (the amp_left > 0 convention of the closed-form states): its energy lies in
-    the grid's spectrum, where the forward pass starts positive (``_e_top``).
+    ``values`` is normalized to unit Simpson norm and signed to rise from the
+    left wall (the amp_left > 0 convention of the closed-form states).
     """
 
     spec: WellSpec
@@ -97,14 +92,12 @@ def _e_top(v: np.ndarray, h: float) -> float:
     """min V + 6 / h^2, the top of the grid's spectrum: past it h^2 (V - E) / 12 < -1/2 at the
     lowest sample, where a step flips the sign of psi and the recurrence stops oscillating.
     Every floor ``WellSpec`` accepts is nondecreasing, so min V = V(-a), and every level lies in
-    (V(-a), top): at or below V(-a) each t >= 0 and psi from psi(-a) = 0 only grows, and below
-    the top the forward pass's first interior sample h (1 + h^2 (V(-a) - E) / 6) is positive."""
+    (V(-a), top): at or below V(-a) each t >= 0 and psi from psi(-a) = 0 only grows."""
     return v.min() + 6.0 / (h * h)
 
 
-def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
-                     ends: np.ndarray | None = None) -> np.ndarray:
-    """Forward Numerov solutions from psi(-a) = 0 for the energies ``e``.
+def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.ndarray:
+    """Numerov solutions from psi = 0 at the first sample of ``v`` for the energies ``e``.
 
     Step i maps (psi[i], psi[i-1]) to (psi[i+1], psi[i]) by the matrix
     [[A_i, -B_i], [1, 0]].  The steps are grouped into blocks of up to
@@ -123,15 +116,10 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
     enough that its amplification stays below ``_BLOCK_GROWTH``, so the carry
     cannot overflow between two checks.
 
-    Every step past a column's end, its entry of ``ends`` (default the last
-    sample), is the identity (A = 1, B = 0), so psi[end] repeats there and the
-    column is a pass over ``v[: end + 1]`` of its own: the same block products,
-    carry, rescale checks and levels.  Returns psi(b) per energy, or with
-    ``path`` the whole trajectory as far as the furthest end, shape
-    (max(ends) + 1, len(e)), every sample at its column's final rescale level.
+    Returns psi at the last sample per energy, or with ``path`` the whole
+    trajectory, shape (len(v), len(e)), every sample at its column's final
+    rescale level.
     """
-    if ends is not None:
-        v = v[: int(ends.max()) + 1]
     c = h * h / 12.0
     n, m = len(v) - 2, e.size
     # sup-norm bound on one step matrix over the chunk, |A_i| + |B_i|; callers keep t_hi < 1
@@ -148,10 +136,9 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool,
     np.subtract(2.0 + 10.0 * c * v[step + 1], 10.0 * c * e[:, None], out=a_mat)
     a_mat /= den
     np.divide((1.0 - c * v[step]) + ce, den, out=b_mat)
-    for col, end in [(slice(None), n + 1)] if ends is None else enumerate(ends):
-        blk, j = divmod(end - 1, k)     # step ``end`` is the first past the end
-        a_mat[j:, col, blk : blk + 1] = a_mat[:, col, blk + 1 :] = 1.0
-        b_mat[j:, col, blk : blk + 1] = b_mat[:, col, blk + 1 :] = 0.0
+    blk, j = divmod(n, k)               # the padding past step n is the identity
+    a_mat[j:, :, blk:] = 1.0
+    b_mat[j:, :, blk:] = 0.0
 
     # hist[(j + 1) % depth, s] is basis solution s after j steps into each
     # block; basis 0 starts from (psi, psi_prev) = (1, 0), basis 1 from (0, 1).
@@ -225,39 +212,6 @@ def _sweep_final(v: np.ndarray, h: float, energies: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stitched(v: np.ndarray, h: float, energies, split: int) -> np.ndarray:
-    """Trajectories at the given energies, stitched from both walls, one row each.
-
-    ``split`` is the last grid index at or left of the step.  The forward
-    solution from -a is kept up to its largest |psi| among the classically
-    allowed samples in [0, split]; the backward solution from b, scaled to
-    agree there, supplies the rest.  Each half is then integrated toward the
-    barrier it faces, so under a barrier it is the decaying mode itself
-    rather than a growing one cancelled by roundoff.
-
-    Each chunk of energies takes one forward and one backward pass, every
-    column ending where its own pass would.  Past its stop a forward column
-    repeats psi[stop], so the first largest |psi| lies at or before the stop.
-    A row is the stitch of its own two single-energy passes bit for bit
-    whenever the chunk's block length is theirs: blocks stay at the full 32
-    cells while h^2 (max V - E) / 12 is below about 0.5.
-    """
-    e = np.asarray(energies, dtype=float)
-    allowed = v[: split + 1, None] <= e
-    stop = np.maximum(split - np.argmax(allowed[::-1], axis=0), 2)
-    out = np.empty((e.size, len(v)))
-    for lo in range(0, e.size, _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        fwd = _transfer_blocks(v, h, e[sl], path=True, ends=stop[sl])
-        match = np.argmax(np.abs(fwd), axis=0)
-        # the backward trajectory ends at v[-1], so it is indexed from the end
-        bwd = _transfer_blocks(v[::-1], h, e[sl], path=True, ends=len(v) - 1 - match)[::-1]
-        for col, (row, j) in enumerate(zip(out[sl], match)):
-            row[:j] = fwd[:j, col]
-            row[j:] = bwd[j - len(v) :, col] * (fwd[j, col] / bwd[j - len(v), col])
-    return out
-
-
 def count_sign_changes(values: np.ndarray) -> np.ndarray:
     """Sign alternations of the nonzero entries along axis 0 (zeros ignored)."""
     s = np.sign(values)
@@ -306,9 +260,9 @@ def find_spectrum_numeric(spec: WellSpec, e_max: float, n_grid: int) -> list[Gri
 
     The roots of the shooting mismatch psi(b) come from the shared
     count-directed root policy, with the count from ``_count_below``; each
-    state is the Simpson-normalized two-sided trajectory.  A grid too coarse
-    for the floor or for e_max raises ``ValueError``; a bad stitch (interior
-    node count other than n - 1) raises ``NodeCountError``.
+    state is the Simpson-normalized trajectory from b.  A grid too coarse for
+    the floor or for e_max raises ``ValueError``; a state whose interior node
+    count is other than n - 1 raises ``NodeCountError``.
     """
     xs, h, v = _stable_grid(spec, n_grid)
     if (top := _e_top(v, h)) <= e_max < math.inf:
@@ -323,7 +277,7 @@ def find_spectrum_numeric(spec: WellSpec, e_max: float, n_grid: int) -> list[Gri
         counted = interior_nodes(s)
         if counted != s.n - 1:
             raise NodeCountError(f"numeric state {s.n} at E={s.energy:.9g} shows {counted} "
-                                 f"interior nodes, expected {s.n - 1}: bad stitch")
+                                 f"interior nodes, expected {s.n - 1}")
     return sols
 
 
@@ -333,7 +287,7 @@ def interior_nodes(sol: GridSolution) -> int:
     Genuine nodes of these states always sit where the wavefunction swings at
     order-of-peak amplitude (the matching conditions bound the side-amplitude
     ratio well away from zero).  Roundoff and the sub-tolerance energy error
-    perturb the stitched trajectory far below the floor, so only an
+    perturb the trajectory from b far below the floor, so only an
     unresolved or misindexed eigenvalue changes the count.
     """
     interior = sol.values[1:-1]
@@ -342,12 +296,24 @@ def interior_nodes(sol: GridSolution) -> int:
 
 
 def _normalized_solution(spec, xs, v, h, energies) -> list[GridSolution]:
-    """The Simpson-normalized stitched state at each energy, numbered from 1."""
-    split = int(np.searchsorted(xs, 0.0, side="right")) - 1
-    stitched = _stitched(v, h, energies, split)
-    return [GridSolution(spec=spec, n=n, energy=energy, grid=xs, step=h,
-                         values=values / math.sqrt(simpson(values**2, xs)))
-            for n, (energy, values) in enumerate(zip(energies, stitched), start=1)]
+    """The Simpson-normalized state from b at each energy, numbered from 1.
+
+    Its sample at -a is set to 0.  Dividing by the first interior sample signs
+    it to rise from -a and scales it before squaring: a deep step leaves
+    samples near 1e290, while the left wall is classically allowed at every
+    level, so the peak is at most about n_grid / 3 times that sample.
+    """
+    e = np.asarray(energies, dtype=float)
+    sols = []
+    for lo in range(0, e.size, _CHUNK):
+        chunk = e[lo : lo + _CHUNK]
+        paths = _transfer_blocks(v[::-1], h, chunk, path=True)[::-1]
+        paths[0] = 0.0
+        for n, (energy, values) in enumerate(zip(chunk.tolist(), paths.T), start=lo + 1):
+            values = values / values[1]
+            sols.append(GridSolution(spec=spec, n=n, energy=energy, grid=xs, step=h,
+                                     values=values / math.sqrt(simpson(values**2, xs))))
+    return sols
 
 
 def side_probability_numeric(sol: GridSolution) -> float:

@@ -204,13 +204,11 @@ def _solve_state(spec: WellSpec, energies) -> list[EigenState]:
     # Continuity A*sl = B*fr0 gives (A, B) ~ (fr0, sl); the derivative match
     # A*dl = B*dfr gives (A, B) ~ (dfr, dl).  Near a node both entries of the
     # first vector vanish, so take whichever ray is better conditioned; the
-    # wavenumber scale makes the two comparable.
+    # wavenumber scale makes the two comparable.  The larger norm is at least
+    # 1/sqrt(2): where k >= w the two hold |sin(ka)| and |cos(ka)|, and where
+    # w > k (below the step) the second holds cosh(wb) >= 1.
     scale = np.maximum(k, w)
-    norm_c = _each(math.hypot, fr0, sl)
-    norm_d = _each(math.hypot, dfr / scale, dl / scale)
-    if np.count_nonzero(bad := (norm_c < 1e-9) & (norm_d < 1e-9)):
-        raise ValueError(f"degenerate matching at E={float(e[bad][0])!r}: spurious root")
-    ray = norm_c >= norm_d
+    ray = _each(math.hypot, fr0, sl) >= _each(math.hypot, dfr / scale, dl / scale)
     A, B = np.where(ray, fr0, dfr / scale), np.where(ray, sl, dl / scale)
 
     res = np.maximum(np.abs(A * sl - B * fr0) / np.maximum(np.abs(A), np.abs(B)),
@@ -231,7 +229,7 @@ def normalize(state: EigenState) -> EigenState:
     """Recompute matched, unit-norm amplitudes for ``state.energy``.
 
     Idempotent; the incoming amplitudes are ignored.  Raises if the energy is
-    not a root of the characteristic or if the matching is degenerate.
+    not a root of the characteristic.
     """
     fresh, = _solve_state(replace(state.spec, smoothing=None), [_finite(state.energy, "energy")])
     return replace(fresh, n=state.n)

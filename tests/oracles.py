@@ -5,8 +5,9 @@ a dense finite-difference matrix, classical probabilities come from a
 time-stepped bounce simulation, and momentum amplitudes from adaptive
 quadrature of the transform integral.  ``reference_roots`` is the fixed-step
 scan and bisection whose floats the count-directed root policy reports, and
-``reference_solution`` the one-state-at-a-time stitch whose values the batched
-one reproduces.  ``render_csv`` and ``render_json`` are the table renderers
+``reference_solution`` the one-state-at-a-time pass from b whose values the
+batched one reproduces, and ``stitched_solution`` an independent two-sided
+route to the same states.  ``render_csv`` and ``render_json`` are the table renderers
 as they were before emission formatted each number once: every float goes
 through ``.12g`` for CSV, and through a ``.12g`` round trip and the pure-Python
 ``json.dumps(indent=2)`` encoder for JSON.  ``reference_characteristic``,
@@ -184,6 +185,16 @@ def _scan_and_bisect(fn, e_max: float, step: float, tol_rel: float) -> list[floa
 
 
 def reference_solution(xs: np.ndarray, v: np.ndarray, h: float, energy: float) -> np.ndarray:
+    """Normalized Numerov state at one energy from one single-energy trajectory
+    pass from b: its sample at -a set to 0, then divided by the first interior
+    sample, so it rises from -a."""
+    values = _transfer_blocks(v[::-1], h, np.asarray([float(energy)]), path=True)[::-1, 0]
+    values[0] = 0.0
+    values = values / values[1]
+    return values / math.sqrt(simpson(values**2, x=xs))
+
+
+def stitched_solution(xs: np.ndarray, v: np.ndarray, h: float, energy: float) -> np.ndarray:
     """Normalized Numerov state at one energy, stitched from two single-energy
     trajectory passes, a forward one from -a and a backward one from b."""
     split = int(np.searchsorted(xs, 0.0, side="right")) - 1

@@ -30,27 +30,28 @@ GOLDEN_SHA256 = {
 }
 
 # sha256 of tables that go through the Numerov solver and its Simpson
-# quadrature, recorded while that quadrature was scipy.integrate.simpson;
+# quadrature, recorded from the states built by one pass from b;
 # "--a 2 --b 4.3" integrates a left half with an even number of samples
 SHOOTING_SHA256 = {
-    "smoothing": "896a502a79308a692548ef8f6628cd16e31c6d30402386a7850ebdc62d333440",
+    "smoothing": "65f608dab5aab35bb5409c9cbb2953eb660fc38a9435dd440f9c1155723f6990",
     "smoothing --smoothing linear":
-        "5b8499b69eeca1906e26a0d8604e06b74e8291d6480fae5304fa27df20ec5999",
-    "smoothing --a 2 --b 4.3": "6bdfdf7f7d550672fbe64a64b52358f3911891ffcbe694f9e3e6d837e610e07c",
+        "dc5e20604934d00238a4db228fd1b7d8dd66806ad885367ad8e4ca81cf501f5b",
+    "smoothing --a 2 --b 4.3": "12b232587cb77f652266772435c04988c44b87cd9af0a55e8f744fa5a7f6ffa3",
     "wavefunction --n 3 --smoothing exponential --epsilon 0.2":
-        "3a1cb337c7cc5c3849852bb3fbafd663a3cc461277d26686f0530ad55204bc78",
+        "9f11dab65ad2a6f8aaa47ed8ad8dc5923b101697345d661b592276dc0f5a106a",
 }
 
 # sha256 of the JSON form of the standard tables, recorded while render_json
-# still dumped the whole document with json.dumps(indent=2); the compare table
-# holds null, int and string cells
+# still dumped the whole document with json.dumps(indent=2), except smoothing,
+# recorded with the SHOOTING_SHA256 tables; the compare table holds null, int
+# and string cells
 JSON_SHA256 = {
     "spectrum --format json": "ebf8ad83e9695015202a77bef334c1c77e59258b13d07717c1305fcbd3d28fba",
     "compare --e-max 100 --format json":
         "715e100f2ab9e7b317809e333fa53e9431f81835790c264a50758a2a5205ed2a",
     "wavefunction --n 6 --format json":
         "a8a5d7a930c799ac71a39584deb449889b45949bd144a3c8017ad76da41449d0",
-    "smoothing --format json": "71a5a818e34637561cfced1435e8098f48ce8b1218ef704b2e897337d5e74afd",
+    "smoothing --format json": "60cedcc03bc9928337d56045bd62b36d14680022063a95352a5cc040932ec5b8",
 }
 
 # sha256 of compare tables recorded before the table was built from arrays:

@@ -35,7 +35,13 @@ from asymwell.shooting import (
 )
 from asymwell._rootscan import scan_step
 from asymwell.spectrum import _count_below as closed_form_count
-from oracles import fd_left_probability, fd_spectrum, reference_roots, reference_solution
+from oracles import (
+    fd_left_probability,
+    fd_spectrum,
+    reference_roots,
+    reference_solution,
+    stitched_solution,
+)
 
 STEP = WellSpec(3.0, 3.0, 20.0)
 SMOOTH = WellSpec(3.0, 3.0, 20.0, Exponential(0.2))
@@ -179,23 +185,6 @@ class TestKernel:
             np.testing.assert_allclose(path, ref, rtol=0, atol=1e-9 * np.abs(ref).max())
             assert path[-1] == _sweep_final(v, h, e)[0]
 
-    def test_trajectory_to_ends_matches_shorter_passes(self):
-        # from b under a v0 = 1e5 step at E = 30 the solution passes the
-        # rescale cap near sample 1226, inside a block, so a pass that stops
-        # just past it rescales once more than the blocks before its end did,
-        # and one that stops before it never rescales; past its end a column
-        # repeats psi[end], which the stitch's search for the largest |psi| needs
-        xs, h = _build_grid(WellSpec(3.0, 3.0, 1e5), 4000)
-        v = sample(WellSpec(3.0, 3.0, 1e5), xs)[::-1]
-        ends = np.append(np.arange(1200, 1265), 4000)
-        e = np.full(ends.size, 30.0)
-        path = _transfer_blocks(v, h, e, path=True, ends=ends)
-        for col, end in enumerate(ends):
-            alone = _transfer_blocks(v[: end + 1], h, e[:1], path=True)[:, 0]
-            assert np.array_equal(path[: end + 1, col], alone), end
-            assert (path[end:, col] == alone[-1]).all(), end
-        assert abs(path[1200, 0]) > 1e200 > abs(path[1200, -1])
-
     @pytest.mark.parametrize("spec, rescales", [
         (WellSpec(3.0, 3.0, 1e5), 1),
         (WellSpec(2.0, 4.3, 3e4), 1),
@@ -241,16 +230,16 @@ PIN_WIDTHS = (1, 10, 11, 16, 17, 32)
 # sha256 of every kernel output below, recorded while every chunk width took
 # the vectorized carry
 KERNEL_SHA256 = {
-    "sigmoid": "9c7815000cfd066ba2c2818210762394d7b0f6994d4b4b806b064d703a63eba4",
-    "ramp": "66549afcc8cd865148b333fbfc1eefa695d017efa05d5a12598f3363ad08ce9e",
-    "flat": "30012f5835bebf0cb742d2d2fb2f0f4ab38226d59b732700442449a68ae91f6e",
-    "deep": "e6ba2dca501a985ef454aa6d7235375790525b0268b98bd0e83b8332dfcb904c",
-    "coarse": "8b6ffacee9697e39baa5be804c24e216dcbb445788979651d5c65989d1933795",
+    "sigmoid": "6ee772a3ef09b9d68df03efc8008ed45281287b7731f39fd445f70dd1ca920d4",
+    "ramp": "3d5677d80cff84658a05defb5859b0cbc438d26ccf8a9a8842aff4962ef44e76",
+    "flat": "df5b072de861b78184c5ce7527c3bc00a45766d646571f94b66647d854720fe3",
+    "deep": "60de63c2c75f65f415b450d947fbd555da96c91e487fc73c61c1cdab1d82971d",
+    "coarse": "263f8358565571b83bc97a5fbe5c6872829d99a472b68b66c449e82864de7746",
 }
 
 
 class TestKernelBits:
-    """Sweeps, Sturm counts and stitch trajectories keep their bits at every chunk width."""
+    """Sweeps, Sturm counts and trajectories keep their bits at every chunk width."""
 
     @pytest.mark.parametrize("name, spec, n_grid", [
         ("sigmoid", SMOOTH, 4000),
@@ -265,10 +254,9 @@ class TestKernelBits:
         digest = hashlib.sha256()
         for m in PIN_WIDTHS:
             e = np.geomspace(0.5, 200.0, m)
-            ends = np.linspace(len(v) - 1, len(v) // 3, m).astype(int)
             for out in (_sweep_final(v, h, e), _count_below(v, h, e),
-                        _transfer_blocks(v, h, e, path=True, ends=ends),
-                        _transfer_blocks(v[::-1], h, e, path=True, ends=ends)):
+                        _transfer_blocks(v, h, e, path=True),
+                        _transfer_blocks(v[::-1], h, e, path=True)):
                 digest.update(np.ascontiguousarray(out, dtype=float).tobytes())
         if name == "deep":
             assert scalar_sweep(v, h, 30.0)[1] > 0 and scalar_sweep(v[::-1], h, 30.0)[1] > 0
@@ -281,24 +269,21 @@ class TestKernelBits:
         xs, h = _build_grid(SMOOTH, 4000)
         v = sample(SMOOTH, xs)
         pool = np.geomspace(0.5, 200.0, shooting._CHUNK)
-        pool_ends = np.linspace(len(v) - 1, len(v) // 3, pool.size).astype(int)
         alone = [(_sweep_final(v, h, e)[0], _count_below(v, h, e),
-                  _transfer_blocks(v, h, np.asarray([e]), path=True, ends=np.asarray([end]))[:, 0],
-                  _transfer_blocks(v[::-1], h, np.asarray([e]), path=True,
-                                   ends=np.asarray([end]))[:, 0])
-                 for e, end in zip(pool, pool_ends)]
+                  _transfer_blocks(v, h, np.asarray([e]), path=True)[:, 0],
+                  _transfer_blocks(v[::-1], h, np.asarray([e]), path=True)[:, 0])
+                 for e in pool]
         for m in range(1, shooting._CHUNK + 1):
             picks = np.roll(np.arange(pool.size), m)[:m]
-            e, ends = pool[picks], pool_ends[picks]
+            e = pool[picks]
             swept, counted = _sweep_final(v, h, e), _count_below(v, h, e)
-            fwd = _transfer_blocks(v, h, e, path=True, ends=ends)
-            bwd = _transfer_blocks(v[::-1], h, e, path=True, ends=ends)
-            for col, (i, end) in enumerate(zip(picks, ends)):
+            fwd = _transfer_blocks(v, h, e, path=True)
+            bwd = _transfer_blocks(v[::-1], h, e, path=True)
+            for col, i in enumerate(picks):
                 psi_b, count, fwd_ref, bwd_ref = alone[i]
                 assert swept[col] == psi_b and counted[col] == count, (m, col)
-                for path, ref in ((fwd, fwd_ref), (bwd, bwd_ref)):
-                    assert np.array_equal(path[: end + 1, col], ref), (m, col)
-                    assert (path[end:, col] == ref[-1]).all(), (m, col)
+                assert np.array_equal(fwd[:, col], fwd_ref), (m, col)
+                assert np.array_equal(bwd[:, col], bwd_ref), (m, col)
 
 
 class TestConvergenceOrder:
@@ -431,7 +416,7 @@ class TestQuarterWavelengthRule:
 
 
 class TestDeepSteps:
-    """Wells whose right side is deeply evanescent: every stitched state must
+    """Wells whose right side is deeply evanescent: every state must
     pass the node check, and the energies must match the independent routes."""
 
     @pytest.mark.parametrize("v0", [60.0, 200.0, 1000.0])
@@ -473,8 +458,8 @@ class TestDeepSteps:
             assert sol.energy == pytest.approx(e, rel=1e-4)
 
     def test_wide_sigmoid_left_barrier(self):
-        # V passes the low levels while still left of x = 0, so the forward
-        # solution grows before the step; the match stays in allowed samples
+        # V passes the low levels while still left of x = 0, so the states
+        # decay under a barrier that starts before the step
         spec = WellSpec(3.0, 3.0, 5000.0, Exponential(0.5))
         sols = find_spectrum_numeric(spec, 120.0, 4000)
         energies, vecs, xs = fd_spectrum(spec, len(sols) + 1, 4000)
@@ -529,14 +514,13 @@ class TestSpuriousLevels:
 
 
 class TestSpectrumWindow:
-    """Every level lies in (V(-a), V(-a) + 6 / h^2), where the forward pass starts positive
-    and the sample at -a is classically allowed, so each state rises from the left wall
-    with no sign fixed after the stitch."""
+    """Every level lies in (V(-a), V(-a) + 6 / h^2), where the sample at -a is classically
+    allowed, and each state is signed to rise from the left wall."""
 
     @given(family=st.sampled_from(["step", "sigmoid", "ramp"]),
            a=st.floats(0.05, 5.0), b=st.floats(0.05, 5.0), cells=st.integers(50, 2000),
            height=st.floats(0.0, 1.0), scale=st.floats(0.01, 0.99), reach=st.floats(0.01, 1.0))
-    # a left half under two cells: the forward pass stops at the third sample
+    # a left half under two cells: the first interior sample lies past the step
     @example(family="sigmoid", a=0.02, b=3.0, cells=50, height=1.0, scale=0.1, reach=1.0)
     @settings(max_examples=60)
     def test_levels_lie_above_the_left_wall_and_rise_from_it(self, family, a, b, cells,
@@ -554,18 +538,32 @@ class TestSpectrumWindow:
             assert sol.values[1] > 0.0
 
 
-class TestFixedScanParity:
-    """The count-directed roots are the fixed-step scan's floats, bit for bit."""
+FIXED_SCAN_WELLS = [
+    (SMOOTH, 41.75),                                             # the standard study
+    (WellSpec(2.0, 5.0, 300.0, Linear(0.4)), 100.0),
+    (WellSpec(3.0, 3.0, 60.0), 30.0),
+    (WellSpec(3.0, 3.0, 1000.0), 30.0),
+    # low floor: the ground state at E = 0.46 has the lowest count bracket,
+    # which starts near E = 0, where psi(b) is far larger than near the root
+    (WellSpec(3.9177, 3.9406, 2.0805, Exponential(0.0676)), 20.43),
+]
 
-    @pytest.mark.parametrize("spec, e_max", [
-        (SMOOTH, 41.75),                                             # the standard study
-        (WellSpec(2.0, 5.0, 300.0, Linear(0.4)), 100.0),
-        (WellSpec(3.0, 3.0, 60.0), 30.0),
-        (WellSpec(3.0, 3.0, 1000.0), 30.0),
-        # low floor: the ground state at E = 0.46 has the lowest count bracket,
-        # which starts near E = 0, where psi(b) is far larger than near the root
-        (WellSpec(3.9177, 3.9406, 2.0805, Exponential(0.0676)), 20.43),
-    ])
+# the backward pass rescales once, twice and many times under the step
+BATCHED_WELLS = [
+    (WellSpec(3.0, 3.0, 1e5), 30.0, 4000, 5),
+    (WellSpec(3.0, 3.0, 2e5), 30.0, 4000, 5),
+    (WellSpec(3.0, 3.0, 1e7), 30.0, 5478, 5),  # blocks shorter than 32 cells
+    (WellSpec(3.0, 3.0, 5000.0, Exponential(0.5)), 120.0, 4000, 3),
+    (SMOOTH, 1000.0, 4000, 60),                 # two chunks of states
+]
+BATCHED_IDS = ["step-1e5", "step-2e5", "step-1e7", "wide-sigmoid", "sigmoid-e1000"]
+
+
+class TestFixedScanParity:
+    """The count-directed roots are the fixed-step scan's floats, bit for bit,
+    and a spectrum's states are its single-energy passes from b."""
+
+    @pytest.mark.parametrize("spec, e_max", FIXED_SCAN_WELLS)
     def test_states_match_the_fixed_scan(self, spec, e_max):
         xs, h = _build_grid(spec, 4000)
         v = sample(spec, xs)
@@ -577,14 +575,7 @@ class TestFixedScanParity:
         for sol in sols:
             assert np.array_equal(sol.values, reference_solution(xs, v, h, sol.energy))
 
-    @pytest.mark.parametrize("spec, e_max, n_grid, count", [
-        # the backward pass rescales once, twice and many times under the step
-        (WellSpec(3.0, 3.0, 1e5), 30.0, 4000, 5),
-        (WellSpec(3.0, 3.0, 2e5), 30.0, 4000, 5),
-        (WellSpec(3.0, 3.0, 1e7), 30.0, 5478, 5),  # blocks shorter than 32 cells
-        (WellSpec(3.0, 3.0, 5000.0, Exponential(0.5)), 120.0, 4000, 3),
-        (SMOOTH, 1000.0, 4000, 60),                 # two chunks of states
-    ], ids=["step-1e5", "step-2e5", "step-1e7", "wide-sigmoid", "sigmoid-e1000"])
+    @pytest.mark.parametrize("spec, e_max, n_grid, count", BATCHED_WELLS, ids=BATCHED_IDS)
     def test_batched_stitch_matches_single_energy_passes(self, spec, e_max, n_grid, count):
         xs, h = _build_grid(spec, n_grid)
         v = sample(spec, xs)
@@ -592,6 +583,20 @@ class TestFixedScanParity:
         assert len(sols) == count
         for sol in sols:
             assert np.array_equal(sol.values, reference_solution(xs, v, h, sol.energy))
+
+    @pytest.mark.parametrize("spec, e_max, n_grid", [
+        *((spec, e_max, 4000) for spec, e_max in FIXED_SCAN_WELLS),
+        *((spec, e_max, n_grid) for spec, e_max, n_grid, _ in BATCHED_WELLS),
+    ], ids=[f"fixed-scan-{i}" for i in range(len(FIXED_SCAN_WELLS))] + BATCHED_IDS)
+    def test_states_match_the_two_sided_route(self, spec, e_max, n_grid):
+        # the pass from b against the stitch of a forward pass from -a and a
+        # backward pass from b, which integrates each half toward its barrier;
+        # at most 2.0e-10 of the peak on these wells
+        xs, h = _build_grid(spec, n_grid)
+        v = sample(spec, xs)
+        for sol in find_spectrum_numeric(spec, e_max, n_grid):
+            ref = stitched_solution(xs, v, h, sol.energy)
+            assert np.abs(sol.values - ref).max() <= 2e-9 * np.abs(ref).max(), sol.n
 
 
 class TestSturmCount:
@@ -625,13 +630,15 @@ class TestNodeAudit:
         assert interior_nodes(doctored) != doctored.n - 1
 
     def test_bad_stitch_raises_at_once(self, monkeypatch):
-        stitched = shooting._stitched
+        roots = [sol.energy for sol in find_spectrum_numeric(STEP, 5.0, 2000)]
+        transfer = shooting._transfer_blocks
 
-        def flipped(v, h, energies, split):
-            values = stitched(v, h, energies, split)
-            values[:, split:] *= -1.0  # a sign slip at the stitch adds a node
-            return values
+        def flipped(v, h, e, path):
+            out = transfer(v, h, e, path)
+            if path and np.isin(e, roots).all():
+                out[: len(v) // 2] *= -1.0  # a sign slip at x = 0 in the states adds a node
+            return out
 
-        monkeypatch.setattr(shooting, "_stitched", flipped)
+        monkeypatch.setattr(shooting, "_transfer_blocks", flipped)
         with pytest.raises(NodeCountError, match="state 1 .* 1 interior nodes, expected 0"):
             find_spectrum_numeric(STEP, 5.0, 2000)
