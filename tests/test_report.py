@@ -408,6 +408,29 @@ class TestCli:
         with pytest.raises(ValueError, match=message):
             cfg(**{field: value})
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: cmd_smoothing(RunConfig(e_max=35.0, grid=4000.0)),
+         "grid must be an integer of at least 100, got 4000.0"),
+        (lambda: cmd_wavefunction(RunConfig(e_max=35.0, samples=801.0), 3),
+         "samples must be an integer of at least 5, got 801.0"),
+        (lambda: cmd_spectrum(RunConfig(n_max=2.5)),
+         "n_max must be an integer of at least 1, got 2.5"),
+        (lambda: RunConfig(n_max=True), "n_max must be an integer of at least 1, got True"),
+        (lambda: cmd_momentum(RunConfig(e_max=35.0, points=math.nan), 3),
+         "points must be an integer of at least 3, got nan"),
+        (lambda: cmd_wavefunction(RunConfig(e_max=35.0), 2.5),
+         "state n must be an integer of at least 1, got 2.5"),
+    ], ids=["grid", "samples", "n_max", "n_max-bool", "points-nan", "state-n"])
+    def test_non_integer_counts_refused(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+    def test_numpy_integer_counts_accepted(self):
+        config = RunConfig(n_max=np.int64(3), samples=np.int32(5), grid=np.int64(4000))
+        assert cmd_spectrum(config).rows == cmd_spectrum(RunConfig(n_max=3)).rows
+        assert cmd_wavefunction(config, np.int64(2)).rows == cmd_wavefunction(
+            RunConfig(n_max=3, samples=5), 2).rows
+
     def test_conflicting_cutoffs_rejected(self):
         with pytest.raises(SystemExit):
             main(["spectrum", "--e-max", "35", "--n-max", "9"])

@@ -99,6 +99,19 @@ class TestShoot:
         with pytest.raises(ValueError):
             shoot(STEP, 1.0, 4001)
 
+    @pytest.mark.parametrize("call", [
+        lambda n_grid: shoot(STEP, 1.0, n_grid),
+        lambda n_grid: find_spectrum_numeric(WellSpec(3, 3, 20, Exponential(0.2)), 35.0, n_grid),
+    ], ids=["shoot", "find_spectrum_numeric"])
+    @pytest.mark.parametrize("n_grid", [4000.0, True, math.nan])
+    def test_non_integer_grid_refused(self, call, n_grid):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_grid must be an integer of at least 100, got {n_grid}")):
+            call(n_grid)
+
+    def test_numpy_integer_grid_accepted(self):
+        assert shoot(STEP, 1.0, np.int64(4000)) == shoot(STEP, 1.0, 4000)
+
     @pytest.mark.parametrize("e_max", [math.inf, math.nan, -math.inf, 0.0, -1.0])
     def test_non_finite_cutoff_rejected(self, e_max):
         with pytest.raises(ValueError,
