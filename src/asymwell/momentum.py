@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import WellSpec, _finite
+from .potential import WellSpec, _finite, _integer
 from .spectrum import EigenState
 
 __all__ = ["MomentumDensity", "phi", "density_series", "peak_separation"]
@@ -105,9 +105,7 @@ def phi(state: EigenState, p):
 def density_series(state: EigenState, p_max: float, n_points: int) -> MomentumDensity:
     """|phi(p)|^2 sampled on a symmetric grid over [-p_max, p_max]."""
     _finite(p_max, "p_max")
-    if not isinstance(n_points, (int, np.integer)) or n_points < 3:
-        raise ValueError(f"n_points must be an integer of at least 3, got {n_points}")
-    grid = np.linspace(-p_max, p_max, n_points)
+    grid = np.linspace(-p_max, p_max, _integer(n_points, "n_points", 3))
     dens = np.abs(phi(state, grid)) ** 2
     return MomentumDensity(
         state_n=state.n,

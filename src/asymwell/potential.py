@@ -110,6 +110,14 @@ def _finite(value: float, what: str, zero_ok: bool = False) -> float:
     return value
 
 
+def _integer(value, what: str, least: int):
+    """``value`` if it is an int or numpy integer (not a bool) of at least ``least``;
+    else ``ValueError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer of at least {least}, got {value}")
+    return value
+
+
 def _in_well(spec: WellSpec, x, slack: float = 0.0) -> None:
     """``ValueError`` unless every position in x lies in [-a - slack, b + slack];
     NaN lies outside."""

@@ -70,8 +70,8 @@ class RunConfig:
             if "choices" in meta and value not in meta["choices"]:
                 raise ValueError(f"{f.name} must be one of {', '.join(meta['choices'])}, "
                                  f"got {value!r}")
-            if "floor" in meta and value is not None and not value >= meta["floor"]:
-                raise ValueError(f"{f.name} must be at least {meta['floor']}, got {value}")
+            if "floor" in meta and value is not None:
+                potential_mod._integer(value, f.name, meta["floor"])
         if (self.e_max is None) == (self.n_max is None):
             raise ValueError("exactly one of e_max / n_max must be set")
         for name in ("e_max", "p_max"):
@@ -147,7 +147,7 @@ def _lowest(config: RunConfig, states: list) -> list:
 
 
 def _nth(states: list, n: int):
-    if n < 1 or n > len(states):
+    if potential_mod._integer(n, "state n", 1) > len(states):
         raise ValueError(f"state n={n} not found below the energy cutoff "
                          f"({len(states)} states available)")
     return states[n - 1]

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._rootscan import bracket_and_bisect, scan_step
 from ._simpson import simpson
-from .potential import WellSpec, sample
+from .potential import WellSpec, _integer, sample
 
 __all__ = ["GridSolution", "NodeCountError", "shoot", "find_spectrum_numeric",
            "interior_nodes",
@@ -74,8 +74,8 @@ class GridSolution:
 
 
 def _build_grid(spec: WellSpec, n_grid: int) -> tuple[np.ndarray, float]:
-    if n_grid < 100 or n_grid % 2 != 0:
-        raise ValueError(f"n_grid must be an even integer >= 100, got {n_grid}")
+    if _integer(n_grid, "n_grid", 100) % 2:
+        raise ValueError(f"n_grid must be even, got {n_grid}")
     xs = np.linspace(-spec.a, spec.b, n_grid + 1)
     h = spec.width / n_grid
     # snap float dust at the step location so the midpoint sample applies

@@ -204,7 +204,7 @@ def test_wavefunction_at_the_walls_names_its_values(monkeypatch, capsys):
 ])
 def test_non_finite_flags_fail_at_config(argv, capsys):
     command, flag, value = argv.split()[0], argv.split()[-2], argv.split()[-1]
-    bound = "finite" if value in ("inf", "nan") else "at least"
+    bound = "finite" if value in ("inf", "nan") else "an integer of at least"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv.split()) == 1
@@ -365,7 +365,8 @@ def test_closed_form_wavefunction_ends_on_positive_zero(n, capsys):
 
 
 @pytest.mark.parametrize("command", list(OWN_FLAGS))
-@pytest.mark.parametrize("grid, message", [("0", "at least 100"), ("101", "even")])
+@pytest.mark.parametrize("grid, message", [
+    pytest.param("0", "an integer of at least 100", id="0-at least 100"), ("101", "even")])
 def test_bad_grid_fails_at_config(command, grid, message, capsys):
     # the grid is refused before any solving, also by the closed-form tables
     argv = [command, *(f"{flag}={value}" for flag, value in OWN_FLAGS[command].items())]

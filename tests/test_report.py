@@ -398,8 +398,10 @@ class TestCli:
 
     @pytest.mark.parametrize("field, value, message", [
         ("p_max", 0.0, "p_max must be finite and positive"),
-        ("points", 2, "points must be at least 3"),
-        ("samples", 4, "samples must be at least 5"),
+        pytest.param("points", 2, "points must be an integer of at least 3",
+                     id="points-2-points must be at least 3"),
+        pytest.param("samples", 4, "samples must be an integer of at least 5",
+                     id="samples-4-samples must be at least 5"),
         # the parser rejects these two before a RunConfig is built
         ("n_max", 2, "exactly one of e_max / n_max must be set"),
         ("smoothing", "cubic", "smoothing must be one of none, exponential, linear, got 'cubic'"),
