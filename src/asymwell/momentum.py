@@ -8,9 +8,11 @@ into one finite integral per side of the well, each elementary:
     Jh(kappa, L, p) = integral_0^L sinh(kappa u) exp(-i p u) du
                     = [exp(-ipL)(ip sinh(kL) + k cosh(kL)) - k] / (k^2 + p^2)
 
-J has removable singularities at p = +-kappa; inside a small guard radius it
-is evaluated by a second-order expansion about the singular point.  Jh has no
-real poles.  Compact support makes the closed form exact, so no FFT is used.
+J has removable singularities at p = +-kappa.  Inside a small guard radius it
+is J = [E(kappa - p) - E(-kappa - p)] / 2i, with
+E(s) = integral_0^L exp(isu) du = L exp(isL/2) sinc(sL/2pi), which is exact
+and finite at s = 0.  Jh has no real poles.  Compact support makes the closed
+form exact, so no FFT is used.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .spectrum import EigenState
 
 __all__ = ["MomentumDensity", "phi", "density_series", "peak_separation"]
 
-_GUARD = 1e-6  # |p -+ kappa| below this switches J to its series form
+_GUARD = 1e-6  # |p -+ kappa| below this switches J to its pole-free form
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,34 +45,24 @@ class MomentumDensity:
     q_marker: float | None
 
 
+def _e(s: np.ndarray, length: float) -> np.ndarray:
+    """E(s) = integral_0^L exp(i s u) du, finite at s = 0."""
+    return length * np.exp(0.5j * s * length) * np.sinc(s * length / (2.0 * math.pi))
+
+
 def _j_osc(kappa: float, length: float, p: np.ndarray) -> np.ndarray:
     out = np.empty(p.shape, dtype=complex)
-    near_pos = np.abs(p - kappa) < _GUARD
-    near_neg = np.abs(p + kappa) < _GUARD
-    far = ~(near_pos | near_neg)
-    pf = p[far]
+    near = np.abs(np.abs(p) - kappa) < _GUARD
+    far, pn, pf = ~near, p[near], p[~near]
     num = (
         np.exp(-1j * pf * length)
         * (-1j * pf * math.sin(kappa * length) - kappa * math.cos(kappa * length))
         + kappa
     )
     out[far] = num / ((kappa - pf) * (kappa + pf))
-    out[near_pos] = _j_osc_series(kappa, length, p[near_pos] - kappa)
-    # J(kappa, L, -p) is the conjugate of J(kappa, L, p) for real p
-    out[near_neg] = np.conj(_j_osc_series(kappa, length, -p[near_neg] - kappa))
+    # sin(kappa u) = (exp(i kappa u) - exp(-i kappa u)) / 2i, exact at the poles
+    out[near] = (_e(kappa - pn, length) - _e(-kappa - pn, length)) / 2j
     return out
-
-
-def _j_osc_series(kappa: float, length: float, eps: np.ndarray) -> np.ndarray:
-    """J expanded to second order in eps = p - kappa about the removable pole."""
-    s = math.sin(kappa * length)
-    c = math.cos(kappa * length)
-    e_m = complex(c, -s)  # exp(-i kappa L)
-    kl = kappa * length
-    d1 = e_m * complex(-kl * s, kl * c - s)
-    d2 = e_m * complex(kl * length * c - 2.0 * length * s, kl * length * s)
-    d3 = e_m * complex(kl * length**2 * s, 3.0 * length**2 * s - kl * length**2 * c)
-    return -(d1 + d2 * eps / 2.0 + d3 * eps * eps / 6.0) / (2.0 * kappa + eps)
 
 
 def _j_evan(kappa: float, length: float, p: np.ndarray) -> np.ndarray:

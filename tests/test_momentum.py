@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import simpson
 
 from asymwell import WellSpec, density_series, find_spectrum, peak_separation, phi
+from asymwell.momentum import _j_osc
 from oracles import flat_well_phi, phi_by_quadrature
 
 STEP = WellSpec(3.0, 3.0, 20.0)
@@ -33,6 +34,26 @@ class TestClosedFormAgainstQuadrature:
         for p in points:
             assert phi(state, float(p)) == pytest.approx(
                 phi_by_quadrature(state, float(p)), abs=1e-8)
+
+
+    def test_exact_at_the_removable_poles(self):
+        # J(kappa, L, kappa) = (L - (1 - exp(-2i kappa L)) / (2i kappa)) / 2i
+        #                    = sin^2(kappa L) / (2 kappa) - i (x - sin x) / (4 kappa), x = 2 kappa L,
+        # with x - sin x summed as its Taylor series below x = 2, free of cancellation.
+        # The package's closed forms take the imaginary part as a difference of two
+        # O(L) terms, so below kappa L = 0.1 they keep about 1e-15 / (kappa L).
+        rng = np.random.default_rng(24)
+        corners = [(0.05, 0.2), (0.05, 6.0), (60.0, 0.2), (60.0, 6.0)]
+        draws = zip(rng.uniform(0.05, 60.0, 1000), rng.uniform(0.2, 6.0, 1000))
+        for kappa, length in [*corners, *draws]:
+            x = 2.0 * kappa * length
+            deficit = (math.fsum((-1) ** (n + 1) * x ** (2 * n + 1) / math.factorial(2 * n + 1)
+                                 for n in range(1, 14)) if x < 2.0 else x - math.sin(x))
+            exact = complex(math.sin(kappa * length) ** 2 / (2 * kappa), -deficit / (4 * kappa))
+            at_poles = _j_osc(kappa, length, np.array([kappa, -kappa]))
+            tol = 1e-14 * max(1.0, 0.1 / (kappa * length))
+            assert abs(at_poles[0] - exact) <= tol * abs(exact), (kappa, length)
+            assert abs(at_poles[1] - exact.conjugate()) <= tol * abs(exact), (kappa, length)
 
 
 class TestSymmetryAndNormalization:
