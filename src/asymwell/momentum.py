@@ -53,13 +53,13 @@ def _e(s: np.ndarray, length: float) -> np.ndarray:
 def _j_osc(kappa: float, length: float, p: np.ndarray) -> np.ndarray:
     out = np.empty(p.shape, dtype=complex)
     near = np.abs(np.abs(p) - kappa) < _GUARD
-    far, pn, pf = ~near, p[near], p[~near]
+    pf, pn = p[~near], p[near]
     num = (
         np.exp(-1j * pf * length)
         * (-1j * pf * math.sin(kappa * length) - kappa * math.cos(kappa * length))
         + kappa
     )
-    out[far] = num / ((kappa - pf) * (kappa + pf))
+    out[~near] = num / ((kappa - pf) * (kappa + pf))
     # sin(kappa u) = (exp(i kappa u) - exp(-i kappa u)) / 2i, exact at the poles
     out[near] = (_e(kappa - pn, length) - _e(-kappa - pn, length)) / 2j
     return out
