@@ -29,8 +29,8 @@ def test_library_quickstart_comments_hold():
     block = _quickstart()
     scope: dict = {}
     exec(block, scope)
-    comments = dict(line.split("  #", 1) for line in block.splitlines() if "  #" in line)
-    comments = {code.strip(): comment.strip() for code, comment in comments.items()}
+    pairs = (line.split("  #", 1) for line in block.splitlines() if "  #" in line)
+    comments = {code.strip(): comment.strip() for code, comment in pairs}
 
     for code, values in SHOWN.items():
         shown = re.findall(r"\d+\.\d+(?:\.\.\.)?", comments[code])
