@@ -252,17 +252,39 @@ def test_import_loads_no_scipy():
     assert proc.stderr == b"[]\n"
 
 
+# print the solver modules a run left in sys.modules, after its scipy line
+_SOLVERS_LOADED = ("print([m for m in ('asymwell.shooting', 'asymwell.momentum')"
+                   " if m in sys.modules], file=sys.stderr)\n")
+
+
 def test_package_run_loads_no_scipy():
-    # python -m asymwell spectrum, run in-process so sys.modules can be read after it
+    # python -m asymwell <command>, run in-process so sys.modules can be read after
+    # it: no table loads scipy, the closed-form tables leave the shooting solver
+    # unloaded, and only momentum loads the momentum transform
     run = ("import runpy\n"
            "try:\n"
            "    runpy.run_module('asymwell', run_name='__main__', alter_sys=True)\n"
            "except SystemExit as exc:\n"
            "    assert exc.code == 0, exc.code\n")
-    proc = _run_python("-c", run + _SCIPY_LOADED, "spectrum")
-    assert proc.returncode == 0
-    assert proc.stderr == b"[]\n"
-    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256["spectrum"]
+    for argv, solvers in [("spectrum", []), ("compare --e-max 100", []),
+                          ("wavefunction --n 6", []), ("momentum --n 5", ["asymwell.momentum"])]:
+        proc = _run_python("-c", run + _SCIPY_LOADED + _SOLVERS_LOADED, *argv.split())
+        assert proc.returncode == 0, argv
+        assert proc.stderr.decode() == f"[]\n{solvers}\n", argv
+        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SHA256[argv], argv
+
+
+def test_import_resolves_solvers_on_first_use():
+    check = ("import asymwell\n" + _SCIPY_LOADED + _SOLVERS_LOADED +
+             "from asymwell import momentum, shooting\n"
+             "assert all(getattr(asymwell, name) is not None for name in asymwell.__all__)\n"
+             "assert asymwell.shooting is shooting and asymwell.momentum is momentum\n"
+             "assert asymwell.find_spectrum_numeric is shooting.find_spectrum_numeric\n"
+             "assert asymwell.density_series is momentum.density_series\n"
+             "assert not hasattr(asymwell, 'no_such_name')\n" + _SOLVERS_LOADED)
+    proc = _run_python("-c", check)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr.decode() == "[]\n[]\n['asymwell.shooting', 'asymwell.momentum']\n"
 
 
 def _cap_address_space() -> None:
