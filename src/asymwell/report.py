@@ -12,15 +12,14 @@ import json
 import math
 import sys
 from dataclasses import Field, dataclass, field, fields, replace
+from itertools import chain
 from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import classical as classical_mod
-from . import momentum as momentum_mod
 from . import potential as potential_mod
-from . import shooting as shooting_mod
 from . import spectrum as spectrum_mod
 from ._simpson import simpson
 from .potential import Exponential, Linear, WellSpec
@@ -190,6 +189,8 @@ def cmd_wavefunction(config: RunConfig, n: int) -> Table:
         values = spectrum_mod.psi(state, xs)
         energy, step = state.energy, 0.0
     else:
+        from . import shooting as shooting_mod
+
         sols = shooting_mod.find_spectrum_numeric(well, config.energy_cap(), config.grid)
         sol = _nth(_lowest(config, sols), n)
         values = _cubic_interp(xs, sol.grid, sol.values)
@@ -255,6 +256,8 @@ def cmd_smoothing(config: RunConfig) -> Table:
     ``linear`` is selected).  Classical values are taken at the sharp-step
     energies.
     """
+    from . import shooting as shooting_mod
+
     family = "linear" if config.smoothing == "linear" else "exponential"
     smooth_well = replace(config, smoothing=family).well()
     scale = config.epsilon if family == "linear" else config.delta
@@ -281,6 +284,8 @@ def cmd_smoothing(config: RunConfig) -> Table:
 
 def cmd_momentum(config: RunConfig, n: int) -> Table:
     """Momentum density series {p, density} for state n, with k/q markers."""
+    from . import momentum as momentum_mod
+
     if config.smoothing != "none":
         raise ValueError("momentum densities are computed from the closed-form "
                          "states and require the sharp step")
@@ -311,19 +316,24 @@ def cmd_momentum(config: RunConfig, n: int) -> Table:
 # ---------------------------------------------------------------- emission
 
 
+_CHUNK_ROWS = 2048  # table rows rendered together; a chunk of float rows is one % format
+
+
 def _csv_cell(value: object) -> str:
     return f"{value:.12g}" if isinstance(value, float) else "" if value is None else str(value)
 
 
+def _json_floats(tokens: list[str]) -> list[str]:
+    """JSON of floats from their ``.12g`` tokens: the repr of each one's 12-digit rounding,
+    which is its token when that is a decimal with a point and no exponent, or with
+    exponent -05 to -99."""
+    return [token if "." in token and "e" not in token or token[-4:-2] == "e-"
+            else {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(token)
+            or repr(float(token)) for token in tokens]
+
+
 def _json_cell(value: object) -> str:
-    """JSON of a cell; a float is the repr of its 12-digit rounding, which is its ``.12g``
-    token when that is a decimal with a point and no exponent, or with exponent -05 to -99."""
-    if not isinstance(value, float):
-        return json.dumps(value)
-    text = f"{value:.12g}"
-    if "." in text and "e" not in text or text[-4:-2] == "e-":
-        return text
-    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text) or repr(float(text))
+    return _json_floats([f"{value:.12g}"])[0] if isinstance(value, float) else json.dumps(value)
 
 
 def _json_block(items, brackets: str = "[]", pad: str = "  ") -> str:
@@ -334,23 +344,58 @@ def _json_block(items, brackets: str = "[]", pad: str = "  ") -> str:
     return f"{brackets[0]}\n{pad}  {body}\n{pad}{brackets[1]}" if items else brackets
 
 
+def _chunks(rows: list[list]):
+    """Each run of ``_CHUNK_ROWS`` rows with its cells flattened and whether every cell is a
+    float (np.float64 too)."""
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        cells = tuple(chain.from_iterable(chunk))
+        yield chunk, cells, all(issubclass(kind, float) for kind in set(map(type, cells)))
+
+
+def _layout(chunk: list[list], row, sep: str) -> str:
+    """The ``row(width)`` template of each row of ``chunk``, joined by ``sep``."""
+    widths = set(map(len, chunk))
+    if len(widths) == 1:
+        return sep.join([row(widths.pop())] * len(chunk))
+    return sep.join(row(len(cells)) for cells in chunk)
+
+
 def render_csv(table: Table) -> str:
     header = [*table.config_items, *((f"marker {k}", v) for k, v in sorted(table.markers.items()))]
-    lines = [f"# asymwell {table.command}", *(f"# {k} = {_csv_cell(v)}" for k, v in header),
-             ",".join(table.columns), *(",".join(map(_csv_cell, row)) for row in table.rows)]
-    return "\n".join(lines) + "\n"
+    parts = [f"# asymwell {table.command}\n", *(f"# {k} = {_csv_cell(v)}\n" for k, v in header),
+             ",".join(table.columns) + "\n"]
+    for chunk, cells, floats in _chunks(table.rows):
+        spec = "%.12g" if floats else "%s"
+        rows = _layout(chunk, lambda width: ",".join([spec] * width) + "\n", "")
+        parts.append(rows % (cells if floats else tuple(map(_csv_cell, cells))))
+    return "".join(parts)
+
+
+def _json_row(width: int) -> str:
+    return "[\n      " + ",\n      ".join(["%s"] * width) + "\n    ]" if width else "[]"
 
 
 def render_json(table: Table) -> str:
-    """Laid out as json.dumps(doc, sort_keys=True, indent=2) would; rows inline, for speed."""
-    rows = ["[\n      " + ",\n      ".join(map(_json_cell, row)) + "\n    ]" if row else "[]"
-            for row in table.rows]
+    """Laid out as json.dumps(doc, sort_keys=True, indent=2) would; rows inline, for speed.
+
+    A chunk of floats formats its ``.12g`` tokens with one ``%``, makes JSON of the few
+    that are not, and lays them into its rows with a second ``%``.
+    """
     doc = {"columns": _json_block(list(map(json.dumps, table.columns))),
-           "command": json.dumps(table.command), "rows": _json_block(rows),
+           "command": json.dumps(table.command),
            "config": _json_block([(k, _json_cell(v)) for k, v in table.config_items], "{}")}
     if table.markers:
         doc["markers"] = _json_block([(k, _json_cell(v)) for k, v in table.markers.items()], "{}")
-    return _json_block(doc.items(), "{}", "") + "\n"
+    # "rows" sorts last: the object's other members, then the rows, then its close
+    parts, sep = [_json_block(doc.items(), "{}", "")[:-2], ',\n  "rows": ['], "\n    "
+    for chunk, cells, floats in _chunks(table.rows):
+        tokens = (_json_floats(("%.12g\n" * len(cells) % cells).split()) if floats
+                  else map(_json_cell, cells))
+        parts += sep, _layout(chunk, _json_row, ",\n    ") % tuple(tokens)
+        sep = ",\n    "
+    parts.append("\n  ]\n}\n" if table.rows else "]\n}\n")
+    return "".join(parts)
 
 
 def write_table(table: Table, config: RunConfig) -> None:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import simpson
 
-from asymwell import ScanResolutionError, WellSpec, find_spectrum, side_probabilities, spectrum
+from asymwell import (ScanResolutionError, WellSpec, find_spectrum, report, side_probabilities,
+                      spectrum)
 from asymwell._rootscan import bracket_and_bisect, scan_step
 from asymwell.report import (
     RunConfig,
@@ -271,6 +272,22 @@ class TestRendererParity:
     def test_empty_rows_and_markers(self, rows, markers):
         table = Table("t", [("a", 3.0), ("grid", 4000), ("smoothing", "none"),
                             ("e_max", None)], ["p", "n", "s"], rows, markers=markers)
+        assert render_csv(table) == oracles.render_csv(table)
+        assert render_json(table) == oracles.render_json(table)
+
+    def test_tables_longer_than_a_chunk_match_reference(self):
+        # four chunks: floats with an np.float64 cell, a None, int and str row, floats
+        # again, and floats with a short row; the first column cycles through the tokens
+        # the JSON renderer repairs (integral, e+, three-digit e-, nan, inf) or keeps
+        size = report._CHUNK_ROWS
+        tokens = [0.0, -0.0, 1e12, 1e-05, 1e-100, math.nan, math.inf, -math.inf, 12.5,
+                  1.23456789012345e15, -2.9999999999999, 5e-324]
+        rows = [[tokens[i % len(tokens)], i * 0.5, math.sin(i) / 3.0] for i in range(3 * size + 7)]
+        rows[5][1] = np.float64(2.5)
+        rows[size + 3] = [None, 7, "x"]
+        rows[3 * size + 1] = [1.5, 2.5]
+        table = Table("long", [("a", 3.0)], ["u", "v", "w"], rows, markers={"k": 1e12})
+        assert [floats for *_, floats in report._chunks(rows)] == [True, False, True, True]
         assert render_csv(table) == oracles.render_csv(table)
         assert render_json(table) == oracles.render_json(table)
 
