@@ -276,6 +276,9 @@ def test_package_run_loads_no_scipy():
 
 def test_import_resolves_solvers_on_first_use():
     check = ("import asymwell\n" + _SCIPY_LOADED + _SOLVERS_LOADED +
+             "print(sorted(m for m in sys.modules if m == 'numpy' or"
+             " m.startswith('asymwell.')), file=sys.stderr)\n"
+             "assert set(asymwell.__all__) <= set(dir(asymwell))\n"
              "from asymwell import momentum, shooting\n"
              "assert all(getattr(asymwell, name) is not None for name in asymwell.__all__)\n"
              "assert asymwell.shooting is shooting and asymwell.momentum is momentum\n"
@@ -284,7 +287,19 @@ def test_import_resolves_solvers_on_first_use():
              "assert not hasattr(asymwell, 'no_such_name')\n" + _SOLVERS_LOADED)
     proc = _run_python("-c", check)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stderr.decode() == "[]\n[]\n['asymwell.shooting', 'asymwell.momentum']\n"
+    assert proc.stderr.decode() == "[]\n[]\n[]\n['asymwell.shooting', 'asymwell.momentum']\n"
+
+
+def test_package_names_are_their_modules_exports():
+    # the root's name table lists each module's __all__, and every name it
+    # resolves is the module's own object
+    for module, names in asymwell._EXPORTS.items():
+        loaded = getattr(asymwell, module)
+        assert sorted(names) == sorted(loaded.__all__), module
+        for name in names:
+            assert getattr(asymwell, name) is getattr(loaded, name), name
+    assert asymwell.__all__ == sorted(n for ns in asymwell._EXPORTS.values() for n in ns) + [
+        "__version__"]
 
 
 def _cap_address_space() -> None:
