@@ -302,6 +302,15 @@ def test_package_names_are_their_modules_exports():
         "__version__"]
 
 
+@pytest.mark.parametrize("e_max", ["8.224670334241132", "16.449340668482264"],
+                         ids=["30-E1", "60-E1"])
+def test_flat_well_cutoff_on_a_level_probe_solves(e_max, capsys):
+    # 30 and 60 times the ground state put count probes on levels of the flat well
+    assert main(["spectrum", "--v0", "0", "--e-max", e_max]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("# asymwell spectrum\n")
+
+
 def _cap_address_space() -> None:
     # 1 GiB holds the interpreter and numpy but none of the arrays asked for below,
     # so their allocation fails at once whatever memory the host has

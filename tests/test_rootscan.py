@@ -105,6 +105,18 @@ def test_spurious_root_raises():
     assert "N(lo) = 1, N(hi) = 2, sign fn(lo) = -1, sign fn(hi) = -1" in message
 
 
+@pytest.mark.parametrize("fn_root, count_root", [(1.0 + 1e-12, 1.0 - 1e-12),
+                                                  (1.0 - 1e-12, 1.0 + 1e-12)],
+                         ids=["count-first", "fn-first"])
+def test_level_on_a_probe_resolves(fn_root, count_root):
+    # e_max = 2 puts a probe on 1.0, where count and fn round the level to
+    # opposite sides: moving the probe up by the edge margin resolves either way
+    fn, _ = polynomial([0.5, fn_root])
+    _, count = polynomial([0.5, count_root])
+    roots = bracket_and_bisect(fn, count, 2.0, 0.1, 1e-13)
+    assert roots == pytest.approx([0.5, fn_root], rel=1e-12)
+
+
 def test_level_below_the_lowest_probe_raises():
     # the count claims a level in [0, e_max * 1e-9], which no bracket can hold
     fn, _ = polynomial([0.5])

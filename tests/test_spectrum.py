@@ -129,6 +129,15 @@ class TestFindSpectrum:
         for n, st in enumerate(states, start=1):
             assert st.energy == pytest.approx((n * math.pi / 6.0) ** 2, rel=1e-10)
 
+    def test_flat_well_levels_on_count_probes(self):
+        # the probes at e_max i / 30 land on the levels n**2 E1: the count reads
+        # level 1 at E1 while the characteristic there still has its low sign
+        e1 = (math.pi / 6.0) ** 2
+        states = find_spectrum(WellSpec(3.0, 3.0, 0.0), 30 * e1)
+        assert len(states) == 5
+        for n, st in enumerate(states, start=1):
+            assert st.energy == pytest.approx(n * n * e1, rel=1e-13, abs=0)
+
     def test_eighteen_states_below_100(self, states_e100):
         assert len(states_e100) == 18
         energies = [st.energy for st in states_e100]
