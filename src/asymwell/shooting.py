@@ -46,7 +46,6 @@ from ._simpson import simpson
 from .potential import WellSpec, _integer, sample
 
 __all__ = ["GridSolution", "NodeCountError", "shoot", "find_spectrum_numeric",
-           "interior_nodes",
            "side_probability_numeric"]
 
 _BISECT_TOL = 1e-12          # relative; well inside the 1e-9 contract
