@@ -8,6 +8,8 @@ both:
 
 1. Count pass: N at ``_PROBES`` energies over (0, e_max]; a gap whose count
    jumps by more than one is split until every level has a bracket of its own.
+   Where ``fn`` keeps its sign over a bracket, count and ``fn`` may round a
+   level on a probe apart: its end probes move up by ``_EDGE``, once.
 2. Secant polish: Illinois regula falsi on ``fn``, vectorized over all
    brackets, one call per pass.  A bracket hands over once it is narrower
    than ``_HANDOVER`` bisection tolerances: the replay's bisection gains one
@@ -96,22 +98,32 @@ def bracket_and_bisect(
     that holds more levels than a float counts exactly, or, when it holds a
     level, whose scan cell ``step`` is below 4 eps e_max, past which the scan
     grid's points no longer step apart; ``ScanResolutionError`` names the
-    bracket where the count places a level but ``fn`` keeps its sign.
+    bracket where the count places a level but ``fn`` keeps its sign, also
+    once the probes at its ends have moved up by ``_EDGE``.
     """
     if not 0 < e_max < math.inf:
         raise ValueError(f"e_max must be finite and positive, got {e_max}")
-    lo, hi, n_lo = _isolate(count, e_max)
-    ends, where = np.unique(np.concatenate([lo, hi, [e_max]]), return_inverse=True)
-    f_ends = fn(ends)
-    flo, fhi, f_cut = f_ends[where[: lo.size]], f_ends[where[lo.size : -1]], f_ends[where[-1]]
-    slo, shi = np.sign(flo), np.sign(fhi)
-    bad = (slo == shi).nonzero()[0]
-    if bad.size:
-        i = bad[0]
-        raise ScanResolutionError(
-            f"the Sturm count places level {n_lo[i] + 1} in [{lo[i]:.9g}, {hi[i]:.9g}], where "
-            f"the scanned function does not change sign: N(lo) = {n_lo[i]}, "
-            f"N(hi) = {n_lo[i] + 1}, sign fn(lo) = {slo[i]:+g}, sign fn(hi) = {shi[i]:+g}")
+    # the top probe is finite at the float max
+    e = np.append(e_max * _PROBE_AT, min(e_max * (1.0 + _EDGE), sys.float_info.max))
+    for nudged in (False, True):
+        lo, hi, n_lo = _isolate(count, e_max, e)
+        ends, where = np.unique(np.concatenate([lo, hi, [e_max]]), return_inverse=True)
+        f_ends = fn(ends)
+        flo, fhi, f_cut = f_ends[where[: lo.size]], f_ends[where[lo.size : -1]], f_ends[where[-1]]
+        slo, shi = np.sign(flo), np.sign(fhi)
+        bad = (slo == shi).nonzero()[0]
+        if not bad.size:
+            break
+        # a level on a probe, which count and fn round to opposite sides of it:
+        # move the probes at these brackets' ends up by _EDGE, as the cutoff is
+        moved = np.isin(e[:-1], np.concatenate([lo[bad], hi[bad]]))
+        if nudged or not moved.any():
+            i = bad[0]
+            raise ScanResolutionError(
+                f"the Sturm count places level {n_lo[i] + 1} in [{lo[i]:.9g}, {hi[i]:.9g}], "
+                f"where the scanned function does not change sign: N(lo) = {n_lo[i]}, "
+                f"N(hi) = {n_lo[i] + 1}, sign fn(lo) = {slo[i]:+g}, sign fn(hi) = {shi[i]:+g}")
+        e[:-1][moved] *= 1.0 + _EDGE
     # sign just left of each root; an end where fn is 0 takes the sign opposite
     # to the other end's, which holds whichever bracket the zero belongs to
     s = np.where(flo != 0.0, slo, -shi)
@@ -137,13 +149,10 @@ def bracket_and_bisect(
     return roots.replay(fn, e_max, step, tol_rel)
 
 
-def _isolate(count, e_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Brackets (lo, hi] holding one level each, for every level below
-    e_max (1 + _EDGE), with N(lo) per bracket.  The count is read as floats,
-    exact up to 2**53 levels, and then as ints."""
-    e = np.empty(_PROBES)
-    np.multiply(e_max, _PROBE_AT, out=e[:-1])
-    e[-1] = min(e_max * (1.0 + _EDGE), sys.float_info.max)   # finite at the float max
+def _isolate(count, e_max: float, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brackets (lo, hi] holding one level each, for every level below the top
+    probe of ``e``, e_max (1 + _EDGE), with N(lo) per bracket.  The count is
+    read as floats, exact up to 2**53 levels, and then as ints."""
     n = np.asarray(count(e), dtype=float)
     if not n.max() <= 2.0**53:
         raise ValueError(f"e_max={e_max!r} holds {n.max():.6g} levels, more than the "
