@@ -332,16 +332,12 @@ def _json_floats(tokens: list[str]) -> list[str]:
             or repr(float(token)) for token in tokens]
 
 
+def _rounded(value: object) -> object:
+    return float(f"{value:.12g}") if isinstance(value, float) else value
+
+
 def _json_cell(value: object) -> str:
-    return _json_floats([f"{value:.12g}"])[0] if isinstance(value, float) else json.dumps(value)
-
-
-def _json_block(items, brackets: str = "[]", pad: str = "  ") -> str:
-    """JSON array of ``items``, or with ``{}`` object of (key, JSON) pairs, in indent=2 layout."""
-    if brackets == "{}":
-        items = [f"{json.dumps(k)}: {v}" for k, v in sorted(dict(items).items())]
-    body = f",\n{pad}  ".join(items)
-    return f"{brackets[0]}\n{pad}  {body}\n{pad}{brackets[1]}" if items else brackets
+    return json.dumps(_rounded(value))
 
 
 def _chunks(rows: list[list]):
@@ -382,13 +378,12 @@ def render_json(table: Table) -> str:
     A chunk of floats formats its ``.12g`` tokens with one ``%``, makes JSON of the few
     that are not, and lays them into its rows with a second ``%``.
     """
-    doc = {"columns": _json_block(list(map(json.dumps, table.columns))),
-           "command": json.dumps(table.command),
-           "config": _json_block([(k, _json_cell(v)) for k, v in table.config_items], "{}")}
+    doc = {"columns": table.columns, "command": table.command,
+           "config": {k: _rounded(v) for k, v in table.config_items}, "rows": []}
     if table.markers:
-        doc["markers"] = _json_block([(k, _json_cell(v)) for k, v in table.markers.items()], "{}")
-    # "rows" sorts last: the object's other members, then the rows, then its close
-    parts, sep = [_json_block(doc.items(), "{}", "")[:-2], ',\n  "rows": ['], "\n    "
+        doc["markers"] = {k: _rounded(v) for k, v in table.markers.items()}
+    # "rows" sorts last: the document up to its "]\n}", then the rows, then its close
+    parts, sep = [json.dumps(doc, sort_keys=True, indent=2)[:-3]], "\n    "
     for chunk, cells, floats in _chunks(table.rows):
         tokens = (_json_floats(("%.12g\n" * len(cells) % cells).split()) if floats
                   else map(_json_cell, cells))
