@@ -301,8 +301,8 @@ class TestRendererParity:
 
 
 def _assert_array_parity(a: float, b: float, v0: float, e_max: float):
-    """The states, side probabilities and compare rows of the array passes
-    against the per-state reference; repr tells every bit of a float, -0.0 from
+    """The states, side probabilities, spectrum rows and compare rows of the
+    array passes against the per-state reference; repr tells every bit of a float, -0.0 from
     0.0, and a numpy scalar from a float."""
     spec = WellSpec(a, b, v0)
     states = find_spectrum(spec, e_max)
@@ -313,7 +313,10 @@ def _assert_array_parity(a: float, b: float, v0: float, e_max: float):
     assert repr(states) == repr(reference)
     assert (repr([side_probabilities(s) for s in states])
             == repr([oracles.reference_side_probabilities(s) for s in reference]))
-    rows = cmd_compare(RunConfig(a=a, b=b, v0=v0, e_max=e_max)).rows
+    config = RunConfig(a=a, b=b, v0=v0, e_max=e_max)
+    assert (repr(cmd_spectrum(config).rows)
+            == repr([[s.n, s.energy, s.k, s.q_or_qbar, s.branch] for s in reference]))
+    rows = cmd_compare(config).rows
     assert repr(rows) == repr(oracles.reference_compare_rows(spec, reference))
     return states, rows
 
@@ -384,6 +387,23 @@ class TestArrayParity:
         es = np.array([v0 if e == "v0" else e for e in energies], dtype=float)
         assert (spectrum._characteristic_many(spec, es).tobytes()
                 == oracles.reference_characteristic(spec, es).tobytes())
+
+
+@pytest.mark.parametrize("command", [cmd_spectrum, cmd_compare])
+@pytest.mark.parametrize("cutoff, n_rows", [({"e_max": 100.0}, 18), ({"n_max": 12}, 12)],
+                         ids=["e_max", "n_max"])
+def test_closed_form_tables_build_no_states(command, cutoff, n_rows, monkeypatch):
+    # the tables read the solved arrays; EigenStates are built only where an API returns them
+    built = []
+    init = spectrum.EigenState.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum.EigenState, "__init__", counted)
+    assert len(command(RunConfig(**cutoff)).rows) == n_rows
+    assert built == []
 
 
 class TestCli:

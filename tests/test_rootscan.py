@@ -125,6 +125,14 @@ def test_level_below_the_lowest_probe_raises():
         bracket_and_bisect(fn, lambda e: np.ones(np.shape(e), dtype=int), 2.0, 0.1, 1e-13)
 
 
+def test_level_below_the_lowest_probe_solves():
+    # the level at 1e-10 lies below the lowest probe, e_max * 1e-9 = 2e-9, and the
+    # count is probed further down until it reads 0
+    roots = bracket_and_bisect(lambda e: e - 1e-10, lambda e: (e > 1e-10).astype(int),
+                               2.0, 0.1, 1e-13)
+    assert roots == pytest.approx([1e-10], rel=0, abs=1e-13)
+
+
 def test_decreasing_count_raises():
     # a level that the count gains at 0.5 and loses again at 1.5
     fn, _ = polynomial([0.5])

@@ -181,6 +181,12 @@ class TestFindSpectrum:
     def test_empty_result_below_first_level(self, standard_spec):
         assert find_spectrum(standard_spec, 0.5) == []
 
+    def test_ground_state_below_the_lowest_probe(self, standard_spec, standard_states):
+        # e_max * 1e-9 = 0.96 puts the lowest count probe above the ground state
+        states = find_spectrum(standard_spec, 9.6e8)
+        assert len(states) == _count_below(standard_spec, 9.6e8) == 59174
+        assert [s.energy for s in states[:9]] == [s.energy for s in standard_states]
+
     def test_uncountable_level_count_rejected(self, standard_spec):
         # about 1.9e150 levels lie below 1e300: past 2**53 the count is no longer
         # an exact float, and the brackets could not be allocated
@@ -410,6 +416,32 @@ class TestSideProbabilities:
             st = find_spectrum(WellSpec(3.0, 3.0, v0), 2.0)[0]
             leaks.append(1.0 - side_probabilities(st)[0])
         assert leaks[0] > leaks[1] > leaks[2] > 0.0
+
+    @given(a=st.floats(1.0, 5.0), b=st.floats(1.0, 5.0), v0=st.floats(2.0, 60.0),
+           headroom=st.floats(20.0, 150.0))
+    @settings(max_examples=40)
+    def test_level_slopes(self, a, b, v0, headroom):
+        # Hellmann-Feynman (R. P. Feynman, Phys. Rev. 56, 340 (1939)): dH/dv0 is the
+        # step's indicator, so dE_n/dv0 = p_right, and moving the wall at b gives
+        # dE_n/db = -psi'(b)**2 = -(amp_right q)**2.  The slopes are central
+        # differences at 1e-6 relative; dE/db is held to its scale E/b, as deep
+        # below the step psi'(b)**2 falls under the re-solves' resolution.  The top
+        # level can cross e_max, and one within 1e-3 of v0 sits on the step's bend.
+        spec, e_max = WellSpec(a, b, v0), v0 + headroom
+        states = find_spectrum(spec, e_max)
+
+        def slopes(name):
+            value = getattr(spec, name)
+            up, down = (find_spectrum(replace(spec, **{name: value * (1.0 + h)}), e_max)
+                        for h in (1e-6, -1e-6))
+            assert min(len(up), len(down)) >= len(states) - 1
+            return [(u.energy - d.energy) / (2e-6 * value) for u, d in zip(up, down)]
+
+        for state, de_dv0, de_db in zip(states[:-1], slopes("v0"), slopes("b")):
+            if abs(state.energy / v0 - 1.0) >= 1e-3:
+                assert abs(de_dv0 - side_probabilities(state)[1]) < 1e-5
+                wall = (state.amp_right * state.q_or_qbar) ** 2
+                assert abs(de_db + wall) < 1e-5 * state.energy / b
 
     def test_antinode_state_near_half(self, standard_states):
         # frozen value, confirmed by the finite-difference oracle; note it
