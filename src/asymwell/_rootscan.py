@@ -6,8 +6,10 @@ W. N. Everitt and A. Zettl, SLEIGN2, ACM TOMS 27 (2001); J. D. Pryce,
 *Numerical Solution of Sturm-Liouville Problems* (1993)).  One policy serves
 both:
 
-1. Count pass: N at ``_PROBES`` energies over (0, e_max]; a gap whose count
-   jumps by more than one is split until every level has a bracket of its own.
+1. Count pass: N at ``_PROBES`` energies over (0, e_max], and further down,
+   by factors of ``_FLOOR``, where the lowest of them counts a level; a gap
+   whose count jumps by more than one is split until every level has a
+   bracket of its own.
    Where ``fn`` keeps its sign over a bracket, count and ``fn`` may round a
    level on a probe apart: its end probes move up by ``_EDGE``, once.
 2. Secant polish: Illinois regula falsi on ``fn``, vectorized over all
@@ -159,8 +161,15 @@ def _isolate(count, e_max: float, e: np.ndarray) -> tuple[np.ndarray, np.ndarray
                          f"2**53 that a float counts exactly")
     n = n.astype(int)
     if n[0] != 0:
-        raise ScanResolutionError(f"the Sturm count places {n[0]} level(s) in "
-                                  f"[0, {e[0]:.9g}], below the lowest probe: N(hi) = {n[0]}")
+        # levels below the lowest probe: probe on down by factors of _FLOOR, to
+        # the least float, and start from the highest of these that counts 0
+        ladder = e[0] * _FLOOR ** np.arange(1.0, 36.0)
+        ladder = ladder[ladder > 0.0]
+        zero = (np.asarray(count(ladder), dtype=int) == 0).nonzero()[0]
+        if not zero.size:
+            raise ScanResolutionError(f"the Sturm count places {n[0]} level(s) in "
+                                      f"[0, {e[0]:.9g}], below the lowest probe: N(hi) = {n[0]}")
+        e, n = np.concatenate([ladder[zero[:1]], e]), np.concatenate([[0], n])
     while True:
         jump = n[1:] - n[:-1]
         down = (jump < 0).nonzero()[0]
