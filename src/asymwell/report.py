@@ -135,7 +135,13 @@ def _analytic_states(config: RunConfig) -> list[spectrum_mod.EigenState]:
     return _lowest(config, spectrum_mod.find_spectrum(config.step_well(), config.energy_cap()))
 
 
-def _lowest(config: RunConfig, states: list) -> list:
+def _analytic_arrays(config: RunConfig) -> tuple[np.ndarray, ...]:
+    """``_analytic_states`` as the arrays of ``spectrum._solve_state``, with no state built."""
+    solved = spectrum_mod._solve(config.step_well(), config.energy_cap())
+    return tuple(_lowest(config, column) for column in solved)
+
+
+def _lowest(config: RunConfig, states):
     """The lowest ``n_max`` states when ``n_max`` is the cutoff, else all of them;
     the cap lies above the n_max-th level of any floor between 0 and v0."""
     if config.n_max is None:
@@ -171,11 +177,12 @@ def cmd_spectrum(config: RunConfig) -> Table:
     if config.smoothing != "none":
         raise ValueError("the spectrum table is closed-form and requires the sharp "
                          "step; use the smoothing command for smoothed wells")
-    states = _analytic_states(config)
-    rows = [[st.n, st.energy, st.k, st.q_or_qbar, st.branch] for st in states]
-    energies = [st.energy for st in states]
-    if any(e2 <= e1 for e1, e2 in zip(energies, energies[1:])):
+    energy, k, q_or_qbar, below = _analytic_arrays(config)[:4]
+    if np.count_nonzero(energy[1:] <= energy[:-1]):
         raise RuntimeError("emitted energies are not strictly increasing")
+    branch = [spectrum_mod._BRANCHES[b] for b in below.tolist()]
+    rows = [list(row) for row in zip(range(1, energy.size + 1), energy.tolist(), k.tolist(),
+                                     q_or_qbar.tolist(), branch)]
     return Table("spectrum", _config_items(config, "spectrum"),
                  ["n", "energy", "k", "q_or_qbar", "branch"], rows)
 
@@ -225,9 +232,8 @@ def cmd_compare(config: RunConfig) -> Table:
     if config.smoothing != "none":
         raise ValueError("the comparison table requires the sharp step")
     spec = config.step_well()
-    states = _analytic_states(config)
-    energy = np.array([st.energy for st in states])
-    p_left, p_right = spectrum_mod._side_probabilities(spec, states)
+    energy, *_, amp_left, amp_right, left, right = _analytic_arrays(config)
+    p_left, p_right = spectrum_mod._probabilities(amp_left, amp_right, left, right)
     if np.count_nonzero(bad := np.abs(p_left + p_right - 1.0) > 1e-9):
         raise RuntimeError(f"side probabilities of state {bad.argmax() + 1} do not sum to 1")
     p_cl = classical_mod._time_shares(spec, energy)[2]
@@ -237,11 +243,11 @@ def cmd_compare(config: RunConfig) -> Table:
     if np.count_nonzero(bad := ~inside):
         raise RuntimeError(f"classical probability escapes the bound envelope "
                            f"at E={float(energy[above][bad][0])}")
-    bound_cells = np.full((len(states), 3), None, dtype=object)
+    bound_cells = np.full((energy.size, 3), None, dtype=object)
     bound_cells[above, 0], bound_cells[above, 1] = lower, upper
     kinds, _, _ = spectrum_mod._match_classes(p_left[above], lower, upper, 0.1)
     bound_cells[above, 2] = [None if kind is None else kind.value for kind in kinds]
-    columns = (range(1, len(states) + 1), energy.tolist(), p_left.tolist(), p_cl.tolist(),
+    columns = (range(1, energy.size + 1), energy.tolist(), p_left.tolist(), p_cl.tolist(),
                *bound_cells.T.tolist())
     rows = [list(row) for row in zip(*columns)]
     return Table("compare", _config_items(config, "compare"),

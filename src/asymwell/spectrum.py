@@ -46,6 +46,7 @@ __all__ = [
 
 _BISECT_TOL = 1e-13          # relative; well inside the 1e-10 contract
 _RESIDUAL_TOL = 1e-6         # matching-residual gate for spurious roots
+_BRANCHES = ("oscillatory", "evanescent")  # a state's branch, by below_threshold
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class EigenState:
 
     @property
     def branch(self) -> str:
-        return "evanescent" if self.below_threshold else "oscillatory"
+        return _BRANCHES[self.below_threshold]
 
 
 class MatchKind(enum.Enum):
@@ -141,6 +142,11 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
     of the characteristic itself.  ``ScanResolutionError`` is raised where the
     count places a level but the characteristic keeps its sign.
     """
+    return _states(spec, _solve(spec, e_max))
+
+
+def _solve(spec: WellSpec, e_max: float) -> tuple[np.ndarray, ...]:
+    """``find_spectrum``'s states as the arrays of ``_solve_state``."""
     _require_step(spec)
     # normalizing a state below the step evaluates sinh(2 qbar b) in
     # _sq_integral, which overflows once qbar*b passes about 355; qbar
@@ -181,13 +187,16 @@ def _require_step(spec: WellSpec) -> None:
                          "use the shooting solver for smoothed wells")
 
 
-def _solve_state(spec: WellSpec, energies) -> list[EigenState]:
-    """Matched, normalized states at roots of the characteristic, numbered from 1.
+def _solve_state(spec: WellSpec, energies) -> tuple[np.ndarray, ...]:
+    """Matched, normalized states at roots of the characteristic, as arrays.
 
-    The energies are positive and finite, as the root policy's are.  Each
-    check names the lowest state that fails it.  hypot, and sinh and cosh
-    below the step, are the math module's, element by element, as numpy rounds
-    some of their values differently.
+    Returns energy, k, q_or_qbar, below_threshold, amp_left and amp_right, the
+    fields of ``EigenState`` in order, and the unnormalized left and right
+    integrals of sin^2 (sinh^2) that normalized them.  The energies are
+    positive and finite, as the root policy's are.  Each check names the
+    lowest state that fails it.  hypot, and sinh and cosh below the step, are
+    the math module's, element by element, as numpy rounds some of their
+    values differently.
     """
     e = np.asarray(energies, dtype=float)
     if np.count_nonzero(e == spec.v0):
@@ -218,11 +227,16 @@ def _solve_state(spec: WellSpec, energies) -> list[EigenState]:
         raise ValueError(f"matching residual {res[i]:.3e} at E={float(e[i])!r}: "
                          "energy is not a root of the characteristic")
 
-    scale = np.sqrt(A * A * _sq_integral(k, spec.a) + B * B * _sq_integral(w, spec.b, below))
+    left, right = _sq_integral(k, spec.a), _sq_integral(w, spec.b, below)
+    scale = np.sqrt(A * A * left + B * B * right)
     scale = np.where(A < 0, -scale, scale)  # sign convention: amp_left > 0
-    A, B = A / scale, B / scale
-    return [EigenState(n, *fields, spec) for n, fields in enumerate(
-        zip(e.tolist(), k.tolist(), w.tolist(), below.tolist(), A.tolist(), B.tolist()), start=1)]
+    return e, k, w, below, A / scale, B / scale, left, right
+
+
+def _states(spec: WellSpec, solved: tuple[np.ndarray, ...]) -> list[EigenState]:
+    """The ``EigenState``s, numbered from 1, of ``_solve_state``'s arrays."""
+    return [EigenState(n, *fields, spec) for n, fields in
+            enumerate(zip(*(x.tolist() for x in solved[:6])), start=1)]
 
 
 def normalize(state: EigenState) -> EigenState:
@@ -231,7 +245,8 @@ def normalize(state: EigenState) -> EigenState:
     Idempotent; the incoming amplitudes are ignored.  Raises if the energy is
     not a root of the characteristic.
     """
-    fresh, = _solve_state(replace(state.spec, smoothing=None), [_finite(state.energy, "energy")])
+    spec = replace(state.spec, smoothing=None)
+    fresh, = _states(spec, _solve_state(spec, [_finite(state.energy, "energy")]))
     return replace(fresh, n=state.n)
 
 
@@ -286,12 +301,18 @@ _STATE_ARRAYS = attrgetter("k", "q_or_qbar", "below_threshold", "amp_left", "amp
 
 
 def _side_probabilities(spec: WellSpec, states) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right probabilities of states of ``spec``, as arrays; the
-    squares are pow's, as numpy's x**2 rounds some values differently."""
+    """Left and right probabilities of states of ``spec``, as arrays."""
     k, w, below, amp_l, amp_r = np.array(list(map(_STATE_ARRAYS, states)),
                                          dtype=float).reshape(-1, 5).T
-    return (np.float_power(amp_l, 2.0) * _sq_integral(k, spec.a),
-            np.float_power(amp_r, 2.0) * _sq_integral(w, spec.b, below != 0.0))
+    return _probabilities(amp_l, amp_r, _sq_integral(k, spec.a),
+                          _sq_integral(w, spec.b, below != 0.0))
+
+
+def _probabilities(amp_left, amp_right, left, right) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right probabilities from the amplitudes and the side integrals
+    of ``_sq_integral``; the squares are pow's, as numpy's x**2 rounds some
+    values differently."""
+    return np.float_power(amp_left, 2.0) * left, np.float_power(amp_right, 2.0) * right
 
 
 def classify_matching(state: EigenState, threshold: float = 0.1) -> MatchClass:
