@@ -302,8 +302,8 @@ class TestRendererParity:
 
 def _assert_array_parity(a: float, b: float, v0: float, e_max: float):
     """The states, side probabilities, spectrum rows and compare rows of the
-    array passes against the per-state reference; repr tells every bit of a float, -0.0 from
-    0.0, and a numpy scalar from a float."""
+    array passes against the per-state reference; repr tells every bit of a
+    float, -0.0 from 0.0, and a numpy scalar from a float."""
     spec = WellSpec(a, b, v0)
     states = find_spectrum(spec, e_max)
     roots = bracket_and_bisect(lambda es: oracles.reference_characteristic(spec, es),
