@@ -39,6 +39,10 @@ SHOOTING_SHA256 = {
     "smoothing --a 2 --b 4.3": "12b232587cb77f652266772435c04988c44b87cd9af0a55e8f744fa5a7f6ffa3",
     "wavefunction --n 3 --smoothing exponential --epsilon 0.2":
         "9f11dab65ad2a6f8aaa47ed8ad8dc5923b101697345d661b592276dc0f5a106a",
+    # recorded while the smoothing table still read EigenStates: a state-count
+    # cutoff, and a flat floor whose sharp-step side has no step at all
+    "smoothing --n-max 5": "6151826a0e8efc2f3de86e7d8d8324d4fb0423b4c4139bad32787dd71d09f2d4",
+    "smoothing --v0 0": "903c57a4fe8d304e60bcd066ce708e148cb855924632354b008fd77e0adf3b54",
 }
 
 # sha256 of the JSON form of the standard tables, recorded while render_json
@@ -363,6 +367,26 @@ def test_closed_form_tables_refuse_smoothed_wells(argv, message, capsys):
     assert main(argv.split()) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"asymwell {argv.split()[0]}: solve: {message}\n"
+
+
+def test_momentum_past_the_bound_fails_at_solve(capsys):
+    # p**2 and p sinh(qbar b) overflowed here, and the table printed nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main("momentum --n 1 --v0 10000 --points 5 --p-max 1e200".split()) == 1
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "asymwell momentum: solve: p_max must be at most 1e+150, got 1e+200\n"
+
+
+def test_implausible_smoothing_shift_fails_at_solve(capsys):
+    # a ramp of half-width 2.9 lifts the floor of most of the left pocket, so the
+    # ground state moves by 4.3 times its sharp-step energy
+    assert main("smoothing --smoothing linear --epsilon 2.9".split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "asymwell smoothing: solve: implausible smoothing shift 4.3 at state 1\n"
 
 
 def test_cutoff_past_the_numeric_spectrum_fails_at_solve(capsys):

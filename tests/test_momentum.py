@@ -1,6 +1,7 @@
 """Momentum transforms: quadrature agreement, symmetry, Parseval, features."""
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,33 @@ class TestSymmetryAndNormalization:
     def test_numpy_integer_point_count_accepted(self, standard_states):
         series = density_series(standard_states[0], 10.0, np.int64(5))
         assert np.array_equal(series.p_grid, density_series(standard_states[0], 10.0, 5).p_grid)
+
+
+class TestMomentumBound:
+    """|p| past 1e150 is refused by name: there p**2 and p sinh(qbar b) overflow,
+    and inf / inf gave NaN."""
+
+    TALL = WellSpec(3.0, 3.0, 10000.0)  # qbar b near 300 on the ground state
+
+    @pytest.mark.parametrize("p", [1e200, np.array([0.0, -1.5e150])], ids=["scalar", "array"])
+    def test_phi_refuses_momenta_past_the_bound(self, p):
+        state = find_spectrum(self.TALL, 50.0)[0]
+        bad = float(np.atleast_1d(p)[-1])
+        with pytest.raises(ValueError, match=re.escape(
+                f"momentum must be at most 1e+150 in magnitude, got {bad}")):
+            phi(state, p)
+
+    def test_density_series_refuses_a_range_past_the_bound(self, standard_states):
+        with pytest.raises(ValueError, match=re.escape("p_max must be at most 1e+150, got 1e+200")):
+            density_series(standard_states[0], 1e200, 5)
+
+    def test_finite_and_quiet_at_the_bound(self, standard_states):
+        p = np.array([-1e150, -1e100, 1e100, 1e150])
+        for state in (find_spectrum(self.TALL, 50.0)[0], standard_states[0], standard_states[5]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = phi(state, p)
+            assert np.all(np.abs(values) < 1e-90)
 
 
 def _tallest_peak_in(series, lo, hi):

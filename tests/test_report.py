@@ -190,6 +190,13 @@ class TestMomentumTable:
         table = cmd_momentum(cfg(p_max=10.0, points=801), n=1)
         assert "q" not in table.markers
 
+    def test_nan_density_fails_the_evenness_check(self, monkeypatch):
+        from asymwell import momentum
+
+        monkeypatch.setattr(momentum, "phi", lambda state, p: np.full(p.shape, np.nan))
+        with pytest.raises(RuntimeError, match="momentum density is not even in p"):
+            cmd_momentum(cfg(), n=1)
+
 
 class TestEmission:
     def test_csv_round_shape(self):
@@ -374,8 +381,7 @@ class TestArrayParity:
                      (rng.random(4000) < 0.5).tolist(),
                      *rng.uniform(-2.0, 2.0, (2, 4000)).tolist())
         states = [spectrum.EigenState(n, 1.0, *state, spec) for n, state in enumerate(fields, 1)]
-        p_left, p_right = spectrum._side_probabilities(spec, states)
-        assert (repr(list(zip(p_left.tolist(), p_right.tolist())))
+        assert (repr([side_probabilities(s) for s in states])
                 == repr([oracles.reference_side_probabilities(s) for s in states]))
 
     @given(v0=st.floats(0.0, 1e3), energies=st.lists(
@@ -389,11 +395,12 @@ class TestArrayParity:
                 == oracles.reference_characteristic(spec, es).tobytes())
 
 
-@pytest.mark.parametrize("command", [cmd_spectrum, cmd_compare])
+@pytest.mark.parametrize("command", [cmd_spectrum, cmd_compare, cmd_smoothing])
 @pytest.mark.parametrize("cutoff, n_rows", [({"e_max": 100.0}, 18), ({"n_max": 12}, 12)],
                          ids=["e_max", "n_max"])
 def test_closed_form_tables_build_no_states(command, cutoff, n_rows, monkeypatch):
-    # the tables read the solved arrays; EigenStates are built only where an API returns them
+    # the tables read the solved arrays; EigenStates are built only where an API returns
+    # them, and for the one state the wavefunction and momentum tables show
     built = []
     init = spectrum.EigenState.__init__
 
@@ -404,6 +411,19 @@ def test_closed_form_tables_build_no_states(command, cutoff, n_rows, monkeypatch
     monkeypatch.setattr(spectrum.EigenState, "__init__", counted)
     assert len(command(RunConfig(**cutoff)).rows) == n_rows
     assert built == []
+
+
+@pytest.mark.parametrize("command, state", [
+    (cmd_spectrum, {}), (cmd_compare, {}), (cmd_smoothing, {}),
+    (cmd_wavefunction, {"n": 6}), (cmd_momentum, {"n": 5}),
+], ids=["spectrum", "compare", "smoothing", "wavefunction", "momentum"])
+def test_tables_reach_the_closed_form_through_the_arrays(command, state, monkeypatch):
+    # one route from the root solve to every table: none of them enters find_spectrum
+    def refused(*args):
+        raise AssertionError("find_spectrum called")
+
+    monkeypatch.setattr(spectrum, "find_spectrum", refused)
+    assert command(cfg(), **state).rows
 
 
 class TestCli:
