@@ -27,6 +27,7 @@ from .spectrum import EigenState
 __all__ = ["MomentumDensity", "phi", "density_series", "peak_separation"]
 
 _GUARD = 1e-6  # |p -+ kappa| below this switches J to its pole-free form
+_P_BOUND = 1e150  # keeps p^2 and p sinh(qbar b) finite: qbar b < 355 on every closed-form state
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +81,7 @@ def phi(state: EigenState, p):
     Left side contributes A exp(ipa) J(k, a, p); the right side contributes
     -B exp(-ipb) J(q, b, -p) (or the sinh analogue below the step), both from
     substituting the distance to the adjacent wall as integration variable.
+    |p| past 1e150 is refused, as the transform's terms overflow there.
     """
     spec = state.spec
     ps = np.asarray(p, dtype=float)
@@ -87,6 +89,9 @@ def phi(state: EigenState, p):
     ps = np.atleast_1d(ps)
     if np.count_nonzero(bad := ~np.isfinite(ps)):
         raise ValueError(f"momentum must be finite, got {float(ps[bad][0])}")
+    if np.count_nonzero(big := np.abs(ps) > _P_BOUND):
+        raise ValueError(f"momentum must be at most {_P_BOUND:g} in magnitude, "
+                         f"got {float(ps[big][0])}")
     left = state.amp_left * np.exp(1j * ps * spec.a) * _j_osc(state.k, spec.a, ps)
     j_right = (_j_evan if state.below_threshold else _j_osc)(state.q_or_qbar, spec.b, -ps)
     right = -state.amp_right * np.exp(-1j * ps * spec.b) * j_right
@@ -96,7 +101,8 @@ def phi(state: EigenState, p):
 
 def density_series(state: EigenState, p_max: float, n_points: int) -> MomentumDensity:
     """|phi(p)|^2 sampled on a symmetric grid over [-p_max, p_max]."""
-    _finite(p_max, "p_max")
+    if _finite(p_max, "p_max") > _P_BOUND:
+        raise ValueError(f"p_max must be at most {_P_BOUND:g}, got {p_max}")
     grid = np.linspace(-p_max, p_max, _integer(n_points, "n_points", 3))
     dens = np.abs(phi(state, grid)) ** 2
     return MomentumDensity(

@@ -308,7 +308,7 @@ def cmd_momentum(config: RunConfig, n: int) -> Table:
 
     dens = series.density
     asym = np.max(np.abs(dens - dens[::-1]))
-    if asym > 1e-10 * max(1.0, float(np.max(dens))):
+    if not asym <= 1e-10 * max(1.0, float(np.max(dens))):  # NaN fails
         raise RuntimeError("momentum density is not even in p")
 
     markers = {"k": series.k_marker}
