@@ -131,12 +131,9 @@ def _config_items(config: RunConfig, command: str,
     return items
 
 
-def _analytic_states(config: RunConfig) -> list[spectrum_mod.EigenState]:
-    return _lowest(config, spectrum_mod.find_spectrum(config.step_well(), config.energy_cap()))
-
-
 def _analytic_arrays(config: RunConfig) -> tuple[np.ndarray, ...]:
-    """``_analytic_states`` as the arrays of ``spectrum._solve_state``, with no state built."""
+    """The sharp step's states below the cutoff as the arrays of ``spectrum._solve_state``:
+    the one route from the root solve to every table."""
     solved = spectrum_mod._solve(config.step_well(), config.energy_cap())
     return tuple(_lowest(config, column) for column in solved)
 
@@ -192,7 +189,7 @@ def cmd_wavefunction(config: RunConfig, n: int) -> Table:
     well = config.well()
     xs = np.linspace(-config.a, config.b, config.samples)
     if well.is_step:
-        state = _nth(_analytic_states(config), n)
+        state = _nth(spectrum_mod._states(config.step_well(), _analytic_arrays(config)), n)
         values = spectrum_mod.psi(state, xs)
         energy, step = state.energy, 0.0
     else:
@@ -245,7 +242,7 @@ def cmd_compare(config: RunConfig) -> Table:
                            f"at E={float(energy[above][bad][0])}")
     bound_cells = np.full((energy.size, 3), None, dtype=object)
     bound_cells[above, 0], bound_cells[above, 1] = lower, upper
-    kinds, _, _ = spectrum_mod._match_classes(p_left[above], lower, upper, 0.1)
+    kinds, _, _ = spectrum_mod._match_classes(p_left[above], lower, upper)
     bound_cells[above, 2] = [None if kind is None else kind.value for kind in kinds]
     columns = (range(1, energy.size + 1), energy.tolist(), p_left.tolist(), p_cl.tolist(),
                *bound_cells.T.tolist())
@@ -260,29 +257,30 @@ def cmd_smoothing(config: RunConfig) -> Table:
 
     The smoothing family follows the configuration (exponential unless
     ``linear`` is selected).  Classical values are taken at the sharp-step
-    energies.
+    energies.  The sharp-step columns come from the solved arrays; each check
+    names the lowest state that fails it.
     """
     from . import shooting as shooting_mod
 
     family = "linear" if config.smoothing == "linear" else "exponential"
     smooth_well = replace(config, smoothing=family).well()
     scale = config.epsilon if family == "linear" else config.delta
-    step_states = _analytic_states(config)
+    energy, *_, amp_left, amp_right, left, right = _analytic_arrays(config)
     cap = config.energy_cap() * 1.05 + config.v0 * scale + 1.0
-    smooth_sols = shooting_mod.find_spectrum_numeric(smooth_well, cap, config.grid)
-    if len(smooth_sols) < len(step_states):
+    sols = shooting_mod.find_spectrum_numeric(smooth_well, cap, config.grid)[: energy.size]
+    if len(sols) < energy.size:
         raise RuntimeError("smoothed spectrum has fewer states than the sharp step "
                            "below the cutoff; raise the energy cap")
-    spec = config.step_well()
-    rows = []
-    for st, sol in zip(step_states, smooth_sols):
-        de = (sol.energy - st.energy) / st.energy
-        if abs(de) > 0.5:
-            raise RuntimeError(f"implausible smoothing shift {de:.2g} at state {st.n}")
-        p_step, _ = spectrum_mod.side_probabilities(st)
-        p_smooth = shooting_mod.side_probability_numeric(sol)
-        p_cl = classical_mod.classical_model(spec, st.energy).p_left
-        rows.append([st.n, st.energy, sol.energy, de, p_step, p_smooth, p_cl])
+    e_smooth = np.array([sol.energy for sol in sols])
+    de = (e_smooth - energy) / energy
+    if np.count_nonzero(bad := np.abs(de) > 0.5):
+        i = int(bad.argmax())
+        raise RuntimeError(f"implausible smoothing shift {de[i]:.2g} at state {i + 1}")
+    p_step, _ = spectrum_mod._probabilities(amp_left, amp_right, left, right)
+    p_cl = classical_mod._time_shares(config.step_well(), energy)[2]
+    columns = (range(1, energy.size + 1), energy.tolist(), e_smooth.tolist(), de.tolist(),
+               p_step.tolist(), map(shooting_mod.side_probability_numeric, sols), p_cl.tolist())
+    rows = [list(row) for row in zip(*columns)]
     return Table("smoothing", _config_items(config, "smoothing", scale=scale),
                  ["n", "e_step", "e_smooth", "de_over_e", "p_left_step",
                   "p_left_smooth", "p_left_cl"], rows)
@@ -295,7 +293,7 @@ def cmd_momentum(config: RunConfig, n: int) -> Table:
     if config.smoothing != "none":
         raise ValueError("momentum densities are computed from the closed-form "
                          "states and require the sharp step")
-    state = _nth(_analytic_states(config), n)
+    state = _nth(spectrum_mod._states(config.step_well(), _analytic_arrays(config)), n)
     p_max = config.p_max
     if p_max is None:
         p_max = max(8.0 * state.k, 16.0)

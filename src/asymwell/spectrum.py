@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -46,6 +45,7 @@ __all__ = [
 
 _BISECT_TOL = 1e-13          # relative; well inside the 1e-10 contract
 _RESIDUAL_TOL = 1e-6         # matching-residual gate for spurious roots
+_MATCH_THRESHOLD = 0.1       # a bound metric below this names the match class
 _BRANCHES = ("oscillatory", "evanescent")  # a state's branch, by below_threshold
 
 
@@ -293,19 +293,11 @@ def psi(state: EigenState, x):
 
 def side_probabilities(state: EigenState) -> tuple[float, float]:
     """Closed-form probabilities of the left and right halves of the well."""
-    p_left, p_right = _side_probabilities(state.spec, [state])
+    spec = state.spec
+    p_left, p_right = _probabilities(
+        state.amp_left, state.amp_right, _sq_integral(np.array([state.k]), spec.a),
+        _sq_integral(np.array([state.q_or_qbar]), spec.b, state.below_threshold))
     return float(p_left[0]), float(p_right[0])
-
-
-_STATE_ARRAYS = attrgetter("k", "q_or_qbar", "below_threshold", "amp_left", "amp_right")
-
-
-def _side_probabilities(spec: WellSpec, states) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right probabilities of states of ``spec``, as arrays."""
-    k, w, below, amp_l, amp_r = np.array(list(map(_STATE_ARRAYS, states)),
-                                         dtype=float).reshape(-1, 5).T
-    return _probabilities(amp_l, amp_r, _sq_integral(k, spec.a),
-                          _sq_integral(w, spec.b, below != 0.0))
 
 
 def _probabilities(amp_left, amp_right, left, right) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +307,7 @@ def _probabilities(amp_left, amp_right, left, right) -> tuple[np.ndarray, np.nda
     return np.float_power(amp_left, 2.0) * left, np.float_power(amp_right, 2.0) * right
 
 
-def classify_matching(state: EigenState, threshold: float = 0.1) -> MatchClass:
+def classify_matching(state: EigenState, threshold: float = _MATCH_THRESHOLD) -> MatchClass:
     """Flag states whose boundary matching saturates a side-probability bound.
 
     Matching near an antinode pushes the left-side probability to the
@@ -337,7 +329,7 @@ def classify_matching(state: EigenState, threshold: float = 0.1) -> MatchClass:
     return MatchClass(kind=kind, node_metric=float(node[0]), antinode_metric=float(anti[0]))
 
 
-def _match_classes(p_left: np.ndarray, lower, upper, threshold: float):
+def _match_classes(p_left: np.ndarray, lower, upper, threshold: float = _MATCH_THRESHOLD):
     """Kinds, node metrics and antinode metrics of left-side probabilities inside
     their [lower, upper] bound intervals; an interval narrower than 1e-12 (v0 ~ 0:
     the envelopes coincide) has nothing to saturate, kind None and nan metrics."""
