@@ -13,7 +13,8 @@ through ``.12g`` for CSV, and through a ``.12g`` round trip and the pure-Python
 ``json.dumps(indent=2)`` encoder for JSON.  ``reference_characteristic``,
 ``reference_state`` and ``reference_compare_rows`` are the closed form one
 state at a time, with the math module's functions, whose floats the array
-passes reproduce.
+passes reproduce.  ``enclosure_counts`` bounds the level count of any floor
+by those of two piecewise-constant floors, solved with exact cell matrices.
 """
 from __future__ import annotations
 
@@ -480,3 +481,44 @@ def reference_compare_rows(spec: WellSpec, states: list) -> list[list]:
             rows.append([st.n, st.energy, p_left, model.p_left,
                          pair.lower, pair.upper, kind])
     return rows
+
+
+def enclosure_counts(spec: WellSpec, n_grid: int, energies) -> tuple[np.ndarray, np.ndarray]:
+    """Level counts below each energy of the two piecewise-constant floors that
+    enclose the well's floor on the solver's node grid, as (n_hi, n_lo).
+
+    Every floor is nondecreasing, so on each cell it lies between its values at
+    the cell's ends (for the sharp step, the one-sided limits 0 and v0, so a
+    node at x = 0 gives zero width).  The floor raised to each cell's right-end
+    value has no more levels below E, and the floor lowered to its left-end
+    value no fewer (min-max), so the true count lies in [n_hi, n_lo].  Each
+    cell's transfer matrix is exact, and a count is the number of sign changes
+    of psi over the nodes after -a, psi(b) included: a cell holds at most one
+    zero while kappa h < pi, which is asserted.
+    """
+    xs = np.linspace(-spec.a, spec.b, n_grid + 1)
+    xs[np.abs(xs) < spec.width / n_grid * 1e-6] = 0.0
+    if spec.smoothing is None:
+        ends = np.where(xs > 0.0, spec.v0, 0.0), np.where(xs < 0.0, 0.0, spec.v0)
+        floors = np.stack([ends[0][1:], ends[1][:-1]], axis=1)
+    else:
+        v = sample(spec, xs)
+        floors = np.stack([v[1:], v[:-1]], axis=1)
+    e = np.asarray(energies, dtype=float)
+    psi, dpsi = np.zeros((2, e.size)), np.ones((2, e.size))
+    counts = np.zeros((2, e.size), dtype=int)
+    for h, floor in zip(np.diff(xs).tolist(), floors):
+        d = e - floor[:, None]
+        up = d > 0.0
+        kappa = np.sqrt(np.abs(d))
+        t = kappa * h
+        assert np.all(t[up] < math.pi), "a cell may hold two zeros: kappa h >= pi"
+        c = np.where(up, np.cos(t), np.cosh(t))
+        sk = np.divide(np.where(up, np.sin(t), np.sinh(t)), kappa,
+                       out=np.full(t.shape, h), where=kappa > 0.0)
+        ks = np.where(up, -kappa * np.sin(t), kappa * np.sinh(t))
+        psi, dpsi, before = c * psi + sk * dpsi, ks * psi + c * dpsi, psi
+        counts += (psi < 0.0) != (before < 0.0)
+        scale = np.maximum(np.abs(psi), np.abs(dpsi))  # a positive factor keeps every sign
+        psi, dpsi = psi / scale, dpsi / scale
+    return counts[0], counts[1]

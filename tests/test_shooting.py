@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from asymwell import (
@@ -36,6 +36,7 @@ from asymwell.shooting import (
 from asymwell._rootscan import scan_step
 from asymwell.spectrum import _count_below as closed_form_count
 from oracles import (
+    enclosure_counts,
     fd_left_probability,
     fd_spectrum,
     reference_roots,
@@ -524,6 +525,46 @@ class TestSpuriousLevels:
     ], ids=["near-the-top", "tall-step", "fine-grid-high"])
     def test_level_count_is_the_closed_forms(self, spec, n_grid, e_max):
         assert len(find_spectrum_numeric(spec, e_max, n_grid)) == closed_form_count(spec, e_max)
+
+
+class TestSturmEnclosures:
+    """Every floor lies between the piecewise-constant floors of its cell-end values,
+    so by min-max each level lies between theirs (``oracles.enclosure_counts``)."""
+
+    @given(a=st.floats(0.2, 5.0), b=st.floats(0.2, 5.0), v0=st.floats(0.0, 200.0),
+           cells=st.integers(50, 300), on_node=st.booleans(),
+           fractions=st.lists(st.floats(1e-3, 0.9), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_oracle_encloses_the_closed_form_count(self, a, b, v0, cells, on_node, fractions):
+        n_grid = 2 * cells
+        if on_node:  # the step on node m: both floors are the step itself
+            m = min(max(1, round(n_grid * a / (a + b))), n_grid - 1)
+            a = b * m / (n_grid - m)
+        spec = WellSpec(a, b, v0)
+        # kappa h < pi in every cell, with h = (a + b) / n_grid
+        energies = np.array(fractions) * (math.pi * n_grid / (a + b)) ** 2
+        exact = closed_form_count(spec, energies)
+        # a level within roundoff of a probe is counted on either side of it
+        assume(np.array_equal(closed_form_count(spec, energies * (1.0 - 1e-9)),
+                              closed_form_count(spec, energies * (1.0 + 1e-9))))
+        n_hi, n_lo = enclosure_counts(spec, n_grid, energies)
+        assert np.all(n_hi <= exact) and np.all(exact <= n_lo)
+        xs, _ = _build_grid(spec, n_grid)
+        if np.count_nonzero(xs == 0.0):
+            assert np.array_equal(n_hi, exact) and np.array_equal(n_lo, exact)
+
+    @pytest.mark.parametrize("spec, e_max", [
+        (SMOOTH, 41.75),
+        (WellSpec(3.0, 3.0, 20.0, Linear(0.4)), 41.75),
+        (WellSpec(2.0, 4.3, 60.0, Exponential(0.05)), 100.0),
+    ], ids=["sigmoid", "ramp", "sharp-sigmoid-off-node"])
+    def test_numeric_levels_lie_in_their_enclosures(self, spec, e_max):
+        sols = find_spectrum_numeric(spec, e_max, 4000)
+        energies = np.array([e_max, *(sol.energy for sol in sols)])
+        n_hi, n_lo = enclosure_counts(spec, 4000, energies)
+        assert n_hi[0] <= len(sols) <= n_lo[0]
+        n = np.arange(1, len(sols) + 1)
+        assert np.all(n_hi[1:] <= n - 1) and np.all(n - 1 < n_lo[1:])
 
 
 class TestSpectrumWindow:
