@@ -498,14 +498,14 @@ def enclosure_counts(spec: WellSpec, n_grid: int, energies) -> tuple[np.ndarray,
     """
     xs = np.linspace(-spec.a, spec.b, n_grid + 1)
     xs[np.abs(xs) < spec.width / n_grid * 1e-6] = 0.0
-    if spec.smoothing is None:
-        ends = np.where(xs > 0.0, spec.v0, 0.0), np.where(xs < 0.0, 0.0, spec.v0)
-        floors = np.stack([ends[0][1:], ends[1][:-1]], axis=1)
+    if spec.smoothing is None:  # the limit from inside the cell at each end
+        floors = np.stack([np.where(xs[1:] > 0.0, spec.v0, 0.0),
+                           np.where(xs[:-1] < 0.0, 0.0, spec.v0)], axis=1)
     else:
         v = sample(spec, xs)
         floors = np.stack([v[1:], v[:-1]], axis=1)
     e = np.asarray(energies, dtype=float)
-    psi, dpsi = np.zeros((2, e.size)), np.ones((2, e.size))
+    y, dy = np.zeros((2, e.size)), np.ones((2, e.size))  # psi and psi' from -a
     counts = np.zeros((2, e.size), dtype=int)
     for h, floor in zip(np.diff(xs).tolist(), floors):
         d = e - floor[:, None]
@@ -517,8 +517,8 @@ def enclosure_counts(spec: WellSpec, n_grid: int, energies) -> tuple[np.ndarray,
         sk = np.divide(np.where(up, np.sin(t), np.sinh(t)), kappa,
                        out=np.full(t.shape, h), where=kappa > 0.0)
         ks = np.where(up, -kappa * np.sin(t), kappa * np.sinh(t))
-        psi, dpsi, before = c * psi + sk * dpsi, ks * psi + c * dpsi, psi
-        counts += (psi < 0.0) != (before < 0.0)
-        scale = np.maximum(np.abs(psi), np.abs(dpsi))  # a positive factor keeps every sign
-        psi, dpsi = psi / scale, dpsi / scale
+        y, dy, before = c * y + sk * dy, ks * y + c * dy, y
+        counts += (y < 0.0) != (before < 0.0)
+        scale = np.maximum(np.abs(y), np.abs(dy))  # a positive factor keeps every sign
+        y, dy = y / scale, dy / scale
     return counts[0], counts[1]
