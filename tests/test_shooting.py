@@ -139,6 +139,16 @@ class TestShoot:
         assert shoot(STEP, -1.0, 4000) == 5707160.531500429
         assert shoot(STEP, 10.0, 4000) == -2209.991899257402
 
+    @pytest.mark.parametrize("energy", [1.01 * 400**2 / 6.0, 1e9], ids=["1.01-top", "1e9"])
+    def test_energy_past_the_top_rejected(self, energy):
+        # past min V + 6 / h^2 = 26666.7 on 400 cells the recurrence flips sign every
+        # cell, and psi(b) read 2.64e24 at 1.01 x top and 9.63e149 at E = 1e9
+        with pytest.raises(ValueError, match=r"26666\.7"):
+            shoot(STEP, energy, 400)
+
+    def test_energy_just_below_the_top_keeps_its_value(self):
+        assert shoot(STEP, 0.99 * 400**2 / 6.0, 400) == 0.0006259588283370229
+
     def test_unit_block_growth_bound_keeps_full_blocks(self):
         # on a flat floor at E = 2.4 / h^2, t = -0.2 in every cell and the bound on
         # one block's growth is exactly 1, whose log the block length divides by
