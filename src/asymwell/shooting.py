@@ -87,19 +87,6 @@ def _build_grid(spec: WellSpec, n_grid: int) -> tuple[np.ndarray, float]:
     return xs, h
 
 
-def _t_max(v: np.ndarray, h: float, energy: float) -> float:
-    """h^2 (max V - E) / 12: the recurrence is stable below 1, and past it flips sign every cell."""
-    return h * h / 12.0 * (v.max() - energy)
-
-
-def _e_top(v: np.ndarray, h: float) -> float:
-    """min V + 6 / h^2, the top of the grid's spectrum: past it h^2 (V - E) / 12 < -1/2 at the
-    lowest sample, where a step flips the sign of psi and the recurrence stops oscillating.
-    Every floor ``WellSpec`` accepts is nondecreasing, so min V = V(-a), and every level lies in
-    (V(-a), top): at or below V(-a) each t >= 0 and psi from psi(-a) = 0 only grows."""
-    return v.min() + 6.0 / (h * h)
-
-
 def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.ndarray:
     """Numerov solutions from psi = 0 at the first sample of ``v`` for the energies ``e``.
 
@@ -127,7 +114,7 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     c = h * h / 12.0
     n, m = len(v) - 2, e.size
     # sup-norm bound on one step matrix over the chunk, |A_i| + |B_i|; callers keep t_hi < 1
-    t_lo, t_hi = c * (v.min() - e.max()), _t_max(v, h, e.min())
+    t_lo, t_hi = c * (v.min() - e.max()), c * (v.max() - e.min())
     g = (max(abs(2.0 + 10.0 * t_lo), abs(2.0 + 10.0 * t_hi)) + 1.0 - t_lo) / (1.0 - t_hi)
     k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g)))) if g > 1.0 else _BLOCK
     growth = g**k
@@ -238,24 +225,37 @@ def _count_below(v: np.ndarray, h: float, energies) -> np.ndarray:
     return out.reshape(np.shape(energies))
 
 
-def _stable_grid(spec: WellSpec, n_grid: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Grid, spacing and sampled floor; ``ValueError`` where the recurrence is
-    unstable at E = 0, and so at every energy the solvers scan."""
+def _stable_grid(spec: WellSpec, n_grid: int, e_hi: float = 0.0):
+    """Grid, spacing, sampled floor and the window (lo, top) = (max V - 12 / h^2,
+    min V + 6 / h^2) of energies where every t = h^2 (V - E) / 12 lies in (-1/2, 1).
+
+    Below lo the solution flips sign every cell at the highest sample; past top a
+    step flips it at the lowest and the recurrence stops oscillating.  Every floor
+    is nondecreasing, so min V = V(-a), and every level lies in (V(-a), top): at or
+    below V(-a), psi from psi(-a) = 0 only grows.  ``ValueError`` when lo >= 0, the
+    floor of every scan, or when a finite ``e_hi`` reaches top.
+    """
     xs, h = _build_grid(spec, n_grid)
     v = sample(spec, xs)
-    if not _t_max(v, h, 0.0) < 1.0:
+    lo, top = v.max() - 12.0 / (h * h), v.min() + 6.0 / (h * h)
+    if lo >= 0.0:
         need = 2 * int(spec.width * math.sqrt(v.max() / 12.0) / 2.0) + 2
         raise ValueError(f"n_grid={n_grid} is too coarse for a floor of height "
                          f"{v.max():.6g}: Numerov needs n_grid >= {need} here")
-    return xs, h, v
+    if top <= e_hi < math.inf:
+        need = 2 * int(spec.width * math.sqrt((e_hi - v.min()) / 6.0) / 2.0) + 2
+        raise ValueError(f"e_max={e_hi!r} reaches {top:.6g}, the top of the {n_grid}-cell grid's "
+                         f"spectrum: Numerov needs n_grid >= {need} here")
+    return xs, h, v, lo, top
 
 
 def shoot(spec: WellSpec, energy: float, n_grid: int) -> float:
-    """Shooting mismatch psi(b) for one finite trial energy, stable on an n_grid-cell grid."""
-    _, h, v = _stable_grid(spec, n_grid)
-    if not (math.isfinite(energy) and _t_max(v, h, energy) < 1.0):
+    """Shooting mismatch psi(b) for one trial energy inside the n_grid-cell grid's
+    window (see ``_stable_grid``); ``ValueError`` at or past either edge, NaN included."""
+    _, h, v, lo, top = _stable_grid(spec, n_grid)
+    if not lo < energy < top:
         raise ValueError(f"energy={energy!r} is outside the stable range of the {n_grid}-cell "
-                         f"grid: Numerov needs a finite E above {v.max() - 12.0 / (h * h):.6g}")
+                         f"grid: Numerov needs a finite E in ({lo:.6g}, {top:.6g})")
     return float(_sweep_final(v, h, np.asarray([energy]))[0])
 
 
@@ -268,11 +268,7 @@ def find_spectrum_numeric(spec: WellSpec, e_max: float, n_grid: int) -> list[Gri
     the floor or for e_max raises ``ValueError``; a state whose interior node
     count is other than n - 1 raises ``NodeCountError``.
     """
-    xs, h, v = _stable_grid(spec, n_grid)
-    if (top := _e_top(v, h)) <= e_max < math.inf:
-        need = 2 * int(spec.width * math.sqrt((e_max - v.min()) / 6.0) / 2.0) + 2
-        raise ValueError(f"e_max={e_max!r} reaches {top:.6g}, the top of the {n_grid}-cell grid's "
-                         f"spectrum: Numerov needs n_grid >= {need} here")
+    xs, h, v, _, _ = _stable_grid(spec, n_grid, e_max)
     roots = bracket_and_bisect(lambda es: _sweep_final(v, h, es),
                                lambda es: _count_below(v, h, es),
                                e_max, scan_step(spec.a, spec.b), _BISECT_TOL)

@@ -294,6 +294,22 @@ def test_import_resolves_solvers_on_first_use():
     assert proc.stderr.decode() == "[]\n[]\n[]\n['asymwell.shooting', 'asymwell.momentum']\n"
 
 
+def test_dir_lists_every_name_without_loading_its_module():
+    # sorted, with every exported name and submodule, both here and in a fresh
+    # interpreter, where listing them must load no submodule
+    listed = dir(asymwell)
+    assert listed == sorted(listed)
+    assert {*asymwell.__all__, *asymwell._EXPORTS} <= set(listed)
+    proc = _run_python("-c", "import sys, asymwell\n"
+                       "listed = dir(asymwell)\n"
+                       "assert listed == sorted(listed)\n"
+                       "assert {*asymwell.__all__, *asymwell._EXPORTS} <= set(listed)\n"
+                       "print(sorted(m for m in sys.modules if m.startswith('asymwell.')),"
+                       " file=sys.stderr)\n")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr.decode() == "[]\n"
+
+
 def test_package_names_are_their_modules_exports():
     # the root's name table lists each module's __all__, and every name it
     # resolves is the module's own object
