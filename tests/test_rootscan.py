@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from asymwell import Exponential, ScanResolutionError, WellSpec, shooting, spectrum
+from asymwell import Exponential, Linear, ScanResolutionError, WellSpec, shooting, spectrum
 from asymwell._rootscan import bracket_and_bisect, scan_step
 from oracles import reference_roots
 
@@ -244,6 +244,60 @@ def test_narrow_brackets_replay_the_fixed_scan(case):
     assert all(abs(f - r) <= 1e-13 * max(1.0, r) for f, r in zip(found, sorted(roots)))
     if complete:
         assert found == expected
+
+
+def policy_pair(module, solve):
+    """The fn and count that ``module``'s solver, called by ``solve``, hands the
+    root policy; the policy is stubbed out to find no roots."""
+    pair = []
+
+    def capture(fn, count, *args):
+        pair.append((fn, count))
+        return []
+
+    policy = module.bracket_and_bisect
+    module.bracket_and_bisect = capture
+    try:
+        solve()
+    finally:
+        module.bracket_and_bisect = policy
+    return pair[0]
+
+
+def parity_mismatches(fn, count, levels, neighbours=()):
+    """Energies where fn is nonzero and the count's parity is not its sign: each
+    level times 1 + k 2e-13 for |k| <= 200, and the energies in ``neighbours``."""
+    e = np.concatenate([np.outer(levels, 1.0 + 2e-13 * np.arange(-200, 201)).ravel(),
+                        np.asarray(neighbours, dtype=float)])
+    f, n = fn(e), np.asarray(count(e))
+    bad = (f != 0.0) & ((n % 2 == 1) != (f < 0.0))
+    return e[bad].tolist()
+
+
+@given(a=st.floats(0.5, 10.0), b=st.floats(0.5, 10.0), v0=st.floats(0.0, 1000.0),
+       e_max=st.floats(1.0, 300.0))
+@example(a=3.0, b=3.0, v0=20.0, e_max=100.0)
+@settings(max_examples=60)
+def test_closed_form_count_parity_is_the_sign_of_fn(a, b, v0, e_max):
+    # the policy reads a level's side of a probe from either; they must agree
+    # at every float, also within rounding of a level, where both can flip
+    spec = WellSpec(a, b, v0)
+    levels = np.array([s.energy for s in spectrum.find_spectrum(spec, e_max)])
+    fn, count = policy_pair(spectrum, lambda: spectrum.find_spectrum(spec, e_max))
+    # the floats next to each root, 8 on either side
+    neighbours = (levels[:, None] + np.arange(-8, 9) * np.spacing(levels)[:, None]).ravel()
+    assert parity_mismatches(fn, count, levels, neighbours) == []
+
+
+@pytest.mark.parametrize("spec, e_max", [
+    (WellSpec(3.0, 3.0, 20.0, Exponential(0.2)), 41.75),
+    (WellSpec(2.0, 5.0, 300.0, Linear(0.4)), 100.0),
+    (WellSpec(3.0, 3.0, 20.0), 100.0),
+], ids=["sigmoid", "ramp", "sharp"])
+def test_numerov_count_parity_is_the_sign_of_fn(spec, e_max):
+    levels = np.array([s.energy for s in shooting.find_spectrum_numeric(spec, e_max, 4000)])
+    fn, count = policy_pair(shooting, lambda: shooting.find_spectrum_numeric(spec, e_max, 4000))
+    assert parity_mismatches(fn, count, levels) == []
 
 
 # sha256 over every energy array the closed-form solver hands to fn and to
