@@ -9,9 +9,9 @@ both:
 1. Count pass: N at ``_PROBES`` energies over (0, e_max], and further down,
    by factors of ``_FLOOR``, where the lowest of them counts a level; a gap
    whose count jumps by more than one is split until every level has a
-   bracket of its own.
-   Where ``fn`` keeps its sign over a bracket, count and ``fn`` may round a
-   level on a probe apart: its end probes move up by ``_EDGE``, once.
+   bracket of its own.  Each solver makes N's parity the sign of ``fn``
+   wherever ``fn`` is nonzero (odd where fn < 0), so no level falls between
+   the two, and a bracket whose ends share the sign of ``fn`` is an error.
 2. Secant polish: Illinois regula falsi on ``fn``, vectorized over all
    brackets, one call per pass.  A bracket hands over once it is narrower
    than ``_HANDOVER`` bisection tolerances: the replay's bisection gains one
@@ -29,11 +29,11 @@ both:
    are taken in bulk, as plain halvings.
 
 The policy sees only energies, values and counts: how a solver evaluates
-``fn`` and its count (the closed form's Pruefer phase, the sign changes of a
-Numerov trajectory) stays in that solver's module.  The replay reproduces the
-scan's floats only while ``fn`` returns the same value for an energy whatever
-other energies share its call, which both solvers' functions do (the Numerov
-sweep at full block length).
+``fn`` and its count (the closed form's classical action and characteristic,
+the sign changes of a Numerov trajectory) stays in that solver's module.  The
+replay reproduces the scan's floats only while ``fn`` returns the same value
+for an energy whatever other energies share its call, which both solvers'
+functions do (the Numerov sweep's block length is the grid's).
 
 The polish and the replay loop over a few dozen brackets, where one numpy
 call costs more than its arithmetic: their time goes with the number of
@@ -47,19 +47,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from typing import Callable
 
 import numpy as np
 
 _EPS = np.finfo(float).eps
-_EDGE = 1e-8                 # relative; count and fn round apart by up to ~5e-11
-_PROBES = 32                 # energies of the count pass, one Numerov count chunk
+_PROBES = 31                 # energies of the count pass, within one Numerov count chunk
 _FLOOR = 1e-9                # lowest probe over e_max: the closed form is 0 at E = 0
 _HANDOVER = 8                # bracket width, in bisection tolerances, that ends the polish
 _STALL = 6                   # secant passes a bracket may take to halve its width
-# the count pass's probes over e_max, below its top one
-_PROBE_AT = np.concatenate([[_FLOOR], np.arange(1, _PROBES - 2) / (_PROBES - 2), [1.0 - _EDGE]])
+# the count pass's probes over e_max, in steps of 1/30 up to e_max itself
+_PROBE_AT = np.concatenate([[_FLOOR], np.arange(1, _PROBES) / (_PROBES - 1)])
 
 
 class ScanResolutionError(RuntimeError):
@@ -90,71 +88,55 @@ def bracket_and_bisect(
     """All roots of ``fn`` in (0, e_max], in increasing order.
 
     ``fn`` and ``count`` take a 1-D energy array: ``fn`` returns its values,
-    ``count`` the exact (Sturm) number of its roots below each energy.  Each
-    root is the midpoint a bisection leaves once narrower than
+    ``count`` the exact (Sturm) number of its roots below each energy, whose
+    parity is the sign of ``fn`` wherever ``fn`` is nonzero: odd where fn < 0.
+    Each root is the midpoint a bisection leaves once narrower than
     ``tol_rel * max(1, E)`` (floored at a few ulp), started from the cell of
     width ``step / 10**r`` that holds it, for the first r at which every root
-    has a cell of its own; a root on a cell edge is returned as-is.  A level
-    within a relative ``_EDGE`` of e_max counts on the side ``fn(e_max)`` puts
-    it.  ``ValueError`` refuses an e_max that is not finite and positive, or
+    has a cell of its own; a root on a cell edge, e_max included, is returned
+    as-is.  ``ValueError`` refuses an e_max that is not finite and positive, or
     that holds more levels than a float counts exactly, or, when it holds a
     level, whose scan cell ``step`` is below 4 eps e_max, past which the scan
     grid's points no longer step apart; ``ScanResolutionError`` names the
-    bracket where the count places a level but ``fn`` keeps its sign, also
-    once the probes at its ends have moved up by ``_EDGE``.
+    bracket where the count places a level but ``fn`` keeps its sign.
     """
     if not 0 < e_max < math.inf:
         raise ValueError(f"e_max must be finite and positive, got {e_max}")
-    # the top probe is finite at the float max
-    e = np.append(e_max * _PROBE_AT, min(e_max * (1.0 + _EDGE), sys.float_info.max))
-    for nudged in (False, True):
-        lo, hi, n_lo = _isolate(count, e_max, e)
-        ends, where = np.unique(np.concatenate([lo, hi, [e_max]]), return_inverse=True)
-        f_ends = fn(ends)
-        flo, fhi, f_cut = f_ends[where[: lo.size]], f_ends[where[lo.size : -1]], f_ends[where[-1]]
-        slo, shi = np.sign(flo), np.sign(fhi)
-        bad = (slo == shi).nonzero()[0]
-        if not bad.size:
-            break
-        # a level on a probe, which count and fn round to opposite sides of it:
-        # move the probes at these brackets' ends up by _EDGE, as the cutoff is
-        moved = np.isin(e[:-1], np.concatenate([lo[bad], hi[bad]]))
-        if nudged or not moved.any():
-            i = bad[0]
-            raise ScanResolutionError(
-                f"the Sturm count places level {n_lo[i] + 1} in [{lo[i]:.9g}, {hi[i]:.9g}], "
-                f"where the scanned function does not change sign: N(lo) = {n_lo[i]}, "
-                f"N(hi) = {n_lo[i] + 1}, sign fn(lo) = {slo[i]:+g}, sign fn(hi) = {shi[i]:+g}")
-        e[:-1][moved] *= 1.0 + _EDGE
+    lo, hi, n_lo = _isolate(count, e_max, e_max * _PROBE_AT)
+    # fn at the bracket ends and at e_max, the largest of them and so the last
+    ends, where = np.unique(np.concatenate([lo, hi, [e_max]]), return_inverse=True)
+    f_ends = fn(ends)
+    flo, fhi = f_ends[where[: lo.size]], f_ends[where[lo.size : -1]]
+    slo, shi = np.sign(flo), np.sign(fhi)
+    if (same := slo == shi).any():
+        i = int(same.argmax())
+        raise ScanResolutionError(
+            f"the Sturm count places level {n_lo[i] + 1} in [{lo[i]:.9g}, {hi[i]:.9g}], "
+            f"where the scanned function does not change sign: N(lo) = {n_lo[i]}, "
+            f"N(hi) = {n_lo[i] + 1}, sign fn(lo) = {slo[i]:+g}, sign fn(hi) = {shi[i]:+g}")
     # sign just left of each root; an end where fn is 0 takes the sign opposite
     # to the other end's, which holds whichever bracket the zero belongs to
     s = np.where(flo != 0.0, slo, -shi)
-    # the brackets are disjoint and in order: those below e_max come first, and
-    # the next one holds e_max if any does, also as its lo, where a split of the
-    # edge window can put it; it keeps the side fn(e_max) gives it
-    m = int(hi.searchsorted(e_max, side="right"))
-    if m < lo.size and lo[m] <= e_max:
-        if f_cut == 0.0:
-            lo[m] = hi[m] = e_max
-            flo[m] = fhi[m] = 0.0
-            m += 1
-        elif np.sign(f_cut) != s[m]:
-            hi[m], fhi[m] = e_max, f_cut
-            m += 1
-    if not m:
+    if f_ends[-1] == 0.0:
+        # a level on e_max, left out by the strict count, has a bracket no pass
+        # steps; one ending there reads fn(e_max) as NaN, the sign -s assumed
+        fhi[hi == e_max] = np.nan
+        lo, hi = np.append(lo, e_max), np.append(hi, e_max)
+        flo, fhi, s = np.append(flo, 0.0), np.append(fhi, 0.0), np.append(s, 1.0)
+    if not lo.size:
         return []
     if step < 4.0 * _EPS * e_max:
         raise ValueError(f"e_max={e_max!r} is past the fixed scan's reach: its cell {step:.3e} "
                          f"is below 4 eps e_max = {4.0 * _EPS * e_max:.3e}")
-    roots = _Brackets(lo[:m], hi[:m], flo[:m], fhi[:m], s[:m])
+    roots = _Brackets(lo, hi, flo, fhi, s)
     roots.polish(fn, tol_rel)
     return roots.replay(fn, e_max, step, tol_rel)
 
 
 def _isolate(count, e_max: float, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Brackets (lo, hi] holding one level each, for every level below the top
-    probe of ``e``, e_max (1 + _EDGE), with N(lo) per bracket.  The count is
-    read as floats, exact up to 2**53 levels, and then as ints."""
+    """Brackets (lo, hi] holding one level each, for every level below e_max,
+    the top probe of ``e``, with N(lo) per bracket.  The count is read as
+    floats, exact up to 2**53 levels, and then as ints."""
     n = np.asarray(count(e), dtype=float)
     if not n.max() <= 2.0**53:
         raise ValueError(f"e_max={e_max!r} holds {n.max():.6g} levels, more than the "

@@ -14,16 +14,16 @@ levels below E = 35 at 1000 / 2000 / 4000 / 8000 cells.  So for
 smoothing=None the closed-form solver remains authoritative and this one is a
 consistency check.
 
-Eigenvalues are the trial energies where the forward solution from
-psi(-a) = 0, psi'(-a) = 1 crosses zero at x = b.  Since the recurrence is
-linear, psi(b) is a product of 2x2 step matrices; the sweep multiplies them
-in blocks of 32 cells, vectorized over blocks and energies with the ~125
-blocks innermost (most calls hold 2-10 energies, too few for a numpy inner
-loop), then carries the state through the blocks in order, rescaling an
-energy after each block that leaves its state past the overflow cap: one
-energy at a time in Python floats for up to 16 energies (10 for a
-trajectory), where a numpy call costs more than its arithmetic, else all
-energies per block in numpy, with the same bits.
+Eigenvalues are the trial energies where the solution from psi(b) = 0
+crosses zero at x = -a.  Since the recurrence is linear, psi(-a) is a
+product of 2x2 step matrices; the sweep multiplies them in blocks of 32
+cells, vectorized over blocks and energies with the ~125 blocks innermost
+(most calls hold 2-10 energies, too few for a numpy inner loop), then
+carries the state through the blocks in order, rescaling an energy after
+each block that leaves its state past the overflow cap: one energy at a time
+in Python floats for up to 16 energies (10 for a trajectory), where a numpy
+call costs more than its arithmetic, else all energies per block in numpy,
+with the same bits.
 
 A converged state is the solution from psi(b) = 0, one backward trajectory
 per 32 states.  Every floor ``WellSpec`` accepts is nondecreasing, so the only
@@ -31,8 +31,8 @@ barrier lies toward b, and the pass from b is the mode that decays into it,
 so the node check sees a clean tail.  Its sample at -a, the converged
 energy's residual, is set to the boundary value 0, and each state is signed
 to rise from -a.  The solution from b also gives the Sturm count, its sign
-changes over one trajectory per 32 trial energies, that gives each root its
-own bracket in the shared root policy.
+changes over one trajectory per 32 trial energies, whose parity is the sign
+of that pass's psi(-a), gives each root its own bracket in the root policy.
 """
 from __future__ import annotations
 
@@ -113,8 +113,9 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     """
     c = h * h / 12.0
     n, m = len(v) - 2, e.size
-    # sup-norm bound on one step matrix over the chunk, |A_i| + |B_i|; callers keep t_hi < 1
-    t_lo, t_hi = c * (v.min() - e.max()), c * (v.max() - e.min())
+    # sup-norm bound on one step matrix, |A_i| + |B_i|, over the grid's window from E = 0 up
+    # (t > -1/2 below its top), so no call mate moves the block length; callers keep t_hi < 1
+    t_lo, t_hi = -0.5, c * (v.max() - min(e.min(), 0.0))
     g = (max(abs(2.0 + 10.0 * t_lo), abs(2.0 + 10.0 * t_hi)) + 1.0 - t_lo) / (1.0 - t_hi)
     k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g)))) if g > 1.0 else _BLOCK
     growth = g**k
@@ -195,7 +196,8 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
 
 
 def _sweep_final(v: np.ndarray, h: float, energies: np.ndarray) -> np.ndarray:
-    """psi(b) for each trial energy (vectorized); zeros of this are eigenvalues."""
+    """psi at the last sample of ``v`` from psi = 0 at its first, for each trial
+    energy (vectorized): psi(b), or on ``v[::-1]`` psi(-a), whose zeros are eigenvalues."""
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     out = np.empty(e.shape)
     for lo in range(0, e.size, _CHUNK):
@@ -262,14 +264,14 @@ def shoot(spec: WellSpec, energy: float, n_grid: int) -> float:
 def find_spectrum_numeric(spec: WellSpec, e_max: float, n_grid: int) -> list[GridSolution]:
     """Every numeric bound state with 0 < E <= e_max, ordered by energy.
 
-    The roots of the shooting mismatch psi(b) come from the shared
+    The roots of the shooting mismatch psi(-a) from b come from the shared
     count-directed root policy, with the count from ``_count_below``; each
     state is the Simpson-normalized trajectory from b.  A grid too coarse for
     the floor or for e_max raises ``ValueError``; a state whose interior node
     count is other than n - 1 raises ``NodeCountError``.
     """
     xs, h, v, _, _ = _stable_grid(spec, n_grid, e_max)
-    roots = bracket_and_bisect(lambda es: _sweep_final(v, h, es),
+    roots = bracket_and_bisect(lambda es: _sweep_final(v[::-1], h, es),
                                lambda es: _count_below(v, h, es),
                                e_max, scan_step(spec.a, spec.b), _BISECT_TOL)
     sols = _normalized_solution(spec, xs, v, h, roots)

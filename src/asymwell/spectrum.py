@@ -165,19 +165,16 @@ def _solve(spec: WellSpec, e_max: float) -> tuple[np.ndarray, ...]:
 
 
 def _count_below(spec: WellSpec, energies) -> np.ndarray:
-    """Sturm count: bound states below each energy, the zeros of psi = sin(k (x + a)).
-
-    floor(ka / pi) on the left; above the step the Pruefer phase, rescaled from
-    k to q at x = 0 within its half-turn, then advances by q b; below it one
-    more zero if psi(0) and psi(b) = g(E) differ in sign.  Floats, exact up to 2**53."""
+    """Sturm count: bound states below each energy.  The Pruefer phase of psi =
+    sin(k (x + a)) lies within pi/2 of the action J = k a + q b (q = 0 below the
+    step), so the count is floor(J / pi - 1/2) or one more, whichever is even
+    where psi(b) = g(E) > 0 and odd where g < 0; where g = 0, the first, the
+    levels strictly below E.  Floats, exact up to 2**53."""
     e = np.atleast_1d(np.asarray(energies, dtype=float))
-    k = np.sqrt(e)
-    n, r = np.divmod(k * spec.a, math.pi)
-    up = e > spec.v0
-    q = np.sqrt(e[up] - spec.v0)
-    n[up] += (np.arctan2(q * np.sin(r[up]), k[up] * np.cos(r[up])) + q * spec.b) // math.pi
-    dn = ~up
-    n[dn] += np.where(n[dn] % 2.0 == 0.0, 1.0, -1.0) * _characteristic_many(spec, e[dn]) < 0.0
+    j = np.sqrt(e) * spec.a + np.sqrt(np.maximum(e - spec.v0, 0.0)) * spec.b
+    n = np.floor(j / math.pi - 0.5)
+    g = _characteristic_many(spec, e)
+    n += (g != 0.0) & ((n % 2.0 == 1.0) != (g < 0.0))
     return n.reshape(np.shape(energies))
 
 

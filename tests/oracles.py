@@ -13,7 +13,8 @@ through ``.12g`` for CSV, and through a ``.12g`` round trip and the pure-Python
 ``json.dumps(indent=2)`` encoder for JSON.  ``reference_characteristic``,
 ``reference_state`` and ``reference_compare_rows`` are the closed form one
 state at a time, with the math module's functions, whose floats the array
-passes reproduce.  ``enclosure_counts`` bounds the level count of any floor
+passes reproduce, and ``pruefer_count`` the Sturm count from the Pruefer
+phase.  ``enclosure_counts`` bounds the level count of any floor
 by those of two piecewise-constant floors, solved with exact cell matrices.
 """
 from __future__ import annotations
@@ -288,6 +289,22 @@ def reference_characteristic(spec: WellSpec, energies: np.ndarray) -> np.ndarray
         S[dn] = np.sinh(w * b) / w
         C[dn] = np.cosh(w * b)
     return k * np.cos(k * spec.a) * S + C * np.sin(k * spec.a)
+
+
+def pruefer_count(spec: WellSpec, energies) -> np.ndarray:
+    """Levels of the sharp step below each energy, the zeros of psi = sin(k (x + a)),
+    from its Pruefer phase: floor(ka / pi) on the left; above the step the phase,
+    rescaled from k to q at x = 0 within its half-turn, then advances by q b; below
+    it one more zero if psi(0) and psi(b) = g(E) differ in sign."""
+    e = np.atleast_1d(np.asarray(energies, dtype=float))
+    k = np.sqrt(e)
+    n, r = np.divmod(k * spec.a, math.pi)
+    up = e > spec.v0
+    q = np.sqrt(e[up] - spec.v0)
+    n[up] += (np.arctan2(q * np.sin(r[up]), k[up] * np.cos(r[up])) + q * spec.b) // math.pi
+    dn = ~up
+    n[dn] += np.where(n[dn] % 2.0 == 0.0, 1.0, -1.0) * reference_characteristic(spec, e[dn]) < 0.0
+    return n
 
 
 def _right_basis(spec: WellSpec, energy: float) -> tuple[float, bool, float, float]:

@@ -30,18 +30,20 @@ GOLDEN_SHA256 = {
 }
 
 # sha256 of tables that go through the Numerov solver and its Simpson
-# quadrature, recorded from the states built by one pass from b;
-# "--a 2 --b 4.3" integrates a left half with an even number of samples
+# quadrature, recorded from the states built by one pass from b, "smoothing",
+# "--a 2 --b 4.3", "--n-max 5" and its JSON form once the roots were those of
+# psi(-a) from b; "--a 2 --b 4.3" integrates a left half with an even number
+# of samples
 SHOOTING_SHA256 = {
-    "smoothing": "65f608dab5aab35bb5409c9cbb2953eb660fc38a9435dd440f9c1155723f6990",
+    "smoothing": "aac1bcd517d62c99ed7cd4da770a121852bc2c77215f838d36230fde5a424f89",
     "smoothing --smoothing linear":
         "dc5e20604934d00238a4db228fd1b7d8dd66806ad885367ad8e4ca81cf501f5b",
-    "smoothing --a 2 --b 4.3": "12b232587cb77f652266772435c04988c44b87cd9af0a55e8f744fa5a7f6ffa3",
+    "smoothing --a 2 --b 4.3": "b92e0b7af46f54ff781f15b3c8bbc44ecb74420192ed49cc1786d9d799bc685d",
     "wavefunction --n 3 --smoothing exponential --epsilon 0.2":
         "9f11dab65ad2a6f8aaa47ed8ad8dc5923b101697345d661b592276dc0f5a106a",
     # recorded while the smoothing table still read EigenStates: a state-count
     # cutoff, and a flat floor whose sharp-step side has no step at all
-    "smoothing --n-max 5": "6151826a0e8efc2f3de86e7d8d8324d4fb0423b4c4139bad32787dd71d09f2d4",
+    "smoothing --n-max 5": "bd7ffcff41bef037648e9e15fe63f15eff1ff59ef90e84e3b6afb8fbb4dad28a",
     "smoothing --v0 0": "903c57a4fe8d304e60bcd066ce708e148cb855924632354b008fd77e0adf3b54",
 }
 
@@ -55,7 +57,7 @@ JSON_SHA256 = {
         "715e100f2ab9e7b317809e333fa53e9431f81835790c264a50758a2a5205ed2a",
     "wavefunction --n 6 --format json":
         "a8a5d7a930c799ac71a39584deb449889b45949bd144a3c8017ad76da41449d0",
-    "smoothing --format json": "60cedcc03bc9928337d56045bd62b36d14680022063a95352a5cc040932ec5b8",
+    "smoothing --format json": "941aae86d350575cf005648b50af09b0a6ff9b36a6f82a280cb3d0f90ae92d3c",
 }
 
 # sha256 of compare tables recorded before the table was built from arrays:

@@ -679,7 +679,7 @@ class TestFixedScanParity:
     def test_states_match_the_fixed_scan(self, spec, e_max):
         xs, h = _build_grid(spec, 4000)
         v = sample(spec, xs)
-        energies = reference_roots(lambda es: _sweep_final(v, h, es),
+        energies = reference_roots(lambda es: _sweep_final(v[::-1], h, es),
                                    lambda e: _count_below(v, h, e),
                                    e_max, scan_step(spec.a, spec.b), shooting._BISECT_TOL)
         sols = find_spectrum_numeric(spec, e_max, 4000)
@@ -724,8 +724,9 @@ class TestSturmCount:
         assert numeric == list(range(len(gaps)))
 
     def test_cutoff_on_a_level(self, numeric_smooth_035):
-        # the count from b puts levels 2 and 3 ~1e-11 away from the roots of
-        # psi(b), so a cutoff exactly on one falls between the two
+        # a level's energy is the bisection's last midpoint, within the
+        # tolerance of the root of psi(-a), so a cutoff on it falls on either
+        # side of the root; the count, from the same pass, agrees on which
         for sol in numeric_smooth_035[1:3]:
             assert len(find_spectrum_numeric(SMOOTH, sol.energy, 4000)) in (sol.n - 1, sol.n)
 

@@ -23,7 +23,7 @@ from asymwell import (
 from asymwell import spectrum
 from asymwell._rootscan import bracket_and_bisect, scan_step
 from asymwell.spectrum import ScanResolutionError, _characteristic_many, _count_below
-from oracles import reference_roots
+from oracles import pruefer_count, reference_roots
 
 # 12-digit spectrum of the standard well (a = b = 3, v0 = 20), frozen after
 # cross-checking against 50-digit root refinement, Numerov shooting, and
@@ -170,6 +170,21 @@ class TestFindSpectrum:
         gaps = [0.5 * (lo + hi) for lo, hi in zip([0.0] + energies, energies)]
         assert [_count_below(spec, e) for e in gaps] == list(range(len(energies)))
 
+    @given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0), v0=st.floats(0.0, 2e4))
+    @example(a=math.log10(3.0), b=math.log10(3.0), v0=20.0)
+    @settings(max_examples=100)
+    def test_count_below_is_the_pruefer_phase_count(self, a, b, v0):
+        # a and b log-uniform in [1e-3, 1e3], E from 1e-13 to 1e26 and on the
+        # step, away from the levels: where the phase count moves within 1e-9
+        # of E, either count may round a level to the other side
+        spec = WellSpec(10.0**a, 10.0**b, v0)
+        assume(math.sqrt(v0) * spec.b <= 350.0)
+        e = np.concatenate([np.geomspace(1e-13, 1e26, 1000),
+                            [v0 * (1 - 1e-12), v0, v0 * (1 + 1e-12)]])
+        e = e[e > 0.0]
+        away = pruefer_count(spec, e * (1.0 - 1e-9)) == pruefer_count(spec, e * (1.0 + 1e-9))
+        assert np.array_equal(_count_below(spec, e[away]), pruefer_count(spec, e[away]))
+
     def test_tiny_step_reduces_to_flat_well(self):
         states = find_spectrum(WellSpec(3.0, 3.0, 1e-12), 1.2)
         for n, st in enumerate(states, start=1):
@@ -272,6 +287,48 @@ class TestFindSpectrum:
         monkeypatch.setattr(spectrum, "bracket_and_bisect", policy)
         assert find_spectrum(spec, e_max)
         assert len(calls) <= 30
+
+
+# lam log-uniform in [1e-3, 1e4]
+scales = st.floats(-3.0, 4.0).map(lambda p: 10.0**p)
+
+
+def rescaled(spec: WellSpec, lam: float) -> WellSpec:
+    """The well (lam a, lam b, v0 / lam^2), whose levels are E / lam^2: with
+    hbar = 2m = 1 the width is the only scale."""
+    return WellSpec(lam * spec.a, lam * spec.b, spec.v0 / lam**2)
+
+
+class TestScaleInvariance:
+    @given(a=lengths, b=lengths, v0=heights, e_max=cutoffs, lam=scales)
+    @example(a=3.0, b=3.0, v0=20.0, e_max=100.0, lam=1e4)
+    @settings(max_examples=100)
+    def test_count_is_the_same_at_every_scale(self, a, b, v0, e_max, lam):
+        # the classical action J = k a + q b does not move with lam, and the
+        # characteristic's sign only within rounding of a level
+        spec = WellSpec(a, b, v0)
+        levels = np.array([state.energy for state in find_spectrum(spec, e_max)])
+        e = np.linspace(0.0, e_max, 501)[1:]
+        e = e[np.all(np.abs(e[:, None] - levels) > 1e-9 * e[:, None], axis=1)]
+        assert np.array_equal(_count_below(rescaled(spec, lam), e / lam**2),
+                              np.searchsorted(levels, e))
+
+    @pytest.mark.xfail(strict=True, raises=(AssertionError, ValueError), reason=(
+        "the bisection tolerance tol_rel max(1, E) is absolute below E = 1, so "
+        "a well scaled up loses relative accuracy (ROADMAP item 13)"))
+    @given(a=lengths, b=lengths, v0=heights, e_max=cutoffs, lam=scales)
+    @example(a=3.0, b=3.0, v0=20.0, e_max=100.0, lam=1e4)
+    @settings(max_examples=50, report_multiple_bugs=False)
+    def test_levels_and_sides_are_the_same_at_every_scale(self, a, b, v0, e_max, lam):
+        # lam^2 E within 1e-11 relative and p_left within 1e-9 of lam = 1; the
+        # scaled cutoff sits a little higher, so rounding cannot drop a level
+        states = find_spectrum(WellSpec(a, b, v0), e_max)
+        scaled = find_spectrum(rescaled(WellSpec(a, b, v0), lam), e_max * (1.0 + 1e-6) / lam**2)
+        assert len(scaled) >= len(states)
+        for state, other in zip(states, scaled):
+            assert lam**2 * other.energy == pytest.approx(state.energy, rel=1e-11, abs=0.0)
+            assert side_probabilities(other)[0] == pytest.approx(side_probabilities(state)[0],
+                                                                 rel=0.0, abs=1e-9)
 
 
 class TestNormalization:
