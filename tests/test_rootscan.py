@@ -102,6 +102,15 @@ def test_count_that_disagrees_with_fn_raises_at_once():
     assert len(sizes) == 1
 
 
+def test_count_that_disagrees_with_fn_at_the_cutoff_raises():
+    # fn is positive at e_max, past its root at 1.0, while the count, whose
+    # level lies at 1 + 1e-10, reads 1 there: its parity is not fn's sign
+    fn, _ = polynomial([0.5, 1.0])
+    _, count = polynomial([0.5, 1.0 + 1e-10])
+    with pytest.raises(ScanResolutionError, match=re.escape("E=1.00000000005")):
+        bracket_and_bisect(fn, count, 1.0 + 5e-11, 0.1, 1e-13)
+
+
 def test_level_below_the_lowest_probe_raises():
     # the count claims a level in [0, e_max * 1e-9], which no bracket can hold
     fn, _ = polynomial([0.5])

@@ -193,6 +193,10 @@ class TestFindSpectrum:
             p_left, _ = side_probabilities(st)
             assert abs(p_left - 0.5) < 1e-9
 
+    def test_count_at_zero_is_zero(self, standard_spec):
+        # J = 0 at E = 0, where floor(J / pi - 1/2) alone would read -1
+        assert _count_below(standard_spec, 0.0) == 0
+
     def test_empty_result_below_first_level(self, standard_spec):
         assert find_spectrum(standard_spec, 0.5) == []
 
