@@ -6,12 +6,14 @@ W. N. Everitt and A. Zettl, SLEIGN2, ACM TOMS 27 (2001); J. D. Pryce,
 *Numerical Solution of Sturm-Liouville Problems* (1993)).  One policy serves
 both:
 
-1. Count pass: N at ``_PROBES`` energies over (0, e_max], and further down,
-   by factors of ``_FLOOR``, where the lowest of them counts a level; a gap
-   whose count jumps by more than one is split until every level has a
-   bracket of its own.  Each solver makes N's parity the sign of ``fn``
-   wherever ``fn`` is nonzero (odd where fn < 0), so no level falls between
-   the two, and a bracket whose ends share the sign of ``fn`` is an error.
+1. Count pass: N and ``fn`` from one evaluation at ``_PROBES`` energies,
+   the scan's first cell ``step`` and every e_max / 30 up to e_max (no level
+   lies at or below ``step``, half the ground state of the flat well as wide
+   as the floor, which only raises the levels); a gap whose count jumps by
+   more than one is split until every level has a bracket of its own.  Each
+   solver makes N's parity the sign of ``fn`` wherever ``fn`` is nonzero (odd
+   where fn < 0), checked at every count, so each bracket's end values and
+   signs come from the count, and no level falls between the two.
 2. Secant polish: Illinois regula falsi on ``fn``, vectorized over all
    brackets, one call per pass.  A bracket hands over once it is narrower
    than ``_HANDOVER`` bisection tolerances: the replay's bisection gains one
@@ -33,7 +35,9 @@ The policy sees only energies, values and counts: how a solver evaluates
 the sign changes of a Numerov trajectory) stays in that solver's module.  The
 replay reproduces the scan's floats only while ``fn`` returns the same value
 for an energy whatever other energies share its call, which both solvers'
-functions do (the Numerov sweep's block length is the grid's).
+functions do (the Numerov sweep's block length is the grid's), and while the
+sign of ``fn`` is clean near each root: where rounding flips it, the scan may
+take another side of that noise than the polish, up to its width away.
 
 The polish and the replay loop over a few dozen brackets, where one numpy
 call costs more than its arithmetic: their time goes with the number of
@@ -53,11 +57,10 @@ import numpy as np
 
 _EPS = np.finfo(float).eps
 _PROBES = 31                 # energies of the count pass, within one Numerov count chunk
-_FLOOR = 1e-9                # lowest probe over e_max: the closed form is 0 at E = 0
 _HANDOVER = 8                # bracket width, in bisection tolerances, that ends the polish
 _STALL = 6                   # secant passes a bracket may take to halve its width
-# the count pass's probes over e_max, in steps of 1/30 up to e_max itself
-_PROBE_AT = np.concatenate([[_FLOOR], np.arange(1, _PROBES) / (_PROBES - 1)])
+# the count pass's probes over e_max above the scan's first cell, in steps of 1/30 up to e_max
+_PROBE_AT = np.arange(1, _PROBES) / (_PROBES - 1)
 
 
 class ScanResolutionError(RuntimeError):
@@ -80,7 +83,7 @@ def scan_step(a: float, b: float) -> float:
 
 def bracket_and_bisect(
     fn: Callable[[np.ndarray], np.ndarray],
-    count: Callable[[np.ndarray], np.ndarray],
+    count: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     e_max: float,
     step: float,
     tol_rel: float,
@@ -88,8 +91,9 @@ def bracket_and_bisect(
     """All roots of ``fn`` in (0, e_max], in increasing order.
 
     ``fn`` and ``count`` take a 1-D energy array: ``fn`` returns its values,
-    ``count`` the exact (Sturm) number of its roots below each energy, whose
-    parity is the sign of ``fn`` wherever ``fn`` is nonzero: odd where fn < 0.
+    ``count`` returns (N, fn) from one evaluation, N the exact (Sturm) number
+    of roots of fn below each energy, whose parity is the sign of fn wherever
+    fn is nonzero: odd where fn < 0.  No root lies at or below ``step``.
     Each root is the midpoint a bisection leaves once narrower than
     ``tol_rel * max(1, E)`` (floored at a few ulp), started from the cell of
     width ``step / 10**r`` that holds it, for the first r at which every root
@@ -98,26 +102,14 @@ def bracket_and_bisect(
     that holds more levels than a float counts exactly, or, when it holds a
     level, whose scan cell ``step`` is below 4 eps e_max, past which the scan
     grid's points no longer step apart; ``ScanResolutionError`` names the
-    bracket where the count places a level but ``fn`` keeps its sign.
+    energy where N's parity is not the sign of fn.
     """
     if not 0 < e_max < math.inf:
         raise ValueError(f"e_max must be finite and positive, got {e_max}")
-    lo, hi, n_lo = _isolate(count, e_max, e_max * _PROBE_AT)
-    # fn at the bracket ends and at e_max, the largest of them and so the last
-    ends, where = np.unique(np.concatenate([lo, hi, [e_max]]), return_inverse=True)
-    f_ends = fn(ends)
-    flo, fhi = f_ends[where[: lo.size]], f_ends[where[lo.size : -1]]
-    slo, shi = np.sign(flo), np.sign(fhi)
-    if (same := slo == shi).any():
-        i = int(same.argmax())
-        raise ScanResolutionError(
-            f"the Sturm count places level {n_lo[i] + 1} in [{lo[i]:.9g}, {hi[i]:.9g}], "
-            f"where the scanned function does not change sign: N(lo) = {n_lo[i]}, "
-            f"N(hi) = {n_lo[i] + 1}, sign fn(lo) = {slo[i]:+g}, sign fn(hi) = {shi[i]:+g}")
-    # sign just left of each root; an end where fn is 0 takes the sign opposite
-    # to the other end's, which holds whichever bracket the zero belongs to
-    s = np.where(flo != 0.0, slo, -shi)
-    if f_ends[-1] == 0.0:
+    e = e_max * _PROBE_AT
+    lo, hi, n_lo, flo, fhi, f_top = _isolate(count, e_max, np.concatenate([[min(step, e[0])], e]))
+    s = np.where(n_lo % 2 == 1, -1.0, 1.0)      # sign of fn just left of each root
+    if f_top == 0.0:
         # a level on e_max, left out by the strict count, has a bracket no pass
         # steps; one ending there reads fn(e_max) as NaN, the sign -s assumed
         fhi[hi == e_max] = np.nan
@@ -133,26 +125,31 @@ def bracket_and_bisect(
     return roots.replay(fn, e_max, step, tol_rel)
 
 
-def _isolate(count, e_max: float, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _isolate(count, e_max: float, new: np.ndarray) -> tuple[np.ndarray, ...]:
     """Brackets (lo, hi] holding one level each, for every level below e_max,
-    the top probe of ``e``, with N(lo) per bracket.  The count is read as
-    floats, exact up to 2**53 levels, and then as ints."""
-    n = np.asarray(count(e), dtype=float)
-    if not n.max() <= 2.0**53:
-        raise ValueError(f"e_max={e_max!r} holds {n.max():.6g} levels, more than the "
-                         f"2**53 that a float counts exactly")
-    n = n.astype(int)
-    if n[0] != 0:
-        # levels below the lowest probe: probe on down by factors of _FLOOR, to
-        # the least float, and start from the highest of these that counts 0
-        ladder = e[0] * _FLOOR ** np.arange(1.0, 36.0)
-        ladder = ladder[ladder > 0.0]
-        zero = (np.asarray(count(ladder), dtype=int) == 0).nonzero()[0]
-        if not zero.size:
+    the top of the probes ``new``: lo, hi, N(lo), fn at lo and at hi, and
+    fn(e_max), all from the count, whose parity is checked at every call.  N
+    is read as floats, exact up to 2**53 levels, and then as ints."""
+    e, n, f = np.empty(0), np.empty(0, dtype=int), np.empty(0)
+    while True:
+        n_new, f_new = count(new)
+        n_new = np.asarray(n_new, dtype=float)
+        if not n_new.max() <= 2.0**53:
+            raise ValueError(f"e_max={e_max!r} holds {n_new.max():.6g} levels, more than the "
+                             f"2**53 that a float counts exactly")
+        n_new = n_new.astype(int)
+        bad = ((f_new != 0.0) & (np.sign(f_new) != 1 - 2 * (n_new % 2))).nonzero()[0]
+        if bad.size:
+            i = bad[0]
+            raise ScanResolutionError(f"the Sturm count's parity is not the sign of the scanned "
+                                      f"function at E={float(new[i])!r}: N = {n_new[i]}, "
+                                      f"fn = {f_new[i]:.6g}")
+        e, n, f = np.concatenate([e, new]), np.concatenate([n, n_new]), np.concatenate([f, f_new])
+        order = np.argsort(e, kind="stable")
+        e, n, f = e[order], n[order], f[order]
+        if n[0] != 0:
             raise ScanResolutionError(f"the Sturm count places {n[0]} level(s) in "
                                       f"[0, {e[0]:.9g}], below the lowest probe: N(hi) = {n[0]}")
-        e, n = np.concatenate([ladder[zero[:1]], e]), np.concatenate([[0], n])
-    while True:
         jump = n[1:] - n[:-1]
         down = (jump < 0).nonzero()[0]
         if down.size:
@@ -174,11 +171,8 @@ def _isolate(count, e_max: float, e: np.ndarray) -> tuple[np.ndarray, np.ndarray
             raise ScanResolutionError(f"the Sturm count cannot separate the levels in "
                                       f"[{e[i]:.9g}, {e[i + 1]:.9g}]: N(lo) = {n[i]}, "
                                       f"N(hi) = {n[i + 1]}")
-        e, n = np.concatenate([e, new]), np.concatenate([n, np.asarray(count(new), dtype=int)])
-        order = np.argsort(e, kind="stable")
-        e, n = e[order], n[order]
     one = (jump == 1).nonzero()[0]
-    return e[one], e[one + 1], n[one]
+    return e[one], e[one + 1], n[one], f[one], f[one + 1], f[-1]
 
 
 class _Brackets:

@@ -117,7 +117,7 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     # (t > -1/2 below its top), so no call mate moves the block length; callers keep t_hi < 1
     t_lo, t_hi = -0.5, c * (v.max() - min(e.min(), 0.0))
     g = (max(abs(2.0 + 10.0 * t_lo), abs(2.0 + 10.0 * t_hi)) + 1.0 - t_lo) / (1.0 - t_hi)
-    k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g)))) if g > 1.0 else _BLOCK
+    k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g))))
     growth = g**k
     nb = -(-n // k)
     # step i = 1 + j + k*b sits at [j, :, b]
@@ -215,16 +215,17 @@ def count_sign_changes(values: np.ndarray) -> np.ndarray:
     return np.sum(s[1:] * s[:-1] < 0.0, axis=0)
 
 
-def _count_below(v: np.ndarray, h: float, energies) -> np.ndarray:
-    """Sturm count: states below each energy, the sign changes of the solution
-    from psi(b) = 0; it crosses the barrier first, so no rescale can zero its
-    nodes."""
+def _count_below(v: np.ndarray, h: float, energies) -> tuple[np.ndarray, np.ndarray]:
+    """Sturm count, the states below each energy, and the root policy's fn
+    there, from one pass: the sign changes of the solution from psi(b) = 0 and
+    its last sample psi(-a).  It crosses the barrier first, so no rescale can
+    zero its nodes."""
     e = np.atleast_1d(np.asarray(energies, dtype=float))
-    out = np.empty(e.shape, dtype=int)
+    out, last = np.empty(e.shape, dtype=int), np.empty(e.shape)
     for lo in range(0, e.size, _CHUNK):
         path = _transfer_blocks(v[::-1], h, e[lo : lo + _CHUNK], path=True)
-        out[lo : lo + _CHUNK] = count_sign_changes(path[1:])
-    return out.reshape(np.shape(energies))
+        out[lo : lo + _CHUNK], last[lo : lo + _CHUNK] = count_sign_changes(path[1:]), path[-1]
+    return out.reshape(np.shape(energies)), last.reshape(np.shape(energies))
 
 
 def _stable_grid(spec: WellSpec, n_grid: int, e_hi: float = 0.0):

@@ -139,8 +139,8 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
     bracket of its own, which the shared root policy polishes on the
     characteristic divided by cosh(qbar b) below the step.  That keeps every
     sign, so the energies are the floats of the fixed-step scan and bisection
-    of the characteristic itself.  ``ScanResolutionError`` is raised where the
-    count places a level but the characteristic keeps its sign.
+    of the characteristic itself.  ``ScanResolutionError`` is raised where no
+    count probe or scan cell separates two levels.
     """
     return _states(spec, _solve(spec, e_max))
 
@@ -164,18 +164,18 @@ def _solve(spec: WellSpec, e_max: float) -> tuple[np.ndarray, ...]:
     return _solve_state(spec, roots)
 
 
-def _count_below(spec: WellSpec, energies) -> np.ndarray:
-    """Sturm count: bound states below each energy.  The Pruefer phase of psi =
-    sin(k (x + a)) lies within pi/2 of the action J = k a + q b (q = 0 below the
-    step), so the count is floor(J / pi - 1/2) or one more, whichever is even
-    where psi(b) = g(E) > 0 and odd where g < 0; where g = 0, the first, the
-    levels strictly below E.  Floats, exact up to 2**53."""
+def _count_below(spec: WellSpec, energies) -> tuple[np.ndarray, np.ndarray]:
+    """Sturm count, the bound states below each energy, and the policy's fn there.
+    The Pruefer phase of psi = sin(k (x + a)) lies within pi/2 of the action
+    J = k a + q b (q = 0 below the step), so the count is floor(max(J/pi - 1/2, 0))
+    or one more: even where fn (of the sign of psi(b) = g(E)) > 0, odd where fn < 0,
+    and the first, the levels strictly below E, where fn = 0.  Floats, exact to 2**53."""
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     j = np.sqrt(e) * spec.a + np.sqrt(np.maximum(e - spec.v0, 0.0)) * spec.b
-    n = np.floor(j / math.pi - 0.5)
-    g = _characteristic_many(spec, e)
-    n += (g != 0.0) & ((n % 2.0 == 1.0) != (g < 0.0))
-    return n.reshape(np.shape(energies))
+    n = np.floor(np.maximum(j / math.pi - 0.5, 0.0))
+    f = _scaled_characteristic(spec, e)
+    n += (f != 0.0) & ((n % 2.0 == 1.0) != (f < 0.0))
+    return n.reshape(np.shape(energies)), f.reshape(np.shape(energies))
 
 
 def _require_step(spec: WellSpec) -> None:

@@ -136,10 +136,11 @@ def reference_roots(fn, count, e_max: float, step: float, tol_rel: float) -> lis
 
     The scan's cells of width ``step`` are bisected until narrower than
     ``tol_rel * max(1, E)``; a scan whose number of roots disagrees with the
-    Sturm count ``count(E)`` (called with one energy) at e_max is repeated 10x
-    finer, up to three times, and then raises ``ScanResolutionError``.
+    Sturm count N(E) at e_max, the first of the root policy's ``count(E)``
+    (called with one energy), is repeated 10x finer, up to three times, and
+    then raises ``ScanResolutionError``.
     """
-    fewest, most = count(e_max * (1.0 - _EDGE)), count(e_max * (1.0 + _EDGE))
+    fewest, most = count(e_max * (1.0 - _EDGE))[0], count(e_max * (1.0 + _EDGE))[0]
     for cell in (step / 10.0**r for r in range(_MAX_REFINES + 1)):
         roots = _scan_and_bisect(fn, e_max, cell, tol_rel)
         if fewest <= len(roots) <= most:

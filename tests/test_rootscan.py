@@ -13,13 +13,15 @@ from asymwell._rootscan import bracket_and_bisect, scan_step
 from oracles import reference_roots
 
 
-def polynomial(roots):
-    """fn with simple zeros at ``roots`` and its exact count of roots below E."""
+def polynomial(roots, counted=None):
+    """fn with simple zeros at ``roots``, of sign (-1)**N with N the roots
+    below E, and the root policy's count: the number of ``counted`` (``roots``
+    by default) below E, with fn there."""
     def fn(es):
-        return np.prod([es - r for r in roots], axis=0)
+        return np.prod([r - es for r in roots], axis=0)
 
     def count(e):
-        return sum(r < e for r in roots)
+        return sum(r < e for r in (roots if counted is None else counted)), fn(e)
 
     return fn, count
 
@@ -41,8 +43,9 @@ def test_isolated_roots_found_on_the_first_scan():
     roots = bracket_and_bisect(traced, count, 3.0, 0.1, 1e-13)
     assert roots == pytest.approx([0.33, 1.47, 2.71], rel=1e-12)
     assert roots == reference_roots(fn, count, 3.0, 0.1, 1e-13)
-    # the bracket ends and e_max once, then at most one energy per root a
-    # call; the fixed scan took 30 energies and then 40 bisection calls
+    # the count hands over fn at the bracket ends and e_max, so every call
+    # takes at most one energy per root; the fixed scan took 30 energies and
+    # then 40 bisection calls
     assert sizes[0] <= 2 * 3 + 1 and max(sizes[1:]) <= 3
     assert len(sizes) <= 16
 
@@ -79,68 +82,97 @@ def test_pair_closer_than_three_refinements_resolves():
 
 
 def test_spurious_root_raises():
-    # the count places a level at 1.0, where fn keeps its sign
-    fn, _ = polynomial([0.5, 1.5])
-    _, count = polynomial([0.5, 1.0, 1.5])
-    with pytest.raises(ScanResolutionError) as err:
-        bracket_and_bisect(fn, count, 2.0, 0.1, 1e-13)
-    message = str(err.value)
-    assert "places level 2 in [" in message
-    assert "N(lo) = 1, N(hi) = 2, sign fn(lo) = -1, sign fn(hi) = -1" in message
+    # the count places a level at 1.0, where fn keeps its sign, so its parity
+    # is not fn's sign at the first probe above it
+    fn, count = polynomial([0.5, 1.5], counted=[0.5, 1.0, 1.5])
+    traced, sizes = calls_of(fn)
+    with pytest.raises(ScanResolutionError, match=re.escape(
+            "parity is not the sign of the scanned function at E=1.0666666666666667: "
+            "N = 2, fn = -0.245556")):
+        bracket_and_bisect(traced, count, 2.0, 0.1, 1e-13)
+    assert sizes == []
 
 
 def test_count_that_disagrees_with_fn_raises_at_once():
     # the count rounds the level at 1.0, on the probe 2 * 15 / 30, below it and
     # fn above it, so the count's parity is not fn's sign there
-    fn, _ = polynomial([0.5, 1.0 + 1e-12])
-    _, count = polynomial([0.5, 1.0 - 1e-12])
+    fn, count = polynomial([0.5, 1.0 + 1e-12], counted=[0.5, 1.0 - 1e-12])
     traced, sizes = calls_of(fn)
     with pytest.raises(ScanResolutionError, match=re.escape(
-            "places level 2 in [0.933333333, 1], where the scanned function does not change "
-            "sign: N(lo) = 1, N(hi) = 2, sign fn(lo) = -1, sign fn(hi) = -1")):
+            "parity is not the sign of the scanned function at E=1.0: N = 2, fn = -5.00044e-13")):
         bracket_and_bisect(traced, count, 2.0, 0.1, 1e-13)
-    assert len(sizes) == 1
+    assert sizes == []
 
 
 def test_count_that_disagrees_with_fn_at_the_cutoff_raises():
     # fn is positive at e_max, past its root at 1.0, while the count, whose
     # level lies at 1 + 1e-10, reads 1 there: its parity is not fn's sign
-    fn, _ = polynomial([0.5, 1.0])
-    _, count = polynomial([0.5, 1.0 + 1e-10])
+    fn, count = polynomial([0.5, 1.0], counted=[0.5, 1.0 + 1e-10])
     with pytest.raises(ScanResolutionError, match=re.escape("E=1.00000000005")):
         bracket_and_bisect(fn, count, 1.0 + 5e-11, 0.1, 1e-13)
 
 
 def test_level_below_the_lowest_probe_raises():
-    # the count claims a level in [0, e_max * 1e-9], which no bracket can hold
-    fn, _ = polynomial([0.5])
+    # the count claims a level in [0, min(0.1, e_max / 30)], which no bracket
+    # can hold and no well has
+    fn, count = polynomial([0.05])
     with pytest.raises(ScanResolutionError, match=re.escape(
-            "places 1 level(s) in [0, 2e-09], below the lowest probe: N(hi) = 1")):
-        bracket_and_bisect(fn, lambda e: np.ones(np.shape(e), dtype=int), 2.0, 0.1, 1e-13)
+            "places 1 level(s) in [0, 0.0666666667], below the lowest probe: N(hi) = 1")):
+        bracket_and_bisect(fn, count, 2.0, 0.1, 1e-13)
 
 
-def test_level_below_the_lowest_probe_solves():
-    # the level at 1e-10 lies below the lowest probe, e_max * 1e-9 = 2e-9, and the
-    # count is probed further down until it reads 0
-    roots = bracket_and_bisect(lambda e: e - 1e-10, lambda e: (e > 1e-10).astype(int),
-                               2.0, 0.1, 1e-13)
-    assert roots == pytest.approx([1e-10], rel=0, abs=1e-13)
+# log-uniform lengths from 1e-3 to 3e4, the widest flat well the closed form solves
+spans = st.floats(-3.0, math.log10(3e4)).map(lambda p: 10.0**p)
+
+
+@given(a=spans, b=spans, height=st.floats(0.0, 1.0))
+@example(a=3e4, b=3e4, height=0.0)
+@example(a=3.0, b=3.0, height=20.0 * (3.0 / 350.0) ** 2)
+@settings(max_examples=200)
+def test_closed_form_counts_no_level_at_the_scan_step(a, b, height):
+    # the policy's lowest probe is the scan's first cell, half the ground state
+    # of the flat well of width a + b or less, and the step only raises the
+    # levels; v0 runs up to the sqrt(v0) b <= 350 guard
+    spec = WellSpec(a, b, height * (350.0 / b) ** 2)
+    assert spectrum._count_below(spec, scan_step(a, b))[0] == 0
+
+
+@given(a=spans, b=spans, v0=st.floats(-3.0, 7.0).map(lambda p: 10.0**p),
+       floor=st.sampled_from(["flat", "sharp", "sigmoid", "ramp"]),
+       width=st.floats(0.01, 0.9), n_grid=st.integers(50, 2000).map(lambda n: 2 * n))
+@example(a=3.0, b=3.0, v0=20.0, floor="sigmoid", width=0.2 / 3.0, n_grid=4000)
+@example(a=3e4, b=3e4, v0=0.0, floor="flat", width=0.5, n_grid=100)
+@settings(max_examples=150)
+def test_numerov_counts_no_level_at_the_scan_step(a, b, v0, floor, width, n_grid):
+    # the same on the grid: the discrete Sturm comparison with the flat grid
+    # puts the ground state at (pi / W)^2 (1 - (pi / n_grid)^4 / 240) or above;
+    # steps up to the height the grid refuses
+    smoothing = {"sigmoid": Exponential(width * min(a, b)),
+                 "ramp": Linear(width * min(a, b))}.get(floor)
+    spec = WellSpec(a, b, 0.0 if floor == "flat" else v0, smoothing)
+    try:
+        _, h, v, _, _ = shooting._stable_grid(spec, n_grid)
+    except ValueError:    # a grid too coarse for the floor
+        assume(False)
+    assert shooting._count_below(v, h, scan_step(a, b))[0] == 0
 
 
 def test_decreasing_count_raises():
-    # a level that the count gains at 0.5 and loses again at 1.5
-    fn, _ = polynomial([0.5])
+    # a level that the count gains at 0.5 and loses again at 1.5, where fn
+    # changes sign both times
+    fn, _ = polynomial([0.5, 1.5])
     with pytest.raises(ScanResolutionError, match=re.escape(
             "decreases across [1.46666667, 1.53333333]: N(lo) = 1, N(hi) = 0")):
-        bracket_and_bisect(fn, lambda e: (e > 0.5).astype(int) - (e > 1.5), 2.0, 0.1, 1e-13)
+        bracket_and_bisect(fn, lambda e: ((e > 0.5).astype(int) - (e > 1.5), fn(e)),
+                           2.0, 0.1, 1e-13)
 
 
 def test_levels_that_cannot_be_separated_raise():
     # a double level at 1.0: the gap holding it narrows to adjacent floats
-    fn, _ = polynomial([1.0, 1.0])
+    fn, count = polynomial([1.0, 1.0])
     with pytest.raises(ScanResolutionError, match=re.escape(
             "cannot separate the levels in [1, 1]: N(lo) = 0, N(hi) = 2")):
-        bracket_and_bisect(fn, lambda e: 2 * (e > 1.0), 2.0, 0.1, 1e-13)
+        bracket_and_bisect(fn, count, 2.0, 0.1, 1e-13)
 
 
 def test_roots_no_scan_cell_separates_raise():
@@ -165,7 +197,8 @@ def test_uncountable_cutoff_refused():
     with pytest.raises(ValueError, match=re.escape(
             "e_max=2.0 holds 1.80144e+16 levels, more than the 2**53 that a float counts "
             "exactly")):
-        bracket_and_bisect(fn, lambda e: np.where(e > 1.0, 2.0**54, 0.0), 2.0, 0.1, 1e-13)
+        bracket_and_bisect(fn, lambda e: (np.where(e > 1.0, 2.0**54, 0.0), fn(e)),
+                           2.0, 0.1, 1e-13)
 
 
 def test_cutoff_past_the_scan_reach_refused():
@@ -217,12 +250,18 @@ def narrow_brackets(draw):
 # three levels in the edge window around the cutoff: the count splits them at
 # e_max, so the top root's bracket starts there
 @example(([0.1, 0.10000000000010001, 0.0999999999999], 0.10000000000010001))
+@example(([0.1 - 4e-13, 3.0], 3.0))          # a root below the lowest probe, 0.1
 @settings(max_examples=300)
 def test_narrow_brackets_replay_the_fixed_scan(case):
     # the bulk approach assumes each scan cell holds its polished bracket,
     # wider than the tolerance; near cell edges and in clusters it is narrowest
     roots, e_max = case
     fn, count = polynomial(roots)
+    if min(roots) < min(0.1, e_max * (1 / 30)):
+        # no well has a level at or below the scan's first cell
+        with pytest.raises(ScanResolutionError, match="below the lowest probe"):
+            bracket_and_bisect(fn, count, e_max, 0.1, 1e-13)
+        return
     try:
         expected = reference_roots(fn, count, e_max, 0.1, 1e-13)
     except ScanResolutionError:
@@ -259,12 +298,13 @@ def policy_pair(module, solve):
 
 
 def parity_mismatches(fn, count, levels, neighbours=()):
-    """Energies where fn is nonzero and the count's parity is not its sign: each
-    level times 1 + k 2e-13 for |k| <= 200, and the energies in ``neighbours``."""
+    """Energies where fn is nonzero and the count's parity is not its sign, or
+    where the count hands over another value of fn: each level times
+    1 + k 2e-13 for |k| <= 200, and the energies in ``neighbours``."""
     e = np.concatenate([np.outer(levels, 1.0 + 2e-13 * np.arange(-200, 201)).ravel(),
                         np.asarray(neighbours, dtype=float)])
-    f, n = fn(e), np.asarray(count(e))
-    bad = (f != 0.0) & ((n % 2 == 1) != (f < 0.0))
+    f, (n, f_count) = fn(e), count(e)
+    bad = ((f != 0.0) & ((n % 2 == 1) != (f < 0.0))) | (f_count != f)
     return e[bad].tolist()
 
 
@@ -295,16 +335,16 @@ def test_numerov_count_parity_is_the_sign_of_fn(spec, e_max):
 
 
 # sha256 over every energy array the closed-form solver hands to fn and to
-# count, tagged and in call order, recorded once the polish handed over at 8
-# tolerances and bisected a stalled bracket, and the count pass's top probe
-# was e_max itself
+# count, tagged and in call order, recorded once the count handed over fn at
+# its probes, from the scan's first cell to e_max itself, the polish handed
+# over at 8 tolerances and bisected a stalled bracket
 CALL_LOG_SHA256 = {
     (3.0, 3.0, 20.0, 100.0):
-        "454f945697bb8e90a76a44c3186f0a57a5fd2b6f519527dfda987767e8838c0e",
+        "68ab10bac69a6c059ffacf101f13b280222253639878cd3ec75fe706067ad101",
     (2.0, 4.0, 60.0, 300.0):
-        "43ee4285c749f18c836bd87e6b191cafffff064a0adedb2b3b295c742e9b0779",
+        "45027c387771a94fea890da34e264da6abf6364e34864e31e15dbf242f21fd1d",
     (1.0, 1.0, 100.0, 1e4):
-        "432b366a71725d0abc6082d365131f8f68b8efac9473999aa712f55b05b42f41",
+        "55e97d72da2b9a60442b1a09de6ccab64ddfb703a668dbee2ca16018d687f8bf",
 }
 
 
@@ -331,9 +371,9 @@ def test_closed_form_calls_see_the_same_energies(well, monkeypatch):
 # sweeps from b; 1000 cells keep it fast
 NUMEROV_CALL_LOG_SHA256 = {
     (WellSpec(3.0, 3.0, 20.0, Exponential(0.2)), 100.0):
-        "fe5e16ca5d7f9c5c9ac892ab2bf7fe32999e1a1bcc7c84a7ad95cf992e460a4c",
+        "d229f7465bba67eb497b29c2c91f3a4ce06a1682dea8314f92ad094e852fe776",
     (WellSpec(3.0, 3.0, 60.0), 30.0):
-        "ae061c1bc11d4c762afbebbca44fb02277deff521fd4b80100d12d5a9b940678",
+        "7ca1d42772e0cf6d65a64ff834d9a92672f6c7893d2afd0adbf9ed3c69e058d4",
 }
 
 

@@ -166,9 +166,9 @@ class TestFindSpectrum:
     def test_count_below_indexes_the_levels(self, a, b, v0, e_max):
         spec = WellSpec(a, b, v0)
         energies = [state.energy for state in find_spectrum(spec, e_max)]
-        assert _count_below(spec, e_max) == len(energies)
+        assert _count_below(spec, e_max)[0] == len(energies)
         gaps = [0.5 * (lo + hi) for lo, hi in zip([0.0] + energies, energies)]
-        assert [_count_below(spec, e) for e in gaps] == list(range(len(energies)))
+        assert [_count_below(spec, e)[0] for e in gaps] == list(range(len(energies)))
 
     @given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0), v0=st.floats(0.0, 2e4))
     @example(a=math.log10(3.0), b=math.log10(3.0), v0=20.0)
@@ -183,7 +183,7 @@ class TestFindSpectrum:
                             [v0 * (1 - 1e-12), v0, v0 * (1 + 1e-12)]])
         e = e[e > 0.0]
         away = pruefer_count(spec, e * (1.0 - 1e-9)) == pruefer_count(spec, e * (1.0 + 1e-9))
-        assert np.array_equal(_count_below(spec, e[away]), pruefer_count(spec, e[away]))
+        assert np.array_equal(_count_below(spec, e[away])[0], pruefer_count(spec, e[away]))
 
     def test_tiny_step_reduces_to_flat_well(self):
         states = find_spectrum(WellSpec(3.0, 3.0, 1e-12), 1.2)
@@ -195,7 +195,7 @@ class TestFindSpectrum:
 
     def test_count_at_zero_is_zero(self, standard_spec):
         # J = 0 at E = 0, where floor(J / pi - 1/2) alone would read -1
-        assert _count_below(standard_spec, 0.0) == 0
+        assert _count_below(standard_spec, 0.0)[0] == 0
 
     def test_empty_result_below_first_level(self, standard_spec):
         assert find_spectrum(standard_spec, 0.5) == []
@@ -203,7 +203,7 @@ class TestFindSpectrum:
     def test_ground_state_below_the_lowest_probe(self, standard_spec, standard_states):
         # e_max * 1e-9 = 0.96 puts the lowest count probe above the ground state
         states = find_spectrum(standard_spec, 9.6e8)
-        assert len(states) == _count_below(standard_spec, 9.6e8) == 59174
+        assert len(states) == _count_below(standard_spec, 9.6e8)[0] == 59174
         assert [s.energy for s in states[:9]] == [s.energy for s in standard_states]
 
     def test_uncountable_level_count_rejected(self, standard_spec):
@@ -238,17 +238,25 @@ class TestFindSpectrum:
                     f"e_max={sys.float_info.max!r} is past the fixed scan's reach")):
                 find_spectrum(WellSpec(1e-150, 1e-150, 0.0), sys.float_info.max)
 
+    def test_cutoff_in_a_well_too_wide_for_a_scan_cell_refused(self):
+        # (a + b)**2 overflows, so the scan cell, and with it the lowest count
+        # probe, is 0, where the count reads 0 levels
+        with pytest.raises(ValueError, match=re.escape(
+                "e_max=1e-300 is past the fixed scan's reach: its cell 0.000e+00")):
+            find_spectrum(WellSpec(1e155, 1e155, 0.0), 1e-300)
+
     def test_overflowing_step_height_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
             find_spectrum(WellSpec(3.0, 3.0, 2e5), 40.0)
 
     def test_count_flags_a_dropped_root(self, standard_spec, states_e100):
         # a second zero at state 3's energy cancels its sign change, so fn keeps
-        # its sign across the bracket where the Sturm count places level 3
+        # its sign across level 3, and the Sturm count's parity is not fn's
+        # sign at the first probe above it, 100 * 3 / 30
         e3 = states_e100[2].energy
-        hidden = lambda es: _characteristic_many(standard_spec, es) * (es - e3)
-        with pytest.raises(ScanResolutionError, match=r"level 3 in \[.*N\(lo\) = 2, N\(hi\) = 3"):
-            bracket_and_bisect(hidden, lambda es: _count_below(standard_spec, es),
+        hidden = lambda es: _characteristic_many(standard_spec, es) * (e3 - es)
+        with pytest.raises(ScanResolutionError, match=r"at E=10\.0: N = 3, fn = "):
+            bracket_and_bisect(hidden, lambda es: (_count_below(standard_spec, es)[0], hidden(es)),
                                100.0, 0.1, 1e-13)
 
     @given(a=lengths, b=lengths, v0=st.floats(min_value=0.0, max_value=1e4),
@@ -314,7 +322,7 @@ class TestScaleInvariance:
         levels = np.array([state.energy for state in find_spectrum(spec, e_max)])
         e = np.linspace(0.0, e_max, 501)[1:]
         e = e[np.all(np.abs(e[:, None] - levels) > 1e-9 * e[:, None], axis=1)]
-        assert np.array_equal(_count_below(rescaled(spec, lam), e / lam**2),
+        assert np.array_equal(_count_below(rescaled(spec, lam), e / lam**2)[0],
                               np.searchsorted(levels, e))
 
     @pytest.mark.xfail(strict=True, raises=(AssertionError, ValueError), reason=(
