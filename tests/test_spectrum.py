@@ -201,7 +201,8 @@ class TestFindSpectrum:
         assert find_spectrum(standard_spec, 0.5) == []
 
     def test_ground_state_below_the_lowest_probe(self, standard_spec, standard_states):
-        # e_max * 1e-9 = 0.96 puts the lowest count probe above the ground state
+        # a cutoff 1e9 times the ground state, whose bracket still starts at the
+        # scan's first cell, 0.1
         states = find_spectrum(standard_spec, 9.6e8)
         assert len(states) == _count_below(standard_spec, 9.6e8)[0] == 59174
         assert [s.energy for s in states[:9]] == [s.energy for s in standard_states]
