@@ -210,6 +210,33 @@ def test_cutoff_past_the_scan_reach_refused():
         bracket_and_bisect(fn, count, 2.0, 1e-16, 1e-13)
 
 
+def test_cutoff_past_the_scan_reach_refused_before_any_split():
+    # 3e6 levels below e_max: the count at the 31 probes settles the refusal,
+    # with no split of its gaps into one energy per level
+    k = 1.5e6
+
+    def fn(e):
+        return np.cos(np.pi * e * k)
+
+    traced, sizes = calls_of(lambda e: (np.floor(e * k + 0.5), fn(e)))
+    with pytest.raises(ValueError, match=re.escape("e_max=2.0 is past the fixed scan's reach")):
+        bracket_and_bisect(fn, traced, 2.0, 1e-16, 1e-13)
+    assert sizes == [31]
+
+
+def test_count_of_exactly_2_53_refused():
+    # a float count of 2**53 may be 2**53 + 1 rounded, so its parity says nothing
+    # of fn's sign, here negative at e_max
+    def fn(e):
+        return np.where(e > 1.0, -1.0, 1.0)
+
+    with pytest.raises(ValueError, match=re.escape(
+            "e_max=2.0 holds 9.0072e+15 levels, more than the 2**53 that a float counts "
+            "exactly")):
+        bracket_and_bisect(fn, lambda e: (np.where(e > 1.0, 2.0**53, 0.0), fn(e)),
+                           2.0, 0.1, 1e-13)
+
+
 def test_cutoff_past_the_scan_reach_without_levels_is_empty():
     fn, count = polynomial([5.0])
     assert bracket_and_bisect(fn, count, 2.0, 1e-16, 1e-13) == []
