@@ -9,11 +9,12 @@ both:
 1. Count pass: N and ``fn`` from one evaluation at ``_PROBES`` energies,
    the scan's first cell ``step`` and every e_max / 30 up to e_max (no level
    lies at or below ``step``, half the ground state of the flat well as wide
-   as the floor, which only raises the levels); a gap whose count jumps by
-   more than one is split until every level has a bracket of its own.  Each
-   solver makes N's parity the sign of ``fn`` wherever ``fn`` is nonzero (odd
-   where fn < 0), checked at every count, so each bracket's end values and
-   signs come from the count, and no level falls between the two.
+   as the floor, which only raises the levels), a level on e_max counted
+   there; a gap whose count jumps by more than one is split until every level
+   has a bracket of its own.  Each solver makes N's parity the sign of ``fn``
+   wherever ``fn`` is nonzero (odd where fn < 0), checked at every count, so
+   each bracket's end values and signs come from the count, and no level
+   falls between the two.
 2. Secant polish: Illinois regula falsi on ``fn``, vectorized over all
    brackets, one call per pass.  A bracket hands over once it is narrower
    than ``_HANDOVER`` bisection tolerances: the replay's bisection gains one
@@ -98,43 +99,33 @@ def bracket_and_bisect(
     ``tol_rel * max(1, E)`` (floored at a few ulp), started from the cell of
     width ``step / 10**r`` that holds it, for the first r at which every root
     has a cell of its own; a root on a cell edge, e_max included, is returned
-    as-is.  ``ValueError`` refuses an e_max that is not finite and positive, or
-    that holds more levels than a float counts exactly, or, when it holds a
-    level, whose scan cell ``step`` is below 4 eps e_max, past which the scan
-    grid's points no longer step apart; ``ScanResolutionError`` names the
-    energy where N's parity is not the sign of fn.
+    as-is.  ``ValueError`` refuses an e_max that is not finite and positive,
+    and, before any split, one holding 2**53 levels or more, which a float no
+    longer counts exactly, or, holding a level, whose scan cell ``step`` is
+    below 4 eps e_max, past which the scan grid's points no longer step apart;
+    ``ScanResolutionError`` names the energy where N's parity is not fn's sign.
     """
     if not 0 < e_max < math.inf:
         raise ValueError(f"e_max must be finite and positive, got {e_max}")
-    e = e_max * _PROBE_AT
-    lo, hi, n_lo, flo, fhi, f_top = _isolate(count, e_max, np.concatenate([[min(step, e[0])], e]))
-    s = np.where(n_lo % 2 == 1, -1.0, 1.0)      # sign of fn just left of each root
-    if f_top == 0.0:
-        # a level on e_max, left out by the strict count, has a bracket no pass
-        # steps; one ending there reads fn(e_max) as NaN, the sign -s assumed
-        fhi[hi == e_max] = np.nan
-        lo, hi = np.append(lo, e_max), np.append(hi, e_max)
-        flo, fhi, s = np.append(flo, 0.0), np.append(fhi, 0.0), np.append(s, 1.0)
+    lo, hi, n_lo, flo, fhi = _isolate(count, e_max, step)
     if not lo.size:
         return []
-    if step < 4.0 * _EPS * e_max:
-        raise ValueError(f"e_max={e_max!r} is past the fixed scan's reach: its cell {step:.3e} "
-                         f"is below 4 eps e_max = {4.0 * _EPS * e_max:.3e}")
-    roots = _Brackets(lo, hi, flo, fhi, s)
+    roots = _Brackets(lo, hi, flo, fhi, np.where(n_lo % 2 == 1, -1.0, 1.0))
     roots.polish(fn, tol_rel)
     return roots.replay(fn, e_max, step, tol_rel)
 
 
-def _isolate(count, e_max: float, new: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Brackets (lo, hi] holding one level each, for every level below e_max,
-    the top of the probes ``new``: lo, hi, N(lo), fn at lo and at hi, and
-    fn(e_max), all from the count, whose parity is checked at every call.  N
-    is read as floats, exact up to 2**53 levels, and then as ints."""
+def _isolate(count, e_max: float, step: float) -> tuple[np.ndarray, ...]:
+    """Brackets (lo, hi] holding one level each, for every level in (0, e_max]:
+    lo, hi, N(lo) and fn at lo and at hi, from the count at the probes and the
+    splits, its parity checked at every call.  N is read as floats, exact
+    below 2**53 levels, then as ints; N(e_max) counts a level on e_max."""
+    new = np.concatenate([[min(step, e_max * _PROBE_AT[0])], e_max * _PROBE_AT])
     e, n, f = np.empty(0), np.empty(0, dtype=int), np.empty(0)
     while True:
         n_new, f_new = count(new)
         n_new = np.asarray(n_new, dtype=float)
-        if not n_new.max() <= 2.0**53:
+        if not n_new.max() < 2.0**53:
             raise ValueError(f"e_max={e_max!r} holds {n_new.max():.6g} levels, more than the "
                              f"2**53 that a float counts exactly")
         n_new = n_new.astype(int)
@@ -144,6 +135,7 @@ def _isolate(count, e_max: float, new: np.ndarray) -> tuple[np.ndarray, ...]:
             raise ScanResolutionError(f"the Sturm count's parity is not the sign of the scanned "
                                       f"function at E={float(new[i])!r}: N = {n_new[i]}, "
                                       f"fn = {f_new[i]:.6g}")
+        n_new += (new == e_max) & (f_new == 0.0)    # a level on e_max, in the spectrum
         e, n, f = np.concatenate([e, new]), np.concatenate([n, n_new]), np.concatenate([f, f_new])
         order = np.argsort(e, kind="stable")
         e, n, f = e[order], n[order], f[order]
@@ -156,6 +148,9 @@ def _isolate(count, e_max: float, new: np.ndarray) -> tuple[np.ndarray, ...]:
             i = down[0]
             raise ScanResolutionError(f"the Sturm count decreases across [{e[i]:.9g}, "
                                       f"{e[i + 1]:.9g}]: N(lo) = {n[i]}, N(hi) = {n[i + 1]}")
+        if n[-1] and step < 4.0 * _EPS * e_max:
+            raise ValueError(f"e_max={e_max!r} is past the fixed scan's reach: its cell "
+                             f"{step:.3e} is below 4 eps e_max = {4.0 * _EPS * e_max:.3e}")
         wide = (jump > 1).nonzero()[0]
         if not wide.size:
             break
@@ -172,13 +167,13 @@ def _isolate(count, e_max: float, new: np.ndarray) -> tuple[np.ndarray, ...]:
                                       f"[{e[i]:.9g}, {e[i + 1]:.9g}]: N(lo) = {n[i]}, "
                                       f"N(hi) = {n[i + 1]}")
     one = (jump == 1).nonzero()[0]
-    return e[one], e[one + 1], n[one], f[one], f[one + 1], f[-1]
+    return e[one], e[one + 1], n[one], f[one], f[one + 1]
 
 
 class _Brackets:
-    """One bracket [lo, hi] per root, with fn at its ends (NaN where not
-    evaluated) and the sign ``s`` of fn just left of the root; a root on a
-    scan point has lo == hi.
+    """One bracket [lo, hi] per root, with fn at its ends (NaN where the
+    polish kept room around a zero of fn) and the sign ``s`` of fn just left
+    of the root.
 
     The polish and the replay work on whole arrays through masks, not on
     gathered copies of the brackets still in play, and keep their scalars as

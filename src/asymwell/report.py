@@ -175,8 +175,11 @@ def cmd_spectrum(config: RunConfig) -> Table:
         raise ValueError("the spectrum table is closed-form and requires the sharp "
                          "step; use the smoothing command for smoothed wells")
     energy, k, q_or_qbar, below = _analytic_arrays(config)[:4]
-    if np.count_nonzero(energy[1:] <= energy[:-1]):
-        raise RuntimeError("emitted energies are not strictly increasing")
+    if np.count_nonzero(bad := energy[1:] <= energy[:-1]):
+        i = int(bad.argmax())
+        raise RuntimeError(f"emitted energies are not strictly increasing: state {i + 2} at "
+                           f"E={float(energy[i + 1])!r} follows state {i + 1} at "
+                           f"E={float(energy[i])!r}")
     branch = [spectrum_mod._BRANCHES[b] for b in below.tolist()]
     rows = [list(row) for row in zip(range(1, energy.size + 1), energy.tolist(), k.tolist(),
                                      q_or_qbar.tolist(), branch)]
@@ -232,7 +235,9 @@ def cmd_compare(config: RunConfig) -> Table:
     energy, *_, amp_left, amp_right, left, right = _analytic_arrays(config)
     p_left, p_right = spectrum_mod._probabilities(amp_left, amp_right, left, right)
     if np.count_nonzero(bad := np.abs(p_left + p_right - 1.0) > 1e-9):
-        raise RuntimeError(f"side probabilities of state {bad.argmax() + 1} do not sum to 1")
+        i = int(bad.argmax())
+        raise RuntimeError(f"side probabilities of state {i + 1} do not sum to 1: their sum "
+                           f"is {p_left[i] + p_right[i]:.12g}")
     p_cl = classical_mod._time_shares(spec, energy)[2]
     above = energy > spec.v0 * (1.0 + bounds_mod._MARGIN)
     lower, upper = bounds_mod._envelopes(spec, energy[above])
@@ -269,8 +274,8 @@ def cmd_smoothing(config: RunConfig) -> Table:
     cap = config.energy_cap() * 1.05 + config.v0 * scale + 1.0
     sols = shooting_mod.find_spectrum_numeric(smooth_well, cap, config.grid)[: energy.size]
     if len(sols) < energy.size:
-        raise RuntimeError("smoothed spectrum has fewer states than the sharp step "
-                           "below the cutoff; raise the energy cap")
+        raise RuntimeError(f"smoothed spectrum has {len(sols)} states below its cap {cap:.6g}, "
+                           f"fewer than the sharp step's {energy.size}; raise the energy cap")
     e_smooth = np.array([sol.energy for sol in sols])
     de = (e_smooth - energy) / energy
     if np.count_nonzero(bad := np.abs(de) > 0.5):

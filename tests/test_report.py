@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import simpson
 
-from asymwell import (ScanResolutionError, WellSpec, find_spectrum, report, side_probabilities,
-                      spectrum)
+from asymwell import (ScanResolutionError, WellSpec, classical, find_spectrum, report, shooting,
+                      side_probabilities, spectrum)
 from asymwell._rootscan import bracket_and_bisect, scan_step
 from asymwell.report import (
     RunConfig,
@@ -424,6 +424,65 @@ def test_tables_reach_the_closed_form_through_the_arrays(command, state, monkeyp
 
     monkeypatch.setattr(spectrum, "find_spectrum", refused)
     assert command(cfg(), **state).rows
+
+
+class TestSelfChecks:
+    """Each table's checks on the solved arrays, which a correct solve never
+    trips, fed arrays that trip them; each names the numbers it saw."""
+
+    @staticmethod
+    def solve_edited(monkeypatch, edit):
+        solve = spectrum._solve
+        monkeypatch.setattr(spectrum, "_solve", lambda spec, e_max: edit(*solve(spec, e_max)))
+
+    def test_too_few_states_for_n_max(self, monkeypatch):
+        self.solve_edited(monkeypatch, lambda *columns: tuple(c[:3] for c in columns))
+        with pytest.raises(RuntimeError, match=re.escape("only 3 states found, n_max=5")):
+            cmd_spectrum(RunConfig(n_max=5))
+
+    def test_energies_out_of_order(self, monkeypatch):
+        energy = spectrum._solve(WellSpec(3.0, 3.0, 20.0), 35.0)[0].tolist()
+
+        def swapped(e, *rest):
+            return (e[[0, 1, 2, 4, 3, 5, 6, 7, 8]], *rest)
+
+        self.solve_edited(monkeypatch, swapped)
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"emitted energies are not strictly increasing: state 5 at E={energy[3]!r} "
+                f"follows state 4 at E={energy[4]!r}")):
+            cmd_spectrum(cfg())
+
+    def test_side_probabilities_that_do_not_sum_to_1(self, monkeypatch):
+        def scaled(e, k, w, below, amp_left, amp_right, *rest):
+            grow = np.where(np.arange(e.size) == 2, 1.1, 1.0)
+            return (e, k, w, below, amp_left * grow, amp_right * grow, *rest)
+
+        self.solve_edited(monkeypatch, scaled)
+        with pytest.raises(RuntimeError, match=re.escape(
+                "side probabilities of state 3 do not sum to 1: their sum is 1.21")):
+            cmd_compare(cfg())
+
+    def test_classical_probability_outside_the_envelope(self, monkeypatch):
+        first_above = next(e for e in spectrum._solve(WellSpec(3.0, 3.0, 20.0), 35.0)[0].tolist()
+                           if e > 20.0)
+        shares = classical._time_shares
+
+        def shifted(spec, energies):
+            t_left, t_right, p_left, p_right = shares(spec, energies)
+            return t_left, t_right, p_left + 1.0, p_right
+
+        monkeypatch.setattr(classical, "_time_shares", shifted)
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"classical probability escapes the bound envelope at E={first_above!r}")):
+            cmd_compare(cfg())
+
+    def test_smoothed_spectrum_short_of_the_sharp_step(self, monkeypatch):
+        find = shooting.find_spectrum_numeric
+        monkeypatch.setattr(shooting, "find_spectrum_numeric", lambda *args: find(*args)[:4])
+        with pytest.raises(RuntimeError, match=re.escape(
+                "smoothed spectrum has 4 states below its cap 41.75, fewer than the sharp "
+                "step's 9; raise the energy cap")):
+            cmd_smoothing(cfg())
 
 
 class TestCli:

@@ -4,6 +4,7 @@ import re
 import sys
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -224,8 +225,8 @@ class TestFindSpectrum:
                 find_spectrum(standard_spec, sys.float_info.max)
 
     def test_cutoff_past_the_scan_reach_refused(self):
-        # the narrow well's 0.1 cell is below 4 eps e_max: the count isolates
-        # every level, but no cell of the fixed scan could step to them
+        # the narrow well's 0.1 cell is below 4 eps e_max: the count at the
+        # probes finds levels, but no cell of the fixed scan could step to them
         with pytest.raises(ValueError, match=re.escape(
                 "e_max=1e+16 is past the fixed scan's reach: its cell 1.000e-01 is below "
                 "4 eps e_max = 8.882e+00")):
@@ -238,6 +239,33 @@ class TestFindSpectrum:
             with pytest.raises(ValueError, match=re.escape(
                     f"e_max={sys.float_info.max!r} is past the fixed scan's reach")):
                 find_spectrum(WellSpec(1e-150, 1e-150, 0.0), sys.float_info.max)
+
+    @settings(max_examples=20, deadline=None)
+    @given(a=st.floats(1e-3, 0.1), b=st.floats(1e-3, 0.1), v0=st.floats(0.0, 100.0),
+           past=st.floats(1.01, 2.0))
+    def test_cutoff_past_the_scan_reach_refused_from_the_probes(self, a, b, v0, past):
+        # up to 1e6 levels below e_max: the count at the 31 probes refuses them,
+        # with no split of its gaps into one energy per level
+        e_max = past * scan_step(a, b) / (4.0 * np.finfo(float).eps)
+        sizes = []
+
+        def count(spec, es):
+            sizes.append(np.size(es))
+            return _count_below(spec, es)
+
+        with mock.patch.object(spectrum, "_count_below", count):
+            with pytest.raises(ValueError, match="is past the fixed scan's reach"):
+                find_spectrum(WellSpec(a, b, v0), e_max)
+        assert sizes == [31]
+
+    @pytest.mark.parametrize("e_max", ["0x1.6214275f16c7cp+6", "0x1.6214275f16c7dp+6", "0x1.9p+7"])
+    def test_level_on_a_scan_point_keeps_its_float_with_the_cutoff_on_it(self, e_max):
+        # the characteristic vanishes on the scan point 0x1.6214275f16c7bp+6
+        # and on the floats just above it, so a cutoff on those, counted as
+        # holding the level, brackets it as every larger cutoff does
+        spec = WellSpec(4.887774285019122, 4.795627441789168, 0.0)
+        levels = find_spectrum(spec, float.fromhex(e_max))
+        assert levels[28].energy == float.fromhex("0x1.6214275f16c7bp+6")
 
     def test_cutoff_in_a_well_too_wide_for_a_scan_cell_refused(self):
         # (a + b)**2 overflows, so the scan cell, and with it the lowest count
