@@ -190,7 +190,7 @@ class _Brackets:
         """``fx``, fn at the brackets ``i``, spread over all brackets with 0
         elsewhere, and the masks of those where fn has the sign ``s`` of their
         left end and of their right end; a bracket in ``i`` in neither mask
-        saw fn vanish or return NaN, or has no sign ``s``."""
+        saw fn vanish or return NaN."""
         full = np.zeros(self.s.size)
         full[i] = fx
         sign = np.sign(full)
@@ -236,7 +236,7 @@ class _Brackets:
                 lo[z] = np.maximum(lo[z], x[z] - spread)
                 hi[z] = np.minimum(hi[z], x[z] + spread)
                 flo[z] = fhi[z] = np.nan      # signs s and -s, as assumed outside
-                j = j[fx[j] != 0.0]           # NaN, or no sign s to compare with
+                j = j[fx[j] != 0.0]           # NaN
                 hi[j], fhi[j] = x[j], fx[j]
             np.copyto(lo, x, where=left)
             np.copyto(flo, fx, where=left)

@@ -376,11 +376,6 @@ def test_cutoff_past_the_scan_reach_fails_at_solve(argv):
                         r"its cell \S+ is below 4 eps e_max = \S+\n", err), err
 
 
-def _cap_address_space_at_1_5_gib() -> None:
-    # far below the 8.8 GB that a split of 6e7 levels into one energy each asks for
-    resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
-
-
 @pytest.mark.parametrize("argv, message", [
     ("spectrum --e-max 1e15", r"e_max=\S+ is past the fixed scan's reach: .*"),
     ("spectrum --n-max 100000000", r"e_max=\S+ is past the fixed scan's reach: .*"),
@@ -389,8 +384,9 @@ def _cap_address_space_at_1_5_gib() -> None:
      r"e_max=\S+ holds 9\.0072e\+15 levels, more than the 2\*\*53 that a float counts exactly"),
 ], ids=["e-max-1e15", "n-max-1e8", "n-max-2-53"])
 def test_cutoffs_refused_from_the_count_at_the_probes(argv, message):
-    # 6e7 and 1e8 levels: refused from the count at the probes, before any split
-    proc = _run_python("-m", "asymwell", *argv.split(), preexec_fn=_cap_address_space_at_1_5_gib)
+    # 6e7 and 1e8 levels: refused from the count at the probes, before a split
+    # into one energy per level, which would ask for about 8.8 GB
+    proc = _run_python("-m", "asymwell", *argv.split(), preexec_fn=_cap_address_space)
     err = proc.stderr.decode()
     assert proc.returncode == 1, err
     assert proc.stdout == b""
