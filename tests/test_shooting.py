@@ -31,6 +31,7 @@ from asymwell.shooting import (
     _count_below,
     _sweep_final,
     _transfer_blocks,
+    count_sign_changes,
     interior_nodes,
 )
 from asymwell._rootscan import scan_step
@@ -308,6 +309,93 @@ class TestKernelBits:
                 assert swept[col] == psi_b and counted[col] == count, (m, col)
                 assert np.array_equal(fwd[:, col], fwd_ref), (m, col)
                 assert np.array_equal(bwd[:, col], bwd_ref), (m, col)
+
+
+def one_pass_each(v, h, energies):
+    """Sturm count and fn at each energy from a trajectory and a sweep from b of its own."""
+    counts = [count_sign_changes(_transfer_blocks(v[::-1], h, np.asarray([e]), path=True)[1:])[0]
+              for e in energies]
+    return np.array(counts), np.array([_sweep_final(v[::-1], h, [e])[0] for e in energies])
+
+
+def recorded_trajectories(monkeypatch):
+    """The energies of every trajectory pass made from here on, one array per call."""
+    seen, transfer = [], shooting._transfer_blocks
+
+    def recording(v, h, e, path):
+        if path:
+            seen.append(np.array(e))
+        return transfer(v, h, e, path)
+
+    monkeypatch.setattr(shooting, "_transfer_blocks", recording)
+    return seen
+
+
+class TestCountBits:
+    """The Sturm count and fn of ``_count_below`` are, bit for bit, those of a
+    separate pass per energy, whichever way the count is read."""
+
+    @given(family=st.sampled_from(["step", "sigmoid", "ramp"]), a=st.floats(0.5, 5.0),
+           b=st.floats(0.5, 5.0), cells=st.integers(50, 2000), depth=st.floats(0.0, 1.0),
+           scale=st.floats(0.01, 0.5), reach=st.floats(0.0, 1.0), m=st.integers(1, 40),
+           layout=st.sampled_from(["probes", "shuffled", "duplicated"]),
+           seed=st.integers(0, 2**16))
+    # steps at the grid's refusal, where the pass from b rescales many times
+    @example(family="step", a=3.0, b=3.0, cells=2000, depth=1.0, scale=0.1, reach=0.3, m=31,
+             layout="probes", seed=0)
+    @example(family="sigmoid", a=2.0, b=4.3, cells=50, depth=1.0, scale=0.05, reach=0.5, m=17,
+             layout="shuffled", seed=1)
+    @settings(max_examples=60)
+    def test_matches_one_pass_per_energy(self, family, a, b, cells, depth, scale, reach, m,
+                                         layout, seed):
+        n_grid = 2 * cells
+        h = (a + b) / n_grid
+        smoothing = {"step": None, "sigmoid": Exponential(scale),
+                     "ramp": Linear(scale * min(a, b))}[family]
+        # v0 log-uniform from 1 up to the 12 / h^2 where the grid refuses the floor
+        spec = WellSpec(a, b, (0.999 * 12.0 / (h * h)) ** depth, smoothing)
+        xs, h = _build_grid(spec, n_grid)
+        v = sample(spec, xs)
+        # e_max log-uniform from V(-a) + 1 up to the top of the grid's window
+        e_max = v.min() + (0.999 * 6.0 / (h * h)) ** reach
+        probes = e_max * np.arange(1, m + 1) / m
+        energies = {"probes": probes,
+                    "shuffled": np.random.default_rng(seed).permutation(probes),
+                    "duplicated": np.repeat(probes[: (m + 1) // 2], 2)[:m]}[layout]
+        counts, fn = one_pass_each(v, h, energies)
+        got_counts, got_fn = _count_below(v, h, energies)
+        assert np.array_equal(got_counts, counts)
+        assert got_fn.tobytes() == fn.tobytes()
+
+    def test_energy_on_a_computed_level_takes_the_trajectories(self, monkeypatch):
+        # on a flat floor 10 c E = 2 makes each Numerov step psi[i+1] = -psi[i-1]
+        # exactly, so psi vanishes at every other sample, -a included: fn == 0
+        flat = WellSpec(3.0, 3.0, 0.0)
+        xs, h = _build_grid(flat, 100)
+        v = sample(flat, xs)
+        energies = 2.0 / (10.0 * (h * h / 12.0)) * np.array([0.99, 0.995, 1.0, 1.005, 1.01])
+        counts, fn = one_pass_each(v, h, energies)
+        assert fn[2] == 0.0
+        assert counts[-1] - counts[0] < energies.size
+        seen = recorded_trajectories(monkeypatch)
+        got_counts, got_fn = _count_below(v, h, energies)
+        assert np.array_equal(got_counts, counts)
+        assert got_fn.tobytes() == fn.tobytes()
+        assert any(np.array_equal(e, energies) for e in seen)
+
+    def test_gap_with_two_levels_takes_the_trajectories(self, monkeypatch):
+        # levels 5 and 6 (20.33 and 22.06) share the gap (19, 23); the counts
+        # span 8 levels over 10 energies, whose fn changes sign only 6 times
+        xs, h = _build_grid(SMOOTH, 4000)
+        v = sample(SMOOTH, xs)
+        energies = np.array([1.0, 3.0, 5.0, 7.0, 10.0, 12.0, 19.0, 23.0, 26.0, 30.0])
+        counts, fn = one_pass_each(v, h, energies)
+        assert list(counts) == [0, 1, 2, 2, 3, 3, 4, 6, 7, 8]
+        seen = recorded_trajectories(monkeypatch)
+        got_counts, got_fn = _count_below(v, h, energies)
+        assert np.array_equal(got_counts, counts)
+        assert got_fn.tobytes() == fn.tobytes()
+        assert any(np.array_equal(e, energies) for e in seen)
 
 
 class TestConvergenceOrder:
