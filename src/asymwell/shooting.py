@@ -31,8 +31,10 @@ barrier lies toward b, and the pass from b is the mode that decays into it,
 so the node check sees a clean tail.  Its sample at -a, the converged
 energy's residual, is set to the boundary value 0, and each state is signed
 to rise from -a.  The solution from b also gives the Sturm count, its sign
-changes over one trajectory per 32 trial energies, whose parity is the sign
-of that pass's psi(-a), gives each root its own bracket in the root policy.
+changes, whose parity is the sign of its psi(-a), which gives each root its
+own bracket in the root policy: from its trajectories at the lowest and highest
+trial energy and one sweep over all, as the count does not decrease with E,
+else from one trajectory per 32 trial energies.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ _RENORM_CAP = 1e250          # rescale the running solution past this magnitude
 _RENORM = 1.0 / _RENORM_CAP  # by this factor, exactly 1e-250
 _BLOCK = 32                  # Numerov steps multiplied together per transfer block
 _BLOCK_GROWTH = 1e40         # bound on one block's amplification, far below 1e308 / cap
-_CHUNK = 32                  # trial energies per pass; at 4000 cells ~1 MB per array, 4.5 MB peak
+_CHUNK = 32                  # trial energies per pass or count sweep; at 4000 cells 4.5 MB peak
 _NARROW = {False: 16, True: 10}  # widest chunk carried per energy in floats: sweep, trajectory
 
 
@@ -217,15 +219,43 @@ def count_sign_changes(values: np.ndarray) -> np.ndarray:
 
 def _count_below(v: np.ndarray, h: float, energies) -> tuple[np.ndarray, np.ndarray]:
     """Sturm count, the states below each energy, and the root policy's fn
-    there, from one pass: the sign changes of the solution from psi(b) = 0 and
-    its last sample psi(-a).  It crosses the barrier first, so no rescale can
-    zero its nodes."""
+    there: the sign changes of the solution from psi(b) = 0, which crosses the
+    barrier first, so no rescale can zero its nodes, and its last sample psi(-a).
+
+    3 to ``_CHUNK`` energies inside the grid's window take trajectories at the
+    lowest and highest only, for N_lo and N_hi, and, where N_hi - N_lo is below
+    their number, fn from one sweep, with the bits of a trajectory's last sample.
+    Parity: the first sample from b is positive and zeros are ignored, so N is
+    odd where fn < 0.  Monotone count: with t < 1, u = (1 - t) psi keeps psi's
+    signs and u[i+1] + u[i-1] = d[i] u[i], d = (2 + 10 t) / (1 - t), a Sturm
+    sequence whose d falls as E grows, so N does not decrease.  Each gap between
+    the sorted energies holds at least fn's sign flips across it, with their
+    parity; where no fn is 0 and the flips add up to N_hi - N_lo, it holds
+    exactly those.  Else the count takes one trajectory per ``_CHUNK`` energies.
+    """
     e = np.atleast_1d(np.asarray(energies, dtype=float))
+    bottom, top = _window(v, h)
+    if 2 < e.size <= _CHUNK and bottom < e.min() and e.max() < top:
+        ends = _transfer_blocks(v[::-1], h, np.array([e.min(), e.max()]), path=True)
+        n_lo, n_hi = count_sign_changes(ends[1:])
+        if n_hi - n_lo < e.size:
+            last = _sweep_final(v[::-1], h, e)
+            order = np.argsort(e, kind="stable")
+            flips = np.diff(last[order] < 0.0)
+            if last.all() and np.count_nonzero(flips) == n_hi - n_lo:
+                out = np.empty(e.shape, dtype=int)
+                out[order] = n_lo + np.concatenate([[0], np.cumsum(flips)])
+                return out.reshape(np.shape(energies)), last.reshape(np.shape(energies))
     out, last = np.empty(e.shape, dtype=int), np.empty(e.shape)
     for lo in range(0, e.size, _CHUNK):
         path = _transfer_blocks(v[::-1], h, e[lo : lo + _CHUNK], path=True)
         out[lo : lo + _CHUNK], last[lo : lo + _CHUNK] = count_sign_changes(path[1:]), path[-1]
     return out.reshape(np.shape(energies)), last.reshape(np.shape(energies))
+
+
+def _window(v: np.ndarray, h: float) -> tuple[float, float]:
+    """The window (lo, top) of energies where every t lies in (-1/2, 1); see ``_stable_grid``."""
+    return v.max() - 12.0 / (h * h), v.min() + 6.0 / (h * h)
 
 
 def _stable_grid(spec: WellSpec, n_grid: int, e_hi: float = 0.0):
@@ -240,7 +270,7 @@ def _stable_grid(spec: WellSpec, n_grid: int, e_hi: float = 0.0):
     """
     xs, h = _build_grid(spec, n_grid)
     v = sample(spec, xs)
-    lo, top = v.max() - 12.0 / (h * h), v.min() + 6.0 / (h * h)
+    lo, top = _window(v, h)
     if lo >= 0.0:
         need = 2 * int(spec.width * math.sqrt(v.max() / 12.0) / 2.0) + 2
         raise ValueError(f"n_grid={n_grid} is too coarse for a floor of height "

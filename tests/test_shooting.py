@@ -243,6 +243,28 @@ class TestKernel:
                 tracemalloc.stop()
             assert peak <= limit * 2**20, peak
 
+    def test_probe_count_takes_two_trajectory_energies(self, monkeypatch):
+        # the root policy's 31 count probes of the standard study: one sweep
+        # gives fn at all of them, and trajectories at the lowest and highest
+        # their counts.  Traced peaks of 4.25 MiB with a trajectory over all
+        # 31, 3.02 MiB with the two when this test was written
+        probes, count = [], shooting._count_below
+        monkeypatch.setattr(shooting, "_count_below",
+                            lambda v, h, e: probes.append(e) or count(v, h, e))
+        find_spectrum_numeric(SMOOTH, 41.75, 4000)
+        assert probes[0].size == 31
+        xs, h = _build_grid(SMOOTH, 4000)
+        v = sample(SMOOTH, xs)
+        seen = recorded_trajectories(monkeypatch)
+        tracemalloc.start()
+        try:
+            count(v, h, probes[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(e.size for e in seen) <= 2, [e.size for e in seen]
+        assert peak <= 3.2 * 2**20, peak
+
     def test_standard_study_energies_unchanged(self):
         sols = find_spectrum_numeric(SMOOTH, 41.75, 4000)
         assert [s.energy for s in sols] == pytest.approx(STUDY_ENERGIES, rel=1e-10)
