@@ -222,9 +222,10 @@ def _count_below(v: np.ndarray, h: float, energies) -> tuple[np.ndarray, np.ndar
     there: the sign changes of the solution from psi(b) = 0, which crosses the
     barrier first, so no rescale can zero its nodes, and its last sample psi(-a).
 
-    3 to ``_CHUNK`` energies inside the grid's window take trajectories at the
-    lowest and highest only, for N_lo and N_hi, and, where N_hi - N_lo is below
-    their number, fn from one sweep, with the bits of a trajectory's last sample.
+    3 to ``_CHUNK`` energies take trajectories at the lowest and highest only,
+    for N_lo and N_hi, and, where N_hi - N_lo is below their number, fn from one
+    sweep, with the bits of a trajectory's last sample.  Two facts hold inside
+    the grid's window, where the callers keep every energy (``_stable_grid``).
     Parity: the first sample from b is positive and zeros are ignored, so N is
     odd where fn < 0.  Monotone count: with t < 1, u = (1 - t) psi keeps psi's
     signs and u[i+1] + u[i-1] = d[i] u[i], d = (2 + 10 t) / (1 - t), a Sturm
@@ -234,8 +235,7 @@ def _count_below(v: np.ndarray, h: float, energies) -> tuple[np.ndarray, np.ndar
     exactly those.  Else the count takes one trajectory per ``_CHUNK`` energies.
     """
     e = np.atleast_1d(np.asarray(energies, dtype=float))
-    bottom, top = _window(v, h)
-    if 2 < e.size <= _CHUNK and bottom < e.min() and e.max() < top:
+    if 2 < e.size <= _CHUNK:
         ends = _transfer_blocks(v[::-1], h, np.array([e.min(), e.max()]), path=True)
         n_lo, n_hi = count_sign_changes(ends[1:])
         if n_hi - n_lo < e.size:
@@ -253,11 +253,6 @@ def _count_below(v: np.ndarray, h: float, energies) -> tuple[np.ndarray, np.ndar
     return out.reshape(np.shape(energies)), last.reshape(np.shape(energies))
 
 
-def _window(v: np.ndarray, h: float) -> tuple[float, float]:
-    """The window (lo, top) of energies where every t lies in (-1/2, 1); see ``_stable_grid``."""
-    return v.max() - 12.0 / (h * h), v.min() + 6.0 / (h * h)
-
-
 def _stable_grid(spec: WellSpec, n_grid: int, e_hi: float = 0.0):
     """Grid, spacing, sampled floor and the window (lo, top) = (max V - 12 / h^2,
     min V + 6 / h^2) of energies where every t = h^2 (V - E) / 12 lies in (-1/2, 1).
@@ -270,7 +265,7 @@ def _stable_grid(spec: WellSpec, n_grid: int, e_hi: float = 0.0):
     """
     xs, h = _build_grid(spec, n_grid)
     v = sample(spec, xs)
-    lo, top = _window(v, h)
+    lo, top = v.max() - 12.0 / (h * h), v.min() + 6.0 / (h * h)
     if lo >= 0.0:
         need = 2 * int(spec.width * math.sqrt(v.max() / 12.0) / 2.0) + 2
         raise ValueError(f"n_grid={n_grid} is too coarse for a floor of height "
