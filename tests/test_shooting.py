@@ -246,8 +246,8 @@ class TestKernel:
     def test_probe_count_takes_two_trajectory_energies(self, monkeypatch):
         # the root policy's 31 count probes of the standard study: one sweep
         # gives fn at all of them, and trajectories at the lowest and highest
-        # their counts.  Traced peaks of 4.25 MiB with a trajectory over all
-        # 31, 3.02 MiB with the two when this test was written
+        # their counts.  Traced peaks of 4.12 MiB with a trajectory over all
+        # 31, 2.99 MiB with the two when this test was written
         probes, count = [], shooting._count_below
         monkeypatch.setattr(shooting, "_count_below",
                             lambda v, h, e: probes.append(e) or count(v, h, e))
@@ -389,6 +389,18 @@ class TestCountBits:
         assert np.array_equal(got_counts, counts)
         assert got_fn.tobytes() == fn.tobytes()
 
+    @staticmethod
+    def count_by_trajectories(monkeypatch, v, h, energies):
+        """Count and fn of ``_count_below``, checked bit for bit against a pass
+        per energy and to come from a trajectory over the whole set."""
+        counts, fn = one_pass_each(v, h, energies)
+        seen = recorded_trajectories(monkeypatch)
+        got_counts, got_fn = _count_below(v, h, energies)
+        assert np.array_equal(got_counts, counts)
+        assert got_fn.tobytes() == fn.tobytes()
+        assert any(np.array_equal(e, energies) for e in seen)
+        return counts, fn
+
     def test_energy_on_a_computed_level_takes_the_trajectories(self, monkeypatch):
         # on a flat floor 10 c E = 2 makes each Numerov step psi[i+1] = -psi[i-1]
         # exactly, so psi vanishes at every other sample, -a included: fn == 0
@@ -396,14 +408,8 @@ class TestCountBits:
         xs, h = _build_grid(flat, 100)
         v = sample(flat, xs)
         energies = 2.0 / (10.0 * (h * h / 12.0)) * np.array([0.99, 0.995, 1.0, 1.005, 1.01])
-        counts, fn = one_pass_each(v, h, energies)
-        assert fn[2] == 0.0
-        assert counts[-1] - counts[0] < energies.size
-        seen = recorded_trajectories(monkeypatch)
-        got_counts, got_fn = _count_below(v, h, energies)
-        assert np.array_equal(got_counts, counts)
-        assert got_fn.tobytes() == fn.tobytes()
-        assert any(np.array_equal(e, energies) for e in seen)
+        counts, fn = self.count_by_trajectories(monkeypatch, v, h, energies)
+        assert fn[2] == 0.0 and counts[-1] - counts[0] < energies.size
 
     def test_gap_with_two_levels_takes_the_trajectories(self, monkeypatch):
         # levels 5 and 6 (20.33 and 22.06) share the gap (19, 23); the counts
@@ -411,13 +417,8 @@ class TestCountBits:
         xs, h = _build_grid(SMOOTH, 4000)
         v = sample(SMOOTH, xs)
         energies = np.array([1.0, 3.0, 5.0, 7.0, 10.0, 12.0, 19.0, 23.0, 26.0, 30.0])
-        counts, fn = one_pass_each(v, h, energies)
+        counts, _ = self.count_by_trajectories(monkeypatch, v, h, energies)
         assert list(counts) == [0, 1, 2, 2, 3, 3, 4, 6, 7, 8]
-        seen = recorded_trajectories(monkeypatch)
-        got_counts, got_fn = _count_below(v, h, energies)
-        assert np.array_equal(got_counts, counts)
-        assert got_fn.tobytes() == fn.tobytes()
-        assert any(np.array_equal(e, energies) for e in seen)
 
 
 class TestConvergenceOrder:
