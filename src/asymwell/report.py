@@ -78,17 +78,12 @@ class RunConfig:
                 potential_mod._finite(getattr(self, name), name)
         if self.grid % 2:
             raise ValueError(f"grid must be even, got {self.grid}")
-        self.well()  # fail fast on bad geometry or smoothing scales
+        well = self.well()  # fail fast on bad geometry or smoothing scales
         # cmd_smoothing smooths a sharp-step configuration too, with either scale
         Exponential(self.delta), Linear(self.epsilon)
-        if self.n_max is not None:
-            try:
-                fits = self.n_max <= 2**53 and self.energy_cap() < math.inf
-            except OverflowError:  # float ** raises where * and + reach inf
-                fits = False
-            if not fits:
-                raise ValueError(f"n_max must be at most 2**53 and set a finite energy "
-                                 f"cutoff, got {self.n_max}")
+        if self.n_max is not None and (self.n_max > 2**53 or not self.energy_cap(well) < math.inf):
+            raise ValueError(f"n_max must be at most 2**53 and set a finite energy "
+                             f"cutoff, got {self.n_max}")
 
     def well(self) -> WellSpec:
         if self.smoothing == "exponential":
@@ -100,11 +95,18 @@ class RunConfig:
     def step_well(self) -> WellSpec:
         return WellSpec(self.a, self.b, self.v0)
 
-    def energy_cap(self) -> float:
-        if self.e_max is not None:
-            return self.e_max
-        width = self.a + self.b
-        return (self.n_max * math.pi / width) ** 2 + self.v0 + 1.0
+    def energy_cap(self, well: WellSpec) -> float:
+        return self.e_max if self.e_max is not None else _level_cap(well, self.n_max)
+
+
+def _level_cap(well: WellSpec, n: int) -> float:
+    """1 above the least V(x) + (n pi / (x + a))^2 over 1000 x in (-a, b], a bound on level n:
+    a hard wall moved in to x only raises the levels, and left of x the nondecreasing floor
+    is at most V(x).  x = b gives the flat-well bound (n pi / (a + b))^2 + v0 + 1."""
+    xs = np.linspace(-well.a, well.b, 1001)[1:]
+    with np.errstate(over="ignore"):  # inf, which RunConfig refuses
+        kinetic = (n * math.pi / (xs + well.a)) ** 2
+        return float(np.min(potential_mod.sample(well, xs) + kinetic)) + 1.0
 
 
 def _fields(command: str | None) -> list[Field]:
@@ -134,17 +136,17 @@ def _config_items(config: RunConfig, command: str,
 def _analytic_arrays(config: RunConfig) -> tuple[np.ndarray, ...]:
     """The sharp step's states below the cutoff as the arrays of ``spectrum._solve_state``:
     the one route from the root solve to every table."""
-    solved = spectrum_mod._solve(config.step_well(), config.energy_cap())
-    return tuple(_lowest(config, column) for column in solved)
+    cap = config.energy_cap(spec := config.step_well())
+    return tuple(_lowest(config, column, cap) for column in spectrum_mod._solve(spec, cap))
 
 
-def _lowest(config: RunConfig, states):
-    """The lowest ``n_max`` states when ``n_max`` is the cutoff, else all of them;
-    the cap lies above the n_max-th level of any floor between 0 and v0."""
+def _lowest(config: RunConfig, states, cap: float):
+    """All ``states``, or with ``n_max`` the lowest n_max, solved to ``cap`` above level n_max."""
     if config.n_max is None:
         return states
     if len(states) < config.n_max:
-        raise RuntimeError(f"only {len(states)} states found, n_max={config.n_max}")
+        raise RuntimeError(f"only {len(states)} states found, n_max={config.n_max}, "
+                           f"below the cap {cap:.6g}")
     return states[: config.n_max]
 
 
@@ -198,8 +200,9 @@ def cmd_wavefunction(config: RunConfig, n: int) -> Table:
     else:
         from . import shooting as shooting_mod
 
-        sols = shooting_mod.find_spectrum_numeric(well, config.energy_cap(), config.grid)
-        sol = _nth(_lowest(config, sols), n)
+        cap = config.energy_cap(well)
+        sols = shooting_mod.find_spectrum_numeric(well, cap, config.grid)
+        sol = _nth(_lowest(config, sols, cap), n)
         values = _cubic_interp(xs, sol.grid, sol.values)
         energy, step = sol.energy, sol.step
     pot = potential_mod.sample(well, xs)
@@ -262,8 +265,8 @@ def cmd_smoothing(config: RunConfig) -> Table:
 
     The smoothing family follows the configuration (exponential unless
     ``linear`` is selected).  Classical values are taken at the sharp-step
-    energies.  The sharp-step columns come from the solved arrays; each check
-    names the lowest state that fails it.
+    energies.  Levels pair by index: both spectra are complete from the ground
+    state, the smoothed one solved to ``_level_cap``, so any shift is physics.
     """
     from . import shooting as shooting_mod
 
@@ -271,16 +274,13 @@ def cmd_smoothing(config: RunConfig) -> Table:
     smooth_well = replace(config, smoothing=family).well()
     scale = config.epsilon if family == "linear" else config.delta
     energy, *_, amp_left, amp_right, left, right = _analytic_arrays(config)
-    cap = config.energy_cap() * 1.05 + config.v0 * scale + 1.0
+    cap = _level_cap(smooth_well, energy.size)
     sols = shooting_mod.find_spectrum_numeric(smooth_well, cap, config.grid)[: energy.size]
     if len(sols) < energy.size:
         raise RuntimeError(f"smoothed spectrum has {len(sols)} states below its cap {cap:.6g}, "
-                           f"fewer than the sharp step's {energy.size}; raise the energy cap")
+                           f"fewer than the sharp step's {energy.size}")
     e_smooth = np.array([sol.energy for sol in sols])
     de = (e_smooth - energy) / energy
-    if np.count_nonzero(bad := np.abs(de) > 0.5):
-        i = int(bad.argmax())
-        raise RuntimeError(f"implausible smoothing shift {de[i]:.2g} at state {i + 1}")
     p_step, _ = spectrum_mod._probabilities(amp_left, amp_right, left, right)
     p_cl = classical_mod._time_shares(config.step_well(), energy)[2]
     columns = (range(1, energy.size + 1), energy.tolist(), e_smooth.tolist(), de.tolist(),

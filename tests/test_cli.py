@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import asymwell
-from asymwell import report
+from asymwell import Exponential, Linear, WellSpec, report, shooting
 from asymwell.report import Table, main
 
 # sha256 of the standard tables, recorded before the parser was derived from
@@ -415,13 +415,29 @@ def test_momentum_past_the_bound_fails_at_solve(capsys):
     assert err == "asymwell momentum: solve: p_max must be at most 1e+150, got 1e+200\n"
 
 
-def test_implausible_smoothing_shift_fails_at_solve(capsys):
+@pytest.mark.parametrize("argv, smooth, e_max", [
     # a ramp of half-width 2.9 lifts the floor of most of the left pocket, so the
-    # ground state moves by 4.3 times its sharp-step energy
-    assert main("smoothing --smoothing linear --epsilon 2.9".split()) == 1
+    # ground state moves by 4.26 times its sharp-step energy
+    ("smoothing --smoothing linear --epsilon 2.9", WellSpec(3, 3, 20, Linear(2.9)), 35.0),
+    ("smoothing --v0 200", WellSpec(3, 3, 200, Exponential(0.2)), 35.0),
+    # a sigmoid of scale 0.19 fills much of a left pocket of width 0.5: the two
+    # sharp-step states rise to 297 and 503, past the cutoff of 160
+    ("smoothing --a 0.5 --b 5 --v0 1500 --delta 0.19 --e-max 160",
+     WellSpec(0.5, 5, 1500, Exponential(0.19)), 160.0),
+], ids=["ramp-2.9", "v0-200", "narrow-left-pocket"])
+def test_large_smoothing_shift_is_emitted(argv, smooth, e_max, capsys):
+    # levels pair by index and both spectra are complete from the ground state,
+    # so a large shift is emitted, not refused; the smoothed column holds the
+    # lowest levels below the bracketing cap
+    assert main(argv.split()) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "asymwell smoothing: solve: implausible smoothing shift 4.3 at state 1\n"
+    assert err == ""
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+    step = WellSpec(smooth.a, smooth.b, smooth.v0)
+    assert len(rows) == len(asymwell.find_spectrum(step, e_max))
+    sols = shooting.find_spectrum_numeric(smooth, report._level_cap(smooth, len(rows)), 4000)
+    assert [float(row[2]) for row in rows] == [
+        float(f"{sol.energy:.12g}") for sol in sols[:len(rows)]]
 
 
 def test_cutoff_past_the_numeric_spectrum_fails_at_solve(capsys):

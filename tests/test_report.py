@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import simpson
 
-from asymwell import (ScanResolutionError, WellSpec, classical, find_spectrum, report, shooting,
-                      side_probabilities, spectrum)
+from asymwell import (Exponential, Linear, ScanResolutionError, WellSpec, classical,
+                      find_spectrum, potential, report, shooting, side_probabilities, spectrum)
 from asymwell._rootscan import bracket_and_bisect, scan_step
 from asymwell.report import (
     RunConfig,
@@ -480,9 +480,39 @@ class TestSelfChecks:
         find = shooting.find_spectrum_numeric
         monkeypatch.setattr(shooting, "find_spectrum_numeric", lambda *args: find(*args)[:4])
         with pytest.raises(RuntimeError, match=re.escape(
-                "smoothed spectrum has 4 states below its cap 41.75, fewer than the sharp "
-                "step's 9; raise the energy cap")):
+                "smoothed spectrum has 4 states below its cap 43.2066, fewer than the sharp "
+                "step's 9")):
             cmd_smoothing(cfg())
+
+
+class TestLevelCap:
+    """``report._level_cap`` lies above level n of the grid's and the closed form's
+    spectrum, and never above the flat-well bound the ``n_max`` cutoff was before."""
+
+    @given(family=st.sampled_from(["step", "sigmoid", "ramp"]), a=st.floats(0.3, 5.0),
+           b=st.floats(0.3, 5.0), depth=st.floats(0.0, 1.0), scale=st.floats(0.01, 0.5),
+           cells=st.integers(50, 2000), n=st.integers(1, 34))
+    @settings(max_examples=120)
+    def test_caps_level_n(self, family, a, b, depth, scale, cells, n):
+        smoothing = {"step": None, "sigmoid": Exponential(scale),
+                     "ramp": Linear(scale * min(a, b))}[family]
+        # v0 log-uniform from 0 up to 5e4
+        spec = WellSpec(a, b, (5e4 + 1.0) ** depth - 1.0, smoothing)
+        cap = report._level_cap(spec, n)
+        flat = (n * math.pi / (a + b)) ** 2 + spec.v0 + 1.0
+        assert cap <= np.nextafter(flat, math.inf)
+        # the least even grid, at least 2 * cells, that holds the floor and puts
+        # the cap below half its top, V(-a) + 6 / h^2
+        floor_a = float(potential.sample(spec, np.array([-a]))[0])
+        need = (a + b) * math.sqrt(max(cap - floor_a / 2.0, spec.v0 / 4.0) / 3.0)
+        n_grid = max(2 * cells, 2 * int(need / 2.0) + 2)
+        assume(n_grid <= 4000)
+        xs, h = shooting._build_grid(spec, n_grid)
+        v = potential.sample(spec, xs)
+        assume(cap < (v.min() + 6.0 / (h * h)) / 2.0)
+        assert shooting._count_below(v, h, [cap])[0][0] >= n
+        if family == "step" and math.sqrt(spec.v0) * b <= 350.0:
+            assert spectrum._count_below(spec, [cap])[0][0] >= n
 
 
 class TestCli:

@@ -48,8 +48,9 @@ from oracles import (
 STEP = WellSpec(3.0, 3.0, 20.0)
 SMOOTH = WellSpec(3.0, 3.0, 20.0, Exponential(0.2))
 
-# the CLI's standard smoothing study (cap 35 * 1.05 + 20 * 0.2 + 1) at
-# n_grid = 4000, frozen from the per-cell sweep the blocked one replaced
+# the standard smoothing study, the benchmark's, at E <= 41.75 and n_grid = 4000
+# (the CLI's table caps at report._level_cap's 43.21 and solves the same 10
+# states), frozen from the per-cell sweep the blocked one replaced
 STUDY_ENERGIES = [
     1.1835289901468058,
     4.471769890050929,
