@@ -14,16 +14,16 @@ levels below E = 35 at 1000 / 2000 / 4000 / 8000 cells.  So for
 smoothing=None the closed-form solver remains authoritative and this one is a
 consistency check.
 
-Eigenvalues are the trial energies where the solution from psi(b) = 0
-crosses zero at x = -a.  Since the recurrence is linear, psi(-a) is a
-product of 2x2 step matrices; the sweep multiplies them in blocks of 32
-cells, vectorized over blocks and energies with the ~125 blocks innermost
-(most calls hold 2-10 energies, too few for a numpy inner loop), then
-carries the state through the blocks in order, rescaling an energy after
-each block that leaves its state past the overflow cap: one energy at a time
-in Python floats for up to 16 energies (10 for a trajectory), where a numpy
-call costs more than its arithmetic, else all energies per block in numpy,
-with the same bits.
+Every pass reads one ``_Grid``: the floor sampled from -a and from b, and the
+energy window.  Eigenvalues are the trial energies where the solution from
+psi(b) = 0 crosses zero at x = -a.  Since the recurrence is linear, psi(-a) is
+a product of 2x2 step matrices; the sweep multiplies them in blocks of 32
+cells, vectorized over blocks and energies with the ~125 blocks innermost (most
+calls hold 2-10 energies, too few for a numpy inner loop), then carries the
+state through the blocks in order, rescaling an energy after each block that
+leaves its state past the overflow cap: one energy at a time in Python floats
+for up to 16 energies (10 for a trajectory), where a numpy call costs more than
+its arithmetic, else all energies per block in numpy, with the same bits.
 
 A converged state is the solution from psi(b) = 0, one backward trajectory
 per 32 states.  Every floor ``WellSpec`` accepts is nondecreasing, so the only
@@ -79,14 +79,18 @@ class GridSolution:
     step: float
 
 
-def _build_grid(spec: WellSpec, n_grid: int) -> tuple[np.ndarray, float]:
-    if _integer(n_grid, "n_grid", 100) % 2:
-        raise ValueError(f"n_grid must be even, got {n_grid}")
-    xs = np.linspace(-spec.a, spec.b, n_grid + 1)
-    h = spec.width / n_grid
-    # snap float dust at the step location so the midpoint sample applies
-    xs[np.abs(xs) < h * 1e-6] = 0.0
-    return xs, h
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """The grid over [-a, b], its floor sampled from -a (``v``) and from b
+    (``from_b``, the same samples reversed), and its window (lo, top)."""
+
+    spec: WellSpec
+    xs: np.ndarray
+    h: float
+    v: np.ndarray
+    from_b: np.ndarray
+    lo: float
+    top: float
 
 
 def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.ndarray:
@@ -199,12 +203,19 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
 
 def _sweep_final(v: np.ndarray, h: float, energies: np.ndarray) -> np.ndarray:
     """psi at the last sample of ``v`` from psi = 0 at its first, for each trial
-    energy (vectorized): psi(b), or on ``v[::-1]`` psi(-a), whose zeros are eigenvalues."""
+    energy (vectorized): psi(b), or on ``_Grid.from_b`` psi(-a), whose zeros are eigenvalues."""
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     out = np.empty(e.shape)
     for lo in range(0, e.size, _CHUNK):
         out[lo : lo + _CHUNK] = _transfer_blocks(v, h, e[lo : lo + _CHUNK], path=False)
     return out
+
+
+def _trajectories(grid: _Grid, e: np.ndarray):
+    """(offset, energies, trajectories from b) for each ``_CHUNK`` of ``e`` in turn."""
+    for lo in range(0, e.size, _CHUNK):
+        chunk = e[lo : lo + _CHUNK]
+        yield lo, chunk, _transfer_blocks(grid.from_b, grid.h, chunk, path=True)
 
 
 def count_sign_changes(values: np.ndarray) -> np.ndarray:
@@ -217,7 +228,7 @@ def count_sign_changes(values: np.ndarray) -> np.ndarray:
     return np.sum(s[1:] * s[:-1] < 0.0, axis=0)
 
 
-def _count_below(v: np.ndarray, h: float, energies) -> tuple[np.ndarray, np.ndarray]:
+def _count_below(grid: _Grid, energies) -> tuple[np.ndarray, np.ndarray]:
     """Sturm count, the states below each energy, and the root policy's fn
     there: the sign changes of the solution from psi(b) = 0, which crosses the
     barrier first, so no rescale can zero its nodes, and its last sample psi(-a).
@@ -236,10 +247,10 @@ def _count_below(v: np.ndarray, h: float, energies) -> tuple[np.ndarray, np.ndar
     """
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     if 2 < e.size <= _CHUNK:
-        ends = _transfer_blocks(v[::-1], h, np.array([e.min(), e.max()]), path=True)
+        ends = _transfer_blocks(grid.from_b, grid.h, np.array([e.min(), e.max()]), path=True)
         n_lo, n_hi = count_sign_changes(ends[1:])
         if n_hi - n_lo < e.size:
-            last = _sweep_final(v[::-1], h, e)
+            last = _sweep_final(grid.from_b, grid.h, e)
             order = np.argsort(e, kind="stable")
             flips = np.diff(last[order] < 0.0)
             if last.all() and np.count_nonzero(flips) == n_hi - n_lo:
@@ -247,14 +258,13 @@ def _count_below(v: np.ndarray, h: float, energies) -> tuple[np.ndarray, np.ndar
                 out[order] = n_lo + np.concatenate([[0], np.cumsum(flips)])
                 return out.reshape(np.shape(energies)), last.reshape(np.shape(energies))
     out, last = np.empty(e.shape, dtype=int), np.empty(e.shape)
-    for lo in range(0, e.size, _CHUNK):
-        path = _transfer_blocks(v[::-1], h, e[lo : lo + _CHUNK], path=True)
+    for lo, _, path in _trajectories(grid, e):
         out[lo : lo + _CHUNK], last[lo : lo + _CHUNK] = count_sign_changes(path[1:]), path[-1]
     return out.reshape(np.shape(energies)), last.reshape(np.shape(energies))
 
 
-def _stable_grid(spec: WellSpec, n_grid: int, e_hi: float = 0.0):
-    """Grid, spacing, sampled floor and the window (lo, top) = (max V - 12 / h^2,
+def _stable_grid(spec: WellSpec, n_grid: int, e_hi: float = 0.0) -> _Grid:
+    """The even n_grid-cell grid with its window (lo, top) = (max V - 12 / h^2,
     min V + 6 / h^2) of energies where every t = h^2 (V - E) / 12 lies in (-1/2, 1).
 
     Below lo the solution flips sign every cell at the highest sample; past top a
@@ -263,7 +273,12 @@ def _stable_grid(spec: WellSpec, n_grid: int, e_hi: float = 0.0):
     below V(-a), psi from psi(-a) = 0 only grows.  ``ValueError`` when lo >= 0, the
     floor of every scan, or when a finite ``e_hi`` reaches top.
     """
-    xs, h = _build_grid(spec, n_grid)
+    if _integer(n_grid, "n_grid", 100) % 2:
+        raise ValueError(f"n_grid must be even, got {n_grid}")
+    xs = np.linspace(-spec.a, spec.b, n_grid + 1)
+    h = spec.width / n_grid
+    # snap float dust at the step location so the midpoint sample applies
+    xs[np.abs(xs) < h * 1e-6] = 0.0
     v = sample(spec, xs)
     lo, top = v.max() - 12.0 / (h * h), v.min() + 6.0 / (h * h)
     if lo >= 0.0:
@@ -274,17 +289,17 @@ def _stable_grid(spec: WellSpec, n_grid: int, e_hi: float = 0.0):
         need = 2 * int(spec.width * math.sqrt((e_hi - v.min()) / 6.0) / 2.0) + 2
         raise ValueError(f"e_max={e_hi!r} reaches {top:.6g}, the top of the {n_grid}-cell grid's "
                          f"spectrum: Numerov needs n_grid >= {need} here")
-    return xs, h, v, lo, top
+    return _Grid(spec, xs, h, v, v[::-1], lo, top)
 
 
 def shoot(spec: WellSpec, energy: float, n_grid: int) -> float:
     """Shooting mismatch psi(b) for one trial energy inside the n_grid-cell grid's
     window (see ``_stable_grid``); ``ValueError`` at or past either edge, NaN included."""
-    _, h, v, lo, top = _stable_grid(spec, n_grid)
-    if not lo < energy < top:
+    grid = _stable_grid(spec, n_grid)
+    if not grid.lo < energy < grid.top:
         raise ValueError(f"energy={energy!r} is outside the stable range of the {n_grid}-cell "
-                         f"grid: Numerov needs a finite E in ({lo:.6g}, {top:.6g})")
-    return float(_sweep_final(v, h, np.asarray([energy]))[0])
+                         f"grid: Numerov needs a finite E in ({grid.lo:.6g}, {grid.top:.6g})")
+    return float(_sweep_final(grid.v, grid.h, np.asarray([energy]))[0])
 
 
 def find_spectrum_numeric(spec: WellSpec, e_max: float, n_grid: int) -> list[GridSolution]:
@@ -296,11 +311,11 @@ def find_spectrum_numeric(spec: WellSpec, e_max: float, n_grid: int) -> list[Gri
     the floor or for e_max raises ``ValueError``; a state whose interior node
     count is other than n - 1 raises ``NodeCountError``.
     """
-    xs, h, v, _, _ = _stable_grid(spec, n_grid, e_max)
-    roots = bracket_and_bisect(lambda es: _sweep_final(v[::-1], h, es),
-                               lambda es: _count_below(v, h, es),
+    grid = _stable_grid(spec, n_grid, e_max)
+    roots = bracket_and_bisect(lambda es: _sweep_final(grid.from_b, grid.h, es),
+                               lambda es: _count_below(grid, es),
                                e_max, scan_step(spec.a, spec.b), _BISECT_TOL)
-    sols = _normalized_solution(spec, xs, v, h, roots)
+    sols = _normalized_solution(grid, roots)
     for s in sols:
         counted = interior_nodes(s)
         if counted != s.n - 1:
@@ -323,7 +338,7 @@ def interior_nodes(sol: GridSolution) -> int:
     return count_sign_changes(np.where(np.abs(interior) > floor, interior, 0.0))
 
 
-def _normalized_solution(spec, xs, v, h, energies) -> list[GridSolution]:
+def _normalized_solution(grid: _Grid, energies) -> list[GridSolution]:
     """The Simpson-normalized state from b at each energy, numbered from 1.
 
     Its sample at -a is set to 0.  Dividing by the first interior sample signs
@@ -331,16 +346,13 @@ def _normalized_solution(spec, xs, v, h, energies) -> list[GridSolution]:
     samples near 1e290, while the left wall is classically allowed at every
     level, so the peak is at most about n_grid / 3 times that sample.
     """
-    e = np.asarray(energies, dtype=float)
     sols = []
-    for lo in range(0, e.size, _CHUNK):
-        chunk = e[lo : lo + _CHUNK]
-        paths = _transfer_blocks(v[::-1], h, chunk, path=True)[::-1]
-        paths[0] = 0.0
-        for n, (energy, values) in enumerate(zip(chunk.tolist(), paths.T), start=lo + 1):
+    for lo, chunk, paths in _trajectories(grid, np.asarray(energies, dtype=float)):
+        paths[-1] = 0.0
+        for n, (energy, values) in enumerate(zip(chunk.tolist(), paths[::-1].T), start=lo + 1):
             values = values / values[1]
-            sols.append(GridSolution(spec=spec, n=n, energy=energy, grid=xs, step=h,
-                                     values=values / math.sqrt(simpson(values**2, xs))))
+            sols.append(GridSolution(spec=grid.spec, n=n, energy=energy, grid=grid.xs, step=grid.h,
+                                     values=values / math.sqrt(simpson(values**2, grid.xs))))
     return sols
 
 

@@ -221,8 +221,10 @@ def _solve_state(spec: WellSpec, energies) -> tuple[np.ndarray, ...]:
                      np.abs(A * dl - B * dfr) / np.maximum(k * np.abs(A), w * np.abs(B)))
     if np.count_nonzero(bad := res > _RESIDUAL_TOL):
         i = int(bad.argmax())
-        raise ValueError(f"matching residual {res[i]:.3e} at E={float(e[i])!r}: "
-                         "energy is not a root of the characteristic")
+        e_i, tol, ground = float(e[i]), _BISECT_TOL * max(1.0, e[i]), (math.pi / spec.width) ** 2
+        raise ValueError(f"matching residual {res[i]:.3e} at E={e_i!r}: energy is not a root of "
+                         f"the characteristic within the solve tolerance {tol:.3g} = "
+                         f"{tol / e_i:.3g} E, at the ground scale (pi/(a+b))^2 = {ground:.3g}")
 
     left, right = _sq_integral(k, spec.a), _sq_integral(w, spec.b, below)
     scale = np.sqrt(A * A * left + B * B * right)

@@ -187,22 +187,23 @@ def _scan_and_bisect(fn, e_max: float, step: float, tol_rel: float) -> list[floa
     return sorted(roots)
 
 
-def reference_solution(xs: np.ndarray, v: np.ndarray, h: float, energy: float) -> np.ndarray:
-    """Normalized Numerov state at one energy from one single-energy trajectory
-    pass from b: its sample at -a set to 0, then divided by the first interior
-    sample, so it rises from -a."""
-    values = _transfer_blocks(v[::-1], h, np.asarray([float(energy)]), path=True)[::-1, 0]
+def reference_solution(grid, energy: float) -> np.ndarray:
+    """Normalized Numerov state at one energy on a shooting grid (``_stable_grid``)
+    from one single-energy trajectory pass from b: its sample at -a set to 0,
+    then divided by the first interior sample, so it rises from -a."""
+    values = _transfer_blocks(grid.v[::-1], grid.h, np.asarray([float(energy)]),
+                              path=True)[::-1, 0]
     values[0] = 0.0
     values = values / values[1]
-    return values / math.sqrt(simpson(values**2, x=xs))
+    return values / math.sqrt(simpson(values**2, x=grid.xs))
 
 
-def stitched_solution(xs: np.ndarray, v: np.ndarray, h: float, energy: float) -> np.ndarray:
-    """Normalized Numerov state at one energy, stitched from two single-energy
-    trajectory passes, a forward one from -a and a backward one from b."""
-    split = int(np.searchsorted(xs, 0.0, side="right")) - 1
-    values = _sweep_full(v, h, energy, split)
-    norm = simpson(values**2, x=xs)
+def stitched_solution(grid, energy: float) -> np.ndarray:
+    """Normalized Numerov state at one energy on a shooting grid, stitched from two
+    single-energy trajectory passes, a forward one from -a and a backward one from b."""
+    split = int(np.searchsorted(grid.xs, 0.0, side="right")) - 1
+    values = _sweep_full(grid.v, grid.h, energy, split)
+    norm = simpson(values**2, x=grid.xs)
     values = values / math.sqrt(norm)
     if values[1] < 0:
         values = -values

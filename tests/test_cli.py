@@ -200,6 +200,18 @@ def test_wavefunction_at_the_walls_names_its_values(monkeypatch, capsys):
                                        "past the tolerance 1e-09 (grid=4000, samples=101)\n")
 
 
+def test_matching_residual_names_the_tolerance(capsys):
+    # the root policy's tolerance is absolute below E = 1, and this well's ground
+    # level sits at 2.7e-9: the refusal names that tolerance and the well's scale
+    message = ("matching residual 2.397e-05 at E=2.741598610916957e-09: energy is not a root "
+               "of the characteristic within the solve tolerance 1e-13 = 3.65e-05 E, at the "
+               "ground scale (pi/(a+b))^2 = 2.74e-09")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        asymwell.find_spectrum(WellSpec(3e4, 3e4, 0.0), 1e-8)
+    assert main("spectrum --a 30000 --b 30000 --v0 0 --e-max 1e-8".split()) == 1
+    assert capsys.readouterr() == ("", f"asymwell spectrum: solve: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     "spectrum --e-max inf", "spectrum --a inf", "spectrum --b inf", "spectrum --v0 inf",
     "smoothing --delta inf", "smoothing --smoothing linear --epsilon inf",

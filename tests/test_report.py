@@ -507,10 +507,9 @@ class TestLevelCap:
         need = (a + b) * math.sqrt(max(cap - floor_a / 2.0, spec.v0 / 4.0) / 3.0)
         n_grid = max(2 * cells, 2 * int(need / 2.0) + 2)
         assume(n_grid <= 4000)
-        xs, h = shooting._build_grid(spec, n_grid)
-        v = potential.sample(spec, xs)
-        assume(cap < (v.min() + 6.0 / (h * h)) / 2.0)
-        assert shooting._count_below(v, h, [cap])[0][0] >= n
+        grid = shooting._stable_grid(spec, n_grid)
+        assume(cap < grid.top / 2.0)
+        assert shooting._count_below(grid, [cap])[0][0] >= n
         if family == "step" and math.sqrt(spec.v0) * b <= 350.0:
             assert spectrum._count_below(spec, [cap])[0][0] >= n
 
@@ -584,7 +583,7 @@ class TestCli:
             main(["spectrum", "--e-max", "35", "--n-max", "9"])
 
     def test_n_max_whose_cutoff_overflows_rejected(self):
-        # (pi / 3e-200) ** 2 raises OverflowError where * would give inf
+        # _level_cap's numpy (n pi / (x + a)) ** 2 overflows to inf at this width
         with pytest.raises(ValueError, match=re.escape(
                 "n_max must be at most 2**53 and set a finite energy cutoff, got 1")):
             RunConfig(n_max=1, a=1.5e-200, b=1.5e-200)

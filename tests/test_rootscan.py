@@ -151,10 +151,10 @@ def test_numerov_counts_no_level_at_the_scan_step(a, b, v0, floor, width, n_grid
                  "ramp": Linear(width * min(a, b))}.get(floor)
     spec = WellSpec(a, b, 0.0 if floor == "flat" else v0, smoothing)
     try:
-        _, h, v, _, _ = shooting._stable_grid(spec, n_grid)
+        grid = shooting._stable_grid(spec, n_grid)
     except ValueError:    # a grid too coarse for the floor
         assume(False)
-    assert shooting._count_below(v, h, scan_step(a, b))[0] == 0
+    assert shooting._count_below(grid, scan_step(a, b))[0] == 0
 
 
 def test_decreasing_count_raises():

@@ -27,8 +27,8 @@ from asymwell import (
 )
 from asymwell import shooting
 from asymwell.shooting import (
-    _build_grid,
     _count_below,
+    _stable_grid,
     _sweep_final,
     _transfer_blocks,
     count_sign_changes,
@@ -186,8 +186,8 @@ class TestKernel:
     @pytest.mark.parametrize("spec", [STEP, SMOOTH, WellSpec(3.0, 3.0, 1e5)],
                              ids=["step", "sigmoid", "deep"])
     def test_sweep_sign_matches_scalar_recurrence(self, spec):
-        xs, h = _build_grid(spec, 1000)
-        v = sample(spec, xs)
+        grid = _stable_grid(spec, 1000)
+        v, h = grid.v, grid.h
         energies = np.linspace(0.3, 60.0, 83)
         swept = _sweep_final(v, h, energies)
         total = 0
@@ -218,21 +218,21 @@ class TestKernel:
     ], ids=["3-3", "2-4.3", "4-1"])
     def test_energy_values_independent_of_call_mates(self, spec, rescales):
         # the root policy's replay relies on this, rescales or not
-        xs, h = _build_grid(spec, 4000)
-        v = sample(spec, xs)
+        grid = _stable_grid(spec, 4000)
+        v, h = grid.v, grid.h
         energies = np.linspace(0.7, 150.0, 29)
-        swept, counted = _sweep_final(v, h, energies), _count_below(v, h, energies)[0]
+        swept, counted = _sweep_final(v, h, energies), _count_below(grid, energies)[0]
         for e, psi_b, count in zip(energies, swept, counted):
             assert _sweep_final(v, h, e)[0] == psi_b, e
-            assert _count_below(v, h, e)[0] == count, e
+            assert _count_below(grid, e)[0] == count, e
         for e in (0.7, 150.0):   # both directions
             assert scalar_sweep(v, h, e)[1] == scalar_sweep(v[::-1], h, e)[1] == rescales
 
     def test_full_chunk_temporaries_stay_small(self):
         # traced peaks of a full chunk on 4000 cells, whose arrays are about
         # 1 MB each: 3.12 and 4.37 MiB when this test was written
-        xs, h = _build_grid(SMOOTH, 4000)
-        v = sample(SMOOTH, xs)
+        grid = _stable_grid(SMOOTH, 4000)
+        v, h = grid.v, grid.h
         e = np.geomspace(0.5, 200.0, shooting._CHUNK)
         for call, limit in ((lambda: _sweep_final(v, h, e), 3.2),
                             (lambda: _transfer_blocks(v, h, e, path=True), 4.5)):
@@ -251,15 +251,14 @@ class TestKernel:
         # 31, 2.99 MiB with the two when this test was written
         probes, count = [], shooting._count_below
         monkeypatch.setattr(shooting, "_count_below",
-                            lambda v, h, e: probes.append(e) or count(v, h, e))
+                            lambda grid, e: probes.append(e) or count(grid, e))
         find_spectrum_numeric(SMOOTH, 41.75, 4000)
         assert probes[0].size == 31
-        xs, h = _build_grid(SMOOTH, 4000)
-        v = sample(SMOOTH, xs)
+        grid = _stable_grid(SMOOTH, 4000)
         seen = recorded_trajectories(monkeypatch)
         tracemalloc.start()
         try:
-            count(v, h, probes[0])
+            count(grid, probes[0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -297,12 +296,12 @@ class TestKernelBits:
         ("coarse", WellSpec(3.0, 3.0, 1e7), 5478),      # blocks shorter than 32 cells
     ])
     def test_outputs_pinned(self, name, spec, n_grid):
-        xs, h = _build_grid(spec, n_grid)
-        v = sample(spec, xs)
+        grid = _stable_grid(spec, n_grid)
+        v, h = grid.v, grid.h
         digest = hashlib.sha256()
         for m in PIN_WIDTHS:
             e = np.geomspace(0.5, 200.0, m)
-            for out in (_sweep_final(v, h, e), _count_below(v, h, e)[0],
+            for out in (_sweep_final(v, h, e), _count_below(grid, e)[0],
                         _transfer_blocks(v, h, e, path=True),
                         _transfer_blocks(v[::-1], h, e, path=True)):
                 digest.update(np.ascontiguousarray(out, dtype=float).tobytes())
@@ -314,17 +313,17 @@ class TestKernelBits:
         # every width a chunk can have, so a layout slip at a width the pins
         # skip shows; every energy here gets full 32-cell blocks, so each
         # column is its own width-1 pass bit for bit
-        xs, h = _build_grid(SMOOTH, 4000)
-        v = sample(SMOOTH, xs)
+        grid = _stable_grid(SMOOTH, 4000)
+        v, h = grid.v, grid.h
         pool = np.geomspace(0.5, 200.0, shooting._CHUNK)
-        alone = [(_sweep_final(v, h, e)[0], _count_below(v, h, e)[0],
+        alone = [(_sweep_final(v, h, e)[0], _count_below(grid, e)[0],
                   _transfer_blocks(v, h, np.asarray([e]), path=True)[:, 0],
                   _transfer_blocks(v[::-1], h, np.asarray([e]), path=True)[:, 0])
                  for e in pool]
         for m in range(1, shooting._CHUNK + 1):
             picks = np.roll(np.arange(pool.size), m)[:m]
             e = pool[picks]
-            swept, counted = _sweep_final(v, h, e), _count_below(v, h, e)[0]
+            swept, counted = _sweep_final(v, h, e), _count_below(grid, e)[0]
             fwd = _transfer_blocks(v, h, e, path=True)
             bwd = _transfer_blocks(v[::-1], h, e, path=True)
             for col, i in enumerate(picks):
@@ -377,8 +376,8 @@ class TestCountBits:
                      "ramp": Linear(scale * min(a, b))}[family]
         # v0 log-uniform from 1 up to the 12 / h^2 where the grid refuses the floor
         spec = WellSpec(a, b, (0.999 * 12.0 / (h * h)) ** depth, smoothing)
-        xs, h = _build_grid(spec, n_grid)
-        v = sample(spec, xs)
+        grid = _stable_grid(spec, n_grid)
+        v, h = grid.v, grid.h
         # e_max log-uniform from V(-a) + 1 up to the top of the grid's window
         e_max = v.min() + (0.999 * 6.0 / (h * h)) ** reach
         probes = e_max * np.arange(1, m + 1) / m
@@ -386,17 +385,17 @@ class TestCountBits:
                     "shuffled": np.random.default_rng(seed).permutation(probes),
                     "duplicated": np.repeat(probes[: (m + 1) // 2], 2)[:m]}[layout]
         counts, fn = one_pass_each(v, h, energies)
-        got_counts, got_fn = _count_below(v, h, energies)
+        got_counts, got_fn = _count_below(grid, energies)
         assert np.array_equal(got_counts, counts)
         assert got_fn.tobytes() == fn.tobytes()
 
     @staticmethod
-    def count_by_trajectories(monkeypatch, v, h, energies):
+    def count_by_trajectories(monkeypatch, grid, energies):
         """Count and fn of ``_count_below``, checked bit for bit against a pass
         per energy and to come from a trajectory over the whole set."""
-        counts, fn = one_pass_each(v, h, energies)
+        counts, fn = one_pass_each(grid.v, grid.h, energies)
         seen = recorded_trajectories(monkeypatch)
-        got_counts, got_fn = _count_below(v, h, energies)
+        got_counts, got_fn = _count_below(grid, energies)
         assert np.array_equal(got_counts, counts)
         assert got_fn.tobytes() == fn.tobytes()
         assert any(np.array_equal(e, energies) for e in seen)
@@ -406,19 +405,18 @@ class TestCountBits:
         # on a flat floor 10 c E = 2 makes each Numerov step psi[i+1] = -psi[i-1]
         # exactly, so psi vanishes at every other sample, -a included: fn == 0
         flat = WellSpec(3.0, 3.0, 0.0)
-        xs, h = _build_grid(flat, 100)
-        v = sample(flat, xs)
+        grid = _stable_grid(flat, 100)
+        h = grid.h
         energies = 2.0 / (10.0 * (h * h / 12.0)) * np.array([0.99, 0.995, 1.0, 1.005, 1.01])
-        counts, fn = self.count_by_trajectories(monkeypatch, v, h, energies)
+        counts, fn = self.count_by_trajectories(monkeypatch, grid, energies)
         assert fn[2] == 0.0 and counts[-1] - counts[0] < energies.size
 
     def test_gap_with_two_levels_takes_the_trajectories(self, monkeypatch):
         # levels 5 and 6 (20.33 and 22.06) share the gap (19, 23); the counts
         # span 8 levels over 10 energies, whose fn changes sign only 6 times
-        xs, h = _build_grid(SMOOTH, 4000)
-        v = sample(SMOOTH, xs)
+        grid = _stable_grid(SMOOTH, 4000)
         energies = np.array([1.0, 3.0, 5.0, 7.0, 10.0, 12.0, 19.0, 23.0, 26.0, 30.0])
-        counts, _ = self.count_by_trajectories(monkeypatch, v, h, energies)
+        counts, _ = self.count_by_trajectories(monkeypatch, grid, energies)
         assert list(counts) == [0, 1, 2, 2, 3, 3, 4, 6, 7, 8]
 
 
@@ -671,8 +669,7 @@ class TestSturmEnclosures:
                               closed_form_count(spec, energies * (1.0 + 1e-9))[0]))
         n_hi, n_lo = enclosure_counts(spec, n_grid, energies)
         assert np.all(n_hi <= exact) and np.all(exact <= n_lo)
-        xs, _ = _build_grid(spec, n_grid)
-        if np.count_nonzero(xs == 0.0):
+        if np.count_nonzero(_stable_grid(spec, n_grid).xs == 0.0):
             assert np.array_equal(n_hi, exact) and np.array_equal(n_lo, exact)
 
     @pytest.mark.parametrize("spec, e_max", [
@@ -789,24 +786,22 @@ class TestFixedScanParity:
 
     @pytest.mark.parametrize("spec, e_max", FIXED_SCAN_WELLS)
     def test_states_match_the_fixed_scan(self, spec, e_max):
-        xs, h = _build_grid(spec, 4000)
-        v = sample(spec, xs)
-        energies = reference_roots(lambda es: _sweep_final(v[::-1], h, es),
-                                   lambda e: _count_below(v, h, e),
+        grid = _stable_grid(spec, 4000)
+        energies = reference_roots(lambda es: _sweep_final(grid.from_b, grid.h, es),
+                                   lambda e: _count_below(grid, e),
                                    e_max, scan_step(spec.a, spec.b), shooting._BISECT_TOL)
         sols = find_spectrum_numeric(spec, e_max, 4000)
         assert [sol.energy for sol in sols] == energies
         for sol in sols:
-            assert np.array_equal(sol.values, reference_solution(xs, v, h, sol.energy))
+            assert np.array_equal(sol.values, reference_solution(grid, sol.energy))
 
     @pytest.mark.parametrize("spec, e_max, n_grid, count", BATCHED_WELLS, ids=BATCHED_IDS)
     def test_batched_stitch_matches_single_energy_passes(self, spec, e_max, n_grid, count):
-        xs, h = _build_grid(spec, n_grid)
-        v = sample(spec, xs)
+        grid = _stable_grid(spec, n_grid)
         sols = find_spectrum_numeric(spec, e_max, n_grid)
         assert len(sols) == count
         for sol in sols:
-            assert np.array_equal(sol.values, reference_solution(xs, v, h, sol.energy))
+            assert np.array_equal(sol.values, reference_solution(grid, sol.energy))
 
     @pytest.mark.parametrize("spec, e_max, n_grid", [
         *((spec, e_max, 4000) for spec, e_max in FIXED_SCAN_WELLS),
@@ -816,10 +811,9 @@ class TestFixedScanParity:
         # the pass from b against the stitch of a forward pass from -a and a
         # backward pass from b, which integrates each half toward its barrier;
         # at most 2.0e-10 of the peak on these wells
-        xs, h = _build_grid(spec, n_grid)
-        v = sample(spec, xs)
+        grid = _stable_grid(spec, n_grid)
         for sol in find_spectrum_numeric(spec, e_max, n_grid):
-            ref = stitched_solution(xs, v, h, sol.energy)
+            ref = stitched_solution(grid, sol.energy)
             assert np.abs(sol.values - ref).max() <= 2e-9 * np.abs(ref).max(), sol.n
 
 
@@ -832,10 +826,9 @@ def test_noisy_sign_keeps_levels_near_the_fixed_scan():
     # width of each other; where the sign is clean they are the same float
     spec = WellSpec(2.1704358448705516, 2.246907984380412, 9.731621171898706)
     e_max = 156.63314239100598
-    xs, h = _build_grid(spec, 400)
-    v = sample(spec, xs)
-    expected = reference_roots(lambda es: _sweep_final(v[::-1], h, es),
-                               lambda e: _count_below(v, h, e),
+    grid = _stable_grid(spec, 400)
+    expected = reference_roots(lambda es: _sweep_final(grid.from_b, grid.h, es),
+                               lambda e: _count_below(grid, e),
                                e_max, scan_step(spec.a, spec.b), shooting._BISECT_TOL)
     found = [sol.energy for sol in find_spectrum_numeric(spec, e_max, 400)]
     assert len(found) == len(expected) == 17
@@ -849,10 +842,9 @@ class TestSturmCount:
     def test_matches_closed_form_count_between_levels(self, v0):
         spec = WellSpec(3.0, 3.0, v0)
         energies = [st.energy for st in find_spectrum(spec, 100.0)]
-        xs, h = _build_grid(spec, 4000)
-        v = sample(spec, xs)
+        grid = _stable_grid(spec, 4000)
         gaps = [0.5 * (lo + hi) for lo, hi in zip([0.0] + energies, energies + [100.0])]
-        numeric = [_count_below(v, h, e)[0] for e in gaps]
+        numeric = [_count_below(grid, e)[0] for e in gaps]
         assert numeric == [closed_form_count(spec, e)[0] for e in gaps]
         assert numeric == list(range(len(gaps)))
 

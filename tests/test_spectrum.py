@@ -334,6 +334,50 @@ class TestFindSpectrum:
 scales = st.floats(-3.0, 4.0).map(lambda p: 10.0**p)
 
 
+# the refusals find_spectrum may raise over the whole of WellSpec, each with the
+# ROADMAP item that removes it; a new failure class is a finding, not an entry
+DOMAIN_REFUSALS = [
+    # the sqrt(v0)*b overflow guard (items 4 and 15)
+    r"step height v0=\S+ is too large for this geometry",
+    # the root policy's tolerance, absolute below E = 1 (item 13)
+    r"matching residual \S+ at E=\S+: energy is not a root of the characteristic",
+]
+
+log_lengths = st.floats(-4.0, 4.0).map(lambda p: 10.0**p)
+
+
+class TestDomain:
+    @given(a=log_lengths, b=log_lengths,
+           v0=st.one_of(st.just(0.0), st.floats(-8.0, 8.0).map(lambda p: 10.0**p)),
+           reach=st.floats(0.0, 4.5), above_step=st.booleans())
+    @settings(max_examples=100)
+    def test_solves_with_the_pruefer_count_or_refuses_by_name(self, a, b, v0, reach,
+                                                              above_step):
+        # a, b log-uniform in [1e-4, 1e4], v0 zero or log-uniform in [1e-8, 1e8],
+        # and e_max from the ground scale up to 10^4.5 times it, plus v0 half the time
+        spec = WellSpec(a, b, v0)
+        e_max = (math.pi / (a + b)) ** 2 * 10.0**reach + (v0 if above_step else 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # sinh(qbar b) past the guard
+            count, below, above = pruefer_count(spec, e_max * np.array([1.0, 1.0 - 1e-9,
+                                                                        1.0 + 1e-9]))
+        # at most 300 levels, none within rounding of the cutoff
+        assume(count <= 300 and below == above)
+        try:
+            states = find_spectrum(spec, e_max)
+        except ValueError as exc:
+            assert any(re.match(refusal, str(exc)) for refusal in DOMAIN_REFUSALS), exc
+            return
+        assert len(states) == count
+        assert all(0.0 < state.energy <= e_max for state in states)
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+        "the sqrt(v0)*b guard (ROADMAP items 4 and 15) and the matching-residual "
+        "refusal (item 13) are still on the refusal list"))
+    def test_no_listed_refusal_occurs(self):
+        find_spectrum(WellSpec(3.0, 3.0, 2e4), 2.1e4)
+        find_spectrum(WellSpec(3e4, 3e4, 0.0), 1e-8)
+
+
 def rescaled(spec: WellSpec, lam: float) -> WellSpec:
     """The well (lam a, lam b, v0 / lam^2), whose levels are E / lam^2: with
     hbar = 2m = 1 the width is the only scale."""
