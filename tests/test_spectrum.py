@@ -267,6 +267,21 @@ class TestFindSpectrum:
         levels = find_spectrum(spec, float.fromhex(e_max))
         assert levels[28].energy == float.fromhex("0x1.6214275f16c7bp+6")
 
+    @pytest.mark.parametrize("e_max, levels", [(94.84251582871035, [28]),
+                                               (2655.5904432038897, [28, 57])])
+    def test_level_next_to_a_count_probe_on_a_zero_keeps_its_float(self, e_max, levels):
+        # the count probe 28 e_max / 30 lands on 0x1.6214275f16c7cp+6, one float
+        # above the scan point where the run of zeros of the characteristic
+        # starts (and 4x that for level 58): the scan reports the scan point
+        spec = WellSpec(4.887774285019122, 4.795627441789168, 0.0)
+        found = [state.energy for state in find_spectrum(spec, e_max)]
+        expected = reference_roots(lambda es: _characteristic_many(spec, es),
+                                   lambda e: _count_below(spec, e),
+                                   e_max, scan_step(spec.a, spec.b), spectrum._BISECT_TOL)
+        assert found == expected
+        assert [found[n].hex() for n in levels] == [
+            f"0x1.6214275f16c7bp+{6 + 2 * i}" for i in range(len(levels))]
+
     def test_cutoff_in_a_well_too_wide_for_a_scan_cell_refused(self):
         # (a + b)**2 overflows, so the scan cell, and with it the lowest count
         # probe, is 0, where the count reads 0 levels
