@@ -207,6 +207,11 @@ class _Brackets:
         scale = _HANDOVER * max(tol_rel, 8.0 * _EPS)
         one, half, half_scale = np.array(1.0), np.array(0.5), np.array(0.5 * scale)
         scale = np.array(scale)
+        # a zero the count handed over at lo may end a run of zeros whose
+        # start, below lo, the scan meets first: the same room as below
+        z = (flo == 0.0).nonzero()[0]
+        lo[z] -= 0.25 * scale * np.maximum(lo[z], one)
+        flo[z] = np.nan
         width = hi - lo
         half_ref = 0.5 * width
         halved_at = np.zeros(lo.size, dtype=int)  # last pass that halved the width, or 0
