@@ -10,8 +10,10 @@ both:
    the scan's first cell ``step`` and every e_max / 30 up to e_max (no level
    lies at or below ``step``, half the ground state of the flat well as wide
    as the floor, which only raises the levels), a level on e_max counted
-   there; a gap whose count jumps by more than one is split until every level
-   has a bracket of its own.  Each solver makes N's parity the sign of ``fn``
+   there, and at the energies the solver adds, such as the closed form's
+   action half-grid, one between each pair of levels; a gap whose count
+   jumps by more than one is split until every level has a bracket of its
+   own.  Each solver makes N's parity the sign of ``fn``
    wherever ``fn`` is nonzero (odd where fn < 0), checked at every count, so
    each bracket's end values and signs come from the count, and no level
    falls between the two.
@@ -88,6 +90,7 @@ def bracket_and_bisect(
     e_max: float,
     step: float,
     tol_rel: float,
+    probes: np.ndarray | tuple = (),
 ) -> list[float]:
     """All roots of ``fn`` in (0, e_max], in increasing order.
 
@@ -99,15 +102,18 @@ def bracket_and_bisect(
     ``tol_rel * max(1, E)`` (floored at a few ulp), started from the cell of
     width ``step / 10**r`` that holds it, for the first r at which every root
     has a cell of its own; a root on a cell edge, e_max included, is returned
-    as-is.  ``ValueError`` refuses an e_max that is not finite and positive,
-    and, before any split, one holding 2**53 levels or more, which a float no
-    longer counts exactly, or, holding a level, whose scan cell ``step`` is
-    below 4 eps e_max, past which the scan grid's points no longer step apart;
-    ``ScanResolutionError`` names the energy where N's parity is not fn's sign.
+    as-is.  ``probes``, energies in (0, e_max], join the count's first call
+    within the scan's reach (``within_reach``), where they move the brackets
+    but not the floats.  ``ValueError`` refuses an e_max that is not finite
+    and positive, and, before any split, one holding 2**53 levels or more,
+    which a float no longer counts exactly, or, holding a level, whose scan
+    cell ``step`` is below 4 eps e_max, past which the scan grid's points no
+    longer step apart; ``ScanResolutionError`` names the energy where N's
+    parity is not fn's sign.
     """
     if not 0 < e_max < math.inf:
         raise ValueError(f"e_max must be finite and positive, got {e_max}")
-    lo, hi, n_lo, flo, fhi = _isolate(count, e_max, step)
+    lo, hi, n_lo, flo, fhi = _isolate(count, e_max, step, probes)
     if not lo.size:
         return []
     roots = _Brackets(lo, hi, flo, fhi, np.where(n_lo % 2 == 1, -1.0, 1.0))
@@ -115,12 +121,22 @@ def bracket_and_bisect(
     return roots.replay(fn, e_max, step, tol_rel)
 
 
-def _isolate(count, e_max: float, step: float) -> tuple[np.ndarray, ...]:
+def within_reach(e_max: float, step: float) -> bool:
+    """Whether the fixed scan's grid points, ``step`` apart, still step apart
+    up to e_max: e_max finite and positive, and ``step`` at least 4 eps e_max.
+    Past it a count that finds a level is refused."""
+    return 0 < e_max < math.inf and step >= 4.0 * _EPS * e_max
+
+
+def _isolate(count, e_max: float, step: float, probes) -> tuple[np.ndarray, ...]:
     """Brackets (lo, hi] holding one level each, for every level in (0, e_max]:
     lo, hi, N(lo) and fn at lo and at hi, from the count at the probes and the
     splits, its parity checked at every call.  N is read as floats, exact
-    below 2**53 levels, then as ints; N(e_max) counts a level on e_max."""
-    new = np.concatenate([[min(step, e_max * _PROBE_AT[0])], e_max * _PROBE_AT])
+    below 2**53 levels, then as ints; N(e_max) counts a level on e_max.  The
+    solver's ``probes`` join the first count only within the scan's reach."""
+    reach = within_reach(e_max, step)
+    new = np.concatenate([[min(step, e_max * _PROBE_AT[0])], e_max * _PROBE_AT,
+                          probes if reach else []])
     e, n, f = np.empty(0), np.empty(0, dtype=int), np.empty(0)
     while True:
         n_new, f_new = count(new)
@@ -148,7 +164,7 @@ def _isolate(count, e_max: float, step: float) -> tuple[np.ndarray, ...]:
             i = down[0]
             raise ScanResolutionError(f"the Sturm count decreases across [{e[i]:.9g}, "
                                       f"{e[i + 1]:.9g}]: N(lo) = {n[i]}, N(hi) = {n[i + 1]}")
-        if n[-1] and step < 4.0 * _EPS * e_max:
+        if n[-1] and not reach:
             raise ValueError(f"e_max={e_max!r} is past the fixed scan's reach: its cell "
                              f"{step:.3e} is below 4 eps e_max = {4.0 * _EPS * e_max:.3e}")
         wide = (jump > 1).nonzero()[0]
@@ -167,7 +183,9 @@ def _isolate(count, e_max: float, step: float) -> tuple[np.ndarray, ...]:
                                       f"[{e[i]:.9g}, {e[i + 1]:.9g}]: N(lo) = {n[i]}, "
                                       f"N(hi) = {n[i + 1]}")
     one = (jump == 1).nonzero()[0]
-    return e[one], e[one + 1], n[one], f[one], f[one + 1]
+    # a zero at hi below e_max is the level above it, not the one in (lo, hi)
+    fhi = np.where((f[one + 1] == 0.0) & (e[one + 1] < e_max), np.nan, f[one + 1])
+    return e[one], e[one + 1], n[one], f[one], fhi
 
 
 class _Brackets:
@@ -207,11 +225,8 @@ class _Brackets:
         scale = _HANDOVER * max(tol_rel, 8.0 * _EPS)
         one, half, half_scale = np.array(1.0), np.array(0.5), np.array(0.5 * scale)
         scale = np.array(scale)
-        # a zero the count handed over at lo may end a run of zeros whose
-        # start, below lo, the scan meets first: the same room as below
-        z = (flo == 0.0).nonzero()[0]
-        lo[z] -= 0.25 * scale * np.maximum(lo[z], one)
-        flo[z] = np.nan
+        handed = (flo == 0.0).nonzero()[0]
+        zero_at = lo[handed]
         width = hi - lo
         half_ref = 0.5 * width
         halved_at = np.zeros(lo.size, dtype=int)  # last pass that halved the width, or 0
@@ -220,7 +235,7 @@ class _Brackets:
             grow = np.maximum(hi, one)
             i = (width >= grow * scale).nonzero()[0]
             if not i.size:
-                return
+                break
             with np.errstate(all="ignore"):   # not around fn, whose warnings show
                 x = hi - fhi * (width / (fhi - flo))
                 bisect = ~np.isfinite(x) | (halved_at <= k - _STALL)
@@ -255,6 +270,13 @@ class _Brackets:
             halved = width <= half_ref
             np.multiply(width, half, out=half_ref, where=halved)
             np.copyto(halved_at, k + 1, where=halved)
+        if handed.size:
+            # a zero the count handed over at lo may end a run of zeros whose
+            # start, below lo, the scan meets first: the same room below it as
+            # around a zero the polish finds, down to the polished bracket below
+            below = np.where(handed > 0, hi[handed - 1], 0.0)
+            lo[handed] = np.maximum(zero_at - 0.25 * scale * np.maximum(zero_at, one), below)
+            flo[handed] = np.where(lo[handed] < zero_at, np.nan, 0.0)
 
     def replay(self, fn, e_max: float, step: float, tol_rel: float) -> list[float]:
         """The fixed scan's float for every root (see ``bracket_and_bisect``)."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds as _bounds
-from ._rootscan import ScanResolutionError, bracket_and_bisect, scan_step
+from ._rootscan import ScanResolutionError, bracket_and_bisect, scan_step, within_reach
 from .potential import WellSpec, _finite, _in_well
 
 __all__ = [
@@ -136,7 +136,9 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
     """Every bound state with 0 < E <= e_max, normalized, ordered by energy.
 
     The closed-form Sturm count gives every root of the characteristic a
-    bracket of its own, which the shared root policy polishes on the
+    bracket of its own in one call, as its probes include the action
+    half-grid, one energy between each pair of levels (``_action_probes``).
+    The shared root policy polishes those brackets on the
     characteristic divided by cosh(qbar b) below the step.  That keeps every
     sign, so the energies are the floats of the fixed-step scan and bisection
     of the characteristic itself.  ``ScanResolutionError`` is raised where no
@@ -158,10 +160,30 @@ def _solve(spec: WellSpec, e_max: float) -> tuple[np.ndarray, ...]:
             f"(need sqrt(v0)*b <= 350)"
         )
 
+    step = scan_step(spec.a, spec.b)
+    probes = _action_probes(spec, e_max) if within_reach(e_max, step) else ()
     roots = bracket_and_bisect(lambda es: _scaled_characteristic(spec, es),
                                lambda es: _count_below(spec, es),
-                               e_max, scan_step(spec.a, spec.b), _BISECT_TOL)
+                               e_max, step, _BISECT_TOL, probes)
     return _solve_state(spec, roots)
+
+
+def _action_probes(spec: WellSpec, e_max: float) -> np.ndarray:
+    """The energies below e_max where the classical action J = k a + q b is
+    (n + 1/2) pi.  The Pruefer phase is m pi at level m, numbered from 1, and
+    lies within pi/2 of J (``_count_below``), so level m lies strictly between
+    J = (m - 1/2) pi and (m + 1/2) pi.  k = J^-1(c) is c / a up to
+    c = a sqrt(v0), and above it the root of k a + sqrt(k^2 - v0) b = c, in a
+    form free of cancellation."""
+    a, b, v0 = spec.a, spec.b, spec.v0
+    j_max = math.sqrt(e_max) * a + math.sqrt(max(e_max - v0, 0.0)) * b
+    c = (np.arange(math.ceil(j_max / math.pi - 0.5)) + 0.5) * math.pi
+    k = c / a
+    up = c > a * math.sqrt(v0)
+    c = c[up]
+    k[up] = (c * c + b * b * v0) / (a * c + b * np.sqrt(c * c + (b * b - a * a) * v0))
+    e = k * k
+    return e[e < e_max]
 
 
 def _count_below(spec: WellSpec, energies) -> tuple[np.ndarray, np.ndarray]:

@@ -306,6 +306,57 @@ def test_narrow_brackets_replay_the_fixed_scan(case):
         assert found == expected
 
 
+@st.composite
+def probed_brackets(draw):
+    """``narrow_brackets`` with energies in (0, e_max] for the count pass:
+    anywhere, on its 31 probes, on scan points k * 0.1, and on or within a few
+    tolerances or floats of a root."""
+    roots, e_max = draw(narrow_brackets())
+    uniform = [min(0.1, e_max / 30)] + [e_max * i / 30 for i in range(1, 31)]
+    near = st.tuples(st.sampled_from(roots), st.integers(-4, 4), st.booleans()).map(
+        lambda t: t[0] + t[1] * (1e-13 * max(1.0, t[0]) if t[2] else np.spacing(t[0])))
+    scan = st.integers(1, max(1, int(e_max / 0.1))).map(lambda k: k * 0.1)
+    probes = draw(st.lists(st.one_of(st.floats(0.0, e_max, exclude_min=True),
+                                     st.sampled_from(uniform), scan, near), max_size=12))
+    return roots, e_max, [p for p in probes if 0.0 < p <= e_max]
+
+
+@given(probed_brackets())
+@example(([0.1, 0.2, 1.675], 1.725, [0.2, 1.675, 1.675]))   # on roots, one twice
+@example(([1.0, 1.02], 2.0, [1.0, 1.0 + 1e-13, 1.02 - 2.220446049250313e-16]))
+@settings(max_examples=300)
+def test_extra_probes_move_no_float(case):
+    # the solver's probes move the brackets, never the reported floats: the
+    # floats of the call without them, and of the fixed scan
+    roots, e_max, probes = case
+    assume(min(roots) >= min(0.1, e_max / 30))
+    fn, count = polynomial(roots)
+    try:
+        plain = bracket_and_bisect(fn, count, e_max, 0.1, 1e-13)
+    except ScanResolutionError:
+        assume(False)
+    assert bracket_and_bisect(fn, count, e_max, 0.1, 1e-13, np.array(probes)) == plain
+    try:
+        expected = reference_roots(fn, count, e_max, 0.1, 1e-13)
+    except ScanResolutionError:
+        return
+    if len(expected) == len(roots):
+        assert plain == expected
+
+
+@pytest.mark.parametrize("roots", [[0.5], [5.0]], ids=["refused", "empty"])
+def test_extra_probes_past_the_scan_reach_not_counted(roots):
+    # past the reach the count sees only its 31 probes, whether it refuses
+    # the levels it finds or finds none
+    fn, count = polynomial(roots)
+    traced, sizes = calls_of(lambda e: count(e))
+    try:
+        assert bracket_and_bisect(fn, traced, 2.0, 1e-16, 1e-13, np.linspace(0.1, 2.0, 50)) == []
+    except ValueError as exc:
+        assert "past the fixed scan's reach" in str(exc) and roots == [0.5]
+    assert sizes == [31]
+
+
 def policy_pair(module, solve):
     """The fn and count that ``module``'s solver, called by ``solve``, hands the
     root policy; the policy is stubbed out to find no roots."""
@@ -364,14 +415,15 @@ def test_numerov_count_parity_is_the_sign_of_fn(spec, e_max):
 # sha256 over every energy array the closed-form solver hands to fn and to
 # count, tagged and in call order, recorded once the count handed over fn at
 # its probes, from the scan's first cell to e_max itself, the polish handed
-# over at 8 tolerances and bisected a stalled bracket
+# over at 8 tolerances and bisected a stalled bracket, and the count's one
+# call took the action half-grid J = (n + 1/2) pi with its probes
 CALL_LOG_SHA256 = {
     (3.0, 3.0, 20.0, 100.0):
-        "68ab10bac69a6c059ffacf101f13b280222253639878cd3ec75fe706067ad101",
+        "a7ca6a5be9f996b3f0d61d444c074369b8d9e178335912d095333870e52cb452",
     (2.0, 4.0, 60.0, 300.0):
-        "45027c387771a94fea890da34e264da6abf6364e34864e31e15dbf242f21fd1d",
+        "193f6016a70a0619263b4baaa33acea1f16be92489c3d7921dde67082e6be99c",
     (1.0, 1.0, 100.0, 1e4):
-        "55e97d72da2b9a60442b1a09de6ccab64ddfb703a668dbee2ca16018d687f8bf",
+        "89598334da90f307ca18d605ada1850b121088abee397cf070b537d5e0f00743",
 }
 
 

@@ -310,6 +310,11 @@ class TestFindSpectrum:
     @example(a=7.981306055915094, b=7.5, v0=100.0, e_max=100.0)  # g = 0 on a run of floats
     @example(a=1.0, b=5.0, v0=2000.0, e_max=3000.0)  # tall steps: the polish's calls change most
     @example(a=4.0, b=4.0, v0=5000.0, e_max=6000.0)
+    # flat floor: every level at J = n pi, midway between two action probes
+    @example(a=3.0, b=3.0, v0=0.0, e_max=1000.0)
+    @example(a=1.0, b=5.0, v0=2000.0, e_max=2010.0)  # tall step: the phase near its pi/2 bound
+    # a count probe on a run of zeros, one float above the scan point
+    @example(a=4.887774285019122, b=4.795627441789168, v0=0.0, e_max=94.84251582871035)
     @settings(max_examples=200)
     def test_energies_match_the_fixed_scan(self, a, b, v0, e_max):
         # the count-directed policy reports the fixed-step scan's floats
@@ -322,6 +327,29 @@ class TestFindSpectrum:
         except ScanResolutionError:
             assume(False)  # the fixed scan gave up; the count-directed policy resolves
         assert [state.energy for state in find_spectrum(spec, e_max)] == expected
+
+    @given(a=lengths, b=lengths, v0=st.floats(min_value=0.0, max_value=1e4),
+           e_max=st.floats(min_value=1.0, max_value=1e4))
+    @example(a=3.0, b=3.0, v0=20.0, e_max=1e4)
+    @example(a=3.0, b=3.0, v0=0.0, e_max=1000.0)
+    @example(a=1.0, b=5.0, v0=2000.0, e_max=2010.0)
+    @settings(max_examples=100)
+    def test_one_count_call_brackets_every_level(self, a, b, v0, e_max):
+        # the count pass probes the action half-grid J = (n + 1/2) pi, one
+        # energy between each pair of levels, so its first call brackets them
+        # all and no gap is split
+        assume(math.sqrt(v0) * b <= 350.0)
+        spec = WellSpec(a, b, v0)
+        calls = []
+
+        def count(spec, es):
+            calls.append(np.sort(es))
+            return _count_below(spec, es)
+
+        with mock.patch.object(spectrum, "_count_below", count):
+            find_spectrum(spec, e_max)
+        assert len(calls) == 1
+        assert np.diff(pruefer_count(spec, calls[0])).max() <= 1
 
     @pytest.mark.parametrize("spec, e_max", [
         (WellSpec(1.0, 5.0, 2000.0), 3000.0),
