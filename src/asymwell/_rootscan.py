@@ -183,9 +183,7 @@ def _isolate(count, e_max: float, step: float, probes) -> tuple[np.ndarray, ...]
                                       f"[{e[i]:.9g}, {e[i + 1]:.9g}]: N(lo) = {n[i]}, "
                                       f"N(hi) = {n[i + 1]}")
     one = (jump == 1).nonzero()[0]
-    # a zero at hi below e_max is the level above it, not the one in (lo, hi)
-    fhi = np.where((f[one + 1] == 0.0) & (e[one + 1] < e_max), np.nan, f[one + 1])
-    return e[one], e[one + 1], n[one], f[one], fhi
+    return e[one], e[one + 1], n[one], f[one], f[one + 1]
 
 
 class _Brackets:
