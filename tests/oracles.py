@@ -7,7 +7,9 @@ quadrature of the transform integral.  ``reference_roots`` is the fixed-step
 scan and bisection whose floats the count-directed root policy reports, and
 ``reference_solution`` the one-state-at-a-time pass from b whose values the
 batched one reproduces, and ``stitched_solution`` an independent two-sided
-route to the same states.  ``render_csv`` and ``render_json`` are the table renderers
+route to the same states.  ``longdouble_roots`` are the roots of the plain
+per-cell Numerov recurrence for psi, run in ``np.longdouble``, on the float
+samples the solver reads.  ``render_csv`` and ``render_json`` are the table renderers
 as they were before emission formatted each number once: every float goes
 through ``.12g`` for CSV, and through a ``.12g`` round trip and the pure-Python
 ``json.dumps(indent=2)`` encoder for JSON.  ``reference_characteristic``,
@@ -225,6 +227,40 @@ def _sweep_full(v: np.ndarray, h: float, energy: float, split: int) -> np.ndarra
     match = int(np.argmax(np.abs(fwd)))
     bwd = _transfer_blocks(v[match:][::-1], h, e, path=True)[::-1, 0]
     return np.concatenate([fwd[:match], bwd * (fwd[match] / bwd[0])])
+
+
+def longdouble_sweep(v: np.ndarray, h: float, energies) -> np.ndarray:
+    """psi at the last sample of ``v`` from psi = 0 at its first by the plain per-cell
+    recurrence (1 - t[i+1]) psi[i+1] = (2 + 10 t[i]) psi[i] - (1 - t[i-1]) psi[i-1],
+    t = h^2 (V - E) / 12, in ``np.longdouble``, vectorized over the energies; no rescale."""
+    ld = np.longdouble
+    v, h, e = np.asarray(v, dtype=ld), ld(h), np.asarray(energies, dtype=ld)
+    c = h * h / 12
+    t_prev, t = c * (v[0] - e), c * (v[1] - e)
+    prev, cur = np.zeros(e.shape, dtype=ld), h * (1 + h * h * (v[0] - e) / 6)
+    for vi in v[2:]:
+        t_next = c * (vi - e)
+        prev, cur = cur, ((2 + 10 * t) * cur - (1 - t_prev) * prev) / (1 - t_next)
+        t_prev, t = t, t_next
+    return cur
+
+
+def longdouble_roots(v: np.ndarray, h: float, lo, hi, points: int = 65) -> np.ndarray:
+    """The root of ``longdouble_sweep`` in each bracket [lo, hi], across which it
+    changes sign: each round samples ``points`` energies over every bracket and keeps
+    the first cell that changes sign, until the brackets are below 1e-17 relative."""
+    lo, hi = np.asarray(lo, dtype=np.longdouble), np.asarray(hi, dtype=np.longdouble)
+    frac = np.arange(points, dtype=np.longdouble) / (points - 1)
+    rows = np.arange(lo.size)
+    while np.any(hi - lo > 1e-17 * np.abs(hi)):
+        grid = lo[:, None] + (hi - lo)[:, None] * frac
+        signs = np.signbit(longdouble_sweep(v, h, grid.ravel()).reshape(grid.shape))
+        flips = signs[:, 1:] != signs[:, :-1]
+        if not flips.any(axis=1).all():
+            raise ValueError("a bracket holds no sign change")
+        first = np.argmax(flips, axis=1)
+        lo, hi = grid[rows, first], grid[rows, first + 1]
+    return (lo + hi) / 2
 
 
 def _round12(x: float) -> float:

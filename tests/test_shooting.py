@@ -40,6 +40,7 @@ from oracles import (
     enclosure_counts,
     fd_left_probability,
     fd_spectrum,
+    longdouble_roots,
     reference_roots,
     reference_solution,
     stitched_solution,
@@ -835,6 +836,33 @@ def test_noisy_sign_keeps_levels_near_the_fixed_scan():
     assert found[1:] == expected[1:]
     tol = shooting._BISECT_TOL
     assert all(abs(f - e) <= 2.0 * tol * max(1.0, e) for f, e in zip(found, expected))
+
+
+class TestRoundoff:
+    """The kernel's rounding near each level: fn changes sign cleanly, and each level
+    is the root of the psi recurrence run in extended precision on the same samples."""
+
+    @pytest.mark.parametrize("spec, e_max", FIXED_SCAN_WELLS)
+    def test_sign_changes_once_near_each_level(self, spec, e_max):
+        # 401 energies 1e-14 apart relative, 2e-12 either side of each level, twice
+        # the root tolerance: one sign change each, at every level, also over 2001
+        # energies, when this test was written
+        grid = _stable_grid(spec, 4000)
+        steps = 1.0 + 1e-14 * np.arange(-200, 201)
+        for sol in find_spectrum_numeric(spec, e_max, 4000):
+            assert count_sign_changes(_sweep_final(grid.from_b, grid.h, sol.energy * steps)) == 1, \
+                sol.n
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="np.longdouble is a plain double here")
+    @pytest.mark.parametrize("spec, e_max", FIXED_SCAN_WELLS)
+    def test_levels_are_the_extended_precision_roots(self, spec, e_max):
+        # the six lowest levels at 2000 cells: worst 3.0e-11 relative (the low
+        # floor's ground state) when written, and up to 6.1e-11 at 4000 cells
+        grid = _stable_grid(spec, 2000)
+        levels = np.array([sol.energy for sol in find_spectrum_numeric(spec, e_max, 2000)[:6]])
+        roots = longdouble_roots(grid.v, grid.h, levels * (1.0 - 1e-9), levels * (1.0 + 1e-9))
+        np.testing.assert_allclose(levels, roots.astype(float), rtol=5e-11, atol=0.0)
 
 
 class TestSturmCount:
