@@ -16,14 +16,14 @@ consistency check.
 
 Every pass reads one ``_Grid``: the floor sampled from -a and from b, and the
 energy window.  Eigenvalues are the trial energies where the solution from
-psi(b) = 0 crosses zero at x = -a.  Since the recurrence is linear, psi(-a) is
-a product of 2x2 step matrices; the sweep multiplies them in blocks of 32
-cells, vectorized over blocks and energies with the ~125 blocks innermost (most
-calls hold 2-10 energies, too few for a numpy inner loop), then carries the
-state through the blocks in order, rescaling an energy after each block that
-leaves its state past the overflow cap: one energy at a time in Python floats
-for up to 16 energies (10 for a trajectory), where a numpy call costs more than
-its arithmetic, else all energies per block in numpy, with the same bits.
+psi(b) = 0 crosses zero at x = -a.  The passes run the recurrence renormalized
+(B. R. Johnson, J. Chem. Phys. 67, 4086 (1977)) on u = (1 - t) psi, one
+coefficient per cell, u[i+1] = d[i] u[i] - u[i-1] with d = (2 + 10 t) / (1 - t),
+and read psi = u / (1 - t) back.  A sweep multiplies the steps [[d, -1], [1, 0]]
+in blocks of 32 cells, the last block's read after its real steps, vectorized
+over blocks and energies with the ~125 blocks innermost, then carries the state
+through the blocks in order, rescaling against overflow, in Python floats for a
+narrow chunk, where a numpy call costs more than its arithmetic, else in numpy.
 
 A converged state is the solution from psi(b) = 0, one backward trajectory
 per 32 states.  Every floor ``WellSpec`` accepts is nondecreasing, so the only
@@ -96,66 +96,62 @@ class _Grid:
 def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.ndarray:
     """Numerov solutions from psi = 0 at the first sample of ``v`` for the energies ``e``.
 
-    Step i maps (psi[i], psi[i-1]) to (psi[i+1], psi[i]) by the matrix
-    [[A_i, -B_i], [1, 0]].  The steps are grouped into blocks of up to
-    ``_BLOCK`` cells; each block's product is formed by running the two basis
-    solutions through it, vectorized over all blocks and energies.  Its arrays
-    are laid out (step in block k, energy m, block nb): blocks innermost, so
-    every numpy operation runs along the nb blocks, not the few energies of a
-    typical chunk.  The state
-    is then carried through the blocks one after another: one energy at a
-    time in Python floats for a chunk of at most ``_NARROW[path]`` energies,
-    all energies per block in numpy for a wider one.  Both make the same float
-    operations in the same order and scale an energy by ``_RENORM`` after each
-    block that leaves its |psi| or |psi_prev| past ``_RENORM_CAP``: numpy checks
-    once a bound on the chunk's largest state passes the cap, as it does at
-    every such block, then scales only the energies past it.  A block is short
-    enough that its amplification stays below ``_BLOCK_GROWTH``, so the carry
-    cannot overflow between two checks.
+    Renormalized (B. R. Johnson, J. Chem. Phys. 67, 4086 (1977)): u = (1 - t) psi
+    starts from u[1] = (1 - t[1]) psi[1], and step i maps (u[i], u[i-1]) to
+    (u[i+1], u[i]) by [[d_i, -1], [1, 0]], d = (2 + 10 t) / (1 - t).  The steps
+    are grouped into blocks of up to ``_BLOCK`` cells; each block's product is
+    formed by running the two basis solutions through it, vectorized over all
+    blocks and energies, and the last block's is read after its real steps (no
+    step is the identity).  Its arrays are laid out (step in block k, energy m,
+    block nb): blocks innermost, so every numpy operation runs along the nb
+    blocks, not the few energies of a typical chunk.  The state is then carried
+    through the blocks in order: one energy at a time in Python floats for a
+    chunk of at most ``_NARROW[path]`` energies, all energies per block in numpy
+    for a wider one.  Both make the same float operations in the same order and
+    scale an energy by ``_RENORM`` after each block that leaves its |u| or
+    |u_prev| past ``_RENORM_CAP``: numpy checks once a bound on the chunk's
+    largest state passes the cap, as it does at every such block, then scales
+    only the energies past it.  A block is short enough that its amplification
+    stays below ``_BLOCK_GROWTH``, so the carry cannot overflow between checks.
 
-    Returns psi at the last sample per energy, or with ``path`` the whole
-    trajectory, shape (len(v), len(e)), every sample at its column's final
-    rescale level.
+    Returns psi = u / (1 - t) at the last sample per energy, or with ``path`` the
+    whole trajectory, shape (len(v), len(e)), each sample at its column's final
+    rescale level, the last with the sweep's bits.
     """
     c = h * h / 12.0
     n, m = len(v) - 2, e.size
-    # sup-norm bound on one step matrix, |A_i| + |B_i|, over the grid's window from E = 0 up
-    # (t > -1/2 below its top), so no call mate moves the block length; callers keep t_hi < 1
-    t_lo, t_hi = -0.5, c * (v.max() - min(e.min(), 0.0))
-    g = (max(abs(2.0 + 10.0 * t_lo), abs(2.0 + 10.0 * t_hi)) + 1.0 - t_lo) / (1.0 - t_hi)
+    # sup-norm bound on one step matrix, |d_i| + 1, over the grid's window from E = 0 up (d rises
+    # with t, from -2 at its top, t = -1/2), so no call mate moves k; callers keep t_hi < 1
+    t_hi = c * (v.max() - min(e.min(), 0.0))
+    g = max(2.0, abs(2.0 + 10.0 * t_hi) / (1.0 - t_hi)) + 1.0
     k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g))))
     growth = g**k
     nb = -(-n // k)
-    # step i = 1 + j + k*b sits at [j, :, b]
-    step = np.minimum(np.arange(nb * k).reshape(nb, k).T, n - 1)[:, None]
-    ce = c * e[:, None]
-    a_mat, b_mat = np.empty((2, k, m, nb))
-    den = np.add(1.0 - c * v[step + 2], ce, out=b_mat)    # until B is formed over it
-    np.subtract(2.0 + 10.0 * c * v[step + 1], 10.0 * c * e[:, None], out=a_mat)
-    a_mat /= den
-    np.divide((1.0 - c * v[step]) + ce, den, out=b_mat)
-    blk, j = divmod(n, k)               # the padding past step n is the identity
-    a_mat[j:, :, blk:] = 1.0
-    b_mat[j:, :, blk:] = 0.0
+    # V at step i = 1 + j + k*b sits at [j, :, b]; the padding past step n repeats it
+    vs = v[np.minimum(np.arange(nb * k).reshape(nb, k).T, n - 1) + 1][:, None]
+    d = (2.0 + 10.0 * c * vs) - 10.0 * c * e[:, None]
+    den = (1.0 - c * vs) + c * e[:, None]
+    d /= den
 
-    # hist[(j + 1) % depth, s] is basis solution s after j steps into each
-    # block; basis 0 starts from (psi, psi_prev) = (1, 0), basis 1 from (0, 1).
-    # Only a trajectory keeps every step; a sweep cycles through three slots.
+    # hist[(j + 1) % depth, s] is basis solution s, from (u, u_prev) = (1, 0) or (0, 1), after
+    # j steps into each block; only a trajectory keeps every step, a sweep cycles through three
     depth = k + 2 if path else 3
     hist = np.empty((depth, 2, m, nb))
     hist[0, 0], hist[0, 1], hist[1, 0], hist[1, 1] = 0.0, 1.0, 1.0, 0.0
-    tmp = np.empty((2, m, nb))
+    tail = n - (nb - 1) * k             # the last block's real steps
     for j in range(k):
         nxt = hist[(j + 2) % depth]
-        np.multiply(a_mat[j], hist[(j + 1) % depth], out=nxt)
-        np.multiply(b_mat[j], hist[j % depth], out=tmp)
-        nxt -= tmp
-    # block transfer matrices, rows (psi, psi_prev) by basis columns
+        np.multiply(d[j], hist[(j + 1) % depth], out=nxt)
+        nxt -= hist[j % depth]
+        if j + 1 == tail:
+            short = hist[[(j + 2) % depth, (j + 1) % depth], ..., -1]
+    # block transfer matrices, rows (u, u_prev) by basis columns
     blocks = hist[[(k + 1) % depth, k % depth]]
-    del a_mat, b_mat, den, tmp    # a trajectory's samples need the room
+    blocks[..., -1] = short
+    del d    # a trajectory's samples need the room
 
     state = np.zeros((2, m))
-    state[0] = h * (1.0 + h * h * (v[0] - e) / 6.0)
+    state[0] = h * (1.0 + h * h * (v[0] - e) / 6.0) * den[0, :, 0]   # (1 - t[1]) psi[1]
     fired = np.zeros((m, nb), dtype=bool)
     if m <= _NARROW[path]:
         cap, ncap, starts, last = _RENORM_CAP, -_RENORM_CAP, [], []
@@ -186,8 +182,9 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
                 state[:, big] *= _RENORM
                 fired[:, blk] = big
                 bound = float(np.abs(state).max())
+    end = state[0] / ((1.0 - c * v[-1]) + c * e)
     if not path:
-        return state[0]
+        return end
     # the samples, formed in place in hist (no temporary), then written one energy per row
     hist[1 : k + 1] *= starts
     inner = hist[1 : k + 1, 0]
@@ -195,9 +192,11 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     # samples in block blk take the rescales at the ends of blocks blk, blk+1, ...
     if fired.any():
         inner *= _RENORM ** np.cumsum(fired[:, ::-1], axis=1)[:, ::-1]
+    inner /= den
+    del den
     out = np.empty((m, nb * k + 2))
-    out[:, 0], out[:, -1] = 0.0, state[0]
     out[:, 1:-1].reshape(m, nb, k).transpose(2, 0, 1)[...] = inner
+    out[:, 0], out[:, n + 1] = 0.0, end
     return out[:, : n + 2].T
 
 
@@ -238,12 +237,12 @@ def _count_below(grid: _Grid, energies) -> tuple[np.ndarray, np.ndarray]:
     sweep, with the bits of a trajectory's last sample.  Two facts hold inside
     the grid's window, where the callers keep every energy (``_stable_grid``).
     Parity: the first sample from b is positive and zeros are ignored, so N is
-    odd where fn < 0.  Monotone count: with t < 1, u = (1 - t) psi keeps psi's
-    signs and u[i+1] + u[i-1] = d[i] u[i], d = (2 + 10 t) / (1 - t), a Sturm
-    sequence whose d falls as E grows, so N does not decrease.  Each gap between
-    the sorted energies holds at least fn's sign flips across it, with their
-    parity; where no fn is 0 and the flips add up to N_hi - N_lo, it holds
-    exactly those.  Else the count takes one trajectory per ``_CHUNK`` energies.
+    odd where fn < 0.  Monotone count: the kernel's u (``_transfer_blocks``) has
+    psi's signs (t < 1) and is a Sturm sequence whose d falls as E grows, so N
+    does not decrease.  Each gap between the sorted energies holds at least fn's
+    sign flips across it, with their parity; where no fn is 0 and the flips add
+    up to N_hi - N_lo, it holds exactly those.  Else the count takes one
+    trajectory per ``_CHUNK`` energies.
     """
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     if 2 < e.size <= _CHUNK:

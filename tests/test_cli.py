@@ -33,18 +33,18 @@ GOLDEN_SHA256 = {
 # quadrature, recorded from the states built by one pass from b, "smoothing",
 # "--a 2 --b 4.3", "--n-max 5" and its JSON form once the roots were those of
 # psi(-a) from b; "--a 2 --b 4.3" integrates a left half with an even number
-# of samples
+# of samples.  All six re-recorded from the renormalized Numerov kernel
 SHOOTING_SHA256 = {
-    "smoothing": "aac1bcd517d62c99ed7cd4da770a121852bc2c77215f838d36230fde5a424f89",
+    "smoothing": "f8c6e7da90e0818a0943354efbc9116adf0690f95ab31e22c21c8e592238c4df",
     "smoothing --smoothing linear":
-        "dc5e20604934d00238a4db228fd1b7d8dd66806ad885367ad8e4ca81cf501f5b",
-    "smoothing --a 2 --b 4.3": "b92e0b7af46f54ff781f15b3c8bbc44ecb74420192ed49cc1786d9d799bc685d",
+        "5e6407b6bc327684b65c8e2f62c940e633772c325d534670d06c8786e748db54",
+    "smoothing --a 2 --b 4.3": "b8a14719755a0e0bfd9691efb6779abff05dbc6de924b04dcbedbe8c48013e9e",
     "wavefunction --n 3 --smoothing exponential --epsilon 0.2":
-        "9f11dab65ad2a6f8aaa47ed8ad8dc5923b101697345d661b592276dc0f5a106a",
+        "b13c5b0e9217402aca2826440fdf7e9be4029721a713ea3bc0f80167590d31ef",
     # recorded while the smoothing table still read EigenStates: a state-count
     # cutoff, and a flat floor whose sharp-step side has no step at all
-    "smoothing --n-max 5": "bd7ffcff41bef037648e9e15fe63f15eff1ff59ef90e84e3b6afb8fbb4dad28a",
-    "smoothing --v0 0": "903c57a4fe8d304e60bcd066ce708e148cb855924632354b008fd77e0adf3b54",
+    "smoothing --n-max 5": "42665a6d7ab5f970b6385aa02ea9b51869dbf936239dc32133aa983103836fc2",
+    "smoothing --v0 0": "a604f0d8edaa03474330cdeb00a092d2b5550201651768f97ccce227542e52a5",
 }
 
 # sha256 of the JSON form of the standard tables, recorded while render_json
@@ -57,7 +57,7 @@ JSON_SHA256 = {
         "715e100f2ab9e7b317809e333fa53e9431f81835790c264a50758a2a5205ed2a",
     "wavefunction --n 6 --format json":
         "a8a5d7a930c799ac71a39584deb449889b45949bd144a3c8017ad76da41449d0",
-    "smoothing --format json": "941aae86d350575cf005648b50af09b0a6ff9b36a6f82a280cb3d0f90ae92d3c",
+    "smoothing --format json": "c233f4c8c61c28463181086d3ffe0b1e1d5bec491ff7a46cf3392a126a0ed903",
 }
 
 # sha256 of compare tables recorded before the table was built from arrays:

@@ -449,12 +449,12 @@ def test_closed_form_calls_see_the_same_energies(well, monkeypatch):
 
 
 # the same log for the Numerov route, whose fn and count both run Numerov
-# sweeps from b; 1000 cells keep it fast
+# sweeps from b, recorded from the renormalized kernel; 1000 cells keep it fast
 NUMEROV_CALL_LOG_SHA256 = {
     (WellSpec(3.0, 3.0, 20.0, Exponential(0.2)), 100.0):
-        "d229f7465bba67eb497b29c2c91f3a4ce06a1682dea8314f92ad094e852fe776",
+        "67edd345bca12494d842c6abd61a51d339a87951bf0138d53bbb94cffc384af6",
     (WellSpec(3.0, 3.0, 60.0), 30.0):
-        "7ca1d42772e0cf6d65a64ff834d9a92672f6c7893d2afd0adbf9ed3c69e058d4",
+        "d411a92c0b30a8f8e3e902dbdda30e3a57e40ff14172bd0d1844c0c96349f7e4",
 }
 
 
