@@ -10,13 +10,14 @@ both:
    the scan's first cell ``step`` and every e_max / 30 up to e_max (no level
    lies at or below ``step``, half the ground state of the flat well as wide
    as the floor, which only raises the levels), a level on e_max counted
-   there, and at the energies the solver adds, such as the closed form's
-   action half-grid, one between each pair of levels; a gap whose count
-   jumps by more than one is split until every level has a bracket of its
-   own.  Each solver makes N's parity the sign of ``fn``
-   wherever ``fn`` is nonzero (odd where fn < 0), checked at every count, so
-   each bracket's end values and signs come from the count, and no level
-   falls between the two.
+   there, and at the energies the solver adds: the closed form's action
+   half-grid, one between each pair of levels, and two energies within a
+   tolerance of each level, from its Pruefer phase, which leave the polish
+   nothing to do; a gap whose count jumps by more than one is split until
+   every level has a bracket of its own.  Each solver makes N's parity the
+   sign of ``fn`` wherever ``fn`` is nonzero (odd where fn < 0), checked at
+   every count, so each bracket's end values and signs come from the count,
+   and no level falls between the two.
 2. Secant polish: Illinois regula falsi on ``fn``, vectorized over all
    brackets, one call per pass.  A bracket hands over once it is narrower
    than ``_HANDOVER`` bisection tolerances: the replay's bisection gains one

@@ -47,6 +47,12 @@ _BISECT_TOL = 1e-13          # relative; well inside the 1e-10 contract
 _RESIDUAL_TOL = 1e-6         # matching-residual gate for spurious roots
 _MATCH_THRESHOLD = 0.1       # a bound metric below this names the match class
 _BRANCHES = ("oscillatory", "evanescent")  # a state's branch, by below_threshold
+# a seeded level's count gap, E_n -+ 0.6 tolerances: narrower than the
+# polish's handover of 8 tolerances, and wider than the replay's one, below
+# which its bulk halvings skip the bracket
+_SEED_GAP = 0.6 * _BISECT_TOL
+_SEED_ITERS = 12             # Newton steps at most per seed
+_SEED_STEP = 1e-9            # a Newton step this small, relative, leaves an error near its square
 
 
 @dataclass(frozen=True)
@@ -137,12 +143,16 @@ def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
 
     The closed-form Sturm count gives every root of the characteristic a
     bracket of its own in one call, as its probes include the action
-    half-grid, one energy between each pair of levels (``_action_probes``).
-    The shared root policy polishes those brackets on the
-    characteristic divided by cosh(qbar b) below the step.  That keeps every
-    sign, so the energies are the floats of the fixed-step scan and bisection
-    of the characteristic itself.  ``ScanResolutionError`` is raised where no
-    count probe or scan cell separates two levels.
+    half-grid, one energy between each pair of levels, and two energies
+    0.6 bisection tolerances either side of each level's seed, where Newton's
+    method puts its Pruefer phase at n pi (``_action_probes``).  Each bracket
+    is then narrower than the shared root policy's polish takes, so the policy
+    goes straight to its replay, on the characteristic divided by
+    cosh(qbar b) below the step.  That keeps every sign, so the energies are
+    the floats of the fixed-step scan and bisection of the characteristic
+    itself; a seed that misses its level leaves it the half-grid's bracket.
+    ``ScanResolutionError`` is raised where no count probe or scan cell
+    separates two levels.
     """
     return _states(spec, _solve(spec, e_max))
 
@@ -169,21 +179,103 @@ def _solve(spec: WellSpec, e_max: float) -> tuple[np.ndarray, ...]:
 
 
 def _action_probes(spec: WellSpec, e_max: float) -> np.ndarray:
-    """The energies below e_max where the classical action J = k a + q b is
-    (n + 1/2) pi.  The Pruefer phase is m pi at level m, numbered from 1, and
-    lies within pi/2 of J (``_count_below``), so level m lies strictly between
-    J = (m - 1/2) pi and (m + 1/2) pi.  k = J^-1(c) is c / a up to
-    c = a sqrt(v0), and above it the root of k a + sqrt(k^2 - v0) b = c, in a
-    form free of cancellation."""
+    """The count's probes below e_max: the energies where the classical action
+    J = k a + q b is (n + 1/2) pi, and E_n -+ _SEED_GAP max(1, E_n) around
+    each level's seed E_n (``_seeds``).  The Pruefer phase is n pi at level n,
+    numbered from 1, and lies within pi/2 of J (``_count_below``), so level n
+    lies strictly between J = (n - 1/2) pi and (n + 1/2) pi.  k = J^-1(c) is
+    c / a up to c = a sqrt(v0), and above it the root of
+    k a + sqrt(k^2 - v0) b = c, in a form free of cancellation."""
     a, b, v0 = spec.a, spec.b, spec.v0
     j_max = math.sqrt(e_max) * a + math.sqrt(max(e_max - v0, 0.0)) * b
-    c = (np.arange(math.ceil(j_max / math.pi - 0.5)) + 0.5) * math.pi
+    # J^-1 at c = (i + 1) pi / 2: the half-grid at even i, and J = n pi at i = 2n - 1
+    c = (np.arange(2 * math.ceil(j_max / math.pi - 0.5) + 1) + 1.0) * (0.5 * math.pi)
     k = c / a
     up = c > a * math.sqrt(v0)
     c = c[up]
     k[up] = (c * c + b * b * v0) / (a * c + b * np.sqrt(c * c + (b * b - a * a) * v0))
     e = k * k
-    return e[e < e_max]
+    seed = _seeds(spec, e)
+    gap = _SEED_GAP * np.maximum(seed, 1.0)
+    e = np.concatenate([e[::2], seed - gap, seed + gap])
+    return e[(0.0 < e) & (e < e_max)]
+
+
+def _seeds(spec: WellSpec, e: np.ndarray) -> np.ndarray:
+    """E_n for n = 1 .. len(e) // 2, where level n's Pruefer phase is n pi,
+    on ``_action_probes``' grid e of J^-1: level n lies between e[2n - 2] and
+    e[2n], and J is n pi at e[2n - 1].  It lies below the step where n pi is
+    below the phase there, a sqrt(v0) + atan(b sqrt(v0)), and then also below
+    e[2n - 1], as the right side's phase is positive.  Newton runs in k below
+    the step, from mid-bracket, and in q above it, from e[2n - 1]."""
+    a, v0 = spec.a, spec.v0
+    n = np.arange(1.0, e.size // 2 + 1.0)
+    lo, mid, hi = e[:-1:2], e[1::2], e[2::2]
+    nb = np.count_nonzero(n * math.pi < a * math.sqrt(v0) + math.atan(spec.b * math.sqrt(v0)))
+    seed = np.empty(n.size)
+    with np.errstate(invalid="ignore"):   # 0/0 in a slope on the step, where Newton bisects
+        if nb:
+            k_lo, k_hi = np.sqrt(lo[:nb]), np.sqrt(np.minimum(mid[:nb], v0))
+            k = _newton(lambda k: _phase_below(spec, k), 0.5 * (k_lo + k_hi), k_lo, k_hi,
+                        n[:nb] * math.pi)
+            seed[:nb] = k * k
+        if nb < n.size:
+            q_lo, q_hi = np.sqrt(np.maximum(lo[nb:] - v0, 0.0)), np.sqrt(hi[nb:] - v0)
+            q = _newton(lambda q: _phase_above(spec, q), np.sqrt(np.maximum(mid[nb:] - v0, 0.0)),
+                        q_lo, q_hi, n[nb:] * math.pi)
+            seed[nb:] = v0 + q * q
+    return seed
+
+
+def _newton(phase, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Roots of phase(x) = target, increasing in x, inside [lo, hi],
+    elementwise: each step moves the bracket's end on its side of the root,
+    and bisects where Newton's estimate leaves the bracket (one on an end
+    stays).  It stops once every step is a Newton step of _SEED_STEP x or less."""
+    for _ in range(_SEED_ITERS):
+        f, df = phase(x)
+        r = f - target
+        lo = np.where(r < 0.0, x, lo)
+        hi = np.where(r > 0.0, x, hi)
+        step = r / df
+        nxt = x - step
+        inside = (lo <= nxt) & (nxt <= hi)
+        x = np.where(inside, nxt, 0.5 * (lo + hi))
+        if (inside & (np.abs(step) <= _SEED_STEP * x)).all():
+            break
+    return x
+
+
+def _phase_below(spec: WellSpec, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pruefer phase at b below the step, F = k a + atan(k b th), and dF/dk:
+    psi = sin(k (x + a)) turns through k a on the left, and the right side
+    through atan2(k tanh(qbar b), qbar) in the same scale, tan = k psi / psi'.
+    th = tanh(x) / x at x = qbar b, and 1 on the step."""
+    a, b = spec.a, spec.b
+    kk = k * k
+    w2 = spec.v0 - kk
+    x = np.sqrt(w2) * b
+    t = np.tanh(x)
+    th = np.divide(t, x, out=np.ones_like(x), where=x > 0.0)
+    u = (k * b) * th
+    # du/dk = b (th + k^2 (th + t^2 - 1) / qbar^2), as dx/dk = -k b^2 / x
+    du = b * (th + kk * (th + t * t - 1.0) / w2)
+    return k * a + np.arctan(u), a + du / (1.0 + u * u)
+
+
+def _phase_above(spec: WellSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pruefer phase at b above the step, G = k a rescaled from k to q at
+    x = 0 within its half-turn, plus q b, and dG/dq:
+    G = J - atan2(eps sin 2ka, 1 + eps cos 2ka), eps = (k - q) / (k + q).
+    It is smooth in q, where the phase kept in the scale k turns in steps as
+    sharp as q / k wide at q b = m pi."""
+    a, b, v0 = spec.a, spec.b, spec.v0
+    k = np.sqrt(v0 + q * q)
+    eps = v0 / ((k + q) * (k + q))
+    s, c = np.sin(2.0 * a * k), np.cos(2.0 * a * k)
+    aq = a * q
+    df = aq / k + b + (2.0 * eps / k) * (s - aq * (c + eps)) / (1.0 + eps * (c + c + eps))
+    return k * a + q * b - np.arctan2(eps * s, 1.0 + eps * c), df
 
 
 def _count_below(spec: WellSpec, energies) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import resource
 import subprocess
@@ -332,6 +333,40 @@ def test_package_names_are_their_modules_exports():
         assert sorted(names) == sorted(loaded.__all__), module
         for name in names:
             assert getattr(asymwell, name) is getattr(loaded, name), name
+
+
+# what a stage-labelled exit 1 may say over random geometry at the default cutoff
+RANDOM_GEOMETRY_REFUSALS = [
+    # the sqrt(v0)*b overflow guard (ROADMAP items 4 and 15)
+    r"step height v0=\S+ is too large for this geometry: .*",
+    # the root policy's tolerance, absolute below E = 1 (item 13)
+    r"matching residual \S+ at E=\S+: energy is not a root of the characteristic .*",
+    # a correct refusal: the well's ground state lies above the cutoff
+    r"state n=1 not found below the energy cutoff .*",
+    r"n_grid=\d+ is too coarse for a floor of height \S+: Numerov needs n_grid >= \d+ here",
+    r"e_max=\S+ reaches \S+, the top of the \d+-cell grid's spectrum: .*",
+]
+
+
+def test_random_geometry_exits_zero_or_by_stage(capsys):
+    # a, b log-uniform in [1e-2, 1e3] and v0 in [1e-3, 1e6], seeded, 24 calls
+    # of each subcommand: exit 0, or exit 1 with a solve-stage line from the
+    # list, and never a traceback; the smoothed well on a 400-cell grid
+    rng = random.Random(3)
+    for i in range(120):
+        command = list(report._COMMANDS)[i % 5]
+        a, b, v0 = (10.0 ** rng.uniform(lo, hi) for lo, hi in ((-2, 3), (-2, 3), (-3, 6)))
+        argv = [command, "--a", repr(a), "--b", repr(b), "--v0", repr(v0), "--grid", "400"]
+        code = main(argv + ["--n", "1"] if report._COMMANDS[command][1] else argv)
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == "" and out.startswith(f"# asymwell {command}\n"), argv
+        else:
+            assert code == 1, argv
+            prefix = f"asymwell {command}: solve: "
+            assert err.startswith(prefix) and err.endswith("\n"), (argv, err)
+            assert any(re.fullmatch(refusal, err[len(prefix):-1])
+                       for refusal in RANDOM_GEOMETRY_REFUSALS), (argv, err)
 
 
 @pytest.mark.parametrize("e_max", ["8.224670334241132", "16.449340668482264"],

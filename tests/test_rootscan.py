@@ -417,15 +417,16 @@ def test_numerov_count_parity_is_the_sign_of_fn(spec, e_max):
 # sha256 over every energy array the closed-form solver hands to fn and to
 # count, tagged and in call order, recorded once the count handed over fn at
 # its probes, from the scan's first cell to e_max itself, the polish handed
-# over at 8 tolerances and bisected a stalled bracket, and the count's one
-# call took the action half-grid J = (n + 1/2) pi with its probes
+# over at 8 tolerances and bisected a stalled bracket, the count's one call
+# took the action half-grid J = (n + 1/2) pi with its probes, and the pair
+# E_n -+ 0.6 tolerances around each level's Pruefer-phase seed
 CALL_LOG_SHA256 = {
     (3.0, 3.0, 20.0, 100.0):
-        "a7ca6a5be9f996b3f0d61d444c074369b8d9e178335912d095333870e52cb452",
+        "2eabeeaf07bee16dab678ca6c957a1777d89a8b9448c6e2420fc8f0d754c8570",
     (2.0, 4.0, 60.0, 300.0):
-        "193f6016a70a0619263b4baaa33acea1f16be92489c3d7921dde67082e6be99c",
+        "d8f76a9c5a2b205733908cfa9ff1b79a554cbe72f2a22c9fcdf52e18bef79169",
     (1.0, 1.0, 100.0, 1e4):
-        "89598334da90f307ca18d605ada1850b121088abee397cf070b537d5e0f00743",
+        "928ca79a463684c84c411c05f8409d4db120aeeb48dac227df58eef0ac370eb4",
 }
 
 

@@ -2,6 +2,7 @@
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -22,7 +23,7 @@ from asymwell import (
     side_probabilities,
 )
 from asymwell import spectrum
-from asymwell._rootscan import bracket_and_bisect, scan_step
+from asymwell._rootscan import _HANDOVER, _isolate, bracket_and_bisect, scan_step
 from asymwell.spectrum import ScanResolutionError, _characteristic_many, _count_below
 from oracles import pruefer_count, reference_roots
 
@@ -371,6 +372,137 @@ class TestFindSpectrum:
         monkeypatch.setattr(spectrum, "bracket_and_bisect", policy)
         assert find_spectrum(spec, e_max)
         assert len(calls) <= 30
+
+
+def pruefer_phase(spec: WellSpec, energies) -> tuple[np.ndarray, np.ndarray]:
+    """The seeds' Pruefer phase at b and its slope in E: ``_phase_below`` in k
+    below the step, ``_phase_above`` in q above it."""
+    e = np.asarray(energies, dtype=float)
+    below = e < spec.v0
+    f, slope = np.empty(e.size), np.empty(e.size)
+    k = np.sqrt(e[below])
+    f[below], dk = spectrum._phase_below(spec, k)
+    slope[below] = dk / (2.0 * k)
+    q = np.sqrt(e[~below] - spec.v0)
+    f[~below], dq = spectrum._phase_above(spec, q)
+    slope[~below] = dq / (2.0 * q)
+    return f, slope
+
+
+@st.composite
+def stepped_wells(draw):
+    """Wells with levels on both sides of the step: a sqrt(v0) > 2, so at least
+    one level lies below it, and e_max at least 2 pi of q b above it.  The
+    level whose action bracket (n -+ 1/2) pi holds v0 straddles the step."""
+    a, b = draw(st.floats(0.5, 6.0)), draw(st.floats(0.5, 6.0))
+    v0 = draw(st.floats(20.0, 3000.0))
+    assume(math.sqrt(v0) * b <= 350.0)
+    return WellSpec(a, b, v0), v0 + (2.0 * math.pi / b) ** 2 * draw(st.floats(1.0, 4.0))
+
+
+class TestPhaseSeeds:
+    @given(stepped_wells())
+    @example((WellSpec(3.0, 3.0, 20.0), 100.0))
+    @settings(max_examples=60)
+    def test_phase_is_n_pi_at_each_level(self, well):
+        # each reported float lies within half a bisection tolerance of the
+        # characteristic's sign change, so the phase is n pi within its
+        # slope times one tolerance, and a few ulp of n pi
+        spec, e_max = well
+        levels = np.array([state.energy for state in find_spectrum(spec, e_max)])
+        assert levels.min() < spec.v0 < levels.max()
+        n_pi = np.arange(1, levels.size + 1) * math.pi
+        f, slope = pruefer_phase(spec, levels)
+        tol = slope * spectrum._BISECT_TOL * np.maximum(levels, 1.0) + 4.0 * np.spacing(n_pi)
+        assert (np.abs(f - n_pi) <= tol).all()
+
+    @given(stepped_wells(), st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=20))
+    @settings(max_examples=60)
+    def test_newton_slope_is_the_central_difference(self, well, fractions):
+        # k across (0, sqrt(v0)) below the step and q across (0, sqrt(e_max)) above it
+        spec, e_max = well
+        u = np.array(fractions)
+        for phase, x in ((spectrum._phase_below, u * math.sqrt(spec.v0)),
+                         (spectrum._phase_above, u * math.sqrt(e_max))):
+            h = 1e-7 * x
+            central = (phase(spec, x + h)[0] - phase(spec, x - h)[0]) / (2.0 * h)
+            assert phase(spec, x)[1] == pytest.approx(central, rel=1e-4)
+
+    @given(stepped_wells(), st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=50))
+    @settings(max_examples=60)
+    def test_phase_counts_the_levels_below(self, well, fractions):
+        # floor(F / pi) is the oracle's count, away from the levels, where
+        # either may round a level to the other side
+        spec, e_max = well
+        e = np.array(fractions) * e_max
+        e = e[pruefer_count(spec, e * (1.0 - 1e-9)) == pruefer_count(spec, e * (1.0 + 1e-9))]
+        assert np.array_equal(np.floor(pruefer_phase(spec, e)[0] / math.pi),
+                              pruefer_count(spec, e))
+
+    @given(stepped_wells())
+    @example((WellSpec(4.0, 4.0, 5000.0), 6000.0))
+    @settings(max_examples=60)
+    def test_seeds_warn_of_nothing(self, well):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectrum._action_probes(*well).size
+
+    @given(a=st.floats(1.0, 5.0), b=st.floats(1.0, 5.0),
+           v0=st.floats(0.0, math.log(2e4)).map(math.exp),
+           e_max=st.floats(math.log(10.0), math.log(1e4)).map(math.exp))
+    @example(a=3.0, b=3.0, v0=20.0, e_max=1e4)
+    @example(a=1.0, b=5.0, v0=2000.0, e_max=2010.0)  # tall step: the phase near its pi/2 bound
+    @settings(max_examples=200)
+    def test_every_level_gets_a_count_gap_past_the_polish(self, a, b, v0, e_max):
+        # step-survey's draws: the seeds put each level in a count gap
+        # narrower than the polish's handover, so the polish makes no pass
+        # and the replay starts at once
+        assume(math.sqrt(v0) * b <= 350.0)
+        spec = WellSpec(a, b, v0)
+        lo, hi, *_ = _isolate(lambda es: _count_below(spec, es), e_max, scan_step(a, b),
+                              spectrum._action_probes(spec, e_max))
+        assert lo.size == _count_below(spec, e_max)[0]
+        assert (hi - lo < _HANDOVER * spectrum._BISECT_TOL * np.maximum(hi, 1.0)).all()
+
+    @pytest.mark.parametrize("e_max, most_fn_calls", [(35.0, 3), (1e4, 4)])
+    def test_standard_well_calls(self, standard_spec, e_max, most_fn_calls, monkeypatch):
+        calls = {"fn": 0, "count": 0}
+
+        def policy(fn, count, *args):
+            def counted(tag, f):
+                def call(es):
+                    calls[tag] += 1
+                    return f(es)
+                return call
+            return bracket_and_bisect(counted("fn", fn), counted("count", count), *args)
+
+        monkeypatch.setattr(spectrum, "bracket_and_bisect", policy)
+        assert find_spectrum(standard_spec, e_max)
+        assert calls["count"] == 1
+        assert calls["fn"] <= most_fn_calls
+
+    def test_many_levels_keep_the_floats_of_the_plain_policy(self, standard_spec):
+        # 1909 levels: the floats of the call without probes, whose count
+        # splits its 31 probes' gaps and whose polish narrows every bracket
+        e_max = 1e6
+        plain = bracket_and_bisect(lambda es: spectrum._scaled_characteristic(standard_spec, es),
+                                   lambda es: _count_below(standard_spec, es),
+                                   e_max, scan_step(3.0, 3.0), spectrum._BISECT_TOL)
+        assert len(plain) == 1909
+        assert [state.energy for state in find_spectrum(standard_spec, e_max)] == plain
+
+    def test_seed_arrays_stay_within_a_bound_per_level(self, standard_spec):
+        # the action grid holds two energies per level, and the Newton
+        # iteration a fixed number of arrays of one energy per level: 40
+        # floats a level bounds them all (about 30 at the last measurement)
+        spectrum._action_probes(standard_spec, 1e6)
+        tracemalloc.start()
+        try:
+            spectrum._action_probes(standard_spec, 1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 8 * 1909
 
 
 # lam log-uniform in [1e-3, 1e4]
