@@ -10,14 +10,13 @@ both:
    the scan's first cell ``step`` and every e_max / 30 up to e_max (no level
    lies at or below ``step``, half the ground state of the flat well as wide
    as the floor, which only raises the levels), a level on e_max counted
-   there, and at the energies the solver adds: the closed form's action
-   half-grid, one between each pair of levels, and two energies within a
-   tolerance of each level, from its Pruefer phase, which leave the polish
-   nothing to do; a gap whose count jumps by more than one is split until
-   every level has a bracket of its own.  Each solver makes N's parity the
-   sign of ``fn`` wherever ``fn`` is nonzero (odd where fn < 0), checked at
-   every count, so each bracket's end values and signs come from the count,
-   and no level falls between the two.
+   there, and at two energies ``_SEED_GAP`` tolerances either side of each
+   root estimate the solver supplies (the closed form's Pruefer-phase
+   seeds), which leave the polish nothing to do; a gap whose count jumps by
+   more than one is split until every level has a bracket of its own.  Each
+   solver makes N's parity the sign of ``fn`` wherever ``fn`` is nonzero
+   (odd where fn < 0), checked at every count, so each bracket's end values
+   and signs come from the count, and no level falls between the two.
 2. Secant polish: Illinois regula falsi on ``fn``, vectorized over all
    brackets, one call per pass.  A bracket hands over once it is narrower
    than ``_HANDOVER`` bisection tolerances: the replay's bisection gains one
@@ -25,8 +24,9 @@ both:
    ``_STALL`` passes takes one bisection step in place of its secant
    estimate.  A stall comes from a rounding floor, below which only the sign
    of ``fn`` means anything, such as Numerov's near a root under a high step,
-   or from a sharp bend, such as the closed form's at E = v0 (elsewhere its
-   ``fn`` is scaled to stay below 1 + k b, and rarely stalls).
+   or from a sharp bend, such as the closed form's at E = v0, or from
+   values spread over many decades, such as the closed form's, which grows
+   like cosh(qbar b) below a tall step.
 3. Replay: the reported float is the one a fixed scan would give, with cells
    of ``step`` refined 10x until every root has a cell of its own, bisected to
    the tolerance.  Its midpoints outside the polished bracket take the sign of
@@ -63,6 +63,10 @@ _EPS = np.finfo(float).eps
 _PROBES = 31                 # energies of the count pass, within one Numerov count chunk
 _HANDOVER = 8                # bracket width, in bisection tolerances, that ends the polish
 _STALL = 6                   # secant passes a bracket may take to halve its width
+# a seed's count gap, x -+ 0.6 tolerances: wider than the replay's one
+# tolerance, below which its bulk halvings skip the bracket, and narrower
+# than the handover, so the polish makes no pass
+_SEED_GAP = 0.6
 # the count pass's probes over e_max above the scan's first cell, in steps of 1/30 up to e_max
 _PROBE_AT = np.arange(1, _PROBES) / (_PROBES - 1)
 
@@ -91,7 +95,7 @@ def bracket_and_bisect(
     e_max: float,
     step: float,
     tol_rel: float,
-    probes: np.ndarray | tuple = (),
+    seeds: Callable[[], np.ndarray] | None = None,
 ) -> list[float]:
     """All roots of ``fn`` in (0, e_max], in increasing order.
 
@@ -103,18 +107,19 @@ def bracket_and_bisect(
     ``tol_rel * max(1, E)`` (floored at a few ulp), started from the cell of
     width ``step / 10**r`` that holds it, for the first r at which every root
     has a cell of its own; a root on a cell edge, e_max included, is returned
-    as-is.  ``probes``, energies in (0, e_max], join the count's first call
-    within the scan's reach (``within_reach``), where they move the brackets
-    but not the floats.  ``ValueError`` refuses an e_max that is not finite
-    and positive, and, before any split, one holding 2**53 levels or more,
-    which a float no longer counts exactly, or, holding a level, whose scan
-    cell ``step`` is below 4 eps e_max, past which the scan grid's points no
-    longer step apart; ``ScanResolutionError`` names the energy where N's
-    parity is not fn's sign.
+    as-is.  ``seeds``, called once and only within the scan's reach (``step``
+    at least 4 eps e_max), returns estimates x of the roots: the count's
+    first call takes x -+ ``_SEED_GAP`` tolerances at x, inside (0, e_max),
+    which move the brackets but not the floats.  ``ValueError`` refuses an
+    e_max that is not finite and positive, and, before any split, one holding
+    2**53 levels or more, which a float no longer counts exactly, or, holding
+    a level, whose scan cell ``step`` is below 4 eps e_max, past which the
+    scan grid's points no longer step apart; ``ScanResolutionError`` names the
+    energy where N's parity is not fn's sign.
     """
     if not 0 < e_max < math.inf:
         raise ValueError(f"e_max must be finite and positive, got {e_max}")
-    lo, hi, n_lo, flo, fhi = _isolate(count, e_max, step, probes)
+    lo, hi, n_lo, flo, fhi = _isolate(count, e_max, step, tol_rel, seeds)
     if not lo.size:
         return []
     roots = _Brackets(lo, hi, flo, fhi, np.where(n_lo % 2 == 1, -1.0, 1.0))
@@ -122,22 +127,20 @@ def bracket_and_bisect(
     return roots.replay(fn, e_max, step, tol_rel)
 
 
-def within_reach(e_max: float, step: float) -> bool:
-    """Whether the fixed scan's grid points, ``step`` apart, still step apart
-    up to e_max: e_max finite and positive, and ``step`` at least 4 eps e_max.
-    Past it a count that finds a level is refused."""
-    return 0 < e_max < math.inf and step >= 4.0 * _EPS * e_max
-
-
-def _isolate(count, e_max: float, step: float, probes) -> tuple[np.ndarray, ...]:
+def _isolate(count, e_max: float, step: float, tol_rel: float, seeds) -> tuple[np.ndarray, ...]:
     """Brackets (lo, hi] holding one level each, for every level in (0, e_max]:
-    lo, hi, N(lo) and fn at lo and at hi, from the count at the probes and the
-    splits, its parity checked at every call.  N is read as floats, exact
-    below 2**53 levels, then as ints; N(e_max) counts a level on e_max.  The
-    solver's ``probes`` join the first count only within the scan's reach."""
-    reach = within_reach(e_max, step)
-    new = np.concatenate([[min(step, e_max * _PROBE_AT[0])], e_max * _PROBE_AT,
-                          probes if reach else []])
+    lo, hi, N(lo) and fn at lo and at hi, from the count at the probes, the
+    seeds' gaps and the splits, its parity checked at every call.  N is read
+    as floats, exact below 2**53 levels, then as ints; N(e_max) counts a
+    level on e_max.  ``seeds`` is called only within the scan's reach, where
+    its grid points, ``step`` apart, still step apart up to e_max."""
+    reach = step >= 4.0 * _EPS * e_max
+    new = np.concatenate([[min(step, e_max * _PROBE_AT[0])], e_max * _PROBE_AT])
+    if reach and seeds is not None:
+        x = np.asarray(seeds(), dtype=float)
+        gap = _SEED_GAP * max(tol_rel, 8.0 * _EPS) * np.maximum(x, 1.0)
+        x = np.concatenate([x - gap, x + gap])
+        new = np.concatenate([new, x[(0.0 < x) & (x < e_max)]])
     e, n, f = np.empty(0), np.empty(0, dtype=int), np.empty(0)
     while True:
         n_new, f_new = count(new)

@@ -11,12 +11,6 @@ which below the step (E < v0, q = i qbar) continues to
 Dividing the q-sector by q merges both branches into one characteristic
 function that is real-analytic in E across E = v0, so one root search
 catches every root with no branch bookkeeping.
-
-Below a tall step that function grows like cosh(qbar b), up to e^350 inside
-the overflow guard, where the root policy's secant polish stalls.  The
-policy therefore sees it divided by cosh(qbar b) below the step and by 1 at
-and above it, the Pruefer-style rescaling: a positive finite divisor keeps
-every sign and every zero, and the quotient is bounded by 1 + k b.
 """
 from __future__ import annotations
 
@@ -27,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds as _bounds
-from ._rootscan import ScanResolutionError, bracket_and_bisect, scan_step, within_reach
+from ._rootscan import ScanResolutionError, bracket_and_bisect, scan_step
 from .potential import WellSpec, _finite, _in_well
 
 __all__ = [
@@ -47,10 +41,6 @@ _BISECT_TOL = 1e-13          # relative; well inside the 1e-10 contract
 _RESIDUAL_TOL = 1e-6         # matching-residual gate for spurious roots
 _MATCH_THRESHOLD = 0.1       # a bound metric below this names the match class
 _BRANCHES = ("oscillatory", "evanescent")  # a state's branch, by below_threshold
-# a seeded level's count gap, E_n -+ 0.6 tolerances: narrower than the
-# polish's handover of 8 tolerances, and wider than the replay's one, below
-# which its bulk halvings skip the bracket
-_SEED_GAP = 0.6 * _BISECT_TOL
 _SEED_ITERS = 12             # Newton steps at most per seed
 _SEED_STEP = 1e-9            # a Newton step this small, relative, leaves an error near its square
 
@@ -119,14 +109,6 @@ def _characteristic_many(spec: WellSpec, energies: np.ndarray) -> np.ndarray:
     return k * np.cos(k * spec.a) * S + C * np.sin(k * spec.a)
 
 
-def _scaled_characteristic(spec: WellSpec, energies: np.ndarray) -> np.ndarray:
-    """The root policy's fn: g(E) / cosh(qbar b) below the step, g(E) at and
-    above it.  |fn| <= 1 + k b on both sides, as tanh(x)/x and |sin(x)/x|
-    are at most 1."""
-    qbar = np.sqrt(np.maximum(spec.v0 - energies, 0.0))   # 0 at and above the step
-    return _characteristic_many(spec, energies) / np.cosh(qbar * spec.b)
-
-
 def _right_sc(d: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
     """S and C of the characteristic at E - v0 = d, with S = b, C = 1 at d = 0."""
     w = np.sqrt(np.abs(d))
@@ -141,18 +123,15 @@ def _right_sc(d: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
 def find_spectrum(spec: WellSpec, e_max: float) -> list[EigenState]:
     """Every bound state with 0 < E <= e_max, normalized, ordered by energy.
 
-    The closed-form Sturm count gives every root of the characteristic a
-    bracket of its own in one call, as its probes include the action
-    half-grid, one energy between each pair of levels, and two energies
-    0.6 bisection tolerances either side of each level's seed, where Newton's
-    method puts its Pruefer phase at n pi (``_action_probes``).  Each bracket
-    is then narrower than the shared root policy's polish takes, so the policy
-    goes straight to its replay, on the characteristic divided by
-    cosh(qbar b) below the step.  That keeps every sign, so the energies are
-    the floats of the fixed-step scan and bisection of the characteristic
-    itself; a seed that misses its level leaves it the half-grid's bracket.
-    ``ScanResolutionError`` is raised where no count probe or scan cell
-    separates two levels.
+    The shared root policy's Sturm count takes two energies 0.6 bisection
+    tolerances either side of each level's seed, where Newton's method puts
+    its Pruefer phase at n pi (``_seeds``), so one count call gives every
+    root of the characteristic a bracket of its own, narrower than the
+    policy's polish takes, and the policy goes straight to its replay.  The
+    energies are the floats of the fixed-step scan and bisection of the
+    characteristic; a seed that misses its level leaves it to the count's
+    split and the polish.  ``ScanResolutionError`` is raised where no count
+    probe or scan cell separates two levels.
     """
     return _states(spec, _solve(spec, e_max))
 
@@ -170,48 +149,35 @@ def _solve(spec: WellSpec, e_max: float) -> tuple[np.ndarray, ...]:
             f"(need sqrt(v0)*b <= 350)"
         )
 
-    step = scan_step(spec.a, spec.b)
-    probes = _action_probes(spec, e_max) if within_reach(e_max, step) else ()
-    roots = bracket_and_bisect(lambda es: _scaled_characteristic(spec, es),
+    roots = bracket_and_bisect(lambda es: _characteristic_many(spec, es),
                                lambda es: _count_below(spec, es),
-                               e_max, step, _BISECT_TOL, probes)
+                               e_max, scan_step(spec.a, spec.b), _BISECT_TOL,
+                               lambda: _seeds(spec, e_max))
     return _solve_state(spec, roots)
 
 
-def _action_probes(spec: WellSpec, e_max: float) -> np.ndarray:
-    """The count's probes below e_max: the energies where the classical action
-    J = k a + q b is (n + 1/2) pi, and E_n -+ _SEED_GAP max(1, E_n) around
-    each level's seed E_n (``_seeds``).  The Pruefer phase is n pi at level n,
-    numbered from 1, and lies within pi/2 of J (``_count_below``), so level n
-    lies strictly between J = (n - 1/2) pi and (n + 1/2) pi.  k = J^-1(c) is
-    c / a up to c = a sqrt(v0), and above it the root of
-    k a + sqrt(k^2 - v0) b = c, in a form free of cancellation."""
+def _seeds(spec: WellSpec, e_max: float) -> np.ndarray:
+    """E_n, where level n's Pruefer phase is n pi, for each level n = 1, 2, ...
+    whose action bracket starts below e_max.  The phase lies within pi/2 of
+    the classical action J = k a + q b (``_count_below``), so level n lies
+    strictly between e[2n - 2] and e[2n] on the grid e of J^-1((i + 1) pi / 2),
+    and J is n pi at e[2n - 1].  k = J^-1(c) is c / a up to c = a sqrt(v0), and
+    above it the root of k a + sqrt(k^2 - v0) b = c, in a form free of
+    cancellation.  Level n lies below the step where n pi is below the phase
+    there, a sqrt(v0) + atan(b sqrt(v0)), and then also below e[2n - 1], as
+    the right side's phase is positive.  Newton runs in k below the step,
+    from mid-bracket, and in q above it, from e[2n - 1]."""
     a, b, v0 = spec.a, spec.b, spec.v0
     j_max = math.sqrt(e_max) * a + math.sqrt(max(e_max - v0, 0.0)) * b
-    # J^-1 at c = (i + 1) pi / 2: the half-grid at even i, and J = n pi at i = 2n - 1
     c = (np.arange(2 * math.ceil(j_max / math.pi - 0.5) + 1) + 1.0) * (0.5 * math.pi)
     k = c / a
     up = c > a * math.sqrt(v0)
     c = c[up]
     k[up] = (c * c + b * b * v0) / (a * c + b * np.sqrt(c * c + (b * b - a * a) * v0))
     e = k * k
-    seed = _seeds(spec, e)
-    gap = _SEED_GAP * np.maximum(seed, 1.0)
-    e = np.concatenate([e[::2], seed - gap, seed + gap])
-    return e[(0.0 < e) & (e < e_max)]
-
-
-def _seeds(spec: WellSpec, e: np.ndarray) -> np.ndarray:
-    """E_n for n = 1 .. len(e) // 2, where level n's Pruefer phase is n pi,
-    on ``_action_probes``' grid e of J^-1: level n lies between e[2n - 2] and
-    e[2n], and J is n pi at e[2n - 1].  It lies below the step where n pi is
-    below the phase there, a sqrt(v0) + atan(b sqrt(v0)), and then also below
-    e[2n - 1], as the right side's phase is positive.  Newton runs in k below
-    the step, from mid-bracket, and in q above it, from e[2n - 1]."""
-    a, v0 = spec.a, spec.v0
     n = np.arange(1.0, e.size // 2 + 1.0)
     lo, mid, hi = e[:-1:2], e[1::2], e[2::2]
-    nb = np.count_nonzero(n * math.pi < a * math.sqrt(v0) + math.atan(spec.b * math.sqrt(v0)))
+    nb = np.count_nonzero(n * math.pi < a * math.sqrt(v0) + math.atan(b * math.sqrt(v0)))
     seed = np.empty(n.size)
     with np.errstate(invalid="ignore"):   # 0/0 in a slope on the step, where Newton bisects
         if nb:
@@ -279,15 +245,16 @@ def _phase_above(spec: WellSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _count_below(spec: WellSpec, energies) -> tuple[np.ndarray, np.ndarray]:
-    """Sturm count, the bound states below each energy, and the policy's fn there.
-    The Pruefer phase of psi = sin(k (x + a)) lies within pi/2 of the action
-    J = k a + q b (q = 0 below the step), so the count is floor(max(J/pi - 1/2, 0))
-    or one more: even where fn (of the sign of psi(b) = g(E)) > 0, odd where fn < 0,
-    and the first, the levels strictly below E, where fn = 0.  Floats, exact to 2**53."""
+    """Sturm count, the bound states below each energy, and the characteristic
+    g(E) there, the policy's fn.  The Pruefer phase of psi = sin(k (x + a)) lies
+    within pi/2 of the action J = k a + q b (q = 0 below the step), so the count
+    is floor(max(J/pi - 1/2, 0)) or one more: even where g (of the sign of
+    psi(b)) > 0, odd where g < 0, and the first, the levels strictly below E,
+    where g = 0.  Floats, exact to 2**53."""
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     j = np.sqrt(e) * spec.a + np.sqrt(np.maximum(e - spec.v0, 0.0)) * spec.b
     n = np.floor(np.maximum(j / math.pi - 0.5, 0.0))
-    f = _scaled_characteristic(spec, e)
+    f = _characteristic_many(spec, e)
     n += (f != 0.0) & ((n % 2.0 == 1.0) != (f < 0.0))
     return n.reshape(np.shape(energies)), f.reshape(np.shape(energies))
 

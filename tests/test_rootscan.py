@@ -307,35 +307,41 @@ def test_narrow_brackets_replay_the_fixed_scan(case):
 
 
 @st.composite
-def probed_brackets(draw):
-    """``narrow_brackets`` with energies in (0, e_max] for the count pass:
-    anywhere, on its 31 probes, on scan points k * 0.1, and on or within a few
-    tolerances or floats of a root."""
+def seeded_brackets(draw):
+    """``narrow_brackets`` with root estimates for the count pass: anywhere
+    from -e_max to 2 e_max, on 0 and e_max, on the 31 probes, on scan points
+    k * 0.1, and on or within a few tolerances or floats of a root; each drawn
+    once or twice."""
     roots, e_max = draw(narrow_brackets())
-    uniform = [min(0.1, e_max / 30)] + [e_max * i / 30 for i in range(1, 31)]
+    uniform = [0.0, min(0.1, e_max / 30)] + [e_max * i / 30 for i in range(1, 31)]
     near = st.tuples(st.sampled_from(roots), st.integers(-4, 4), st.booleans()).map(
         lambda t: t[0] + t[1] * (1e-13 * max(1.0, t[0]) if t[2] else np.spacing(t[0])))
     scan = st.integers(1, max(1, int(e_max / 0.1))).map(lambda k: k * 0.1)
-    probes = draw(st.lists(st.one_of(st.floats(0.0, e_max, exclude_min=True),
-                                     st.sampled_from(uniform), scan, near), max_size=12))
-    return roots, e_max, [p for p in probes if 0.0 < p <= e_max]
+    seeds = draw(st.lists(st.one_of(st.floats(-e_max, 2.0 * e_max), st.sampled_from(uniform),
+                                    scan, near), max_size=12))
+    return roots, e_max, seeds * draw(st.sampled_from([1, 2]))
 
 
-@given(probed_brackets())
+@given(seeded_brackets())
 @example(([0.1, 0.2, 1.675], 1.725, [0.2, 1.675, 1.675]))   # on roots, one twice
 @example(([1.0, 1.02], 2.0, [1.0, 1.0 + 1e-13, 1.02 - 2.220446049250313e-16]))
+@example(([0.5, 1.0], 2.0, [-1.0, 0.0, 2.0, 3.0]))          # outside (0, e_max]
+@example(([0.5, 1.0], 2.0, []))
 @settings(max_examples=300)
-def test_extra_probes_move_no_float(case):
-    # the solver's probes move the brackets, never the reported floats: the
+def test_seeds_move_no_float(case):
+    # the solver's seeds move the brackets, never the reported floats: the
     # floats of the call without them, and of the fixed scan
-    roots, e_max, probes = case
+    roots, e_max, seeds = case
     assume(min(roots) >= min(0.1, e_max / 30))
     fn, count = polynomial(roots)
     try:
         plain = bracket_and_bisect(fn, count, e_max, 0.1, 1e-13)
     except ScanResolutionError:
         assume(False)
-    assert bracket_and_bisect(fn, count, e_max, 0.1, 1e-13, np.array(probes)) == plain
+    asked = []
+    assert bracket_and_bisect(fn, count, e_max, 0.1, 1e-13,
+                              lambda: asked.append(1) or np.array(seeds)) == plain
+    assert asked == [1]
     try:
         expected = reference_roots(fn, count, e_max, 0.1, 1e-13)
     except ScanResolutionError:
@@ -345,18 +351,24 @@ def test_extra_probes_move_no_float(case):
 
 
 @pytest.mark.parametrize("roots", [[0.5], [5.0]], ids=["refused", "empty"])
-def test_extra_probes_past_the_scan_reach_not_counted(roots):
+def test_seeds_past_the_scan_reach_never_asked_for(roots):
     # past the reach the count sees only its 31 probes, whether it refuses
-    # the levels it finds or finds none
+    # the levels it finds or finds none, and the seeds are never computed
     fn, count = polynomial(roots)
     traced, sizes = calls_of(count)
-    probes = np.linspace(0.1, 2.0, 50)
+    asked = []
+
+    def seeds():
+        asked.append(1)
+        return np.linspace(0.1, 2.0, 50)
+
     if roots[0] < 2.0:
         with pytest.raises(ValueError, match="past the fixed scan's reach"):
-            bracket_and_bisect(fn, traced, 2.0, 1e-16, 1e-13, probes)
+            bracket_and_bisect(fn, traced, 2.0, 1e-16, 1e-13, seeds)
     else:
-        assert bracket_and_bisect(fn, traced, 2.0, 1e-16, 1e-13, probes) == []
+        assert bracket_and_bisect(fn, traced, 2.0, 1e-16, 1e-13, seeds) == []
     assert sizes == [31]
+    assert asked == []
 
 
 def policy_pair(module, solve):
@@ -417,16 +429,16 @@ def test_numerov_count_parity_is_the_sign_of_fn(spec, e_max):
 # sha256 over every energy array the closed-form solver hands to fn and to
 # count, tagged and in call order, recorded once the count handed over fn at
 # its probes, from the scan's first cell to e_max itself, the polish handed
-# over at 8 tolerances and bisected a stalled bracket, the count's one call
-# took the action half-grid J = (n + 1/2) pi with its probes, and the pair
-# E_n -+ 0.6 tolerances around each level's Pruefer-phase seed
+# over at 8 tolerances and bisected a stalled bracket, and the count's one
+# call took, next to its 31 probes, only the pair E_n -+ 0.6 tolerances
+# around each level's Pruefer-phase seed, with fn the characteristic itself
 CALL_LOG_SHA256 = {
     (3.0, 3.0, 20.0, 100.0):
-        "2eabeeaf07bee16dab678ca6c957a1777d89a8b9448c6e2420fc8f0d754c8570",
+        "c561ffca9a09a43b3dbd94bd347803db52f2d798a9aee5c21b268c59ebed6083",
     (2.0, 4.0, 60.0, 300.0):
-        "d8f76a9c5a2b205733908cfa9ff1b79a554cbe72f2a22c9fcdf52e18bef79169",
+        "64eed65bc537a2469383c1f86094076035a9ebcfc7dfedbdd44c7c2e7a194521",
     (1.0, 1.0, 100.0, 1e4):
-        "928ca79a463684c84c411c05f8409d4db120aeeb48dac227df58eef0ac370eb4",
+        "b5d991afd8707bc624327efca641cd757c5bda4d729a4230b98d6f65e83f1f87",
 }
 
 

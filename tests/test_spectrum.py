@@ -82,27 +82,6 @@ class TestCharacteristic:
         with pytest.raises(ValueError):
             characteristic(WellSpec(3, 3, 20, Exponential(0.2)), 1.0)
 
-    @given(a=lengths, b=lengths, v0=st.floats(min_value=0.0, max_value=1e4),
-           e_max=st.floats(min_value=1.0, max_value=1e4),
-           energies=st.lists(st.floats(min_value=1e-9, max_value=2e4), max_size=20))
-    @example(a=1.0, b=5.0, v0=2000.0, e_max=3000.0, energies=[])
-    @example(a=4.0, b=4.0, v0=5000.0, e_max=6000.0, energies=[])
-    @settings(max_examples=100)
-    def test_policy_fn_keeps_the_signs_of_the_characteristic(self, a, b, v0, e_max, energies):
-        # the root policy reads g / cosh(qbar b), whose signs must be g's: at
-        # random energies, at the branch point and within 4 ulp of each root
-        assume(math.sqrt(v0) * b <= 350.0)
-        spec = WellSpec(a, b, v0)
-        up = down = np.array([state.energy for state in find_spectrum(spec, e_max)])
-        near = []
-        for _ in range(4):
-            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
-            near += [up, down]
-        es = np.concatenate([energies, [v0], *near])
-        fn = spectrum._scaled_characteristic(spec, es)
-        np.testing.assert_array_equal(np.sign(fn), np.sign(_characteristic_many(spec, es)))
-        assert np.all(np.abs(fn) <= (1.0 + np.sqrt(es) * b) * (1.0 + 1e-12))
-
 
 class TestFindSpectrum:
     def test_standard_well_spectrum(self, standard_states):
@@ -336,9 +315,9 @@ class TestFindSpectrum:
     @example(a=1.0, b=5.0, v0=2000.0, e_max=2010.0)
     @settings(max_examples=100)
     def test_one_count_call_brackets_every_level(self, a, b, v0, e_max):
-        # the count pass probes the action half-grid J = (n + 1/2) pi, one
-        # energy between each pair of levels, so its first call brackets them
-        # all and no gap is split
+        # the count pass takes two energies either side of each level's
+        # Pruefer-phase seed, so its first call brackets every level and no
+        # gap is split
         assume(math.sqrt(v0) * b <= 350.0)
         spec = WellSpec(a, b, v0)
         calls = []
@@ -400,6 +379,17 @@ def stepped_wells(draw):
     return WellSpec(a, b, v0), v0 + (2.0 * math.pi / b) ** 2 * draw(st.floats(1.0, 4.0))
 
 
+@st.composite
+def guarded_wells(draw):
+    """Wells up to the sqrt(v0) b <= 350 guard, the flat floor and steps
+    within 5% of the guard among them, and e_max where J <= 200 pi, so at
+    most 200 levels: J = k a + q b is at most sqrt(E) (a + b)."""
+    a, b = draw(lengths), draw(lengths)
+    height = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.95, 1.0)))
+    levels = draw(st.floats(1.0, 200.0))
+    return WellSpec(a, b, (height * 350.0 / b) ** 2), (levels * math.pi / (a + b)) ** 2
+
+
 class TestPhaseSeeds:
     @given(stepped_wells())
     @example((WellSpec(3.0, 3.0, 20.0), 100.0))
@@ -445,7 +435,7 @@ class TestPhaseSeeds:
     def test_seeds_warn_of_nothing(self, well):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert spectrum._action_probes(*well).size
+            assert spectrum._seeds(*well).size
 
     @given(a=st.floats(1.0, 5.0), b=st.floats(1.0, 5.0),
            v0=st.floats(0.0, math.log(2e4)).map(math.exp),
@@ -460,9 +450,28 @@ class TestPhaseSeeds:
         assume(math.sqrt(v0) * b <= 350.0)
         spec = WellSpec(a, b, v0)
         lo, hi, *_ = _isolate(lambda es: _count_below(spec, es), e_max, scan_step(a, b),
-                              spectrum._action_probes(spec, e_max))
+                              spectrum._BISECT_TOL, lambda: spectrum._seeds(spec, e_max))
         assert lo.size == _count_below(spec, e_max)[0]
         assert (hi - lo < _HANDOVER * spectrum._BISECT_TOL * np.maximum(hi, 1.0)).all()
+
+    @given(guarded_wells())
+    @example((WellSpec(3.0, 3.0, 0.0), 1000.0))       # flat floor: g = 0 on runs of floats
+    @example((WellSpec(1.0, 5.0, 2000.0), 3000.0))
+    @example((WellSpec(0.5, 0.5, 4.9e5), (200.0 * math.pi) ** 2))   # 200 levels at the guard
+    @settings(max_examples=60, deadline=None)
+    def test_levels_without_seeds_keep_their_floats(self, well):
+        # with no Newton step each seed stays at its start and misses its
+        # level, which the count's split and the polish on the characteristic
+        # itself then bracket: the floats, or the refusal, are the seeded ones
+        def solve():
+            try:
+                return [state.energy for state in find_spectrum(*well)]
+            except ValueError as exc:
+                return str(exc)
+
+        seeded = solve()
+        with mock.patch.object(spectrum, "_SEED_ITERS", 0):
+            assert solve() == seeded
 
     @pytest.mark.parametrize("e_max, most_fn_calls", [(35.0, 3), (1e4, 4)])
     def test_standard_well_calls(self, standard_spec, e_max, most_fn_calls, monkeypatch):
@@ -482,10 +491,10 @@ class TestPhaseSeeds:
         assert calls["fn"] <= most_fn_calls
 
     def test_many_levels_keep_the_floats_of_the_plain_policy(self, standard_spec):
-        # 1909 levels: the floats of the call without probes, whose count
+        # 1909 levels: the floats of the call without seeds, whose count
         # splits its 31 probes' gaps and whose polish narrows every bracket
         e_max = 1e6
-        plain = bracket_and_bisect(lambda es: spectrum._scaled_characteristic(standard_spec, es),
+        plain = bracket_and_bisect(lambda es: _characteristic_many(standard_spec, es),
                                    lambda es: _count_below(standard_spec, es),
                                    e_max, scan_step(3.0, 3.0), spectrum._BISECT_TOL)
         assert len(plain) == 1909
@@ -495,10 +504,10 @@ class TestPhaseSeeds:
         # the action grid holds two energies per level, and the Newton
         # iteration a fixed number of arrays of one energy per level: 40
         # floats a level bounds them all (about 30 at the last measurement)
-        spectrum._action_probes(standard_spec, 1e6)
+        spectrum._seeds(standard_spec, 1e6)
         tracemalloc.start()
         try:
-            spectrum._action_probes(standard_spec, 1e6)
+            spectrum._seeds(standard_spec, 1e6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
