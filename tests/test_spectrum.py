@@ -457,12 +457,13 @@ class TestPhaseSeeds:
     @given(guarded_wells())
     @example((WellSpec(3.0, 3.0, 0.0), 1000.0))       # flat floor: g = 0 on runs of floats
     @example((WellSpec(1.0, 5.0, 2000.0), 3000.0))
-    @example((WellSpec(0.5, 0.5, 4.9e5), (200.0 * math.pi) ** 2))   # 200 levels at the guard
+    @example((WellSpec(0.5, 0.5, 4.9e5), (200.0 * math.pi) ** 2))   # 100 levels at the guard
     @settings(max_examples=60, deadline=None)
     def test_levels_without_seeds_keep_their_floats(self, well):
-        # with no Newton step each seed stays at its start and misses its
-        # level, which the count's split and the polish on the characteristic
-        # itself then bracket: the floats, or the refusal, are the seeded ones
+        # with no Newton step each seed stays at its start, which misses its
+        # level wherever the step moves it off J = n pi; the count's split and
+        # the polish on the characteristic itself then bracket that level:
+        # the floats, or the refusal, are the seeded ones
         def solve():
             try:
                 return [state.energy for state in find_spectrum(*well)]
