@@ -10,10 +10,11 @@ both:
    the scan's first cell ``step`` and every e_max / 30 up to e_max (no level
    lies at or below ``step``, half the ground state of the flat well as wide
    as the floor, which only raises the levels), a level on e_max counted
-   there, and at two energies ``_SEED_GAP`` tolerances either side of each
-   root estimate the solver supplies (the closed form's Pruefer-phase
-   seeds), which leave the polish nothing to do; a gap whose count jumps by
-   more than one is split until every level has a bracket of its own.  Each
+   there, and at x -+ ``_SEED_GAP`` eps x around each root estimate x the
+   solver supplies (the closed form's Pruefer-phase seeds): a count rising by
+   one there certifies a root within 256 ulp, and leaves the polish nothing
+   to do.  A gap whose count jumps by more than one (a seed that missed) is
+   split until every level has a bracket of its own.  Each
    solver makes N's parity the sign of ``fn`` wherever ``fn`` is nonzero
    (odd where fn < 0), checked at every count, so each bracket's end values
    and signs come from the count, and no level falls between the two.
@@ -31,8 +32,8 @@ both:
    of ``step`` refined 10x until every root has a cell of its own, bisected to
    the tolerance.  Its midpoints outside the polished bracket take the sign of
    that bracket's end, so only the ones inside it are evaluated, in one call
-   per round over all roots; the levels before a root's first such midpoint
-   are taken in bulk, as plain halvings.
+   per round over all roots; first, each root takes in bulk the plain
+   halvings that its cell's width allows before the scan could stop.
 
 The policy sees only energies, values and counts: how a solver evaluates
 ``fn`` and its count (the closed form's classical action and characteristic,
@@ -63,10 +64,9 @@ _EPS = np.finfo(float).eps
 _PROBES = 31                 # energies of the count pass, within one Numerov count chunk
 _HANDOVER = 8                # bracket width, in bisection tolerances, that ends the polish
 _STALL = 6                   # secant passes a bracket may take to halve its width
-# a seed's count gap, x -+ 0.6 tolerances: wider than the replay's one
-# tolerance, below which its bulk halvings skip the bracket, and narrower
-# than the handover, so the polish makes no pass
-_SEED_GAP = 0.6
+# a seed's count gap x -+ 128 eps x, 128 to 256 ulp: wider than the seeds' error and the
+# rounding of fn near a level, narrower than one tolerance, so the polish makes no pass
+_SEED_GAP = 128
 # the count pass's probes over e_max above the scan's first cell, in steps of 1/30 up to e_max
 _PROBE_AT = np.arange(1, _PROBES) / (_PROBES - 1)
 
@@ -109,13 +109,13 @@ def bracket_and_bisect(
     has a cell of its own; a root on a cell edge, e_max included, is returned
     as-is.  ``seeds``, called once and only within the scan's reach (``step``
     at least 4 eps e_max), returns estimates x of the roots: the count's
-    first call takes x -+ ``_SEED_GAP`` tolerances at x, inside (0, e_max),
-    which move the brackets but not the floats.  ``ValueError`` refuses an
-    e_max that is not finite and positive, and, before any split, one holding
-    2**53 levels or more, which a float no longer counts exactly, or, holding
-    a level, whose scan cell ``step`` is below 4 eps e_max, past which the
-    scan grid's points no longer step apart; ``ScanResolutionError`` names the
-    energy where N's parity is not fn's sign.
+    first call takes x -+ ``_SEED_GAP`` eps x, inside (0, e_max), which
+    certify roots and move the brackets, not the floats.  ``ValueError``
+    refuses an e_max that is not finite and positive, and, before any split,
+    one holding 2**53 levels or more, which a float no longer counts exactly,
+    or, holding a level, whose scan cell ``step`` is below 4 eps e_max, past
+    which the scan grid's points no longer step apart; ``ScanResolutionError``
+    names the energy where N's parity is not fn's sign.
     """
     if not 0 < e_max < math.inf:
         raise ValueError(f"e_max must be finite and positive, got {e_max}")
@@ -138,7 +138,7 @@ def _isolate(count, e_max: float, step: float, tol_rel: float, seeds) -> tuple[n
     new = np.concatenate([[min(step, e_max * _PROBE_AT[0])], e_max * _PROBE_AT])
     if reach and seeds is not None:
         x = np.asarray(seeds(), dtype=float)
-        gap = _SEED_GAP * max(tol_rel, 8.0 * _EPS) * np.maximum(x, 1.0)
+        gap = _SEED_GAP * _EPS * x
         x = np.concatenate([x - gap, x + gap])
         new = np.concatenate([new, x[(0.0 < x) & (x < e_max)]])
     e, n, f = np.empty(0), np.empty(0, dtype=int), np.empty(0)
@@ -309,18 +309,21 @@ class _Brackets:
         # since rounding is monotone
         one, half, scale = np.array(1.0), np.array(0.5), np.array(max(tol_rel, 8.0 * _EPS))
         active = ~edge
-        # each root runs ahead until a midpoint needs fn.  While [a, b] holds
-        # [lo, hi], wider than the tolerance at b, no midpoint stops it, so
-        # those levels go in bulk; a midpoint in [lo, hi] moves neither end
-        bulk = active & ((hi - lo) > np.maximum(b, one) * scale)
-        if bulk.any():
-            levels = int(math.log2(np.max((b - a)[bulk] / (hi - lo)[bulk]))) + 2
-            below, above = np.where(bulk, lo, -np.inf), np.where(bulk, hi, np.inf)
-            mid = np.empty_like(a)
-            for _ in range(levels):
-                np.multiply(np.add(a, b, out=mid), half, out=mid)
-                np.copyto(a, mid, where=mid < below)
-                np.copyto(b, mid, where=mid > above)
+        # plain halvings: after l of them [a, b] is W / 2**l - ulp(b) wide or
+        # more, W = b - a > 0, and ulp(b) <= scale max(b, 1) / 4, so for
+        # floor(log2(W / (1.5 scale max(b, 1)))) levels the scan halves again,
+        # and a midpoint outside [lo, hi] takes the sign of that end; one in it
+        # moves neither end.  Level l runs on the prefix of roots whose
+        # budget, made non-increasing, exceeds l
+        budget = np.log2((b - a) / (1.5 * scale * np.maximum(b, one)))
+        budget = np.minimum.accumulate(np.floor(np.maximum(budget, 0.0)))
+        mid = np.empty_like(a)
+        for m, levels in itertools.groupby(np.searchsorted(-budget, -np.arange(budget[0])).tolist()):
+            am, bm, lm, hm, mm = a[:m], b[:m], lo[:m], hi[:m], mid[:m]
+            for _ in levels:
+                np.multiply(np.add(am, bm, out=mm), half, out=mm)
+                np.copyto(am, mm, where=mm < lm)
+                np.copyto(bm, mm, where=mm > hm)
         while True:
             mid = (a + b) * half
             active &= (b - a) > np.maximum(mid, one) * scale

@@ -12,10 +12,10 @@ per-cell Numerov recurrence for psi, run in ``np.longdouble``, on the float
 samples the solver reads.  ``render_csv`` and ``render_json`` are the table renderers
 as they were before emission formatted each number once: every float goes
 through ``.12g`` for CSV, and through a ``.12g`` round trip and the pure-Python
-``json.dumps(indent=2)`` encoder for JSON.  ``reference_characteristic``,
-``reference_state`` and ``reference_compare_rows`` are the closed form one
-state at a time, with the math module's functions, whose floats the array
-passes reproduce, and ``pruefer_count`` the Sturm count from the Pruefer
+``json.dumps(indent=2)`` encoder for JSON.  ``reference_characteristic``
+and ``reference_compare_rows`` are the closed form one state at a time, with
+the math module's functions, ``reference_state`` the state at an energy in
+40 digits (mpmath), and ``pruefer_count`` the Sturm count from the Pruefer
 phase.  ``enclosure_counts`` bounds the level count of any floor
 by those of two piecewise-constant floors, solved with exact cell matrices.
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import quad, simpson
 from scipy.linalg import eigh_tridiagonal
@@ -303,10 +304,10 @@ def render_json(table) -> str:
 
 
 # ---------------------------------------------------------------- per-state closed form
-# The closed form as it was before the state solve and the compare table
-# became array passes: one state at a time, with the math module's functions.
+# The closed form one state at a time: the characteristic and the compare
+# rows with the math module's functions, as they were before the array
+# passes, and the state itself in 40 digits.
 
-_RESIDUAL_TOL = 1e-6
 _MARGIN = 1e-12
 
 
@@ -345,91 +346,42 @@ def pruefer_count(spec: WellSpec, energies) -> np.ndarray:
     return n
 
 
-def _right_basis(spec: WellSpec, energy: float) -> tuple[float, bool, float, float]:
-    """Wavenumber, branch tag, and right-side basis value/derivative at x = 0."""
-    if energy < spec.v0:
-        w = math.sqrt(spec.v0 - energy)
-        return w, True, -math.sinh(w * spec.b), w * math.cosh(w * spec.b)
-    w = math.sqrt(energy - spec.v0)
-    if w == 0.0:
-        raise ValueError("eigenvalue sits exactly at the branch point E = v0")
-    return w, False, -math.sin(w * spec.b), w * math.cos(w * spec.b)
+def reference_state(spec: WellSpec, energy: float) -> tuple[list[tuple], float, float, float]:
+    """The matched, unit-norm state at the float ``energy``, in 40 digits, on
+    both rays of the matching: (amp_left, amp_right, p_left, p_right) for
+    continuity, (A, B) ~ (fr0, sl), and for the derivative match,
+    (A, B) ~ (dfr, dl) / max(k, w), the ray of the larger norm first (the
+    better conditioned; at a root both rays are the same state, and off it
+    they part by the matching residual); then sqrt(I_l) and sqrt(I_r), the
+    norms of the two sides' basis functions, and the relative gap between the
+    rays' norms."""
+    with mp.workdps(40):
+        e, a, b = mp.mpf(energy), mp.mpf(spec.a), mp.mpf(spec.b)
+        k, w = mp.sqrt(e), mp.sqrt(abs(e - spec.v0))
+        if energy < spec.v0:
+            fr0, dfr = -mp.sinh(w * b), w * mp.cosh(w * b)
+            ir = mp.sinh(2 * w * b) / (4 * w) - b / 2
+        else:
+            fr0, dfr = -mp.sin(w * b), w * mp.cos(w * b)
+            ir = b / 2 - mp.sin(2 * w * b) / (4 * w)
+        sl, dl = mp.sin(k * a), k * mp.cos(k * a)
+        il = a / 2 - mp.sin(2 * k * a) / (4 * k)
+        scale = max(k, w)
+        rays = [(fr0, sl), (dfr / scale, dl / scale)]
+        norms = [mp.hypot(*ray) for ray in rays]
+        if norms[1] > norms[0]:
+            rays.reverse()
+        states = []
+        for A, B in rays:
+            norm = mp.sqrt(A * A * il + B * B * ir)
+            A, B = A / norm, B / norm
+            if A < 0:
+                A, B = -A, -B
+            states.append((A, B, A * A * il, B * B * ir))
+        return states, mp.sqrt(il), mp.sqrt(ir), abs(norms[0] - norms[1]) / max(norms)
 
 
-def reference_state(spec: WellSpec, energy: float, n: int) -> EigenState:
-    """Matched, normalized amplitudes for a root of the characteristic."""
-    if not energy > 0:
-        raise ValueError(f"energy must be positive, got {energy}")
-    k = math.sqrt(energy)
-    w, below, fr0, dfr = _right_basis(spec, energy)
-    sl = math.sin(k * spec.a)
-    dl = k * math.cos(k * spec.a)
-
-    # Continuity A*sl = B*fr0 gives (A, B) ~ (fr0, sl); the derivative match
-    # A*dl = B*dfr gives (A, B) ~ (dfr, dl).  Near a node both entries of the
-    # first vector vanish, so take whichever ray is better conditioned; the
-    # wavenumber scale makes the two comparable.
-    scale = max(k, w)
-    norm_c = math.hypot(fr0, sl)
-    norm_d = math.hypot(dfr / scale, dl / scale)
-    if norm_c < 1e-9 and norm_d < 1e-9:
-        raise ValueError(f"degenerate matching at E={energy!r}: spurious root")
-    A, B = (fr0, sl) if norm_c >= norm_d else (dfr / scale, dl / scale)
-
-    res_psi = abs(A * sl - B * fr0) / max(abs(A), abs(B))
-    res_dpsi = abs(A * dl - B * dfr) / max(k * abs(A), w * abs(B))
-    if max(res_psi, res_dpsi) > _RESIDUAL_TOL:
-        raise ValueError(
-            f"matching residual {max(res_psi, res_dpsi):.3e} at E={energy!r}: "
-            "energy is not a root of the characteristic"
-        )
-
-    il = _sin_sq_integral(k, spec.a)
-    ir = _sinh_sq_integral(w, spec.b) if below else _sin_sq_integral(w, spec.b)
-    scale = math.sqrt(A * A * il + B * B * ir)
-    A, B = A / scale, B / scale
-    if A < 0:
-        A, B = -A, -B
-    return EigenState(n=n, energy=energy, k=k, q_or_qbar=w, below_threshold=below,
-                      amp_left=A, amp_right=B, spec=spec)
-
-
-def _sin_sq_integral(kappa: float, length: float) -> float:
-    """integral_0^L sin^2(kappa u) du, cancellation-free for small kappa*L."""
-    return _x_minus_sin(2.0 * kappa * length) / (4.0 * kappa)
-
-
-def _sinh_sq_integral(kappa: float, length: float) -> float:
-    """integral_0^L sinh^2(kappa u) du, cancellation-free for small kappa*L."""
-    return _sinh_minus_x(2.0 * kappa * length) / (4.0 * kappa)
-
-
-def _x_minus_sin(u: float) -> float:
-    if abs(u) < 1e-3:
-        u2 = u * u
-        return u * u2 / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
-    return u - math.sin(u)
-
-
-def _sinh_minus_x(u: float) -> float:
-    if abs(u) < 1e-3:
-        u2 = u * u
-        return u * u2 / 6.0 * (1.0 + u2 / 20.0 * (1.0 + u2 / 42.0))
-    return math.sinh(u) - u
-
-
-def reference_side_probabilities(state: EigenState) -> tuple[float, float]:
-    """Closed-form probabilities of the left and right halves of the well."""
-    spec = state.spec
-    il = _sin_sq_integral(state.k, spec.a)
-    if state.below_threshold:
-        ir = _sinh_sq_integral(state.q_or_qbar, spec.b)
-    else:
-        ir = _sin_sq_integral(state.q_or_qbar, spec.b)
-    return state.amp_left**2 * il, state.amp_right**2 * ir
-
-
-def _classify_matching(state: EigenState, threshold: float = 0.1) -> MatchClass:
+def _classify_matching(state: EigenState, p_left: float, threshold: float = 0.1) -> MatchClass:
     """Flag states whose boundary matching saturates a side-probability bound.
 
     Matching near an antinode pushes the left-side probability to the
@@ -444,7 +396,6 @@ def _classify_matching(state: EigenState, threshold: float = 0.1) -> MatchClass:
         raise ValueError("matching classification is meaningless for evanescent "
                          "(below-threshold) states")
     pair = _bounds_at(state.spec, state.energy)
-    p_left, _ = reference_side_probabilities(state)
     gap = pair.upper - pair.lower
     if gap <= 0:
         raise ValueError("degenerate bound interval")
@@ -515,10 +466,11 @@ def _bounds_or_none(spec: WellSpec, energy: float):
 
 
 def reference_compare_rows(spec: WellSpec, states: list) -> list[list]:
-    """Rows of the compare table, state by state."""
+    """Rows of the compare table, state by state, with the side probabilities
+    of ``reference_state``'s better-conditioned ray, rounded to floats."""
     rows = []
     for st in states:
-        p_left, p_right = reference_side_probabilities(st)
+        p_left, p_right = map(float, reference_state(spec, st.energy)[0][0][2:])
         if abs(p_left + p_right - 1.0) > 1e-9:
             raise RuntimeError(f"side probabilities of state {st.n} do not sum to 1")
         model = _classical_model(spec, st.energy)
@@ -532,7 +484,7 @@ def reference_compare_rows(spec: WellSpec, states: list) -> list[list]:
             if pair.upper - pair.lower < 1e-12:
                 kind = None  # v0 ~ 0: the envelopes coincide, nothing to saturate
             else:
-                kind = _classify_matching(st).kind.value
+                kind = _classify_matching(st, p_left).kind.value
             rows.append([st.n, st.energy, p_left, model.p_left,
                          pair.lower, pair.upper, kind])
     return rows

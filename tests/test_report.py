@@ -3,10 +3,11 @@ import json
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import oracles
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from asymwell import (Exponential, Linear, ScanResolutionError, WellSpec, classical,
@@ -307,24 +308,55 @@ class TestRendererParity:
             assert render_json(table) == oracles.render_json(table)
 
 
-def _assert_array_parity(a: float, b: float, v0: float, e_max: float):
+# the stated bound of the closed-form states: each side of a state, and each
+# side probability, lies within 4 eps (1 + k a + w b) of the 40-digit state at
+# the same float energy.  The phase k a + w b carries the rounding of k, w and
+# their products into every sine, cosine, sinh and cosh; the largest error
+# seen, over 44,858 states of the step-survey, random and scaled wells, was
+# 0.48 of that scale
+_STATE_BOUND = 4.0 * np.finfo(float).eps
+
+
+def _state_within_bound(state, p_left: float, p_right: float) -> bool:
+    """Whether ``state`` and its side probabilities lie within the bound of the
+    40-digit state on a ray the float solve may take: the better-conditioned
+    ray, or either ray where their norms tie within the bound, as they do
+    below a tall step.  There a ray flip moves amp_right by up to 5.3e-12
+    relative, the matching residual at the float energy, and each ray is
+    still within the bound of its own 40-digit state.  The error of a side is
+    its amplitude's times the norm of its basis function, so the bound holds
+    where amp_right is tiny, below a tall step."""
+    spec = state.spec
+    tol = _STATE_BOUND * (1.0 + state.k * spec.a + state.q_or_qbar * spec.b)
+    rays, root_il, root_ir, tie = oracles.reference_state(spec, state.energy)
+    return min(max(abs(state.amp_left - A) * root_il, abs(state.amp_right - B) * root_ir,
+                   abs(p_left - PL), abs(p_right - PR))
+               for A, B, PL, PR in rays[:1 if tie > tol else 2]) <= tol
+
+
+def _assert_states_within_bound(a: float, b: float, v0: float, e_max: float):
     """The states, side probabilities, spectrum rows and compare rows of the
-    array passes against the per-state reference; repr tells every bit of a
-    float, -0.0 from 0.0, and a numpy scalar from a float."""
+    array passes: the energies, k, q_or_qbar and branch bit for bit (repr tells
+    every bit of a float, -0.0 from 0.0, and a numpy scalar from a float),
+    against the plain root policy on the per-state characteristic, and the
+    amplitudes and side probabilities within the stated bound of the
+    40-digit state."""
     spec = WellSpec(a, b, v0)
     states = find_spectrum(spec, e_max)
     roots = bracket_and_bisect(lambda es: oracles.reference_characteristic(spec, es),
                                lambda es: spectrum._count_below(spec, es),
                                e_max, scan_step(a, b), spectrum._BISECT_TOL)
-    reference = [oracles.reference_state(spec, e, n) for n, e in enumerate(roots, start=1)]
-    assert repr(states) == repr(reference)
-    assert (repr([side_probabilities(s) for s in states])
-            == repr([oracles.reference_side_probabilities(s) for s in reference]))
+    assert repr([(s.n, s.energy, s.k, s.q_or_qbar, s.below_threshold) for s in states]) == repr(
+        [(n, e, math.sqrt(e), math.sqrt(abs(e - v0)), e < v0) for n, e in enumerate(roots, 1)])
+    sides = [side_probabilities(s) for s in states]
+    assert all(_state_within_bound(s, *p) for s, p in zip(states, sides))
     config = RunConfig(a=a, b=b, v0=v0, e_max=e_max)
     assert (repr(cmd_spectrum(config).rows)
-            == repr([[s.n, s.energy, s.k, s.q_or_qbar, s.branch] for s in reference]))
+            == repr([[s.n, s.energy, s.k, s.q_or_qbar, s.branch] for s in states]))
     rows = cmd_compare(config).rows
-    assert repr(rows) == repr(oracles.reference_compare_rows(spec, reference))
+    reference = oracles.reference_compare_rows(spec, states)
+    assert repr([r[:2] + r[3:] for r in rows]) == repr([r[:2] + r[3:] for r in reference])
+    assert [r[2] for r in rows] == [p_left for p_left, _ in sides]
     return states, rows
 
 
@@ -334,8 +366,9 @@ def _near_step(below: bool):
 
 
 class TestArrayParity:
-    """The closed form solved over all roots at once gives the floats of the
-    per-state code in ``oracles``, bit for bit."""
+    """The closed form solved over all roots at once: the energies of the
+    per-state characteristic bit for bit, and each state within a stated
+    bound of the 40-digit state at its energy."""
 
     @pytest.mark.parametrize("well, covers", [
         pytest.param((3.0, 3.0, 20.0, 100.0), lambda states, rows: states[3].below_threshold
@@ -361,28 +394,37 @@ class TestArrayParity:
                      id="both match classes"),
     ])
     def test_wells_of_every_branch(self, well, covers):
-        assert covers(*_assert_array_parity(*well))
+        assert covers(*_assert_states_within_bound(*well))
 
+    # no shrink phase: a failing example reports as drawn, in seconds
     @given(a=st.floats(0.01, 5.0), b=st.floats(0.01, 5.0), v0=st.floats(0.0, 1e4),
            e_max=st.floats(1.0, 2000.0))
-    @settings(max_examples=60)
+    @settings(max_examples=60, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     def test_random_wells(self, a, b, v0, e_max):
         assume(math.sqrt(v0) * b <= 350.0)
         try:
-            _assert_array_parity(a, b, v0, e_max)
+            _assert_states_within_bound(a, b, v0, e_max)
         except ScanResolutionError:
             assume(False)  # no root policy reaches the state solve
 
     def test_side_probabilities(self):
-        # random amplitudes: pow and numpy's square round about 1 in 1000 squares apart
+        # random fields, on either branch: each probability within the bound,
+        # relative, of the 40-digit square times the 40-digit side integral
         rng = np.random.default_rng(12)
         spec = WellSpec(2.0, 3.0, 20.0)
         fields = zip(rng.uniform(1e-3, 1e3, 4000).tolist(), rng.uniform(1e-3, 50.0, 4000).tolist(),
                      (rng.random(4000) < 0.5).tolist(),
                      *rng.uniform(-2.0, 2.0, (2, 4000)).tolist())
-        states = [spectrum.EigenState(n, 1.0, *state, spec) for n, state in enumerate(fields, 1)]
-        assert (repr([side_probabilities(s) for s in states])
-                == repr([oracles.reference_side_probabilities(s) for s in states]))
+        for n, (k, w, below, amp_left, amp_right) in enumerate(fields, 1):
+            state = spectrum.EigenState(n, 1.0, k, w, below, amp_left, amp_right, spec)
+            tol = _STATE_BOUND * (1.0 + k * spec.a + w * spec.b)
+            with mp.workdps(40):
+                u_l, u_r = 2 * mp.mpf(k) * spec.a, 2 * mp.mpf(w) * spec.b
+                il = (u_l - mp.sin(u_l)) / (4 * mp.mpf(k))
+                ir = ((mp.sinh(u_r) - u_r) if below else (u_r - mp.sin(u_r))) / (4 * mp.mpf(w))
+                expected = (mp.mpf(amp_left) ** 2 * il, mp.mpf(amp_right) ** 2 * ir)
+            for p, q in zip(side_probabilities(state), expected):
+                assert abs(p - q) <= tol * q
 
     @given(v0=st.floats(0.0, 1e3), energies=st.lists(
         st.one_of(st.floats(1e-6, 2e3), st.just("v0")), max_size=12))

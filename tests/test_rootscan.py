@@ -9,8 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from asymwell import Exponential, Linear, ScanResolutionError, WellSpec, shooting, spectrum
-from asymwell._rootscan import bracket_and_bisect, scan_step
+from asymwell._rootscan import _Brackets, _isolate, bracket_and_bisect, scan_step
 from oracles import reference_roots
+
+EPS = np.finfo(float).eps
 
 
 def polynomial(roots, counted=None):
@@ -310,12 +312,15 @@ def test_narrow_brackets_replay_the_fixed_scan(case):
 def seeded_brackets(draw):
     """``narrow_brackets`` with root estimates for the count pass: anywhere
     from -e_max to 2 e_max, on 0 and e_max, on the 31 probes, on scan points
-    k * 0.1, and on or within a few tolerances or floats of a root; each drawn
-    once or twice."""
+    k * 0.1, and on a root or a few tolerances, seed gaps (128 eps x) or
+    floats off it, where a gap's end can fall on the root; each drawn once
+    or twice."""
     roots, e_max = draw(narrow_brackets())
     uniform = [0.0, min(0.1, e_max / 30)] + [e_max * i / 30 for i in range(1, 31)]
-    near = st.tuples(st.sampled_from(roots), st.integers(-4, 4), st.booleans()).map(
-        lambda t: t[0] + t[1] * (1e-13 * max(1.0, t[0]) if t[2] else np.spacing(t[0])))
+    units = [lambda x: 1e-13 * max(1.0, x), lambda x: 128.0 * EPS * x, np.spacing]
+    near = st.tuples(st.sampled_from(roots), st.integers(-4, 4), st.sampled_from(units),
+                     st.integers(-2, 2)).map(
+        lambda t: t[0] + t[1] * t[2](t[0]) + t[3] * np.spacing(t[0]))
     scan = st.integers(1, max(1, int(e_max / 0.1))).map(lambda k: k * 0.1)
     seeds = draw(st.lists(st.one_of(st.floats(-e_max, 2.0 * e_max), st.sampled_from(uniform),
                                     scan, near), max_size=12))
@@ -325,6 +330,7 @@ def seeded_brackets(draw):
 @given(seeded_brackets())
 @example(([0.1, 0.2, 1.675], 1.725, [0.2, 1.675, 1.675]))   # on roots, one twice
 @example(([1.0, 1.02], 2.0, [1.0, 1.0 + 1e-13, 1.02 - 2.220446049250313e-16]))
+@example(([1.0, 1.02], 2.0, [1.0 + 128 * EPS, 1.02 - 128 * EPS * 1.02]))   # a gap's end on a root
 @example(([0.5, 1.0], 2.0, [-1.0, 0.0, 2.0, 3.0]))          # outside (0, e_max]
 @example(([0.5, 1.0], 2.0, []))
 @settings(max_examples=300)
@@ -348,6 +354,79 @@ def test_seeds_move_no_float(case):
         return
     if len(expected) == len(roots):
         assert plain == expected
+
+
+@st.composite
+def certified_roots(draw):
+    """1-6 roots, 1e-9 relative apart or more, and a cutoff: roots below
+    E = 1, where the tolerance is absolute, roots on scan points k * 0.1, and
+    roots in the last cell, which the cutoff clips short of a scan point."""
+    e_max = draw(st.floats(0.35, 3.0).filter(lambda e: e / 0.1 % 1.0 > 0.01))
+    lowest = min(0.1, e_max / 30)
+    last = 0.1 * math.floor(e_max / 0.1)
+    root = st.one_of(st.floats(lowest, min(1.0, e_max), exclude_min=True),
+                     st.integers(2, math.floor(e_max / 0.1)).map(lambda k: k * 0.1),
+                     st.floats(last, e_max, exclude_min=True),
+                     st.floats(lowest, e_max, exclude_min=True))
+    roots = sorted(draw(st.lists(root, min_size=1, max_size=6, unique=True)))
+    assume(all(r1 - r0 > 1e-9 * r1 for r0, r1 in zip(roots, roots[1:])))
+    return roots, e_max
+
+
+@given(certified_roots())
+@example(([0.15, 0.2, 0.95], 1.0 - 1e-3))     # absolute tolerance; a root on a scan point
+@example(([1.7, 2.04], 2.05))                 # a root in the last cell, clipped at e_max
+@settings(max_examples=300)
+def test_certified_brackets_replay_the_fixed_scan(case):
+    # seeds on the roots: the count certifies each within 128 to 256 ulp, far
+    # narrower than one tolerance, and the replay's budgeted plain halvings
+    # reach the scan's floats on either side of the tolerance's kink at E = 1
+    roots, e_max = case
+    fn, count = polynomial(roots)
+    lo, hi, *_ = _isolate(count, e_max, 0.1, 1e-13, lambda: np.array(roots))
+    assert lo.size == len(roots)
+    inside = hi < e_max
+    assert (hi - lo <= 2.5 * 128 * EPS * hi)[inside].all()
+    try:
+        expected = reference_roots(fn, count, e_max, 0.1, 1e-13)
+    except ScanResolutionError:
+        assume(False)
+    assume(len(expected) == len(roots))   # a zero on e_max can blind the scan's last cell
+    assert bracket_and_bisect(fn, count, e_max, 0.1, 1e-13, lambda: np.array(roots)) == expected
+
+
+@pytest.mark.parametrize("spec, e_max, missed", [
+    # level 19,114 at E/v0 = 1.0000186, the worst seed known, 57 ulp from its
+    # root (J = 6e4 rad): 128 eps x certifies it, where 64 eps x missed it
+    (WellSpec(5514.194750867007, 0.0010162262620467656, 118.58520086086388), 200.0, False),
+    # level 484 at E/v0 = 1.03: its seed lies 4.3e-9 relative from the root
+    (WellSpec(1420.5803233328522, 2.0607432495133406, 1.1101579790856657),
+     2.476065344420603, True),
+], ids=["24822 levels, certified", "712 levels, one missed"])
+def test_a_missed_seed_is_polished_to_the_same_floats(spec, e_max, missed, monkeypatch):
+    # a seed whose gap misses its level leaves it to the polish, which makes
+    # passes before the replay; the floats are those of the policy without seeds
+    before_replay, replaying = [], []
+    replay = _Brackets.replay
+
+    def traced(self, *args):
+        replaying.append(True)
+        return replay(self, *args)
+
+    def policy(fn, *args):
+        def counted(es):
+            if not replaying:
+                before_replay.append(es.size)
+            return fn(es)
+        return bracket_and_bisect(counted, *args)
+
+    monkeypatch.setattr(_Brackets, "replay", traced)
+    monkeypatch.setattr(spectrum, "bracket_and_bisect", policy)
+    levels = [state.energy for state in spectrum.find_spectrum(spec, e_max)]
+    assert bool(before_replay) == missed
+    assert levels == bracket_and_bisect(lambda es: spectrum._characteristic_many(spec, es),
+                                        lambda es: spectrum._count_below(spec, es), e_max,
+                                        scan_step(spec.a, spec.b), spectrum._BISECT_TOL)
 
 
 @pytest.mark.parametrize("roots", [[0.5], [5.0]], ids=["refused", "empty"])
@@ -429,16 +508,17 @@ def test_numerov_count_parity_is_the_sign_of_fn(spec, e_max):
 # sha256 over every energy array the closed-form solver hands to fn and to
 # count, tagged and in call order, recorded once the count handed over fn at
 # its probes, from the scan's first cell to e_max itself, the polish handed
-# over at 8 tolerances and bisected a stalled bracket, and the count's one
-# call took, next to its 31 probes, only the pair E_n -+ 0.6 tolerances
-# around each level's Pruefer-phase seed, with fn the characteristic itself
+# over at 8 tolerances and bisected a stalled bracket, the count's one call
+# took, next to its 31 probes, only the pair E_n -+ 128 eps E_n around each
+# level's Pruefer-phase seed, with fn the characteristic itself, and the
+# replay took each root's budget of plain halvings in bulk
 CALL_LOG_SHA256 = {
     (3.0, 3.0, 20.0, 100.0):
-        "c561ffca9a09a43b3dbd94bd347803db52f2d798a9aee5c21b268c59ebed6083",
+        "6a2238b853427ff687295bdc507e276f653bd1462c3a277d656bec670dfb450a",
     (2.0, 4.0, 60.0, 300.0):
-        "64eed65bc537a2469383c1f86094076035a9ebcfc7dfedbdd44c7c2e7a194521",
+        "a52bb60cf7acf754d392eee12bca048e944a6ad44d0c1d6e77e9397200b61cf5",
     (1.0, 1.0, 100.0, 1e4):
-        "b5d991afd8707bc624327efca641cd757c5bda4d729a4230b98d6f65e83f1f87",
+        "693a0f4c0822472f1f669b7a68711d7bc5d9272bdb79ccdd85fb3806adc68650",
 }
 
 

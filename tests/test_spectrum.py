@@ -7,6 +7,7 @@ import warnings
 from dataclasses import replace
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -769,6 +770,22 @@ class TestSideProbabilities:
                 assert abs(de_dv0 - side_probabilities(state)[1]) < 1e-5
                 wall = (state.amp_right * state.q_or_qbar) ** 2
                 assert abs(de_db + wall) < 1e-5 * state.energy / b
+
+    @given(u=st.floats(-6.0, 1.7).map(lambda p: 10.0**p), below=st.booleans())
+    @example(u=1.0001e-3, below=True)    # cancellation just above the old switch, 1e-3
+    @example(u=1.0001e-3, below=False)
+    @example(u=np.nextafter(0.8, 0.0), below=True)    # truncation just below the switch
+    @example(u=0.8, below=False)                      # cancellation just above it
+    @settings(max_examples=300)
+    def test_side_integral_within_1e_15_of_mpmath(self, u, below):
+        # (u - sin u) / (4 kappa) or (sinh u - u) / (4 kappa) at u = 2 kappa L,
+        # kappa = u / 2 and L = 1 exactly: the series below u = 0.8, where its
+        # truncation meets the cancellation above it, measured at 1.0e-15
+        got = spectrum._sq_integral(np.array([0.5 * u]), 1.0, np.array([below]))[0]
+        with mpmath.workdps(50):
+            x = mpmath.mpf(u)
+            expected = ((mpmath.sinh(x) - x) if below else (x - mpmath.sin(x))) / (2 * x)
+            assert abs(got - expected) <= 1.5e-15 * expected
 
     def test_antinode_state_near_half(self, standard_states):
         # frozen value, confirmed by the finite-difference oracle; note it
