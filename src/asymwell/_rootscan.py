@@ -32,8 +32,10 @@ both:
    of ``step`` refined 10x until every root has a cell of its own, bisected to
    the tolerance.  Its midpoints outside the polished bracket take the sign of
    that bracket's end, so only the ones inside it are evaluated, in one call
-   per round over all roots; first, each root takes in bulk the plain
-   halvings that its cell's width allows before the scan could stop.
+   per round over all roots.  Up to ``_NARROW`` roots, each walks its
+   bisection in Python floats to its next midpoint inside; above that, each
+   first takes in bulk, on arrays, the plain halvings that its cell's width
+   allows before the scan could stop.
 
 The policy sees only energies, values and counts: how a solver evaluates
 ``fn`` and its count (the closed form's classical action and characteristic,
@@ -47,10 +49,15 @@ take another side of that noise than the polish, up to its width away.
 The polish and the replay loop over a few dozen brackets, where one numpy
 call costs more than its arithmetic: their time goes with the number of
 numpy calls per pass, not with the number of brackets, and they are written
-to make few.  The loop layout changes neither invariant of the policy: the
-energies handed to ``fn`` and ``count``, call for call, and the reported
-floats, bit for bit.  Tests pin both, by a sha256 over the call log of each
-solver and against a plain fixed scan (``tests/oracles.py``).
+to make few.  The array replay makes about six a halving level, some 46
+levels a solve, whatever the root count; the walk in floats costs per root,
+and on step-survey wells it was the faster up to about 90 roots (25% off a
+solve at 10 roots or fewer, 9% at 41-64, 16% slower at 121-200), so
+``_NARROW`` cuts below that.  The loop layout changes neither invariant of
+the policy: the energies handed to ``fn`` and ``count``, call for call, and
+the reported floats, bit for bit.  Tests pin both on either replay path, by a
+sha256 over the call log of each solver and against a plain fixed scan
+(``tests/oracles.py``).
 """
 from __future__ import annotations
 
@@ -67,6 +74,8 @@ _STALL = 6                   # secant passes a bracket may take to halve its wid
 # a seed's count gap x -+ 128 eps x, 128 to 256 ulp: wider than the seeds' error and the
 # rounding of fn near a level, narrower than one tolerance, so the polish makes no pass
 _SEED_GAP = 128
+# roots at most, whose replay walks each bisection in floats (``_walk``)
+_NARROW = 64
 # the count pass's probes over e_max above the scan's first cell, in steps of 1/30 up to e_max
 _PROBE_AT = np.arange(1, _PROBES) / (_PROBES - 1)
 
@@ -195,9 +204,10 @@ class _Brackets:
     polish kept room around a zero of fn) and the sign ``s`` of fn just left
     of the root.
 
-    The polish and the replay work on whole arrays through masks, not on
-    gathered copies of the brackets still in play, and keep their scalars as
-    0-d arrays, which numpy does not convert on every call.  Their arithmetic
+    The polish and the wide replay work on whole arrays through masks, not
+    on gathered copies of the brackets still in play, and keep their scalars
+    as 0-d arrays, which numpy does not convert on every call; the replay of
+    ``_NARROW`` roots or fewer walks each in Python floats.  Their arithmetic
     follows the formulas in the comments operation for operation, so neither
     the energies handed to ``fn`` nor the floats reported depend on how the
     loops are laid out."""
@@ -307,7 +317,12 @@ class _Brackets:
         # bisect [a, b] until b - a <= max(tol_rel, 8 eps) max(1, mid): the
         # scan's max(tol_rel s, 8 eps s) with s = max(1, mid), the same float
         # since rounding is monotone
-        one, half, scale = np.array(1.0), np.array(0.5), np.array(max(tol_rel, 8.0 * _EPS))
+        scale = max(tol_rel, 8.0 * _EPS)
+        if lo.size <= _NARROW:
+            mid = _walk(fn, a.tolist(), b.tolist(), lo.tolist(), hi.tolist(), self.s.tolist(),
+                        (~edge).nonzero()[0].tolist(), scale)
+            return np.where(edge, zero_at, mid).tolist()
+        one, half, scale = np.array(1.0), np.array(0.5), np.array(scale)
         active = ~edge
         # plain halvings: after l of them [a, b] is W / 2**l - ulp(b) wide or
         # more, W = b - a > 0, and ulp(b) <= scale max(b, 1) / 4, so for
@@ -365,6 +380,44 @@ class _Brackets:
             lo[k], flo[k] = y, fx[left | zero]
             k, y = i[~left], x[~left]
             hi[k], fhi[k] = y, fx[~left]
+
+
+def _walk(fn, a: list, b: list, lo: list, hi: list, s: list, waiting: list,
+          scale: float) -> list:
+    """The midpoint that the replay's bisection of each cell [a, b] leaves,
+    in floats, root by root: each root in ``waiting`` walks to its next
+    midpoint inside its bracket [lo, hi] or to the tolerance, and one call
+    evaluates the midpoints so reached, in root order, as the numpy loop's
+    rounds do."""
+    mid = [0.0] * len(a)
+    while waiting:
+        stopped = []
+        for k in waiting:
+            x, y, l, h = a[k], b[k], lo[k], hi[k]
+            while True:
+                m = (x + y) * 0.5
+                if y - x <= (m if m > 1.0 else 1.0) * scale:   # max() is a call, and slower
+                    break
+                if m < l:
+                    x = m
+                elif m > h:
+                    y = m
+                else:
+                    stopped.append(k)
+                    mid[k] = m
+                    break
+            a[k], b[k] = x, y
+        if not stopped:
+            break
+        for k, f in zip(stopped, fn(np.array([mid[k] for k in stopped])).tolist()):
+            if f == 0.0:                  # a zero closes the window
+                a[k] = b[k] = mid[k]
+            elif f * s[k] > 0.0:
+                a[k] = mid[k]
+            else:                         # NaN moves b, as the scan's sign test does
+                b[k] = mid[k]
+        waiting = stopped
+    return [0.5 * (x + y) for x, y in zip(a, b)]
 
 
 def _first_at_or_above(x: np.ndarray, cell: float) -> np.ndarray:

@@ -43,6 +43,7 @@ _MATCH_THRESHOLD = 0.1       # a bound metric below this names the match class
 _BRANCHES = ("oscillatory", "evanescent")  # a state's branch, by below_threshold
 _SEED_ITERS = 12             # Newton steps at most per seed
 _SEED_STEP = 1e-9            # a Newton step this small, relative, leaves an error near its square
+_CLOSED = 4.0 * np.finfo(float).eps   # a bracket this narrow, relative, ends Newton's steps
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,10 @@ def _newton(phase, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.nda
     """Roots of phase(x) = target, increasing in x, inside [lo, hi],
     elementwise: each step moves the bracket's end on its side of the root,
     and bisects where Newton's estimate leaves the bracket (one on an end
-    stays).  It stops once every step is a Newton step of _SEED_STEP x or less."""
+    stays).  It stops once each level's Newton step is _SEED_STEP x or less
+    and its estimate inside the bracket, or just outside a bracket closed to
+    _CLOSED x, where the estimate may round; the brackets are tested only
+    once every step is that small, which spares the test on most passes."""
     for _ in range(_SEED_ITERS):
         f, df = phase(x)
         r = f - target
@@ -206,7 +210,12 @@ def _newton(phase, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.nda
         nxt = x - step
         inside = (lo <= nxt) & (nxt <= hi)
         x = np.where(inside, nxt, 0.5 * (lo + hi))
-        if (inside & (np.abs(step) <= _SEED_STEP * x)).all():
+        small = np.abs(step) <= _SEED_STEP * x
+        done = inside & small
+        # count_nonzero costs a third of all() on arrays this short
+        if np.count_nonzero(done) == x.size or (
+                np.count_nonzero(small) == x.size
+                and np.count_nonzero(done | (hi - lo <= _CLOSED * x)) == x.size):
             break
     return x
 

@@ -8,11 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from asymwell import Exponential, Linear, ScanResolutionError, WellSpec, shooting, spectrum
+from asymwell import (Exponential, Linear, ScanResolutionError, WellSpec, _rootscan, shooting,
+                      spectrum)
 from asymwell._rootscan import _Brackets, _isolate, bracket_and_bisect, scan_step
 from oracles import reference_roots
 
 EPS = np.finfo(float).eps
+# values of _NARROW that put every replay on one path, whatever its root count:
+# the numpy halvings and rounds, then the root-by-root walk in floats; the
+# replay tests run on both, which must report the same floats
+REPLAY_PATHS = (0, 10**9)
 
 
 def polynomial(roots, counted=None):
@@ -297,15 +302,18 @@ def test_narrow_brackets_replay_the_fixed_scan(case):
         expected = []   # the fixed scan gave up
     # a zero on the cutoff blinds the cell below it, where the scan may lose a root
     complete = len(expected) == len(roots)
-    try:
-        found = bracket_and_bisect(fn, count, e_max, 0.1, 1e-13)
-    except ScanResolutionError:
-        assert not complete, "the policy gave up where the fixed scan found every root"
-        return
-    assert len(found) == len(roots)
-    assert all(abs(f - r) <= 1e-13 * max(1.0, r) for f, r in zip(found, sorted(roots)))
-    if complete:
-        assert found == expected
+    for narrow in REPLAY_PATHS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_rootscan, "_NARROW", narrow)
+            try:
+                found = bracket_and_bisect(fn, count, e_max, 0.1, 1e-13)
+            except ScanResolutionError:
+                assert not complete, "the policy gave up where the fixed scan found every root"
+                continue
+        assert len(found) == len(roots)
+        assert all(abs(f - r) <= 1e-13 * max(1.0, r) for f, r in zip(found, sorted(roots)))
+        if complete:
+            assert found == expected
 
 
 @st.composite
@@ -392,7 +400,11 @@ def test_certified_brackets_replay_the_fixed_scan(case):
     except ScanResolutionError:
         assume(False)
     assume(len(expected) == len(roots))   # a zero on e_max can blind the scan's last cell
-    assert bracket_and_bisect(fn, count, e_max, 0.1, 1e-13, lambda: np.array(roots)) == expected
+    for narrow in REPLAY_PATHS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_rootscan, "_NARROW", narrow)
+            found = bracket_and_bisect(fn, count, e_max, 0.1, 1e-13, lambda: np.array(roots))
+        assert found == expected
 
 
 @pytest.mark.parametrize("spec, e_max, missed", [
@@ -405,7 +417,8 @@ def test_certified_brackets_replay_the_fixed_scan(case):
 ], ids=["24822 levels, certified", "712 levels, one missed"])
 def test_a_missed_seed_is_polished_to_the_same_floats(spec, e_max, missed, monkeypatch):
     # a seed whose gap misses its level leaves it to the polish, which makes
-    # passes before the replay; the floats are those of the policy without seeds
+    # passes before the replay; the floats are those of the policy without
+    # seeds, on either replay path
     before_replay, replaying = [], []
     replay = _Brackets.replay
 
@@ -422,11 +435,15 @@ def test_a_missed_seed_is_polished_to_the_same_floats(spec, e_max, missed, monke
 
     monkeypatch.setattr(_Brackets, "replay", traced)
     monkeypatch.setattr(spectrum, "bracket_and_bisect", policy)
-    levels = [state.energy for state in spectrum.find_spectrum(spec, e_max)]
-    assert bool(before_replay) == missed
-    assert levels == bracket_and_bisect(lambda es: spectrum._characteristic_many(spec, es),
-                                        lambda es: spectrum._count_below(spec, es), e_max,
-                                        scan_step(spec.a, spec.b), spectrum._BISECT_TOL)
+    for narrow in REPLAY_PATHS:
+        monkeypatch.setattr(_rootscan, "_NARROW", narrow)
+        before_replay.clear()
+        replaying.clear()
+        levels = [state.energy for state in spectrum.find_spectrum(spec, e_max)]
+        assert bool(before_replay) == missed
+        assert levels == bracket_and_bisect(lambda es: spectrum._characteristic_many(spec, es),
+                                            lambda es: spectrum._count_below(spec, es), e_max,
+                                            scan_step(spec.a, spec.b), spectrum._BISECT_TOL)
 
 
 @pytest.mark.parametrize("roots", [[0.5], [5.0]], ids=["refused", "empty"])
@@ -511,7 +528,8 @@ def test_numerov_count_parity_is_the_sign_of_fn(spec, e_max):
 # over at 8 tolerances and bisected a stalled bracket, the count's one call
 # took, next to its 31 probes, only the pair E_n -+ 128 eps E_n around each
 # level's Pruefer-phase seed, with fn the characteristic itself, and the
-# replay took each root's budget of plain halvings in bulk
+# replay took each root's budget of plain halvings in bulk; the same on
+# either replay path
 CALL_LOG_SHA256 = {
     (3.0, 3.0, 20.0, 100.0):
         "6a2238b853427ff687295bdc507e276f653bd1462c3a277d656bec670dfb450a",
@@ -524,8 +542,6 @@ CALL_LOG_SHA256 = {
 
 @pytest.mark.parametrize("well", list(CALL_LOG_SHA256))
 def test_closed_form_calls_see_the_same_energies(well, monkeypatch):
-    digest = hashlib.sha256()
-
     def logged(tag, f):
         def call(es):
             digest.update(tag + np.ascontiguousarray(es, dtype=float).tobytes())
@@ -537,8 +553,11 @@ def test_closed_form_calls_see_the_same_energies(well, monkeypatch):
 
     monkeypatch.setattr(spectrum, "bracket_and_bisect", policy)
     a, b, v0, e_max = well
-    assert spectrum.find_spectrum(WellSpec(a, b, v0), e_max)
-    assert digest.hexdigest() == CALL_LOG_SHA256[well]
+    for narrow in REPLAY_PATHS:
+        monkeypatch.setattr(_rootscan, "_NARROW", narrow)
+        digest = hashlib.sha256()
+        assert spectrum.find_spectrum(WellSpec(a, b, v0), e_max)
+        assert digest.hexdigest() == CALL_LOG_SHA256[well]
 
 
 # the same log for the Numerov route, whose fn and count both run Numerov
@@ -553,8 +572,6 @@ NUMEROV_CALL_LOG_SHA256 = {
 
 @pytest.mark.parametrize("well", list(NUMEROV_CALL_LOG_SHA256), ids=["sigmoid", "step-60"])
 def test_numerov_calls_see_the_same_energies(well, monkeypatch):
-    digest = hashlib.sha256()
-
     def logged(tag, f):
         def call(es):
             digest.update(tag + np.ascontiguousarray(es, dtype=float).tobytes())
@@ -566,8 +583,11 @@ def test_numerov_calls_see_the_same_energies(well, monkeypatch):
 
     monkeypatch.setattr(shooting, "bracket_and_bisect", policy)
     spec, e_max = well
-    assert shooting.find_spectrum_numeric(spec, e_max, 1000)
-    assert digest.hexdigest() == NUMEROV_CALL_LOG_SHA256[well]
+    for narrow in REPLAY_PATHS:
+        monkeypatch.setattr(_rootscan, "_NARROW", narrow)
+        digest = hashlib.sha256()
+        assert shooting.find_spectrum_numeric(spec, e_max, 1000)
+        assert digest.hexdigest() == NUMEROV_CALL_LOG_SHA256[well]
 
 
 @given(a=st.floats(min_value=1e-300, max_value=1e308),

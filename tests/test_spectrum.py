@@ -438,6 +438,22 @@ class TestPhaseSeeds:
             warnings.simplefilter("error")
             assert spectrum._seeds(*well).size
 
+    @pytest.mark.parametrize("well", [
+        (WellSpec(3.503079965474234, 1.6801040506945253, 3.298930762883442), 162.3413853457569),
+        (WellSpec(1.8056204767497963, 4.959930846381011, 134.62231168532878), 295.5930490420383),
+    ])
+    def test_newton_stops_on_a_collapsed_bracket(self, well, monkeypatch):
+        # step-survey wells where a level's bracket above the step closes to
+        # about an ulp while Newton's estimate rounds just outside it, so its
+        # step test never passes: without the bracket's own stop, the
+        # iteration bisects to its cap of _SEED_ITERS phase evaluations
+        calls = []
+        phase = spectrum._phase_above
+        monkeypatch.setattr(spectrum, "_phase_above",
+                            lambda spec, q: calls.append(q.size) or phase(spec, q))
+        spectrum._seeds(*well)
+        assert len(calls) <= 4
+
     @given(a=st.floats(1.0, 5.0), b=st.floats(1.0, 5.0),
            v0=st.floats(0.0, math.log(2e4)).map(math.exp),
            e_max=st.floats(math.log(10.0), math.log(1e4)).map(math.exp))
