@@ -14,50 +14,44 @@ both:
    solver supplies (the closed form's Pruefer-phase seeds): a count rising by
    one there certifies a root within 256 ulp, and leaves the polish nothing
    to do.  A gap whose count jumps by more than one (a seed that missed) is
-   split until every level has a bracket of its own.  Each
-   solver makes N's parity the sign of ``fn`` wherever ``fn`` is nonzero
-   (odd where fn < 0), checked at every count, so each bracket's end values
-   and signs come from the count, and no level falls between the two.
+   split until every level has a bracket of its own.  Each solver makes N's
+   parity the sign of ``fn`` wherever ``fn`` is nonzero (odd where fn < 0),
+   checked at every count, so each bracket's end values and signs come from
+   the count, and no level falls between the two.
 2. Secant polish: Illinois regula falsi on ``fn``, vectorized over all
    brackets, one call per pass.  A bracket hands over once it is narrower
-   than ``_HANDOVER`` bisection tolerances: the replay's bisection gains one
-   level per call, the secant more.  A bracket that fails to halve in
-   ``_STALL`` passes takes one bisection step in place of its secant
-   estimate.  A stall comes from a rounding floor, below which only the sign
-   of ``fn`` means anything, such as Numerov's near a root under a high step,
-   or from a sharp bend, such as the closed form's at E = v0, or from
-   values spread over many decades, such as the closed form's, which grows
-   like cosh(qbar b) below a tall step.
-3. Replay: the reported float is the one a fixed scan would give, with cells
-   of ``step`` refined 10x until every root has a cell of its own, bisected to
-   the tolerance.  Its midpoints outside the polished bracket take the sign of
-   that bracket's end, so only the ones inside it are evaluated, in one call
-   per round over all roots.  Up to ``_NARROW`` roots, each walks its
-   bisection in Python floats to its next midpoint inside; above that, each
-   first takes in bulk, on arrays, the plain halvings that its cell's width
-   allows before the scan could stop.
+   than ``_HANDOVER`` bisection tolerances: a bisection gains one level per
+   call, the secant more.  A bracket that fails to halve in ``_STALL``
+   passes takes one bisection step in place of its secant estimate.  A
+   stall comes from a rounding floor, below which only the sign of ``fn``
+   means anything, such as Numerov's near a root under a high step, or from
+   a sharp bend, such as the closed form's at E = v0, or from values spread
+   over many decades, such as the closed form's, which grows like
+   cosh(qbar b) below a tall step.
+3. Report: the Numerov route takes each polished bracket's midpoint.  The
+   closed form, whose table bytes are frozen, takes the replay: the float a
+   fixed scan would give, with cells of ``step`` refined 10x until every
+   root has a cell of its own, bisected to the tolerance.  Its midpoints
+   outside the polished bracket take the sign of that bracket's end, so only
+   the ones inside it are evaluated, in one call per round over all roots.
+   Up to ``_NARROW`` roots, each walks its bisection in Python floats to its
+   next midpoint inside; above that, each first takes in bulk, on arrays,
+   the plain halvings that its cell's width allows before the scan could stop.
 
 The policy sees only energies, values and counts: how a solver evaluates
 ``fn`` and its count (the closed form's classical action and characteristic,
 the sign changes of a Numerov trajectory) stays in that solver's module.  The
-replay reproduces the scan's floats only while ``fn`` returns the same value
-for an energy whatever other energies share its call, which both solvers'
-functions do (the Numerov sweep's block length is the grid's), and while the
-sign of ``fn`` is clean near each root: where rounding flips it, the scan may
-take another side of that noise than the polish, up to its width away.
+replay gives the scan's floats where the characteristic's sign is clean near
+each root, as its value at an energy does not depend on its call mates.
 
 The polish and the replay loop over a few dozen brackets, where one numpy
-call costs more than its arithmetic: their time goes with the number of
-numpy calls per pass, not with the number of brackets, and they are written
-to make few.  The array replay makes about six a halving level, some 46
-levels a solve, whatever the root count; the walk in floats costs per root,
-and on step-survey wells it was the faster up to about 90 roots (25% off a
-solve at 10 roots or fewer, 9% at 41-64, 16% slower at 121-200), so
-``_NARROW`` cuts below that.  The loop layout changes neither invariant of
-the policy: the energies handed to ``fn`` and ``count``, call for call, and
-the reported floats, bit for bit.  Tests pin both on either replay path, by a
-sha256 over the call log of each solver and against a plain fixed scan
-(``tests/oracles.py``).
+call costs more than its arithmetic, so they are written to make few calls
+per pass: the array replay about six a halving level, some 46 levels a
+solve; the walk in floats costs per root, and was the faster on step-survey
+wells up to about 90 roots, which ``_NARROW`` cuts below.  The layout moves
+neither the energies handed to ``fn`` and ``count``, call for call, nor the
+reported floats, bit for bit; tests pin both, by a sha256 over each solver's
+call log and against a plain fixed scan (``tests/oracles.py``).
 """
 from __future__ import annotations
 
@@ -85,7 +79,7 @@ class ScanResolutionError(RuntimeError):
 
 
 def scan_step(a: float, b: float) -> float:
-    """Scan cell of the fixed-step policy whose floats ``bracket_and_bisect`` reports.
+    """Scan cell of the fixed-step policy whose floats the replay reports.
 
     Half the ground-state energy of the enclosing flat well of width (a + b),
     capped at 0.1 for narrow wells, and 0 where (a + b)**2 overflows.
@@ -105,6 +99,7 @@ def bracket_and_bisect(
     step: float,
     tol_rel: float,
     seeds: Callable[[], np.ndarray] | None = None,
+    replay: bool = True,
 ) -> list[float]:
     """All roots of ``fn`` in (0, e_max], in increasing order.
 
@@ -112,14 +107,16 @@ def bracket_and_bisect(
     ``count`` returns (N, fn) from one evaluation, N the exact (Sturm) number
     of roots of fn below each energy, whose parity is the sign of fn wherever
     fn is nonzero: odd where fn < 0.  No root lies at or below ``step``.
-    Each root is the midpoint a bisection leaves once narrower than
-    ``tol_rel * max(1, E)`` (floored at a few ulp), started from the cell of
-    width ``step / 10**r`` that holds it, for the first r at which every root
-    has a cell of its own; a root on a cell edge, e_max included, is returned
-    as-is.  ``seeds``, called once and only within the scan's reach (``step``
-    at least 4 eps e_max), returns estimates x of the roots: the count's
-    first call takes x -+ ``_SEED_GAP`` eps x, inside (0, e_max), which
-    certify roots and move the brackets, not the floats.  ``ValueError``
+    With ``replay``, each root is the midpoint a bisection leaves once
+    narrower than ``tol_rel * max(1, E)`` (floored at a few ulp), started
+    from the cell of width ``step / 10**r`` that holds it, for the first r at
+    which every root has a cell of its own; a root on a cell edge, e_max
+    included, is returned as-is.  Without, each is the midpoint of its
+    polished bracket, within 4 such tolerances of a sign change or zero of
+    fn.  ``seeds``, called once and only within the scan's reach (``step`` at
+    least 4 eps e_max), returns estimates x of the roots: the count's first
+    call takes x -+ ``_SEED_GAP`` eps x, inside (0, e_max), which certify
+    roots and move the brackets, not the floats.  ``ValueError``
     refuses an e_max that is not finite and positive, and, before any split,
     one holding 2**53 levels or more, which a float no longer counts exactly,
     or, holding a level, whose scan cell ``step`` is below 4 eps e_max, past
@@ -133,6 +130,8 @@ def bracket_and_bisect(
         return []
     roots = _Brackets(lo, hi, flo, fhi, np.where(n_lo % 2 == 1, -1.0, 1.0))
     roots.polish(fn, tol_rel)
+    if not replay:
+        return (0.5 * (roots.lo + roots.hi)).tolist()
     return roots.replay(fn, e_max, step, tol_rel)
 
 
@@ -202,15 +201,10 @@ def _isolate(count, e_max: float, step: float, tol_rel: float, seeds) -> tuple[n
 class _Brackets:
     """One bracket [lo, hi] per root, with fn at its ends (NaN where the
     polish kept room around a zero of fn) and the sign ``s`` of fn just left
-    of the root.
-
-    The polish and the wide replay work on whole arrays through masks, not
-    on gathered copies of the brackets still in play, and keep their scalars
-    as 0-d arrays, which numpy does not convert on every call; the replay of
-    ``_NARROW`` roots or fewer walks each in Python floats.  Their arithmetic
-    follows the formulas in the comments operation for operation, so neither
-    the energies handed to ``fn`` nor the floats reported depend on how the
-    loops are laid out."""
+    of the root.  The array loops work through masks, not on gathered
+    copies of the brackets still in play, and keep their scalars as 0-d
+    arrays, which numpy does not convert on every call; their arithmetic
+    follows the formulas in the comments operation for operation."""
 
     def __init__(self, lo, hi, flo, fhi, s):
         self.lo, self.hi, self.flo, self.fhi, self.s = lo, hi, flo, fhi, s

@@ -305,15 +305,16 @@ def find_spectrum_numeric(spec: WellSpec, e_max: float, n_grid: int) -> list[Gri
     """Every numeric bound state with 0 < E <= e_max, ordered by energy.
 
     The roots of the shooting mismatch psi(-a) from b come from the shared
-    count-directed root policy, with the count from ``_count_below``; each
-    state is the Simpson-normalized trajectory from b.  A grid too coarse for
-    the floor or for e_max raises ``ValueError``; a state whose interior node
-    count is other than n - 1 raises ``NodeCountError``.
+    count-directed root policy, with the count from ``_count_below``, each
+    its polished bracket's midpoint, within 4 ``_BISECT_TOL`` max(1, E) of a
+    sign change; each state is the Simpson-normalized trajectory from b.  A
+    grid too coarse for the floor or for e_max raises ``ValueError``; a state
+    whose interior node count is other than n - 1 raises ``NodeCountError``.
     """
     grid = _stable_grid(spec, n_grid, e_max)
     roots = bracket_and_bisect(lambda es: _sweep_final(grid.from_b, grid.h, es),
                                lambda es: _count_below(grid, es),
-                               e_max, scan_step(spec.a, spec.b), _BISECT_TOL)
+                               e_max, scan_step(spec.a, spec.b), _BISECT_TOL, replay=False)
     sols = _normalized_solution(grid, roots)
     for s in sols:
         counted = interior_nodes(s)

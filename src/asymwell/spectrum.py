@@ -200,8 +200,10 @@ def _newton(phase, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.nda
     stays).  It stops once each level's Newton step is _SEED_STEP x or less
     and its estimate inside the bracket, or just outside a bracket closed to
     _CLOSED x, where the estimate may round; the brackets are tested only
-    once every step is that small, which spares the test on most passes."""
-    for _ in range(_SEED_ITERS):
+    once every step is that small, which spares the test on most passes.
+    From the sixth pass, a step not yet small and over half the one before
+    bisects too, which breaks a cycle (rtsafe, Numerical Recipes 9.4)."""
+    for i in range(_SEED_ITERS):
         f, df = phase(x)
         r = f - target
         lo = np.where(r < 0.0, x, lo)
@@ -209,6 +211,9 @@ def _newton(phase, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.nda
         step = r / df
         nxt = x - step
         inside = (lo <= nxt) & (nxt <= hi)
+        if i >= 5:
+            inside &= np.abs(step) <= np.maximum(0.5 * np.abs(prev), _SEED_STEP * x)
+        prev = step
         x = np.where(inside, nxt, 0.5 * (lo + hi))
         small = np.abs(step) <= _SEED_STEP * x
         done = inside & small

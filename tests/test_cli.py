@@ -34,18 +34,20 @@ GOLDEN_SHA256 = {
 # quadrature, recorded from the states built by one pass from b, "smoothing",
 # "--a 2 --b 4.3", "--n-max 5" and its JSON form once the roots were those of
 # psi(-a) from b; "--a 2 --b 4.3" integrates a left half with an even number
-# of samples.  All six re-recorded from the renormalized Numerov kernel
+# of samples.  All six re-recorded from the renormalized Numerov kernel, and
+# the smoothing tables again once the route reported its polished brackets'
+# midpoints, with no replay of the fixed scan
 SHOOTING_SHA256 = {
-    "smoothing": "f8c6e7da90e0818a0943354efbc9116adf0690f95ab31e22c21c8e592238c4df",
+    "smoothing": "8a435043b9c9a68cb32cbe593fcb4697dd28cd399153cffac6789270519e18b4",
     "smoothing --smoothing linear":
-        "5e6407b6bc327684b65c8e2f62c940e633772c325d534670d06c8786e748db54",
-    "smoothing --a 2 --b 4.3": "b8a14719755a0e0bfd9691efb6779abff05dbc6de924b04dcbedbe8c48013e9e",
+        "578432b16348a9b3264c53a4e1628b38b90c354730625b0b443db1aaa78e3a89",
+    "smoothing --a 2 --b 4.3": "6960bc4fd5fefa719840305e688ae5c33d375ae46b4e45f0485c4b2269c6be7c",
     "wavefunction --n 3 --smoothing exponential --epsilon 0.2":
         "b13c5b0e9217402aca2826440fdf7e9be4029721a713ea3bc0f80167590d31ef",
     # recorded while the smoothing table still read EigenStates: a state-count
     # cutoff, and a flat floor whose sharp-step side has no step at all
-    "smoothing --n-max 5": "42665a6d7ab5f970b6385aa02ea9b51869dbf936239dc32133aa983103836fc2",
-    "smoothing --v0 0": "a604f0d8edaa03474330cdeb00a092d2b5550201651768f97ccce227542e52a5",
+    "smoothing --n-max 5": "42918aa54a8d811e59d33012779e8a6e4f96ea4458a0ad7a7889e449c76311dc",
+    "smoothing --v0 0": "f0897b7abf45db357ebc6de56fba060a4f65c1528d18799d73b5f643b9a79b0e",
 }
 
 # sha256 of the JSON form of the standard tables, recorded while render_json
@@ -58,7 +60,7 @@ JSON_SHA256 = {
         "715e100f2ab9e7b317809e333fa53e9431f81835790c264a50758a2a5205ed2a",
     "wavefunction --n 6 --format json":
         "a8a5d7a930c799ac71a39584deb449889b45949bd144a3c8017ad76da41449d0",
-    "smoothing --format json": "c233f4c8c61c28463181086d3ffe0b1e1d5bec491ff7a46cf3392a126a0ed903",
+    "smoothing --format json": "eb597ce830a8e0da83940c5dd8c9540236b57217ce7b0111487e3e4c30d4253e",
 }
 
 # sha256 of compare tables recorded before the table was built from arrays:

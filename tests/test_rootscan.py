@@ -407,11 +407,68 @@ def test_certified_brackets_replay_the_fixed_scan(case):
         assert found == expected
 
 
+def zero_run(roots, halfwidth):
+    """``polynomial(roots)`` with fn 0 within ``halfwidth`` of each root."""
+    fn, count = polynomial(roots)
+
+    def flat(es):
+        return np.where(np.abs(np.subtract.outer(es, roots)).min(axis=-1) <= halfwidth,
+                        0.0, fn(es))
+
+    return flat, lambda e: (count(e)[0], flat(e))
+
+
+def polished_only(fn, count, e_max, seeds=None):
+    """``bracket_and_bisect`` without the replay on tolerance 1e-13, and
+    whether fn was called after the polish's last pass."""
+    calls, after = [], []
+    polish = _Brackets.polish
+
+    def traced(self, *args):
+        polish(self, *args)
+        after.append(len(calls))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Brackets, "polish", traced)
+        found = bracket_and_bisect(lambda es: calls.append(1) or fn(es), count, e_max, 0.1,
+                                   1e-13, seeds, replay=False)
+    return found, len(calls) > after[-1] if after else bool(calls)
+
+
+@pytest.mark.parametrize("pair, roots, e_max, halfwidth", [
+    (polynomial([0.5, 1.0, 1.02]), [0.5, 1.0, 1.02], 2.0, 0.0),    # on the probe 2 * 15 / 30
+    (polynomial([0.33, 2.0]), [0.33, 2.0], 2.0, 0.0),                # on e_max
+    (zero_run([0.5, 1.3], 3e-13), [0.5, 1.3], 2.0, 3e-13),           # a run of zeros
+    (zero_run([0.5, 1.0], 3e-13), [0.5, 1.0], 2.0, 3e-13),           # ... over a probe
+], ids=["probe", "cutoff", "zero-run", "zero-run-on-probe"])
+def test_polished_roots_lie_within_four_tolerances(pair, roots, e_max, halfwidth):
+    # without the replay each root is its polished bracket's midpoint, within
+    # half the polish's stopping width of a root: 4 tolerances, or of a run's end
+    found, late = polished_only(*pair, e_max)
+    assert len(found) == len(roots)
+    assert all(abs(f - r) <= halfwidth + 4e-13 * max(1.0, f) for f, r in zip(found, roots))
+    assert not late
+
+
+@given(narrow_brackets())
+@settings(max_examples=200)
+def test_polished_roots_keep_their_brackets(case):
+    # roots a few tolerances apart and on scan points: each bracket holds its
+    # own root, so the i-th midpoint lies within 4 tolerances of the i-th root
+    roots, e_max = case
+    assume(min(roots) >= min(0.1, e_max / 30))
+    found, late = polished_only(*polynomial(roots), e_max)
+    assert len(found) == len(roots)
+    assert all(abs(f - r) <= 4e-13 * max(1.0, f) for f, r in zip(found, sorted(roots)))
+    assert not late
+
+
 @pytest.mark.parametrize("spec, e_max, missed", [
     # level 19,114 at E/v0 = 1.0000186, the worst seed known, 57 ulp from its
     # root (J = 6e4 rad): 128 eps x certifies it, where 64 eps x missed it
     (WellSpec(5514.194750867007, 0.0010162262620467656, 118.58520086086388), 200.0, False),
-    # level 484 at E/v0 = 1.03: its seed lies 4.3e-9 relative from the root
+    # level 484 at E/v0 = 1.03: Newton 2-cycles until its sixth pass bisects,
+    # so with five passes its seed lies 4.3e-9 relative from the root
     (WellSpec(1420.5803233328522, 2.0607432495133406, 1.1101579790856657),
      2.476065344420603, True),
 ], ids=["24822 levels, certified", "712 levels, one missed"])
@@ -435,6 +492,8 @@ def test_a_missed_seed_is_polished_to_the_same_floats(spec, e_max, missed, monke
 
     monkeypatch.setattr(_Brackets, "replay", traced)
     monkeypatch.setattr(spectrum, "bracket_and_bisect", policy)
+    if missed:
+        monkeypatch.setattr(spectrum, "_SEED_ITERS", 5)
     for narrow in REPLAY_PATHS:
         monkeypatch.setattr(_rootscan, "_NARROW", narrow)
         before_replay.clear()
@@ -472,7 +531,7 @@ def policy_pair(module, solve):
     root policy; the policy is stubbed out to find no roots."""
     pair = []
 
-    def capture(fn, count, *args):
+    def capture(fn, count, *args, **kwargs):
         pair.append((fn, count))
         return []
 
@@ -561,12 +620,13 @@ def test_closed_form_calls_see_the_same_energies(well, monkeypatch):
 
 
 # the same log for the Numerov route, whose fn and count both run Numerov
-# sweeps from b, recorded from the renormalized kernel; 1000 cells keep it fast
+# sweeps from b, recorded from the renormalized kernel once the route reported
+# its polished brackets' midpoints, with no replay; 1000 cells keep it fast
 NUMEROV_CALL_LOG_SHA256 = {
     (WellSpec(3.0, 3.0, 20.0, Exponential(0.2)), 100.0):
-        "67edd345bca12494d842c6abd61a51d339a87951bf0138d53bbb94cffc384af6",
+        "23558e104078d59dcac487b93bdfe23fe85f07f1fc190b794267058b35e74070",
     (WellSpec(3.0, 3.0, 60.0), 30.0):
-        "d411a92c0b30a8f8e3e902dbdda30e3a57e40ff14172bd0d1844c0c96349f7e4",
+        "b5996c4ea27a7f361c985bada27e20b4311131ec315e1005706027a7005df86f",
 }
 
 
@@ -578,16 +638,23 @@ def test_numerov_calls_see_the_same_energies(well, monkeypatch):
             return f(es)
         return call
 
-    def policy(fn, count, *args):
-        return bracket_and_bisect(logged(b"fn", fn), logged(b"count", count), *args)
+    def policy(fn, count, *args, **kwargs):
+        return bracket_and_bisect(logged(b"fn", fn), logged(b"count", count), *args, **kwargs)
 
     monkeypatch.setattr(shooting, "bracket_and_bisect", policy)
     spec, e_max = well
-    for narrow in REPLAY_PATHS:
-        monkeypatch.setattr(_rootscan, "_NARROW", narrow)
-        digest = hashlib.sha256()
-        assert shooting.find_spectrum_numeric(spec, e_max, 1000)
-        assert digest.hexdigest() == NUMEROV_CALL_LOG_SHA256[well]
+    digest = hashlib.sha256()
+    assert shooting.find_spectrum_numeric(spec, e_max, 1000)
+    assert digest.hexdigest() == NUMEROV_CALL_LOG_SHA256[well]
+
+
+def test_numerov_route_never_replays(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Numerov route entered the replay")
+
+    monkeypatch.setattr(_Brackets, "replay", refuse)
+    assert len(shooting.find_spectrum_numeric(WellSpec(3.0, 3.0, 20.0, Exponential(0.2)),
+                                              41.75, 4000)) == 10
 
 
 @given(a=st.floats(min_value=1e-300, max_value=1e308),

@@ -34,14 +34,12 @@ from asymwell.shooting import (
     count_sign_changes,
     interior_nodes,
 )
-from asymwell._rootscan import scan_step
 from asymwell.spectrum import _count_below as closed_form_count
 from oracles import (
     enclosure_counts,
     fd_left_probability,
     fd_spectrum,
     longdouble_roots,
-    reference_roots,
     reference_solution,
     stitched_solution,
 )
@@ -783,18 +781,25 @@ BATCHED_IDS = ["step-1e5", "step-2e5", "step-1e7", "wide-sigmoid", "sigmoid-e100
 
 
 class TestFixedScanParity:
-    """The count-directed roots are the fixed-step scan's floats, bit for bit,
-    and a spectrum's states are its single-energy passes from b."""
+    """Each level lies within half the polish's stopping width of a sign
+    change of fn, and a spectrum's states are its single-energy passes from b."""
 
-    @pytest.mark.parametrize("spec, e_max", FIXED_SCAN_WELLS)
-    def test_states_match_the_fixed_scan(self, spec, e_max):
-        grid = _stable_grid(spec, 4000)
-        energies = reference_roots(lambda es: _sweep_final(grid.from_b, grid.h, es),
-                                   lambda e: _count_below(grid, e),
-                                   e_max, scan_step(spec.a, spec.b), shooting._BISECT_TOL)
-        sols = find_spectrum_numeric(spec, e_max, 4000)
-        assert [sol.energy for sol in sols] == energies
+    @pytest.mark.parametrize("spec, e_max, n_grid, count", [
+        *((spec, e_max, 4000, None) for spec, e_max in FIXED_SCAN_WELLS),
+        # fn's sign flips three times within 6e-12 of level 1 on this coarse grid
+        (WellSpec(2.1704358448705516, 2.246907984380412, 9.731621171898706),
+         156.63314239100598, 400, 17),
+    ], ids=[f"fixed-scan-{i}" for i in range(len(FIXED_SCAN_WELLS))] + ["noisy-sign"])
+    def test_levels_lie_within_four_tolerances_of_a_sign_change(self, spec, e_max, n_grid,
+                                                                 count):
+        grid = _stable_grid(spec, n_grid)
+        sols = find_spectrum_numeric(spec, e_max, n_grid)
+        assert len(sols) == (count or _count_below(grid, np.array([e_max]))[0][0])
+        width = 4.0 * shooting._BISECT_TOL
         for sol in sols:
+            e = sol.energy + width * max(1.0, sol.energy) * np.linspace(-1.0, 1.0, 161)
+            f = _sweep_final(grid.from_b, grid.h, e)
+            assert count_sign_changes(f) or not f.all(), sol.n
             assert np.array_equal(sol.values, reference_solution(grid, sol.energy))
 
     @pytest.mark.parametrize("spec, e_max, n_grid, count", BATCHED_WELLS, ids=BATCHED_IDS)
@@ -819,37 +824,17 @@ class TestFixedScanParity:
             assert np.abs(sol.values - ref).max() <= 2e-9 * np.abs(ref).max(), sol.n
 
 
-def test_noisy_sign_keeps_levels_near_the_fixed_scan():
-    # fn's sign flips three times within 6e-12 of level 1 on this coarse grid,
-    # and the fixed scan's bisection and the polished bracket take different
-    # sides of that noise: 1.5791649151804457 against 1.579164915183356, 1.8e-12
-    # apart relative.  Each float is a midpoint within half a tolerance of a
-    # sign change of fn, so the two lie within a tolerance plus the noise's
-    # width of each other; where the sign is clean they are the same float
-    spec = WellSpec(2.1704358448705516, 2.246907984380412, 9.731621171898706)
-    e_max = 156.63314239100598
-    grid = _stable_grid(spec, 400)
-    expected = reference_roots(lambda es: _sweep_final(grid.from_b, grid.h, es),
-                               lambda e: _count_below(grid, e),
-                               e_max, scan_step(spec.a, spec.b), shooting._BISECT_TOL)
-    found = [sol.energy for sol in find_spectrum_numeric(spec, e_max, 400)]
-    assert len(found) == len(expected) == 17
-    assert found[1:] == expected[1:]
-    tol = shooting._BISECT_TOL
-    assert all(abs(f - e) <= 2.0 * tol * max(1.0, e) for f, e in zip(found, expected))
-
-
 class TestRoundoff:
     """The kernel's rounding near each level: fn changes sign cleanly, and each level
     is the root of the psi recurrence run in extended precision on the same samples."""
 
     @pytest.mark.parametrize("spec, e_max", FIXED_SCAN_WELLS)
     def test_sign_changes_once_near_each_level(self, spec, e_max):
-        # 401 energies 1e-14 apart relative, 2e-12 either side of each level, twice
-        # the root tolerance: one sign change each, at every level, also over 2001
-        # energies, when this test was written
+        # 1601 energies 1e-14 apart relative, 8e-12 either side of each level, twice
+        # the 4 tolerances within which it lies of a sign change: one sign change
+        # each, at every level, when this test was written
         grid = _stable_grid(spec, 4000)
-        steps = 1.0 + 1e-14 * np.arange(-200, 201)
+        steps = 1.0 + 1e-14 * np.arange(-800, 801)
         for sol in find_spectrum_numeric(spec, e_max, 4000):
             assert count_sign_changes(_sweep_final(grid.from_b, grid.h, sol.energy * steps)) == 1, \
                 sol.n

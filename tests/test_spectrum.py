@@ -454,6 +454,16 @@ class TestPhaseSeeds:
         spectrum._seeds(*well)
         assert len(calls) <= 4
 
+    def test_newton_breaks_a_two_cycle(self):
+        # level 484 at E/v0 = 1.03: Newton's iterates in q 2-cycle around
+        # q = 0.18, each inside the bracket, so no step leaves it to bisect,
+        # and the seed ended 4.3e-9 relative from the root at the step cap
+        spec = WellSpec(1420.5803233328522, 2.0607432495133406, 1.1101579790856657)
+        e_max = 2.476065344420603
+        seed = spectrum._seeds(spec, e_max)[483]
+        level = find_spectrum(spec, e_max)[483].energy
+        assert abs(seed - level) <= 1e-12 * level
+
     @given(a=st.floats(1.0, 5.0), b=st.floats(1.0, 5.0),
            v0=st.floats(0.0, math.log(2e4)).map(math.exp),
            e_max=st.floats(math.log(10.0), math.log(1e4)).map(math.exp))
