@@ -790,8 +790,7 @@ class TestFixedScanParity:
         (WellSpec(2.1704358448705516, 2.246907984380412, 9.731621171898706),
          156.63314239100598, 400, 17),
     ], ids=[f"fixed-scan-{i}" for i in range(len(FIXED_SCAN_WELLS))] + ["noisy-sign"])
-    def test_levels_lie_within_four_tolerances_of_a_sign_change(self, spec, e_max, n_grid,
-                                                                 count):
+    def test_levels_lie_by_a_sign_change(self, spec, e_max, n_grid, count):
         grid = _stable_grid(spec, n_grid)
         sols = find_spectrum_numeric(spec, e_max, n_grid)
         assert len(sols) == (count or _count_below(grid, np.array([e_max]))[0][0])
