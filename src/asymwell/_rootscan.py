@@ -18,16 +18,16 @@ both:
    parity the sign of ``fn`` wherever ``fn`` is nonzero (odd where fn < 0),
    checked at every count, so each bracket's end values and signs come from
    the count, and no level falls between the two.
-2. Secant polish: Illinois regula falsi on ``fn``, vectorized over all
-   brackets, one call per pass.  A bracket hands over once it is narrower
-   than ``_HANDOVER`` bisection tolerances: a bisection gains one level per
-   call, the secant more.  A bracket that fails to halve in ``_STALL``
-   passes takes one bisection step in place of its secant estimate.  A
-   stall comes from a rounding floor, below which only the sign of ``fn``
-   means anything, such as Numerov's near a root under a high step, or from
-   a sharp bend, such as the closed form's at E = v0, or from values spread
-   over many decades, such as the closed form's, which grows like
-   cosh(qbar b) below a tall step.
+2. Polish on ``fn``, vectorized over all brackets, one call per pass: the
+   inverse quadratic step through both ends and the end the last pass
+   replaced (R. P. Brent, *Algorithms for Minimization without Derivatives*
+   (1973), ch. 4) where it lands inside the bracket, else Illinois regula
+   falsi, to ``_HANDOVER`` bisection tolerances (a bisection gains one level
+   per call, the polish more).  A bracket that fails to halve in ``_STALL``
+   passes bisects once instead: at a rounding floor, below which only the
+   sign of ``fn`` means anything (Numerov's near a root under a high step),
+   a sharp bend (the closed form's at E = v0), or values spread over many
+   decades (the closed form's, like cosh(qbar b) below a tall step).
 3. Report: the Numerov route takes each polished bracket's midpoint.  The
    closed form, whose table bytes are frozen, takes the replay: the float a
    fixed scan would give, with cells of ``step`` refined 10x until every
@@ -221,9 +221,9 @@ class _Brackets:
         return full, sign == self.s, sign == self._ns
 
     def polish(self, fn, tol_rel: float) -> None:
-        """Illinois regula falsi until each bracket is narrower than
-        ``_HANDOVER`` tolerances, with a bisection step for a bracket that
-        has not halved its width in ``_STALL`` passes."""
+        """Inverse quadratic steps, else Illinois regula falsi, until each
+        bracket is narrower than ``_HANDOVER`` tolerances, with a bisection
+        step for a bracket that has not halved its width in ``_STALL`` passes."""
         lo, hi, flo, fhi = self.lo, self.hi, self.flo, self.fhi
         # handover = _HANDOVER * tol with tol = max(tol_rel, 8 eps) max(1, hi),
         # the replay's tolerance at hi; scaling by a power of two is exact, so
@@ -242,8 +242,15 @@ class _Brackets:
             i = (width >= grow * scale).nonzero()[0]
             if not i.size:
                 break
+            if not k:   # fn at lo and hi, unhalved, and at c, the end a pass replaced
+                rlo, rhi, (c, fc) = flo.copy(), fhi.copy(), np.full((2, lo.size), np.nan)
             with np.errstate(all="ignore"):   # not around fn, whose warnings show
-                x = hi - fhi * (width / (fhi - flo))
+                # inverse quadratic through (hi, rhi), (lo, rlo), (c, fc), by divided
+                # differences, where it lands in (lo, hi), else Illinois's secant
+                slope = width / (rhi - rlo)
+                curve = ((c - lo) / (fc - rlo) - slope) / (fc - rhi)
+                x = hi - rhi * (slope - rlo * curve)
+                x = np.where((lo < x) & (x < hi), x, hi - fhi * (width / (fhi - flo)))
                 bisect = ~np.isfinite(x) | (halved_at <= k - _STALL)
                 if np.count_nonzero(bisect):
                     x = np.where(bisect, 0.5 * (lo + hi), x)
@@ -261,9 +268,15 @@ class _Brackets:
                 spread = 0.25 * scale * grow[z]
                 lo[z] = np.maximum(lo[z], x[z] - spread)
                 hi[z] = np.minimum(hi[z], x[z] + spread)
-                flo[z] = fhi[z] = np.nan      # signs s and -s, as assumed outside
+                flo[z] = fhi[z] = rlo[z] = rhi[z] = np.nan   # signs s and -s, as assumed outside
                 j = j[fx[j] != 0.0]           # NaN
-                hi[j], fhi[j] = x[j], fx[j]
+                hi[j], fhi[j], rhi[j] = x[j], fx[j], fx[j]
+            np.copyto(c, lo, where=left)
+            np.copyto(fc, rlo, where=left)
+            np.copyto(c, hi, where=right)
+            np.copyto(fc, rhi, where=right)
+            np.copyto(rlo, fx, where=left)
+            np.copyto(rhi, fx, where=right)
             np.copyto(lo, x, where=left)
             np.copyto(flo, fx, where=left)
             np.copyto(hi, x, where=right)

@@ -21,9 +21,10 @@ psi(b) = 0 crosses zero at x = -a.  The passes run the recurrence renormalized
 coefficient per cell, u[i+1] = d[i] u[i] - u[i-1] with d = (2 + 10 t) / (1 - t),
 and read psi = u / (1 - t) back.  A sweep multiplies the steps [[d, -1], [1, 0]]
 in blocks of 32 cells, the last block's read after its real steps, vectorized
-over blocks and energies with the ~125 blocks innermost, then carries the state
-through the blocks in order, rescaling against overflow, in Python floats for a
-narrow chunk, where a numpy call costs more than its arithmetic, else in numpy.
+over blocks and energies with the ~125 blocks innermost, a run of blocks on
+equal floor samples sharing one product, then carries the state through the
+blocks in order, rescaling against overflow, in Python floats for a narrow
+chunk, where a numpy call costs more than its arithmetic, else in numpy.
 
 A converged state is the solution from psi(b) = 0, one backward trajectory
 per 32 states.  Every floor ``WellSpec`` accepts is nondecreasing, so the only
@@ -100,19 +101,19 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     starts from u[1] = (1 - t[1]) psi[1], and step i maps (u[i], u[i-1]) to
     (u[i+1], u[i]) by [[d_i, -1], [1, 0]], d = (2 + 10 t) / (1 - t).  The steps
     are grouped into blocks of up to ``_BLOCK`` cells; each block's product is
-    formed by running the two basis solutions through it, vectorized over all
-    blocks and energies, and the last block's is read after its real steps (no
-    step is the identity).  Its arrays are laid out (step in block k, energy m,
-    block nb): blocks innermost, so every numpy operation runs along the nb
-    blocks, not the few energies of a typical chunk.  The state is then carried
-    through the blocks in order: one energy at a time in Python floats for a
-    chunk of at most ``_NARROW[path]`` energies, all energies per block in numpy
-    for a wider one.  Both make the same float operations in the same order and
-    scale an energy by ``_RENORM`` after each block that leaves its |u| or
-    |u_prev| past ``_RENORM_CAP``: numpy checks once a bound on the chunk's
-    largest state passes the cap, as it does at every such block, then scales
-    only the energies past it.  A block is short enough that its amplification
-    stays below ``_BLOCK_GROWTH``, so the carry cannot overflow between checks.
+    formed by running the two basis solutions through it, vectorized over the blocks
+    ``_own_blocks`` keeps and all energies, then repeated out to all nb, and the last
+    block's is read after its real steps (no step is the identity).  Its arrays are
+    laid out (step in block k, energy m, block): blocks innermost, so every numpy
+    operation runs along them, not the few energies of a typical chunk.  The state is
+    then carried through the blocks in order: one energy at a time in Python floats
+    for a chunk of at most ``_NARROW[path]`` energies, all energies per block in
+    numpy for a wider one.  Both make the same float operations in the same order and
+    scale an energy by ``_RENORM`` after each block that leaves its |u| or |u_prev|
+    past ``_RENORM_CAP``: numpy checks once a bound on the chunk's largest state
+    passes the cap, as it does at every such block, then scales only the energies
+    past it.  A block is short enough that its amplification stays below
+    ``_BLOCK_GROWTH``, so the carry cannot overflow between checks.
 
     Returns psi = u / (1 - t) at the last sample per energy, or with ``path`` the
     whole trajectory, shape (len(v), len(e)), each sample at its column's final
@@ -127,8 +128,11 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g))))
     growth = g**k
     nb = -(-n // k)
-    # V at step i = 1 + j + k*b sits at [j, :, b]; the padding past step n repeats it
-    vs = v[np.minimum(np.arange(nb * k).reshape(nb, k).T, n - 1) + 1][:, None]
+    # V at step i = 1 + j + k*b sits at [j, b]; the padding past step n repeats it
+    vs = v[np.minimum(np.arange(nb * k).reshape(nb, k).T, n - 1) + 1]
+    own, runs = _own_blocks(vs)
+    shared = own.size < nb
+    vs = vs[:, None, own] if shared else vs[:, None]
     d = (2.0 + 10.0 * c * vs) - 10.0 * c * e[:, None]
     den = (1.0 - c * vs) + c * e[:, None]
     d /= den
@@ -136,7 +140,7 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     # hist[(j + 1) % depth, s] is basis solution s, from (u, u_prev) = (1, 0) or (0, 1), after
     # j steps into each block; only a trajectory keeps every step, a sweep cycles through three
     depth = k + 2 if path else 3
-    hist = np.empty((depth, 2, m, nb))
+    hist = np.empty((depth, 2, m, own.size))
     hist[0, 0], hist[0, 1], hist[1, 0], hist[1, 1] = 0.0, 1.0, 1.0, 0.0
     tail = n - (nb - 1) * k             # the last block's real steps
     for j in range(k):
@@ -149,6 +153,8 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     blocks = hist[[(k + 1) % depth, k % depth]]
     blocks[..., -1] = short
     del d    # a trajectory's samples need the room
+    if shared:    # np.repeat keeps blocks innermost in memory, where [..., index] would not
+        blocks = np.repeat(blocks, runs, axis=-1)
 
     state = np.zeros((2, m))
     state[0] = h * (1.0 + h * h * (v[0] - e) / 6.0) * den[0, :, 0]   # (1 - t[1]) psi[1]
@@ -186,9 +192,12 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     if not path:
         return end
     # the samples, formed in place in hist (no temporary), then written one energy per row
-    hist[1 : k + 1] *= starts
-    inner = hist[1 : k + 1, 0]
-    inner += hist[1 : k + 1, 1]
+    hist = hist[1 : k + 1]
+    if shared:
+        hist, den = np.repeat(hist, runs, axis=-1), np.repeat(den, runs, axis=-1)
+    hist *= starts
+    inner = hist[:, 0]
+    inner += hist[:, 1]
     # samples in block blk take the rescales at the ends of blocks blk, blk+1, ...
     if fired.any():
         inner *= _RENORM ** np.cumsum(fired[:, ::-1], axis=1)[:, ::-1]
@@ -198,6 +207,19 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     out[:, 1:-1].reshape(m, nb, k).transpose(2, 0, 1)[...] = inner
     out[:, 0], out[:, n + 1] = 0.0, end
     return out[:, : n + 2].T
+
+
+def _own_blocks(vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks with a product of their own, for floor samples ``vs`` laid out (step in
+    block, block), and the run of blocks each one's product serves: a block on the
+    samples of the one before has its product bit for bit, save the last, padded one."""
+    nb = vs.shape[1]
+    same = vs[0, 1:-1] == vs[0, :-2]
+    if not same.any():    # no first sample repeats: a sigmoid's blocks pay one compare
+        return np.arange(nb), np.ones(nb, dtype=int)
+    same &= (vs[:, 1:-1] == vs[:, :-2]).all(axis=0)
+    own = np.concatenate([[0], (~same).nonzero()[0] + 1, [nb - 1]])
+    return own, np.diff(own, append=nb)
 
 
 def _sweep_final(v: np.ndarray, h: float, energies: np.ndarray) -> np.ndarray:

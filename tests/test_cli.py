@@ -36,18 +36,19 @@ GOLDEN_SHA256 = {
 # psi(-a) from b; "--a 2 --b 4.3" integrates a left half with an even number
 # of samples.  All six re-recorded from the renormalized Numerov kernel, and
 # the smoothing tables again once the route reported its polished brackets'
-# midpoints, with no replay of the fixed scan
+# midpoints, with no replay of the fixed scan, and once more when the polish
+# took an inverse quadratic step
 SHOOTING_SHA256 = {
-    "smoothing": "8a435043b9c9a68cb32cbe593fcb4697dd28cd399153cffac6789270519e18b4",
+    "smoothing": "dd963f9752e32bd5c46efdbba6bf45385ebb0d9c76d07f0454077b05bab51bbe",
     "smoothing --smoothing linear":
-        "578432b16348a9b3264c53a4e1628b38b90c354730625b0b443db1aaa78e3a89",
-    "smoothing --a 2 --b 4.3": "6960bc4fd5fefa719840305e688ae5c33d375ae46b4e45f0485c4b2269c6be7c",
+        "779ee95ac1c0fda982f2142e084bf430378baca0e1a63c41f06ca613d85cb542",
+    "smoothing --a 2 --b 4.3": "e7e9d5d74fbd6ec61e8b501e3e7cc605b0861dacff9f74855636f4e97f9b1893",
     "wavefunction --n 3 --smoothing exponential --epsilon 0.2":
         "b13c5b0e9217402aca2826440fdf7e9be4029721a713ea3bc0f80167590d31ef",
     # recorded while the smoothing table still read EigenStates: a state-count
     # cutoff, and a flat floor whose sharp-step side has no step at all
-    "smoothing --n-max 5": "42918aa54a8d811e59d33012779e8a6e4f96ea4458a0ad7a7889e449c76311dc",
-    "smoothing --v0 0": "f0897b7abf45db357ebc6de56fba060a4f65c1528d18799d73b5f643b9a79b0e",
+    "smoothing --n-max 5": "de6d65c8405f481d3bbdfb615ac59ac6ef5f1e3082e33bbcf239a04147cefcba",
+    "smoothing --v0 0": "03dff198eccca2a68516742640267228b2a3388edecd41616ba77796ae224f91",
 }
 
 # sha256 of the JSON form of the standard tables, recorded while render_json
@@ -60,7 +61,7 @@ JSON_SHA256 = {
         "715e100f2ab9e7b317809e333fa53e9431f81835790c264a50758a2a5205ed2a",
     "wavefunction --n 6 --format json":
         "a8a5d7a930c799ac71a39584deb449889b45949bd144a3c8017ad76da41449d0",
-    "smoothing --format json": "eb597ce830a8e0da83940c5dd8c9540236b57217ce7b0111487e3e4c30d4253e",
+    "smoothing --format json": "18d44cadf7a222ba873d8a00b42f24d250f9529d0138505f5fadc9455d642d8c",
 }
 
 # sha256 of compare tables recorded before the table was built from arrays:

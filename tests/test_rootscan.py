@@ -463,6 +463,33 @@ def test_polished_roots_keep_their_brackets(case):
     assert not late
 
 
+@pytest.mark.parametrize("root", [0.7, 1.234567, 3.3])
+def test_curved_fn_polishes_in_five_passes(root):
+    # fn = e^(5 r) - e^(5 E) spans nine decades on (0, 4]: the inverse
+    # quadratic step hands over in 5 passes on each root, where Illinois
+    # regula falsi alone took 8, 8 and 7
+    def fn(es):
+        return math.exp(5.0 * root) - np.exp(5.0 * es)
+
+    traced, sizes = calls_of(fn)
+    found = bracket_and_bisect(traced, lambda e: ((e > root).astype(int), fn(e)), 4.0, 0.1,
+                               1e-13, replay=False)
+    assert len(sizes) <= 5
+    assert abs(found[0] - root) <= 4e-13 * max(1.0, root)
+
+
+@pytest.mark.parametrize("e_max", [35.0, 1e4])
+def test_certified_closed_form_makes_no_polish_pass(e_max, monkeypatch):
+    # every Pruefer seed of (3, 3, 20) is certified by the count, so the polish
+    # calls fn no time at all
+    calls, polish = [], _Brackets.polish
+    monkeypatch.setattr(_Brackets, "polish",
+                        lambda self, fn, tol: polish(self, lambda es: calls.append(1) or fn(es),
+                                                     tol))
+    assert spectrum.find_spectrum(WellSpec(3.0, 3.0, 20.0), e_max)
+    assert calls == []
+
+
 @pytest.mark.parametrize("spec, e_max, missed", [
     # level 19,114 at E/v0 = 1.0000186, the worst seed known, 57 ulp from its
     # root (J = 6e4 rad): 128 eps x certifies it, where 64 eps x missed it
@@ -621,12 +648,13 @@ def test_closed_form_calls_see_the_same_energies(well, monkeypatch):
 
 # the same log for the Numerov route, whose fn and count both run Numerov
 # sweeps from b, recorded from the renormalized kernel once the route reported
-# its polished brackets' midpoints, with no replay; 1000 cells keep it fast
+# its polished brackets' midpoints, with no replay, and the polish took its
+# inverse quadratic step; 1000 cells keep it fast
 NUMEROV_CALL_LOG_SHA256 = {
     (WellSpec(3.0, 3.0, 20.0, Exponential(0.2)), 100.0):
-        "23558e104078d59dcac487b93bdfe23fe85f07f1fc190b794267058b35e74070",
+        "9c9838287d61fd80a7198e654ec910c8e76c3163f22991eec17dcbc249286425",
     (WellSpec(3.0, 3.0, 60.0), 30.0):
-        "b5996c4ea27a7f361c985bada27e20b4311131ec315e1005706027a7005df86f",
+        "8120d6b6e81a06b1589c1c4ebe24f3a096fdf95722509119e8f9a6177bd9f01a",
 }
 
 

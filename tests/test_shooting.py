@@ -228,6 +228,28 @@ class TestKernel:
         for e in (0.7, 150.0):   # both directions
             assert scalar_sweep(v, h, e)[1] == scalar_sweep(v[::-1], h, e)[1] == rescales
 
+    @pytest.mark.parametrize("spec, built", [(STEP, 4), (SMOOTH, 125)], ids=["step", "sigmoid"])
+    def test_equal_blocks_share_a_product(self, spec, built, monkeypatch):
+        # the sharp step from b: a run of blocks at v0, the one holding its
+        # v0/2 sample, a run at 0, and the padded last block, its own though
+        # its samples are the run's; every sigmoid block differs
+        seen, own_blocks = [], shooting._own_blocks
+        monkeypatch.setattr(shooting, "_own_blocks",
+                            lambda vs: seen.append(own_blocks(vs)) or seen[-1])
+        grid = _stable_grid(spec, 4000)
+        _sweep_final(grid.from_b, grid.h, [1.0])
+        (own, runs), = seen
+        assert own.size == built and runs.sum() == 125
+        assert own[-1] == 124 and runs[-1] == 1
+        assert (np.repeat(own, runs) <= np.arange(125)).all()
+
+    def test_only_neighbouring_equal_blocks_share(self):
+        # block columns A A B A A' A A, A' with A's first sample only
+        a, b, a2 = [1.0, 2.0], [3.0, 2.0], [1.0, 5.0]
+        own, runs = shooting._own_blocks(np.array([a, a, b, a, a2, a, a]).T)
+        assert own.tolist() == [0, 2, 3, 4, 5, 6]
+        assert runs.tolist() == [2, 1, 1, 1, 1, 1]
+
     def test_full_chunk_temporaries_stay_small(self):
         # traced peaks of a full chunk on 4000 cells, whose arrays are about
         # 1 MB each: 3.12 and 4.37 MiB when this test was written
