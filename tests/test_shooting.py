@@ -872,6 +872,41 @@ class TestRoundoff:
         np.testing.assert_allclose(levels, roots.astype(float), rtol=5e-11, atol=0.0)
 
 
+class TestKernelAccuracy:
+    """The kernel's own root against the extended-precision one, and its order."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="np.longdouble is a plain double here")
+    @pytest.mark.parametrize("spec, e_max", FIXED_SCAN_WELLS)
+    def test_levels_at_4000_cells_are_the_extended_precision_roots(self, spec, e_max):
+        # the six lowest levels: worst 5.9e-11 relative from the three-term
+        # recurrence in floats, 2.1e-12 from the summed form
+        grid = _stable_grid(spec, 4000)
+        levels = np.array([sol.energy for sol in find_spectrum_numeric(spec, e_max, 4000)[:6]])
+        roots = longdouble_roots(grid.v, grid.h, levels * (1.0 - 1e-9), levels * (1.0 + 1e-9))
+        np.testing.assert_allclose(levels, roots.astype(float), rtol=1e-11, atol=0.0)
+
+    def test_ground_state_root_converges_at_fourth_order(self):
+        # the study's ground state, bisected on fn to a few ulp: the 4000 -> 8000
+        # change is 1/16 of the 2000 -> 4000 one at fourth order; the three-term
+        # recurrence's roundoff made it 0.15 of it
+        roots = []
+        for n_grid in (2000, 4000, 8000):
+            grid = _stable_grid(SMOOTH, n_grid)
+            lo, hi = 1.15, 1.22
+            f_lo = _sweep_final(grid.from_b, grid.h, [lo])[0]
+            assert f_lo * _sweep_final(grid.from_b, grid.h, [hi])[0] < 0.0
+            while hi - lo > 4.0 * math.ulp(hi):
+                mid = 0.5 * (lo + hi)
+                f_mid = _sweep_final(grid.from_b, grid.h, [mid])[0]
+                if f_mid * f_lo > 0.0:
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
+        assert abs(roots[2] - roots[1]) <= abs(roots[1] - roots[0]) / 8.0, roots
+
+
 class TestSturmCount:
     @pytest.mark.parametrize("v0", [20.0, 60.0, 1000.0, 5000.0])
     def test_matches_closed_form_count_between_levels(self, v0):
@@ -882,6 +917,17 @@ class TestSturmCount:
         numeric = [_count_below(grid, e)[0] for e in gaps]
         assert numeric == [closed_form_count(spec, e)[0] for e in gaps]
         assert numeric == list(range(len(gaps)))
+
+    def test_monotone_across_a_level_at_the_roundoff_floor(self):
+        # 61 energies over 2.5e-10 about level 2 of this well: the three-term
+        # recurrence's roundoff read N = 1, 2, 1, 2 there, with three sign flips of fn
+        spec = WellSpec(4.653249057756172, 1.5618071640228766, 9.22139551989244,
+                        Exponential(0.25346101415246086))
+        grid = _stable_grid(spec, 4000)
+        energies = np.linspace(1.80924385185, 1.8092438521, 61)
+        counts = [int(_count_below(grid, e)[0]) for e in energies]
+        assert counts[0] == 1 and np.all(np.diff(counts) >= 0), counts
+        assert count_sign_changes(_sweep_final(grid.from_b, grid.h, energies)) == 1
 
     def test_cutoff_on_a_level(self, numeric_smooth_035):
         # a level's energy is the bisection's last midpoint, within the
