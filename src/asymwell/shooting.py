@@ -54,8 +54,9 @@ __all__ = ["GridSolution", "NodeCountError", "shoot", "find_spectrum_numeric",
 _BISECT_TOL = 1e-12          # relative; well inside the 1e-9 contract
 _RENORM_CAP = 1e250          # rescale the running solution past this magnitude
 _RENORM = 1.0 / _RENORM_CAP  # by this factor, exactly 1e-250
-_BLOCK = 32                  # Numerov steps multiplied together per transfer block
-_BLOCK_GROWTH = 1e40         # bound on one block's amplification, far below 1e308 / cap
+_BLOCK = 64                  # Numerov steps multiplied together per transfer block
+_SPLIT = 4                   # sub-blocks per block, whose products the recurrence forms
+_BLOCK_GROWTH = 1e45         # bound on one block's amplification: 5**64 < 1e45 < 1e308 / cap
 _CHUNK = 32                  # trial energies per pass or count sweep; at 4000 cells 4.5 MB peak
 _NARROW = {False: 16, True: 10}  # widest chunk carried per energy in floats: sweep, trajectory
 
@@ -97,23 +98,33 @@ class _Grid:
 def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.ndarray:
     """Numerov solutions from psi = 0 at the first sample of ``v`` for the energies ``e``.
 
-    Renormalized (B. R. Johnson, J. Chem. Phys. 67, 4086 (1977)): u = (1 - t) psi
-    starts from u[1] = (1 - t[1]) psi[1], and step i maps (u[i], u[i-1]) to
-    (u[i+1], u[i]) by [[d_i, -1], [1, 0]], d = (2 + 10 t) / (1 - t).  The steps
-    are grouped into blocks of up to ``_BLOCK`` cells; each block's product is
-    formed by running the two basis solutions through it, vectorized over the blocks
-    ``_own_blocks`` keeps and all energies, then repeated out to all nb, and the last
-    block's is read after its real steps (no step is the identity).  Its arrays are
-    laid out (step in block k, energy m, block): blocks innermost, so every numpy
-    operation runs along them, not the few energies of a typical chunk.  The state is
+    Renormalized (B. R. Johnson, J. Chem. Phys. 67, 4086 (1977)) on u = (1 - t) psi, in
+    Henrici's summed form (P. Henrici, *Discrete Variable Methods in Ordinary Differential
+    Equations*, 1962): the state is (u[i], D[i-1]), D[i] = u[i+1] - u[i], and step i adds
+    w[i] u[i] to D, then D to u, with w = 12 t / (1 - t) formed from E - V directly.  It
+    starts from u[1] = (1 - t[1]) psi[1] and D[0] = u[1].  A step's matrix is
+    [[1 + w_i, 1], [w_i, 1]], so where the grid resolves psi a product over k cells is
+    near [[1, k], [0, 1]] and nothing cancels, where the three-term form's d = 2 + w
+    holds the curvature in its last bits.
+
+    The steps are grouped into blocks of up to ``_BLOCK`` cells, each split into
+    ``_SPLIT`` sub-blocks.  A sub-block's product is formed by running the two basis
+    solutions through it, vectorized over the sub-blocks ``_own_blocks`` keeps and all
+    energies, then repeated out; the last real one is read after its real steps (no
+    step is the identity) and those past it are the identity.  Its arrays are laid out
+    (energy m, step in sub-block, sub-block) and (basis, m, sub-block): sub-blocks
+    innermost, so every numpy operation runs along them, not the few energies of a
+    typical chunk.  A block's product is its sub-blocks' multiplied in order, which
+    costs a few numpy calls where the recurrence would take three a step.  The state is
     then carried through the blocks in order: one energy at a time in Python floats
     for a chunk of at most ``_NARROW[path]`` energies, all energies per block in
     numpy for a wider one.  Both make the same float operations in the same order and
-    scale an energy by ``_RENORM`` after each block that leaves its |u| or |u_prev|
-    past ``_RENORM_CAP``: numpy checks once a bound on the chunk's largest state
-    passes the cap, as it does at every such block, then scales only the energies
-    past it.  A block is short enough that its amplification stays below
-    ``_BLOCK_GROWTH``, so the carry cannot overflow between checks.
+    scale an energy by ``_RENORM`` after each block that leaves its |u| or |D| past
+    ``_RENORM_CAP``: numpy checks once a bound on the chunk's largest state passes
+    the cap, as it does at every such block, then scales only the energies past it.
+    A block is short enough that its amplification stays below ``_BLOCK_GROWTH``, so
+    the carry cannot overflow between checks.  A trajectory carries each block's
+    start through its sub-blocks and combines the basis solutions from there.
 
     Returns psi = u / (1 - t) at the last sample per energy, or with ``path`` the
     whole trajectory, shape (len(v), len(e)), each sample at its column's final
@@ -121,49 +132,66 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     """
     c = h * h / 12.0
     n, m = len(v) - 2, e.size
-    # sup-norm bound on one step matrix, |d_i| + 1, over the grid's window from E = 0 up (d rises
-    # with t, from -2 at its top, t = -1/2), so no call mate moves k; callers keep t_hi < 1
+    # sup-norm bound on one step matrix, max(|1 + w_i|, |w_i|) + 1, over the grid's window from
+    # E = 0 up (w rises with t, from -4 at its top, t = -1/2, where the bound is 5), so no call
+    # mate moves k; callers keep t_hi < 1
     t_hi = c * (v.max() - min(e.min(), 0.0))
-    g = max(2.0, abs(2.0 + 10.0 * t_hi) / (1.0 - t_hi)) + 1.0
+    g = max(4.0, 1.0 + 12.0 * t_hi / (1.0 - t_hi)) + 1.0
     k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g))))
+    parts = _SPLIT if k >= 4 * _SPLIT else 1      # a high floor's short blocks stay whole
+    ks = k // parts                               # cells per sub-block
+    k = ks * parts
     growth = g**k
-    nb = -(-n // k)
-    # V at step i = 1 + j + k*b sits at [j, b]; the padding past step n repeats it
-    vs = v[np.minimum(np.arange(nb * k).reshape(nb, k).T, n - 1) + 1]
+    nb, ns = -(-n // k), -(-n // ks)              # blocks, and sub-blocks with real steps
+    tail = n - (ns - 1) * ks                      # the last sub-block's real steps
+    # V at step i = 1 + j + ks*b sits at [j, b]; the padding past step n repeats it
+    vs = v[np.minimum(np.arange(ns * ks).reshape(ns, ks).T, n - 1) + 1]
     own, runs = _own_blocks(vs)
-    shared = own.size < nb
-    vs = vs[:, None, own] if shared else vs[:, None]
-    d = (2.0 + 10.0 * c * vs) - 10.0 * c * e[:, None]
-    den = (1.0 - c * vs) + c * e[:, None]
-    d /= den
+    shared = own.size < ns
+    # E - V in one contiguous pass per energy, then w and 1 - t = 1 + c (E - V) from it
+    w = np.subtract.outer(e, vs[:, own] if shared else vs)
+    den = np.multiply(w, c)
+    den += 1.0
+    w *= -h * h
+    w /= den
 
-    # hist[(j + 1) % depth, s] is basis solution s, from (u, u_prev) = (1, 0) or (0, 1), after
-    # j steps into each block; only a trajectory keeps every step, a sweep cycles through three
-    depth = k + 2 if path else 3
-    hist = np.empty((depth, 2, m, own.size))
-    hist[0, 0], hist[0, 1], hist[1, 0], hist[1, 1] = 0.0, 1.0, 1.0, 0.0
-    tail = n - (nb - 1) * k             # the last block's real steps
-    for j in range(k):
-        nxt = hist[(j + 2) % depth]
-        np.multiply(d[j], hist[(j + 1) % depth], out=nxt)
-        nxt -= hist[j % depth]
+    # u[j, s] is basis solution s, from (u, D) = (1, 0) or (0, 1), after j steps into each
+    # sub-block, and diff its D; only a trajectory keeps every step's u, a sweep the latest
+    u = np.empty((ks + 1 if path else 1, 2, m, own.size))
+    u[0, 0], u[0, 1] = 1.0, 0.0
+    diff = np.zeros((2, m, own.size))
+    diff[1] = 1.0
+    kick = np.empty_like(diff)
+    steps = list(u) if path else [u[0]] * (ks + 1)
+    for j in range(ks):
+        np.multiply(w[:, j], steps[j], kick)
+        np.add(diff, kick, diff)
+        np.add(steps[j], diff, steps[j + 1])
         if j + 1 == tail:
-            short = hist[[(j + 2) % depth, (j + 1) % depth], ..., -1]
-    # block transfer matrices, rows (u, u_prev) by basis columns
-    blocks = hist[[(k + 1) % depth, k % depth]]
-    blocks[..., -1] = short
-    del d    # a trajectory's samples need the room
-    if shared:    # np.repeat keeps blocks innermost in memory, where [..., index] would not
-        blocks = np.repeat(blocks, runs, axis=-1)
+            short = np.stack([steps[j + 1][..., -1], diff[..., -1]])
+    del w, kick    # a trajectory's samples need the room
+    # sub-block transfer matrices, rows (u, D) by basis columns; np.repeat keeps the
+    # sub-blocks innermost in memory, where [..., index] would not
+    sub = np.empty((2, 2, m, nb * parts))
+    own_sub = np.stack([steps[ks], diff])
+    sub[..., :ns] = np.repeat(own_sub, runs, axis=-1) if shared else own_sub
+    sub[..., ns - 1] = short
+    sub[..., ns:] = np.eye(2)[:, :, None, None]
+    del own_sub, diff
+    sub = sub.reshape(2, 2, m, nb, parts)
+    blocks = sub[..., 0]
+    for q in range(1, parts):
+        blocks = (sub[:, :, None, ..., q] * blocks).sum(axis=1)
 
-    state = np.zeros((2, m))
-    state[0] = h * (1.0 + h * h * (v[0] - e) / 6.0) * den[0, :, 0]   # (1 - t[1]) psi[1]
+    state = np.empty((2, m))
+    state[0] = h * (1.0 + h * h * (v[0] - e) / 6.0) * den[:, 0, 0]   # (1 - t[1]) psi[1]
+    state[1] = state[0]                                                # D[0] = u[1] - u[0]
     fired = np.zeros((m, nb), dtype=bool)
     if m <= _NARROW[path]:
         cap, ncap, starts, last = _RENORM_CAP, -_RENORM_CAP, [], []
         rows = blocks.transpose(2, 3, 0, 1).reshape(m, -1).tolist()
         for i, (flat, s0) in enumerate(zip(rows, state[0].tolist())):
-            s1, it, seen = 0.0, iter(flat), []
+            s1, it, seen = s0, iter(flat), []    # D[0] = u[1]
             for blk, (b00, b01, b10, b11) in enumerate(zip(it, it, it, it)):
                 if path:
                     seen += s0, s1
@@ -188,11 +216,18 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
                 state[:, big] *= _RENORM
                 fired[:, blk] = big
                 bound = float(np.abs(state).max())
-    end = state[0] / ((1.0 - c * v[-1]) + c * e)
+    end = state[0] / (1.0 - c * (v[-1] - e))
     if not path:
         return end
+    # each sub-block's start, from its block's through the sub-blocks before it
+    if parts > 1:
+        inside = np.empty((2, m, nb, parts))
+        inside[..., 0] = starts
+        for q in range(1, parts):
+            inside[..., q] = (sub[..., q - 1] * inside[..., q - 1]).sum(axis=1)
+        starts = inside.reshape(2, m, -1)[..., :ns]
     # the samples, formed in place in hist (no temporary), then written one energy per row
-    hist = hist[1 : k + 1]
+    hist = u[:ks]
     if shared:
         hist, den = np.repeat(hist, runs, axis=-1), np.repeat(den, runs, axis=-1)
     hist *= starts
@@ -200,11 +235,12 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     inner += hist[:, 1]
     # samples in block blk take the rescales at the ends of blocks blk, blk+1, ...
     if fired.any():
-        inner *= _RENORM ** np.cumsum(fired[:, ::-1], axis=1)[:, ::-1]
-    inner /= den
+        inner *= np.repeat(_RENORM ** np.cumsum(fired[:, ::-1], axis=1)[:, ::-1], parts,
+                           axis=1)[:, :ns]
+    inner /= den.transpose(1, 0, 2)
     del den
-    out = np.empty((m, nb * k + 2))
-    out[:, 1:-1].reshape(m, nb, k).transpose(2, 0, 1)[...] = inner
+    out = np.empty((m, ns * ks + 2))
+    out[:, 1:-1].reshape(m, ns, ks).transpose(2, 0, 1)[...] = inner
     out[:, 0], out[:, n + 1] = 0.0, end
     return out[:, : n + 2].T
 
@@ -366,15 +402,18 @@ def _normalized_solution(grid: _Grid, energies) -> list[GridSolution]:
     Its sample at -a is set to 0.  Dividing by the first interior sample signs
     it to rise from -a and scales it before squaring: a deep step leaves
     samples near 1e290, while the left wall is classically allowed at every
-    level, so the peak is at most about n_grid / 3 times that sample.
+    level, so the peak is at most about n_grid / 3 times that sample.  A
+    chunk's states are scaled and integrated together, one row each.
     """
     sols = []
     for lo, chunk, paths in _trajectories(grid, np.asarray(energies, dtype=float)):
         paths[-1] = 0.0
-        for n, (energy, values) in enumerate(zip(chunk.tolist(), paths[::-1].T), start=lo + 1):
-            values = values / values[1]
-            sols.append(GridSolution(spec=grid.spec, n=n, energy=energy, grid=grid.xs, step=grid.h,
-                                     values=values / math.sqrt(simpson(values**2, grid.xs))))
+        rows = paths[::-1].T
+        rows = rows / rows[:, 1:2]
+        rows /= np.sqrt(simpson(rows**2, grid.xs))[:, None]
+        sols += [GridSolution(spec=grid.spec, n=n, energy=energy, grid=grid.xs, step=grid.h,
+                              values=values)
+                 for n, (energy, values) in enumerate(zip(chunk.tolist(), rows), start=lo + 1)]
     return sols
 
 

@@ -37,18 +37,19 @@ GOLDEN_SHA256 = {
 # of samples.  All six re-recorded from the renormalized Numerov kernel, and
 # the smoothing tables again once the route reported its polished brackets'
 # midpoints, with no replay of the fixed scan, and once more when the polish
-# took an inverse quadratic step
+# took an inverse quadratic step.  All six re-recorded again from the kernel in
+# the summed form, whose roundoff floor sits about 25 times lower
 SHOOTING_SHA256 = {
-    "smoothing": "dd963f9752e32bd5c46efdbba6bf45385ebb0d9c76d07f0454077b05bab51bbe",
+    "smoothing": "fdddb58794c4553a2c81d463342b76d94370d6c2fa21e1968fac3bf001d16e1c",
     "smoothing --smoothing linear":
-        "779ee95ac1c0fda982f2142e084bf430378baca0e1a63c41f06ca613d85cb542",
-    "smoothing --a 2 --b 4.3": "e7e9d5d74fbd6ec61e8b501e3e7cc605b0861dacff9f74855636f4e97f9b1893",
+        "5da6ebdedf14468df1c7c8294069c9752098813137292513f04f851eb668d859",
+    "smoothing --a 2 --b 4.3": "9172cc1d41dc77cf9f1a1799f43760b1a40ed7639d12d3c404764265bb01b82b",
     "wavefunction --n 3 --smoothing exponential --epsilon 0.2":
-        "b13c5b0e9217402aca2826440fdf7e9be4029721a713ea3bc0f80167590d31ef",
+        "159fd2e79fbf9afdae272bb6035e9057067e997c1c5624c89da1beec1329e601",
     # recorded while the smoothing table still read EigenStates: a state-count
     # cutoff, and a flat floor whose sharp-step side has no step at all
-    "smoothing --n-max 5": "de6d65c8405f481d3bbdfb615ac59ac6ef5f1e3082e33bbcf239a04147cefcba",
-    "smoothing --v0 0": "03dff198eccca2a68516742640267228b2a3388edecd41616ba77796ae224f91",
+    "smoothing --n-max 5": "eab460a69fc60b314c7e083898535b67b85846e37c07182902cc348b64a03576",
+    "smoothing --v0 0": "1cf6b08df1836def607453f1be22caff7830c7588446a08be1a35d8b8264d42b",
 }
 
 # sha256 of the JSON form of the standard tables, recorded while render_json
@@ -61,7 +62,7 @@ JSON_SHA256 = {
         "715e100f2ab9e7b317809e333fa53e9431f81835790c264a50758a2a5205ed2a",
     "wavefunction --n 6 --format json":
         "a8a5d7a930c799ac71a39584deb449889b45949bd144a3c8017ad76da41449d0",
-    "smoothing --format json": "18d44cadf7a222ba873d8a00b42f24d250f9529d0138505f5fadc9455d642d8c",
+    "smoothing --format json": "6f3a8522f8627212cddd4b8e29bb4ac1a1343a94c3d825db65e6f573c2dc7156",
 }
 
 # sha256 of compare tables recorded before the table was built from arrays:

@@ -26,6 +26,7 @@ from asymwell import (
     side_probability_numeric,
 )
 from asymwell import shooting
+from asymwell._simpson import simpson as rows_simpson
 from asymwell.shooting import (
     _count_below,
     _stable_grid,
@@ -137,8 +138,8 @@ class TestShoot:
 
     def test_stable_energies_keep_their_values(self):
         # below the floor but inside the stable range: still swept, bit for bit
-        assert shoot(STEP, -1.0, 4000) == 5707160.53159868
-        assert shoot(STEP, 10.0, 4000) == -2209.991899261876
+        assert shoot(STEP, -1.0, 4000) == 5707160.531343
+        assert shoot(STEP, 10.0, 4000) == -2209.991899457109
 
     @pytest.mark.parametrize("energy", [1.01 * 400**2 / 6.0, 1e9], ids=["1.01-top", "1e9"])
     def test_energy_past_the_top_rejected(self, energy):
@@ -148,12 +149,12 @@ class TestShoot:
             shoot(STEP, energy, 400)
 
     def test_energy_just_below_the_top_keeps_its_value(self):
-        assert shoot(STEP, 0.99 * 400**2 / 6.0, 400) == 0.0006259588283370303
+        assert shoot(STEP, 0.99 * 400**2 / 6.0, 400) == 0.000625958828336635
 
     def test_unit_block_growth_bound_keeps_full_blocks(self):
-        # on a flat floor at E = 2.4 / h^2, t = -0.2 in every cell, so 2 + 10 t = 0
-        # and each step is u[i+1] = -u[i-1]: the value is finite, below 1e-14 and
-        # raises no warning (the bound on one step's growth is 3 here)
+        # on a flat floor at E = 2.4 / h^2, t = -0.2 in every cell, so 12 t / (1 - t)
+        # = -2 and each step is u[i+1] = -u[i-1]: the value is finite, below 1e-14 and
+        # raises no warning (the bound on one step's growth is 5 here, its least)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = shoot(WellSpec(3.0, 3.0, 0.0), 1066666.6666666667, 4000)
@@ -228,20 +229,20 @@ class TestKernel:
         for e in (0.7, 150.0):   # both directions
             assert scalar_sweep(v, h, e)[1] == scalar_sweep(v[::-1], h, e)[1] == rescales
 
-    @pytest.mark.parametrize("spec, built", [(STEP, 4), (SMOOTH, 125)], ids=["step", "sigmoid"])
+    @pytest.mark.parametrize("spec, built", [(STEP, 4), (SMOOTH, 250)], ids=["step", "sigmoid"])
     def test_equal_blocks_share_a_product(self, spec, built, monkeypatch):
-        # the sharp step from b: a run of blocks at v0, the one holding its
-        # v0/2 sample, a run at 0, and the padded last block, its own though
-        # its samples are the run's; every sigmoid block differs
+        # the 16-cell sub-blocks of the sharp step from b: a run at v0, the one
+        # holding its v0/2 sample, a run at 0, and the padded last one, its own
+        # though its samples are the run's; every sigmoid sub-block differs
         seen, own_blocks = [], shooting._own_blocks
         monkeypatch.setattr(shooting, "_own_blocks",
                             lambda vs: seen.append(own_blocks(vs)) or seen[-1])
         grid = _stable_grid(spec, 4000)
         _sweep_final(grid.from_b, grid.h, [1.0])
         (own, runs), = seen
-        assert own.size == built and runs.sum() == 125
-        assert own[-1] == 124 and runs[-1] == 1
-        assert (np.repeat(own, runs) <= np.arange(125)).all()
+        assert own.size == built and runs.sum() == 250
+        assert own[-1] == 249 and runs[-1] == 1
+        assert (np.repeat(own, runs) <= np.arange(250)).all()
 
     def test_only_neighbouring_equal_blocks_share(self):
         # block columns A A B A A' A A, A' with A's first sample only
@@ -297,13 +298,13 @@ class TestKernel:
 PIN_WIDTHS = (1, 10, 11, 16, 17, 32)
 
 # sha256 of every kernel output below, recorded from the renormalized kernel
-# while every chunk width took the vectorized carry
+# while every chunk width took the vectorized carry, and again from the summed form
 KERNEL_SHA256 = {
-    "sigmoid": "959ca876b05f810424f07b076ac0a818ab91e2db5bed994a3d513789193c4d2b",
-    "ramp": "872c9455d03f76b339e36b89a23e20b3eb30da1a7882f706c464759a7d070b5e",
-    "flat": "821feeadc468d65980c1468694f15aa639894f8ff6463ad24d43f8820516436f",
-    "deep": "47eeba309675b5aa03d615aa11d820d56ea0a777bd1426b4146844cd695a8f68",
-    "coarse": "e498a8b011365c48953dd917d91904fef336b8649518759aea39ad4c64340373",
+    "sigmoid": "71063bed15e308a9f313c1e588eb6149b5598f8c950002dc1309c79e5cea7165",
+    "ramp": "3a8e3e505f15082d05365202278f3cef413c56912e60a85cefac8183a63ce4de",
+    "flat": "335b1b2703ddf6155a78ac4b63d17e1bae34e177b0059a6c1b9a0fe53351683f",
+    "deep": "839b5991bde8c4bfbbf5cd222d6be60b45020b7adab2de24d0fb231734d91406",
+    "coarse": "a8a2e5612c7e81008bf9b889de99d80b2e2757e17c40c2568a0d58dd290c4fcc",
 }
 
 
@@ -315,7 +316,7 @@ class TestKernelBits:
         ("ramp", WellSpec(2.0, 5.0, 300.0, Linear(0.4)), 4000),
         ("flat", WellSpec(3.0, 3.0, 0.0), 4000),
         ("deep", WellSpec(3.0, 3.0, 1e5), 4000),        # the rescale fires both ways
-        ("coarse", WellSpec(3.0, 3.0, 1e7), 5478),      # blocks shorter than 32 cells
+        ("coarse", WellSpec(3.0, 3.0, 1e7), 5478),      # blocks shorter than 64 cells
     ])
     def test_outputs_pinned(self, name, spec, n_grid):
         grid = _stable_grid(spec, n_grid)
@@ -424,12 +425,13 @@ class TestCountBits:
         return counts, fn
 
     def test_energy_on_a_computed_level_takes_the_trajectories(self, monkeypatch):
-        # on a flat floor 10 c E = 2 makes each Numerov step psi[i+1] = -psi[i-1]
-        # exactly, so psi vanishes at every other sample, -a included: fn == 0
+        # on a flat floor h^2 E = 2.4 makes each step's coefficient 12 t / (1 - t) = -2
+        # exactly, so two steps map (u, D) to -(u, D) and psi vanishes at every other
+        # sample, -a included: fn == 0
         flat = WellSpec(3.0, 3.0, 0.0)
         grid = _stable_grid(flat, 100)
         h = grid.h
-        energies = 2.0 / (10.0 * (h * h / 12.0)) * np.array([0.99, 0.995, 1.0, 1.005, 1.01])
+        energies = 2.4 / (h * h) * np.array([0.99, 0.995, 1.0, 1.005, 1.01])
         counts, fn = self.count_by_trajectories(monkeypatch, grid, energies)
         assert fn[2] == 0.0 and counts[-1] - counts[0] < energies.size
 
@@ -495,6 +497,25 @@ class TestGridSolutions:
             assert simpson(sol.values**2, x=sol.grid) == pytest.approx(1.0, abs=1e-8)
             assert interior_nodes(sol) == sol.n - 1
             assert sol.values[1] > 0
+
+    @pytest.mark.parametrize("e_max, count", [(41.75, 10), (1000.0, 60)],
+                             ids=["study", "two-chunks"])
+    def test_chunk_normalization_is_per_state(self, e_max, count):
+        # a chunk's states are scaled and integrated as rows of one array; each
+        # has the bits of scaling its own trajectory and integrating it alone
+        grid = _stable_grid(SMOOTH, 4000)
+        sols = find_spectrum_numeric(SMOOTH, e_max, 4000)
+        assert len(sols) == count
+        energies = np.array([sol.energy for sol in sols])
+        for lo in range(0, count, shooting._CHUNK):
+            paths = _transfer_blocks(grid.from_b, grid.h, energies[lo : lo + shooting._CHUNK],
+                                     path=True)
+            for path, sol in zip(paths.T, sols[lo : lo + shooting._CHUNK]):
+                values = path[::-1].copy()
+                values[0] = 0.0
+                values = values / values[1]
+                values = values / math.sqrt(rows_simpson(values**2, grid.xs))
+                assert np.array_equal(sol.values, values), sol.n
 
     def test_smoothed_energies_frozen(self, numeric_smooth_035):
         assert len(numeric_smooth_035) == 9
@@ -795,7 +816,7 @@ FIXED_SCAN_WELLS = [
 BATCHED_WELLS = [
     (WellSpec(3.0, 3.0, 1e5), 30.0, 4000, 5),
     (WellSpec(3.0, 3.0, 2e5), 30.0, 4000, 5),
-    (WellSpec(3.0, 3.0, 1e7), 30.0, 5478, 5),  # blocks shorter than 32 cells
+    (WellSpec(3.0, 3.0, 1e7), 30.0, 5478, 5),  # blocks shorter than 64 cells
     (WellSpec(3.0, 3.0, 5000.0, Exponential(0.5)), 120.0, 4000, 3),
     (SMOOTH, 1000.0, 4000, 60),                 # two chunks of states
 ]
