@@ -17,14 +17,23 @@ consistency check.
 Every pass reads one ``_Grid``: the floor sampled from -a and from b, and the
 energy window.  Eigenvalues are the trial energies where the solution from
 psi(b) = 0 crosses zero at x = -a.  The passes run the recurrence renormalized
-(B. R. Johnson, J. Chem. Phys. 67, 4086 (1977)) on u = (1 - t) psi, one
-coefficient per cell, u[i+1] = d[i] u[i] - u[i-1] with d = (2 + 10 t) / (1 - t),
-and read psi = u / (1 - t) back.  A sweep multiplies the steps [[d, -1], [1, 0]]
-in blocks of 32 cells, the last block's read after its real steps, vectorized
-over blocks and energies with the ~125 blocks innermost, a run of blocks on
-equal floor samples sharing one product, then carries the state through the
-blocks in order, rescaling against overflow, in Python floats for a narrow
-chunk, where a numpy call costs more than its arithmetic, else in numpy.
+(B. R. Johnson, J. Chem. Phys. 67, 4086 (1977)) on u = (1 - t) psi, in
+Henrici's summed form (P. Henrici, *Discrete Variable Methods in Ordinary
+Differential Equations*, 1962): with D[i] = u[i+1] - u[i], each cell adds
+w[i] u[i] to D and then D to u, w = 12 t / (1 - t) formed from E - V directly,
+and psi = u / (1 - t) is read back.  In exact arithmetic this is the
+three-term u[i+1] = (2 + w[i]) u[i] - u[i-1]; in floats the three-term form
+keeps the curvature in the last bits of a coefficient near 2 and cancels two
+large terms each cell, so at 4000 cells its fn read as noise about 1e-11 of a
+level wide, and the noise grew with the cell count.  The summed form adds small
+corrections instead: its fn is smooth to a few ulp of E, and a level's
+root converges at fourth order to 16000 cells.  A sweep forms the products of
+16-cell sub-blocks, vectorized over sub-blocks and energies with the ~250
+sub-blocks innermost, a run of them on equal floor samples sharing one
+product, multiplies each four into a 64-cell block's, then carries the state
+through the blocks in order, rescaling against overflow, in Python floats for
+a narrow chunk, where a numpy call costs more than its arithmetic, else in
+numpy.
 
 A converged state is the solution from psi(b) = 0, one backward trajectory
 per 32 states.  Every floor ``WellSpec`` accepts is nondecreasing, so the only
@@ -104,8 +113,8 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     w[i] u[i] to D, then D to u, with w = 12 t / (1 - t) formed from E - V directly.  It
     starts from u[1] = (1 - t[1]) psi[1] and D[0] = u[1].  A step's matrix is
     [[1 + w_i, 1], [w_i, 1]], so where the grid resolves psi a product over k cells is
-    near [[1, k], [0, 1]] and nothing cancels, where the three-term form's d = 2 + w
-    holds the curvature in its last bits.
+    near [[1, k], [0, 1]] and nothing cancels; the three-term form's coefficient
+    d = 2 + w holds the curvature in its last bits.
 
     The steps are grouped into blocks of up to ``_BLOCK`` cells, each split into
     ``_SPLIT`` sub-blocks.  A sub-block's product is formed by running the two basis
@@ -139,7 +148,7 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     g = max(4.0, 1.0 + 12.0 * t_hi / (1.0 - t_hi)) + 1.0
     k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g))))
     parts = _SPLIT if k >= 4 * _SPLIT else 1      # a high floor's short blocks stay whole
-    ks = k // parts                               # cells per sub-block
+    ks = k // parts                               # cells per sub-block, at least 4
     k = ks * parts
     growth = g**k
     nb, ns = -(-n // k), -(-n // ks)              # blocks, and sub-blocks with real steps
@@ -173,11 +182,12 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     # sub-block transfer matrices, rows (u, D) by basis columns; np.repeat keeps the
     # sub-blocks innermost in memory, where [..., index] would not
     sub = np.empty((2, 2, m, nb * parts))
-    own_sub = np.stack([steps[ks], diff])
-    sub[..., :ns] = np.repeat(own_sub, runs, axis=-1) if shared else own_sub
+    prods = np.stack([steps[ks], diff])
+    sub[..., :ns] = np.repeat(prods, runs, axis=-1) if shared else prods
     sub[..., ns - 1] = short
     sub[..., ns:] = np.eye(2)[:, :, None, None]
-    del own_sub, diff
+    del prods, diff
+    # each block's product, its sub-blocks' multiplied in order, the later on the left
     sub = sub.reshape(2, 2, m, nb, parts)
     blocks = sub[..., 0]
     for q in range(1, parts):
@@ -220,12 +230,11 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     if not path:
         return end
     # each sub-block's start, from its block's through the sub-blocks before it
-    if parts > 1:
-        inside = np.empty((2, m, nb, parts))
-        inside[..., 0] = starts
-        for q in range(1, parts):
-            inside[..., q] = (sub[..., q - 1] * inside[..., q - 1]).sum(axis=1)
-        starts = inside.reshape(2, m, -1)[..., :ns]
+    inside = np.empty((2, m, nb, parts))
+    inside[..., 0] = starts
+    for q in range(1, parts):
+        inside[..., q] = (sub[..., q - 1] * inside[..., q - 1]).sum(axis=1)
+    starts = inside.reshape(2, m, -1)[..., :ns]
     # the samples, formed in place in hist (no temporary), then written one energy per row
     hist = u[:ks]
     if shared:
@@ -246,9 +255,10 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
 
 
 def _own_blocks(vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks with a product of their own, for floor samples ``vs`` laid out (step in
-    block, block), and the run of blocks each one's product serves: a block on the
-    samples of the one before has its product bit for bit, save the last, padded one."""
+    """Blocks (the kernel's sub-blocks) with a product of their own, for floor samples
+    ``vs`` laid out (step in block, block), and the run of blocks each one's product
+    serves: a block on the samples of the one before has its product bit for bit, save
+    the last, padded one."""
     nb = vs.shape[1]
     same = vs[0, 1:-1] == vs[0, :-2]
     if not same.any():    # no first sample repeats: a sigmoid's blocks pay one compare
