@@ -104,6 +104,60 @@ class _Grid:
     top: float
 
 
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """The part of a pass that does not depend on its energies, for one sample array,
+    step and energy floor (see ``_transfer_blocks``)."""
+
+    ks: int                  # cells per sub-block
+    parts: int               # sub-blocks per block
+    nb: int                  # blocks
+    ns: int                  # sub-blocks with real steps
+    tail: int                # the last sub-block's real steps
+    growth: float            # bound on one block's amplification
+    vs: np.ndarray           # V at step 1 + j + ks*s at [j, s], over the sub-blocks built
+    runs: np.ndarray | None  # sub-blocks each built one serves, or None when all are built
+
+
+# (samples, h, energy floor, plan) of the last read-only sample array planned
+_last_plan: tuple = (None, 0.0, 0.0, None)
+
+
+def _block_plan(v: np.ndarray, h: float, e: np.ndarray) -> _Plan:
+    """The plan for a pass over ``v`` at step ``h`` and energies ``e``.
+
+    A read-only ``v``, as ``_stable_grid`` makes, is taken not to change, so its last
+    plan is reused while ``h`` and the energy floor min(min e, 0) match: a spectrum's
+    passes over one grid direction build one plan.  A writeable ``v`` is planned afresh.
+    """
+    global _last_plan
+    floor = min(float(e.min()), 0.0)
+    seen, seen_h, seen_floor, plan = _last_plan
+    if v is seen and not v.flags.writeable and h == seen_h and floor == seen_floor:
+        return plan
+    c = h * h / 12.0
+    n = len(v) - 2
+    # sup-norm bound on one step matrix, max(|1 + w_i|, |w_i|) + 1, over the grid's window from
+    # E = 0 up (w rises with t, from -4 at its top, t = -1/2, where the bound is 5), so no call
+    # mate moves k; callers keep t_hi < 1
+    t_hi = c * (v.max() - floor)
+    g = max(4.0, 1.0 + 12.0 * t_hi / (1.0 - t_hi)) + 1.0
+    k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g))))
+    parts = _SPLIT if k >= 4 * _SPLIT else 1      # a high floor's short blocks stay whole
+    ks = k // parts                               # cells per sub-block, at least 4
+    k = ks * parts
+    nb, ns = -(-n // k), -(-n // ks)              # blocks, and sub-blocks with real steps
+    # the padding past step n repeats V at step n
+    vs = v[np.minimum(np.arange(ns * ks).reshape(ns, ks).T, n - 1) + 1]
+    own, runs = _own_blocks(vs)
+    shared = own.size < ns
+    plan = _Plan(ks, parts, nb, ns, n - (ns - 1) * ks, g**k,
+                 np.ascontiguousarray(vs[:, own]) if shared else vs, runs if shared else None)
+    if not v.flags.writeable:
+        _last_plan = (v, h, floor, plan)
+    return plan
+
+
 def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.ndarray:
     """Numerov solutions from psi = 0 at the first sample of ``v`` for the energies ``e``.
 
@@ -117,7 +171,8 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     d = 2 + w holds the curvature in its last bits.
 
     The steps are grouped into blocks of up to ``_BLOCK`` cells, each split into
-    ``_SPLIT`` sub-blocks.  A sub-block's product is formed by running the two basis
+    ``_SPLIT`` sub-blocks, as ``_block_plan`` lays them out.  A sub-block's product is
+    formed by running the two basis
     solutions through it, vectorized over the sub-blocks ``_own_blocks`` keeps and all
     energies, then repeated out; the last real one is read after its real steps (no
     step is the identity) and those past it are the identity.  Its arrays are laid out
@@ -139,26 +194,12 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     whole trajectory, shape (len(v), len(e)), each sample at its column's final
     rescale level, the last with the sweep's bits.
     """
+    plan = _block_plan(v, h, e)
+    ks, parts, nb, ns, tail, runs = plan.ks, plan.parts, plan.nb, plan.ns, plan.tail, plan.runs
     c = h * h / 12.0
-    n, m = len(v) - 2, e.size
-    # sup-norm bound on one step matrix, max(|1 + w_i|, |w_i|) + 1, over the grid's window from
-    # E = 0 up (w rises with t, from -4 at its top, t = -1/2, where the bound is 5), so no call
-    # mate moves k; callers keep t_hi < 1
-    t_hi = c * (v.max() - min(e.min(), 0.0))
-    g = max(4.0, 1.0 + 12.0 * t_hi / (1.0 - t_hi)) + 1.0
-    k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g))))
-    parts = _SPLIT if k >= 4 * _SPLIT else 1      # a high floor's short blocks stay whole
-    ks = k // parts                               # cells per sub-block, at least 4
-    k = ks * parts
-    growth = g**k
-    nb, ns = -(-n // k), -(-n // ks)              # blocks, and sub-blocks with real steps
-    tail = n - (ns - 1) * ks                      # the last sub-block's real steps
-    # V at step i = 1 + j + ks*b sits at [j, b]; the padding past step n repeats it
-    vs = v[np.minimum(np.arange(ns * ks).reshape(ns, ks).T, n - 1) + 1]
-    own, runs = _own_blocks(vs)
-    shared = own.size < ns
+    n, m, built = len(v) - 2, e.size, plan.vs.shape[1]
     # E - V in one contiguous pass per energy, then w and 1 - t = 1 + c (E - V) from it
-    w = np.subtract.outer(e, vs[:, own] if shared else vs)
+    w = np.subtract.outer(e, plan.vs)
     den = np.multiply(w, c)
     den += 1.0
     w *= -h * h
@@ -166,9 +207,9 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
 
     # u[j, s] is basis solution s, from (u, D) = (1, 0) or (0, 1), after j steps into each
     # sub-block, and diff its D; only a trajectory keeps every step's u, a sweep the latest
-    u = np.empty((ks + 1 if path else 1, 2, m, own.size))
+    u = np.empty((ks + 1 if path else 1, 2, m, built))
     u[0, 0], u[0, 1] = 1.0, 0.0
-    diff = np.zeros((2, m, own.size))
+    diff = np.zeros((2, m, built))
     diff[1] = 1.0
     kick = np.empty_like(diff)
     steps = list(u) if path else [u[0]] * (ks + 1)
@@ -183,7 +224,7 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     # sub-blocks innermost in memory, where [..., index] would not
     sub = np.empty((2, 2, m, nb * parts))
     prods = np.stack([steps[ks], diff])
-    sub[..., :ns] = np.repeat(prods, runs, axis=-1) if shared else prods
+    sub[..., :ns] = prods if runs is None else np.repeat(prods, runs, axis=-1)
     sub[..., ns - 1] = short
     sub[..., ns:] = np.eye(2)[:, :, None, None]
     del prods, diff
@@ -220,7 +261,7 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
             if path:
                 starts[..., blk] = state
             state = (blocks[blk] * state).sum(axis=1)
-            bound *= growth
+            bound *= plan.growth
             if bound > _RENORM_CAP:
                 big = np.abs(state).max(axis=0) > _RENORM_CAP
                 state[:, big] *= _RENORM
@@ -237,7 +278,7 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     starts = inside.reshape(2, m, -1)[..., :ns]
     # the samples, formed in place in hist (no temporary), then written one energy per row
     hist = u[:ks]
-    if shared:
+    if runs is not None:
         hist, den = np.repeat(hist, runs, axis=-1), np.repeat(den, runs, axis=-1)
     hist *= starts
     inner = hist[:, 0]
@@ -314,10 +355,15 @@ def _count_below(grid: _Grid, energies) -> tuple[np.ndarray, np.ndarray]:
     """
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     if 2 < e.size <= _CHUNK:
-        ends = _transfer_blocks(grid.from_b, grid.h, np.array([e.min(), e.max()]), path=True)
+        e_lo, e_hi = e.min(), e.max()
+        ends = _transfer_blocks(grid.from_b, grid.h, np.array([e_lo, e_hi]), path=True)
         n_lo, n_hi = count_sign_changes(ends[1:])
         if n_hi - n_lo < e.size:
-            last = _sweep_final(grid.from_b, grid.h, e)
+            # the ends' fn are their trajectories' last samples; the sweep takes the rest
+            low, high = e == e_lo, e == e_hi
+            inside = ~(low | high)
+            last = np.where(low, ends[-1, 0], ends[-1, 1])
+            last[inside] = _sweep_final(grid.from_b, grid.h, e[inside])
             order = np.argsort(e, kind="stable")
             flips = np.diff(last[order] < 0.0)
             if last.all() and np.count_nonzero(flips) == n_hi - n_lo:
@@ -356,6 +402,7 @@ def _stable_grid(spec: WellSpec, n_grid: int, e_hi: float = 0.0) -> _Grid:
         need = 2 * int(spec.width * math.sqrt((e_hi - v.min()) / 6.0) / 2.0) + 2
         raise ValueError(f"e_max={e_hi!r} reaches {top:.6g}, the top of the {n_grid}-cell grid's "
                          f"spectrum: Numerov needs n_grid >= {need} here")
+    v.flags.writeable = False    # so each direction's block plan is built once per grid
     return _Grid(spec, xs, h, v, v[::-1], lo, top)
 
 
@@ -403,7 +450,8 @@ def interior_nodes(sol: GridSolution) -> int:
     """
     interior = sol.values[1:-1]
     floor = 1e-4 * float(np.max(np.abs(sol.values)))
-    return count_sign_changes(np.where(np.abs(interior) > floor, interior, 0.0))
+    negative = interior[np.abs(interior) > floor] < 0.0
+    return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
 def _normalized_solution(grid: _Grid, energies) -> list[GridSolution]:

@@ -251,6 +251,38 @@ class TestKernel:
         assert own.tolist() == [0, 2, 3, 4, 5, 6]
         assert runs.tolist() == [2, 1, 1, 1, 1, 1]
 
+    def test_spectrum_builds_one_plan(self, monkeypatch):
+        # every pass of a spectrum runs from b on its grid's read-only samples,
+        # so one block plan serves them all; a second spectrum builds its own
+        seen, own_blocks = [], shooting._own_blocks
+        monkeypatch.setattr(shooting, "_own_blocks",
+                            lambda vs: seen.append(vs.shape) or own_blocks(vs))
+        first = find_spectrum_numeric(SMOOTH, 41.75, 4000)
+        assert len(seen) == 1
+        second = find_spectrum_numeric(SMOOTH, 41.75, 4000)
+        assert len(seen) == 2
+        assert [s.energy for s in second] == [s.energy for s in first]
+
+    def test_writeable_samples_are_planned_afresh(self):
+        grid = _stable_grid(WellSpec(3.0, 3.0, 20.0, Linear(0.4)), 4000)
+        e = np.array([0.9, 4.0, 17.0, -2.0])
+        v = grid.v.copy()
+        before = _sweep_final(v, grid.h, e)
+        assert np.array_equal(before, _sweep_final(grid.v, grid.h, e))
+        assert np.array_equal(before, _sweep_final(grid.v, grid.h, e))   # the reused plan
+        v[1700:2300] = 20.0      # the ramp made a sharp step, in place
+        after = _sweep_final(v, grid.h, e)
+        assert np.array_equal(after, _sweep_final(v.copy(), grid.h, e))
+        assert not np.array_equal(after, before)
+
+    def test_rescale_constants_bound_a_block(self):
+        # a block of _BLOCK cells grows a state by at most 5 per cell at the window's
+        # top; a state under the cap stays finite through one, and a rescale brings
+        # one that passed the cap back under it
+        assert 5**shooting._BLOCK <= shooting._BLOCK_GROWTH
+        assert shooting._RENORM_CAP * shooting._BLOCK_GROWTH < np.finfo(float).max
+        assert shooting._RENORM * shooting._BLOCK_GROWTH <= 1.0
+
     def test_full_chunk_temporaries_stay_small(self):
         # traced peaks of a full chunk on 4000 cells, whose arrays are about
         # 1 MB each: 3.12 and 4.37 MiB when this test was written
@@ -334,8 +366,8 @@ class TestKernelBits:
 
     def test_columns_independent_of_chunk_width(self):
         # every width a chunk can have, so a layout slip at a width the pins
-        # skip shows; every energy here gets full 32-cell blocks, so each
-        # column is its own width-1 pass bit for bit
+        # skip shows; every energy here gets the same full-length blocks, so
+        # each column is its own width-1 pass bit for bit
         grid = _stable_grid(SMOOTH, 4000)
         v, h = grid.v, grid.h
         pool = np.geomspace(0.5, 200.0, shooting._CHUNK)
@@ -968,6 +1000,21 @@ class TestNodeAudit:
         doctored = GridSolution(spec=good.spec, n=1, energy=good.energy,
                                 grid=good.grid, values=good.values, step=good.step)
         assert interior_nodes(doctored) != doctored.n - 1
+
+    @given(st.lists(st.one_of(st.just(0.0), st.just(math.nan), st.floats(-2e-4, 2e-4),
+                              st.floats(-10.0, 10.0)), min_size=3, max_size=40))
+    @example([1.0, 0.0, -1e-4, 1e-4, -1.0, 0.0, 0.5])      # zeros and samples at the floor
+    @example([0.0, 2.0, math.nan, -2.0, 0.0])
+    def test_matches_zeroed_sign_count(self, values):
+        # the audit drops the samples at or below its floor; zeroing them, as it
+        # once did, and counting the flips that skip zeros gives the same count
+        values = np.array(values)
+        sol = GridSolution(spec=SMOOTH, n=1, energy=1.0, grid=np.linspace(-3.0, 3.0, values.size),
+                           values=values, step=6.0 / (values.size - 1))
+        interior = values[1:-1]
+        floor = 1e-4 * float(np.max(np.abs(values)))
+        zeroed = count_sign_changes(np.where(np.abs(interior) > floor, interior, 0.0))
+        assert interior_nodes(sol) == zeroed
 
     def test_bad_stitch_raises_at_once(self, monkeypatch):
         roots = [sol.energy for sol in find_spectrum_numeric(STEP, 5.0, 2000)]
