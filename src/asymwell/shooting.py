@@ -30,10 +30,11 @@ corrections instead: its fn is smooth to a few ulp of E, and a level's
 root converges at fourth order to 16000 cells.  A sweep forms the products of
 16-cell sub-blocks, vectorized over sub-blocks and energies with the ~250
 sub-blocks innermost, a run of them on equal floor samples sharing one
-product, multiplies each four into a 64-cell block's, then carries the state
-through the blocks in order, rescaling against overflow, in Python floats for
-a narrow chunk, where a numpy call costs more than its arithmetic, else in
-numpy.
+product, joins each sixteen into a 256-cell block's by a pairwise product
+tree, then carries the state through the blocks in order, rescaling against
+overflow, in Python floats for a narrow chunk, where a numpy call costs more
+than its arithmetic, else in numpy.  The block layout does not depend on the
+energies, so a spectrum plans it once for its grid.
 
 A converged state is the solution from psi(b) = 0, one backward trajectory
 per 32 states.  Every floor ``WellSpec`` accepts is nondecreasing, so the only
@@ -61,13 +62,13 @@ __all__ = ["GridSolution", "NodeCountError", "shoot", "find_spectrum_numeric",
            "side_probability_numeric"]
 
 _BISECT_TOL = 1e-12          # relative; well inside the 1e-9 contract
-_RENORM_CAP = 1e250          # rescale the running solution past this magnitude
-_RENORM = 1.0 / _RENORM_CAP  # by this factor, exactly 1e-250
-_BLOCK = 64                  # Numerov steps multiplied together per transfer block
-_SPLIT = 4                   # sub-blocks per block, whose products the recurrence forms
-_BLOCK_GROWTH = 1e45         # bound on one block's amplification: 5**64 < 1e45 < 1e308 / cap
+_RENORM_CAP = 1e125          # rescale the running solution past this magnitude
+_RENORM = 1e-180             # by this factor, 1 / _BLOCK_GROWTH: a rescaled state is under the cap
+_BLOCK = 256                 # Numerov steps multiplied together per transfer block
+_SUB = 16                    # steps per sub-block, whose products the recurrence forms
+_BLOCK_GROWTH = 1e180        # bound on one block's amplification: 5**256 < 1e180 < 1.8e308 / cap
 _CHUNK = 32                  # trial energies per pass or count sweep; at 4000 cells 4.5 MB peak
-_NARROW = {False: 16, True: 10}  # widest chunk carried per energy in floats: sweep, trajectory
+_NARROW = {False: _CHUNK, True: 10}  # widest chunk carried per energy in floats: sweep, trajectory
 
 
 class NodeCountError(RuntimeError):
@@ -143,8 +144,8 @@ def _block_plan(v: np.ndarray, h: float, e: np.ndarray) -> _Plan:
     t_hi = c * (v.max() - floor)
     g = max(4.0, 1.0 + 12.0 * t_hi / (1.0 - t_hi)) + 1.0
     k = max(1, min(_BLOCK, int(math.log(_BLOCK_GROWTH) / math.log(g))))
-    parts = _SPLIT if k >= 4 * _SPLIT else 1      # a high floor's short blocks stay whole
-    ks = k // parts                               # cells per sub-block, at least 4
+    ks = min(_SUB, k)
+    parts = 1 << ((k // ks).bit_length() - 1)     # a power of two, for the product tree
     k = ks * parts
     nb, ns = -(-n // k), -(-n // ks)              # blocks, and sub-blocks with real steps
     # the padding past step n repeats V at step n
@@ -170,25 +171,28 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     near [[1, k], [0, 1]] and nothing cancels; the three-term form's coefficient
     d = 2 + w holds the curvature in its last bits.
 
-    The steps are grouped into blocks of up to ``_BLOCK`` cells, each split into
-    ``_SPLIT`` sub-blocks, as ``_block_plan`` lays them out.  A sub-block's product is
-    formed by running the two basis
-    solutions through it, vectorized over the sub-blocks ``_own_blocks`` keeps and all
-    energies, then repeated out; the last real one is read after its real steps (no
-    step is the identity) and those past it are the identity.  Its arrays are laid out
-    (energy m, step in sub-block, sub-block) and (basis, m, sub-block): sub-blocks
-    innermost, so every numpy operation runs along them, not the few energies of a
-    typical chunk.  A block's product is its sub-blocks' multiplied in order, which
-    costs a few numpy calls where the recurrence would take three a step.  The state is
-    then carried through the blocks in order: one energy at a time in Python floats
-    for a chunk of at most ``_NARROW[path]`` energies, all energies per block in
-    numpy for a wider one.  Both make the same float operations in the same order and
-    scale an energy by ``_RENORM`` after each block that leaves its |u| or |D| past
-    ``_RENORM_CAP``: numpy checks once a bound on the chunk's largest state passes
-    the cap, as it does at every such block, then scales only the energies past it.
-    A block is short enough that its amplification stays below ``_BLOCK_GROWTH``, so
-    the carry cannot overflow between checks.  A trajectory carries each block's
-    start through its sub-blocks and combines the basis solutions from there.
+    ``_block_plan`` groups the steps into blocks of up to ``_BLOCK`` cells, each of
+    sixteen ``_SUB``-cell sub-blocks (a high floor's shorter blocks hold a power of two
+    of them, and below ``_SUB`` cells one).  A sub-block's product is formed by running
+    the two basis solutions through it, vectorized over the sub-blocks ``_own_blocks``
+    keeps and all energies, then repeated out; the last real one is read after its
+    real steps (no step is the identity) and those past it are the identity.  Its
+    arrays are laid out (energy m, step in sub-block, sub-block) and (basis, m,
+    sub-block): sub-blocks innermost, so every numpy operation runs along them, not
+    the few energies of a typical chunk.  A block's product joins its sub-blocks' by
+    a pairwise tree, the later of each pair on the left: four levels of a few numpy
+    calls, where the recurrence would take three a step.  The state is then carried
+    through the blocks in order: one energy at a time in Python floats for a chunk of
+    at most ``_NARROW[path]`` energies, all energies per block in numpy for a wider
+    one.  Both make the same float operations in the same order and scale an energy
+    by ``_RENORM`` after each block that leaves its |u| or |D| past ``_RENORM_CAP``:
+    numpy checks once a bound on the chunk's largest state passes the cap, as it does
+    at every such block, then scales only the energies past it.  A block is short
+    enough that its amplification stays below ``_BLOCK_GROWTH``, so the carry cannot
+    overflow between checks, and ``_RENORM`` is at most its inverse, so a rescaled
+    state is back under the cap.  A trajectory starts each sub-block down its block's
+    tree, the right half of a pair from the left half's product times the pair's
+    start, and combines the basis solutions from there.
 
     Returns psi = u / (1 - t) at the last sample per energy, or with ``path`` the
     whole trajectory, shape (len(v), len(e)), each sample at its column's final
@@ -228,11 +232,14 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     sub[..., ns - 1] = short
     sub[..., ns:] = np.eye(2)[:, :, None, None]
     del prods, diff
-    # each block's product, its sub-blocks' multiplied in order, the later on the left
-    sub = sub.reshape(2, 2, m, nb, parts)
-    blocks = sub[..., 0]
-    for q in range(1, parts):
-        blocks = (sub[:, :, None, ..., q] * blocks).sum(axis=1)
+    # each block's product by a pairwise tree over its sub-blocks, the later of a pair on
+    # the left; a trajectory keeps the tree's lower levels to start each sub-block
+    level, levels = sub.reshape(2, 2, m, nb, parts), []
+    while level.shape[-1] > 1:
+        if path:
+            levels.append(level)
+        level = (level[:, :, None, ..., 1::2] * level[None, ..., ::2]).sum(axis=1)
+    blocks = level[..., 0]
 
     state = np.empty((2, m))
     state[0] = h * (1.0 + h * h * (v[0] - e) / 6.0) * den[:, 0, 0]   # (1 - t[1]) psi[1]
@@ -270,11 +277,15 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     end = state[0] / (1.0 - c * (v[-1] - e))
     if not path:
         return end
-    # each sub-block's start, from its block's through the sub-blocks before it
-    inside = np.empty((2, m, nb, parts))
-    inside[..., 0] = starts
-    for q in range(1, parts):
-        inside[..., q] = (sub[..., q - 1] * inside[..., q - 1]).sum(axis=1)
+    # each sub-block's start, down the tree from its block's: the right half of a pair
+    # starts where the left half's product takes the pair's start
+    inside = starts[..., None]
+    for level in reversed(levels):
+        pair = np.empty(inside.shape[:-1] + (2 * inside.shape[-1],))
+        pair[..., ::2] = inside
+        pair[..., 1::2] = (level[..., ::2] * inside).sum(axis=1)
+        inside = pair
+    del levels, sub
     starts = inside.reshape(2, m, -1)[..., :ns]
     # the samples, formed in place in hist (no temporary), then written one energy per row
     hist = u[:ks]

@@ -38,18 +38,19 @@ GOLDEN_SHA256 = {
 # the smoothing tables again once the route reported its polished brackets'
 # midpoints, with no replay of the fixed scan, and once more when the polish
 # took an inverse quadratic step.  All six re-recorded again from the kernel in
-# the summed form, whose roundoff floor sits about 25 times lower
+# the summed form, whose roundoff floor sits about 25 times lower, and the four
+# that moved once more from its 256-cell blocks joined by a product tree
 SHOOTING_SHA256 = {
-    "smoothing": "fdddb58794c4553a2c81d463342b76d94370d6c2fa21e1968fac3bf001d16e1c",
+    "smoothing": "3fdb0155419568b3eac6a300ed4951420bb9608a78eadecd347029005ce62350",
     "smoothing --smoothing linear":
-        "5da6ebdedf14468df1c7c8294069c9752098813137292513f04f851eb668d859",
+        "ff5321e62d9fcf4948fe934096f6e03eebeff869dd89300b20f63a6e823056a3",
     "smoothing --a 2 --b 4.3": "9172cc1d41dc77cf9f1a1799f43760b1a40ed7639d12d3c404764265bb01b82b",
     "wavefunction --n 3 --smoothing exponential --epsilon 0.2":
-        "159fd2e79fbf9afdae272bb6035e9057067e997c1c5624c89da1beec1329e601",
+        "59df6a55a1b20af83bd390f68e8aa8428e0d3e88ee21608fc10242a0f88aca6e",
     # recorded while the smoothing table still read EigenStates: a state-count
     # cutoff, and a flat floor whose sharp-step side has no step at all
     "smoothing --n-max 5": "eab460a69fc60b314c7e083898535b67b85846e37c07182902cc348b64a03576",
-    "smoothing --v0 0": "1cf6b08df1836def607453f1be22caff7830c7588446a08be1a35d8b8264d42b",
+    "smoothing --v0 0": "5ee1534ae207907577cebc403d3839ca2dc1ed36fea8f63ddea4f053ef3b4c35",
 }
 
 # sha256 of the JSON form of the standard tables, recorded while render_json
@@ -62,7 +63,7 @@ JSON_SHA256 = {
         "715e100f2ab9e7b317809e333fa53e9431f81835790c264a50758a2a5205ed2a",
     "wavefunction --n 6 --format json":
         "a8a5d7a930c799ac71a39584deb449889b45949bd144a3c8017ad76da41449d0",
-    "smoothing --format json": "6f3a8522f8627212cddd4b8e29bb4ac1a1343a94c3d825db65e6f573c2dc7156",
+    "smoothing --format json": "e138e8cf36ad6e73ec157b6b003219a7878ad33918654a6768611955c0632bc6",
 }
 
 # sha256 of compare tables recorded before the table was built from arrays:

@@ -649,13 +649,14 @@ def test_closed_form_calls_see_the_same_energies(well, monkeypatch):
 # the same log for the Numerov route, whose fn and count both run Numerov
 # sweeps from b, recorded from the renormalized kernel once the route reported
 # its polished brackets' midpoints, with no replay, and the polish took its
-# inverse quadratic step, and again once the kernel took the summed form, whose
-# fn the polish reads with less noise; 1000 cells keep it fast
+# inverse quadratic step, again once the kernel took the summed form, whose
+# fn the polish reads with less noise, and again once its 256-cell blocks were
+# joined by a product tree; 1000 cells keep it fast
 NUMEROV_CALL_LOG_SHA256 = {
     (WellSpec(3.0, 3.0, 20.0, Exponential(0.2)), 100.0):
-        "4e2a395d6d33f6497091cfeff26502751d241e83d6a47c6563010696486cb3f7",
+        "19f5961e2b5c43666bd5385d91e3ae676caa4720adf6429540fce9dc2fc011c9",
     (WellSpec(3.0, 3.0, 60.0), 30.0):
-        "4c1107c44b4e9e3b1c91bd2da0a6308dcd5f8384301c34e84ccb5aa0c64aac74",
+        "a7aa6d5da75192d07af16c925590ad44513d260387c837747b6d6c413663f3cd",
 }
 
 

@@ -138,8 +138,8 @@ class TestShoot:
 
     def test_stable_energies_keep_their_values(self):
         # below the floor but inside the stable range: still swept, bit for bit
-        assert shoot(STEP, -1.0, 4000) == 5707160.531343
-        assert shoot(STEP, 10.0, 4000) == -2209.991899457109
+        assert shoot(STEP, -1.0, 4000) == 5707160.5313429795
+        assert shoot(STEP, 10.0, 4000) == -2209.9918994571176
 
     @pytest.mark.parametrize("energy", [1.01 * 400**2 / 6.0, 1e9], ids=["1.01-top", "1e9"])
     def test_energy_past_the_top_rejected(self, energy):
@@ -149,7 +149,7 @@ class TestShoot:
             shoot(STEP, energy, 400)
 
     def test_energy_just_below_the_top_keeps_its_value(self):
-        assert shoot(STEP, 0.99 * 400**2 / 6.0, 400) == 0.000625958828336635
+        assert shoot(STEP, 0.99 * 400**2 / 6.0, 400) == 0.0006259588283369443
 
     def test_unit_block_growth_bound_keeps_full_blocks(self):
         # on a flat floor at E = 2.4 / h^2, t = -0.2 in every cell, so 12 t / (1 - t)
@@ -325,18 +325,20 @@ class TestKernel:
         assert [s.energy for s in sols] == pytest.approx(STUDY_ENERGIES, rel=1e-10)
 
 
-# chunk widths either side of both carry crossovers (16 energies for a sweep,
-# 10 for a trajectory), with the single energy and the full chunk
+# chunk widths either side of the trajectory's carry crossover at 10 energies
+# (a sweep carries every chunk in floats), with the single energy and the full
+# chunk; 16 and 17 straddled the sweep's crossover while it had one
 PIN_WIDTHS = (1, 10, 11, 16, 17, 32)
 
 # sha256 of every kernel output below, recorded from the renormalized kernel
-# while every chunk width took the vectorized carry, and again from the summed form
+# while every chunk width took the vectorized carry, again from the summed form,
+# and again from 256-cell blocks whose sub-blocks a pairwise tree joins
 KERNEL_SHA256 = {
-    "sigmoid": "71063bed15e308a9f313c1e588eb6149b5598f8c950002dc1309c79e5cea7165",
-    "ramp": "3a8e3e505f15082d05365202278f3cef413c56912e60a85cefac8183a63ce4de",
-    "flat": "335b1b2703ddf6155a78ac4b63d17e1bae34e177b0059a6c1b9a0fe53351683f",
-    "deep": "839b5991bde8c4bfbbf5cd222d6be60b45020b7adab2de24d0fb231734d91406",
-    "coarse": "a8a2e5612c7e81008bf9b889de99d80b2e2757e17c40c2568a0d58dd290c4fcc",
+    "sigmoid": "3868881a5974b233d620d0bf89fff7d5a1d84200966483c9f958a2906eb5a9fc",
+    "ramp": "3efeae0e15cfbaa47f52f923e5f65e0faffd0716510a921db1e0b0e2bfbf3bbd",
+    "flat": "59f3a2b72176bf2ba67f7f3fe93c57e74010670c587381629738cbd070422741",
+    "deep": "0c119cf62d552d9435838733c137a9be53ad12f5dc49287aebabc3e01a449cfe",
+    "coarse": "bcbab62d7094c0b9177ff07655589e890c64d0c047ceafcb3cc33860a647f95e",
 }
 
 
