@@ -68,7 +68,7 @@ _BLOCK = 256                 # Numerov steps multiplied together per transfer bl
 _SUB = 16                    # steps per sub-block, whose products the recurrence forms
 _BLOCK_GROWTH = 1e180        # bound on one block's amplification: 5**256 < 1e180 < 1.8e308 / cap
 _CHUNK = 32                  # trial energies per pass or count sweep; at 4000 cells 4.5 MB peak
-_NARROW = {False: _CHUNK, True: 10}  # widest chunk carried per energy in floats: sweep, trajectory
+_NARROW = 10                 # widest trajectory carried per energy in floats, as every sweep is
 
 
 class NodeCountError(RuntimeError):
@@ -182,15 +182,15 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     the few energies of a typical chunk.  A block's product joins its sub-blocks' by
     a pairwise tree, the later of each pair on the left: four levels of a few numpy
     calls, where the recurrence would take three a step.  The state is then carried
-    through the blocks in order: one energy at a time in Python floats for a chunk of
-    at most ``_NARROW[path]`` energies, all energies per block in numpy for a wider
-    one.  Both make the same float operations in the same order and scale an energy
-    by ``_RENORM`` after each block that leaves its |u| or |D| past ``_RENORM_CAP``:
-    numpy checks once a bound on the chunk's largest state passes the cap, as it does
-    at every such block, then scales only the energies past it.  A block is short
-    enough that its amplification stays below ``_BLOCK_GROWTH``, so the carry cannot
-    overflow between checks, and ``_RENORM`` is at most its inverse, so a rescaled
-    state is back under the cap.  A trajectory starts each sub-block down its block's
+    through the blocks in order: one energy at a time in Python floats for a sweep and
+    a trajectory of at most ``_NARROW`` energies, all energies per block in numpy for
+    a wider trajectory.  Both make the same float operations in the same order and
+    scale an energy by ``_RENORM`` after each block that leaves its |u| or |D| past
+    ``_RENORM_CAP``: numpy checks once a bound on the chunk's largest state passes the
+    cap, as it does at every such block, then scales only the energies past it.  A
+    block is short enough that its amplification stays below ``_BLOCK_GROWTH``, so
+    the carry cannot overflow between checks, and ``_RENORM`` is at most its inverse,
+    so a rescaled state is back under the cap.  A trajectory starts each sub-block down its block's
     tree, the right half of a pair from the left half's product times the pair's
     start, and combines the basis solutions from there.
 
@@ -245,7 +245,7 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     state[0] = h * (1.0 + h * h * (v[0] - e) / 6.0) * den[:, 0, 0]   # (1 - t[1]) psi[1]
     state[1] = state[0]                                                # D[0] = u[1] - u[0]
     fired = np.zeros((m, nb), dtype=bool)
-    if m <= _NARROW[path]:
+    if not path or m <= _NARROW:
         cap, ncap, starts, last = _RENORM_CAP, -_RENORM_CAP, [], []
         rows = blocks.transpose(2, 3, 0, 1).reshape(m, -1).tolist()
         for i, (flat, s0) in enumerate(zip(rows, state[0].tolist())):
@@ -263,10 +263,9 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     else:
         blocks = np.ascontiguousarray(blocks.transpose(3, 0, 1, 2))
         bound = float(np.abs(state).max())
-        starts = np.empty((2, m, nb)) if path else None
+        starts = np.empty((2, m, nb))
         for blk in range(nb):
-            if path:
-                starts[..., blk] = state
+            starts[..., blk] = state
             state = (blocks[blk] * state).sum(axis=1)
             bound *= plan.growth
             if bound > _RENORM_CAP:
