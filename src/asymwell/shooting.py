@@ -44,7 +44,7 @@ energy's residual, is set to the boundary value 0, and each state is signed
 to rise from -a.  The solution from b also gives the Sturm count, its sign
 changes, whose parity is the sign of its psi(-a), which gives each root its
 own bracket in the root policy: from its trajectories at the lowest and highest
-trial energy and one sweep over all, as the count does not decrease with E,
+trial energy and one sweep over the rest, as the count does not decrease with E,
 else from one trajectory per 32 trial energies.
 """
 from __future__ import annotations
@@ -352,16 +352,17 @@ def _count_below(grid: _Grid, energies) -> tuple[np.ndarray, np.ndarray]:
     barrier first, so no rescale can zero its nodes, and its last sample psi(-a).
 
     3 to ``_CHUNK`` energies take trajectories at the lowest and highest only,
-    for N_lo and N_hi, and, where N_hi - N_lo is below their number, fn from one
-    sweep, with the bits of a trajectory's last sample.  Two facts hold inside
-    the grid's window, where the callers keep every energy (``_stable_grid``).
-    Parity: the first sample from b is positive and zeros are ignored, so N is
-    odd where fn < 0.  Monotone count: the kernel's u (``_transfer_blocks``) has
-    psi's signs (t < 1) and is a Sturm sequence whose d falls as E grows, so N
-    does not decrease.  Each gap between the sorted energies holds at least fn's
-    sign flips across it, with their parity; where no fn is 0 and the flips add
-    up to N_hi - N_lo, it holds exactly those.  Else the count takes one
-    trajectory per ``_CHUNK`` energies.
+    for N_lo and N_hi, and, where N_hi - N_lo is below their number, fn from
+    their last samples there and from one sweep, with the same bits, at the
+    others.  Two facts hold inside the grid's window, where the callers keep
+    every energy (``_stable_grid``).  Parity: the first sample from b is
+    positive and zeros are ignored, so N is odd where fn < 0.  Monotone count:
+    the kernel's u (``_transfer_blocks``) has psi's signs (t < 1) and is a
+    Sturm sequence whose d falls as E grows, so N does not decrease.  Each gap
+    between the sorted energies holds at least fn's sign flips across it, with
+    their parity; where no fn is 0 and the flips add up to N_hi - N_lo, it
+    holds exactly those.  Else the count takes one trajectory per ``_CHUNK``
+    energies.
     """
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     if 2 < e.size <= _CHUNK:
@@ -369,7 +370,6 @@ def _count_below(grid: _Grid, energies) -> tuple[np.ndarray, np.ndarray]:
         ends = _transfer_blocks(grid.from_b, grid.h, np.array([e_lo, e_hi]), path=True)
         n_lo, n_hi = count_sign_changes(ends[1:])
         if n_hi - n_lo < e.size:
-            # the ends' fn are their trajectories' last samples; the sweep takes the rest
             low, high = e == e_lo, e == e_hi
             inside = ~(low | high)
             last = np.where(low, ends[-1, 0], ends[-1, 1])

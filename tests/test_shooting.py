@@ -325,9 +325,9 @@ class TestKernel:
         assert [s.energy for s in sols] == pytest.approx(STUDY_ENERGIES, rel=1e-10)
 
 
-# chunk widths either side of the trajectory's carry crossover at 10 energies
-# (a sweep carries every chunk in floats), with the single energy and the full
-# chunk; 16 and 17 straddled the sweep's crossover while it had one
+# chunk widths: the single energy, either side of the trajectory's carry
+# crossover at 10 energies, two more in its numpy carry, and the full chunk; a
+# sweep carries every width in floats
 PIN_WIDTHS = (1, 10, 11, 16, 17, 32)
 
 # sha256 of every kernel output below, recorded from the renormalized kernel
