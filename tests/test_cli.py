@@ -51,6 +51,9 @@ SHOOTING_SHA256 = {
     # cutoff, and a flat floor whose sharp-step side has no step at all
     "smoothing --n-max 5": "eab460a69fc60b314c7e083898535b67b85846e37c07182902cc348b64a03576",
     "smoothing --v0 0": "5ee1534ae207907577cebc403d3839ca2dc1ed36fea8f63ddea4f053ef3b4c35",
+    # 37 states: the count and the normalizations run trajectories 31, 18, 32 and 5
+    # energies wide, recorded while a trajectory wider than 10 took a numpy carry
+    "smoothing --e-max 400": "c8078c1678d518f33f39126a3e7a631f47bcc7caa5789d8cb8003da57b2fb897",
 }
 
 # sha256 of the JSON form of the standard tables, recorded while render_json
