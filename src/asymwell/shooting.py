@@ -31,9 +31,8 @@ root converges at fourth order to 16000 cells.  A sweep forms the products of
 16-cell sub-blocks, vectorized over sub-blocks and energies with the ~250
 sub-blocks innermost, a run of them on equal floor samples sharing one
 product, joins each sixteen into a 256-cell block's by a pairwise product
-tree, then carries the state through the blocks in order, rescaling against
-overflow, in Python floats for a narrow chunk, where a numpy call costs more
-than its arithmetic, else in numpy.  The block layout does not depend on the
+tree, then carries the state through the blocks in order in Python floats,
+rescaling against overflow.  The block layout does not depend on the
 energies, so a spectrum plans it once for its grid.
 
 A converged state is the solution from psi(b) = 0, one backward trajectory
@@ -68,7 +67,6 @@ _BLOCK = 256                 # Numerov steps multiplied together per transfer bl
 _SUB = 16                    # steps per sub-block, whose products the recurrence forms
 _BLOCK_GROWTH = 1e180        # bound on one block's amplification: 5**256 < 1e180 < 1.8e308 / cap
 _CHUNK = 32                  # trial energies per pass or count sweep; at 4000 cells 4.5 MB peak
-_NARROW = 10                 # widest trajectory carried per energy in floats, as every sweep is
 
 
 class NodeCountError(RuntimeError):
@@ -115,7 +113,6 @@ class _Plan:
     nb: int                  # blocks
     ns: int                  # sub-blocks with real steps
     tail: int                # the last sub-block's real steps
-    growth: float            # bound on one block's amplification
     vs: np.ndarray           # V at step 1 + j + ks*s at [j, s], over the sub-blocks built
     runs: np.ndarray | None  # sub-blocks each built one serves, or None when all are built
 
@@ -152,7 +149,7 @@ def _block_plan(v: np.ndarray, h: float, e: np.ndarray) -> _Plan:
     vs = v[np.minimum(np.arange(ns * ks).reshape(ns, ks).T, n - 1) + 1]
     own, runs = _own_blocks(vs)
     shared = own.size < ns
-    plan = _Plan(ks, parts, nb, ns, n - (ns - 1) * ks, g**k,
+    plan = _Plan(ks, parts, nb, ns, n - (ns - 1) * ks,
                  np.ascontiguousarray(vs[:, own]) if shared else vs, runs if shared else None)
     if not v.flags.writeable:
         _last_plan = (v, h, floor, plan)
@@ -182,17 +179,13 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
     the few energies of a typical chunk.  A block's product joins its sub-blocks' by
     a pairwise tree, the later of each pair on the left: four levels of a few numpy
     calls, where the recurrence would take three a step.  The state is then carried
-    through the blocks in order: one energy at a time in Python floats for a sweep and
-    a trajectory of at most ``_NARROW`` energies, all energies per block in numpy for
-    a wider trajectory.  Both make the same float operations in the same order and
-    scale an energy by ``_RENORM`` after each block that leaves its |u| or |D| past
-    ``_RENORM_CAP``: numpy checks once a bound on the chunk's largest state passes the
-    cap, as it does at every such block, then scales only the energies past it.  A
-    block is short enough that its amplification stays below ``_BLOCK_GROWTH``, so
-    the carry cannot overflow between checks, and ``_RENORM`` is at most its inverse,
-    so a rescaled state is back under the cap.  A trajectory starts each sub-block down its block's
-    tree, the right half of a pair from the left half's product times the pair's
-    start, and combines the basis solutions from there.
+    through the blocks in order, one energy at a time in Python floats, and scaled by
+    ``_RENORM`` after each block that leaves its |u| or |D| past ``_RENORM_CAP``.  A
+    block's amplification stays below ``_BLOCK_GROWTH``, so the carry cannot overflow
+    between checks, and ``_RENORM`` is at most its inverse, so a rescaled state is back
+    under the cap.  A trajectory starts each sub-block down its block's tree, the right
+    half of a pair from the left half's product times the pair's start, and combines
+    the basis solutions from there.
 
     Returns psi = u / (1 - t) at the last sample per energy, or with ``path`` the
     whole trajectory, shape (len(v), len(e)), each sample at its column's final
@@ -222,16 +215,16 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
         np.add(diff, kick, diff)
         np.add(steps[j], diff, steps[j + 1])
         if j + 1 == tail:
-            short = np.stack([steps[j + 1][..., -1], diff[..., -1]])
+            short = steps[j + 1][..., -1].copy(), diff[..., -1].copy()
     del w, kick    # a trajectory's samples need the room
     # sub-block transfer matrices, rows (u, D) by basis columns; np.repeat keeps the
     # sub-blocks innermost in memory, where [..., index] would not
     sub = np.empty((2, 2, m, nb * parts))
-    prods = np.stack([steps[ks], diff])
-    sub[..., :ns] = prods if runs is None else np.repeat(prods, runs, axis=-1)
-    sub[..., ns - 1] = short
+    for row, full, part in zip(sub, (steps[ks], diff), short):
+        row[..., :ns] = full if runs is None else np.repeat(full, runs, axis=-1)
+        row[..., ns - 1] = part
     sub[..., ns:] = np.eye(2)[:, :, None, None]
-    del prods, diff
+    del diff
     # each block's product by a pairwise tree over its sub-blocks, the later of a pair on
     # the left; a trajectory keeps the tree's lower levels to start each sub-block
     level, levels = sub.reshape(2, 2, m, nb, parts), []
@@ -241,41 +234,24 @@ def _transfer_blocks(v: np.ndarray, h: float, e: np.ndarray, path: bool) -> np.n
         level = (level[:, :, None, ..., 1::2] * level[None, ..., ::2]).sum(axis=1)
     blocks = level[..., 0]
 
-    state = np.empty((2, m))
-    state[0] = h * (1.0 + h * h * (v[0] - e) / 6.0) * den[:, 0, 0]   # (1 - t[1]) psi[1]
-    state[1] = state[0]                                                # D[0] = u[1] - u[0]
+    first = h * (1.0 + h * h * (v[0] - e) / 6.0) * den[:, 0, 0]   # u[1] = (1 - t[1]) psi[1]
     fired = np.zeros((m, nb), dtype=bool)
-    if not path or m <= _NARROW:
-        cap, ncap, starts, last = _RENORM_CAP, -_RENORM_CAP, [], []
-        rows = blocks.transpose(2, 3, 0, 1).reshape(m, -1).tolist()
-        for i, (flat, s0) in enumerate(zip(rows, state[0].tolist())):
-            s1, it, seen = s0, iter(flat), []    # D[0] = u[1]
-            for blk, (b00, b01, b10, b11) in enumerate(zip(it, it, it, it)):
-                if path:
-                    seen += s0, s1
-                s0, s1 = b00 * s0 + b01 * s1, b10 * s0 + b11 * s1
-                if s0 > cap or s0 < ncap or s1 > cap or s1 < ncap:
-                    s0, s1 = s0 * _RENORM, s1 * _RENORM
-                    fired[i, blk] = True
-            starts.append(seen)
-            last.append((s0, s1))
-        state, starts = np.array(last).T, np.array(starts).reshape(m, -1, 2).transpose(2, 0, 1)
-    else:
-        blocks = np.ascontiguousarray(blocks.transpose(3, 0, 1, 2))
-        bound = float(np.abs(state).max())
-        starts = np.empty((2, m, nb))
-        for blk in range(nb):
-            starts[..., blk] = state
-            state = (blocks[blk] * state).sum(axis=1)
-            bound *= plan.growth
-            if bound > _RENORM_CAP:
-                big = np.abs(state).max(axis=0) > _RENORM_CAP
-                state[:, big] *= _RENORM
-                fired[:, blk] = big
-                bound = float(np.abs(state).max())
-    end = state[0] / (1.0 - c * (v[-1] - e))
+    cap, ncap, starts, last = _RENORM_CAP, -_RENORM_CAP, [], []
+    rows = blocks.transpose(2, 3, 0, 1).reshape(m, -1).tolist()
+    for i, (flat, s0) in enumerate(zip(rows, first.tolist())):
+        s1, it = s0, iter(flat)    # D[0] = u[1] - u[0]
+        for blk, (b00, b01, b10, b11) in enumerate(zip(it, it, it, it)):
+            if path:
+                starts += s0, s1
+            s0, s1 = b00 * s0 + b01 * s1, b10 * s0 + b11 * s1
+            if s0 > cap or s0 < ncap or s1 > cap or s1 < ncap:
+                s0, s1 = s0 * _RENORM, s1 * _RENORM
+                fired[i, blk] = True
+        last.append(s0)
+    end = np.array(last) / (1.0 - c * (v[-1] - e))
     if not path:
         return end
+    starts = np.array(starts).reshape(m, nb, 2).transpose(2, 0, 1)
     # each sub-block's start, down the tree from its block's: the right half of a pair
     # starts where the left half's product takes the pair's start
     inside = starts[..., None]

@@ -200,7 +200,8 @@ class TestKernel:
             assert total >= len(energies)  # the rescale fired on every trial energy
 
     def test_trajectory_matches_scalar_recurrence(self):
-        # 1003 points: the last block of 32 steps is partly padding
+        # 1003 points, 1001 steps: the last 16-cell sub-block holds 9 steps, in a
+        # 256-cell block padded with an identity sub-block
         xs = np.linspace(-3.0, 3.0, 1003)
         v = sample(SMOOTH, xs)
         h = xs[1] - xs[0]
@@ -325,9 +326,7 @@ class TestKernel:
         assert [s.energy for s in sols] == pytest.approx(STUDY_ENERGIES, rel=1e-10)
 
 
-# chunk widths: the single energy, either side of the trajectory's carry
-# crossover at 10 energies, two more in its numpy carry, and the full chunk; a
-# sweep carries every width in floats
+# chunk widths: the single energy, a few mid widths and the full chunk
 PIN_WIDTHS = (1, 10, 11, 16, 17, 32)
 
 # sha256 of every kernel output below, recorded from the renormalized kernel
@@ -366,13 +365,17 @@ class TestKernelBits:
             assert scalar_sweep(v, h, 30.0)[1] > 0 and scalar_sweep(v[::-1], h, 30.0)[1] > 0
         assert digest.hexdigest() == KERNEL_SHA256[name]
 
-    def test_columns_independent_of_chunk_width(self):
+    @pytest.mark.parametrize("spec, e_hi", [
+        (SMOOTH, 200.0),
+        (WellSpec(2.0, 4.3, 3e4), 6e4),    # 29 columns rescale from b, 3 do not
+    ], ids=["sigmoid", "deep-step"])
+    def test_columns_independent_of_chunk_width(self, spec, e_hi):
         # every width a chunk can have, so a layout slip at a width the pins
         # skip shows; every energy here gets the same full-length blocks, so
-        # each column is its own width-1 pass bit for bit
-        grid = _stable_grid(SMOOTH, 4000)
+        # each column is its own width-1 pass bit for bit, rescaled or not
+        grid = _stable_grid(spec, 4000)
         v, h = grid.v, grid.h
-        pool = np.geomspace(0.5, 200.0, shooting._CHUNK)
+        pool = np.geomspace(0.5, e_hi, shooting._CHUNK)
         alone = [(_sweep_final(v, h, e)[0], _count_below(grid, e)[0],
                   _transfer_blocks(v, h, np.asarray([e]), path=True)[:, 0],
                   _transfer_blocks(v[::-1], h, np.asarray([e]), path=True)[:, 0])
