@@ -623,6 +623,9 @@ CALL_LOG_SHA256 = {
         "a52bb60cf7acf754d392eee12bca048e944a6ad44d0c1d6e77e9397200b61cf5",
     (1.0, 1.0, 100.0, 1e4):
         "693a0f4c0822472f1f669b7a68711d7bc5d9272bdb79ccdd85fb3806adc68650",
+    # 190 levels, more than the 18, 30 and 63 above
+    (3.0, 3.0, 20.0, 1e4):
+        "b213c0bae70ed51f622cf6dce692aaa104af40e7b1134b5bfdb1d647f33b208b",
 }
 
 
