@@ -34,9 +34,7 @@ both:
    root has a cell of its own, bisected to the tolerance.  Its midpoints
    outside the polished bracket take the sign of that bracket's end, so only
    the ones inside it are evaluated, in one call per round over all roots.
-   Up to ``_NARROW`` roots, each walks its bisection in Python floats to its
-   next midpoint inside; above that, each first takes in bulk, on arrays,
-   the plain halvings that its cell's width allows before the scan could stop.
+   Each root walks its bisection in Python floats to its next midpoint inside.
 
 The policy sees only energies, values and counts: how a solver evaluates
 ``fn`` and its count (the closed form's classical action and characteristic,
@@ -44,14 +42,11 @@ the sign changes of a Numerov trajectory) stays in that solver's module.  The
 replay gives the scan's floats where the characteristic's sign is clean near
 each root, as its value at an energy does not depend on its call mates.
 
-The polish and the replay loop over a few dozen brackets, where one numpy
-call costs more than its arithmetic, so they are written to make few calls
-per pass: the array replay about six a halving level, some 46 levels a
-solve; the walk in floats costs per root, and was the faster on step-survey
-wells up to about 90 roots, which ``_NARROW`` cuts below.  The layout moves
-neither the energies handed to ``fn`` and ``count``, call for call, nor the
-reported floats, bit for bit; tests pin both, by a sha256 over each solver's
-call log and against a plain fixed scan (``tests/oracles.py``).
+The polish loops over a few dozen brackets, where one numpy call costs
+more than its arithmetic, so it is written to make few calls per pass.  The
+layout moves neither the energies handed to ``fn`` and ``count``, call for
+call, nor the reported floats, bit for bit; tests pin both, by a sha256 over
+each solver's call log and against a plain fixed scan (``tests/oracles.py``).
 """
 from __future__ import annotations
 
@@ -68,8 +63,6 @@ _STALL = 6                   # secant passes a bracket may take to halve its wid
 # a seed's count gap x -+ 128 eps x, 128 to 256 ulp: wider than the seeds' error and the
 # rounding of fn near a level, narrower than one tolerance, so the polish makes no pass
 _SEED_GAP = 128
-# roots at most, whose replay walks each bisection in floats (``_walk``)
-_NARROW = 64
 # the count pass's probes over e_max above the scan's first cell, in steps of 1/30 up to e_max
 _PROBE_AT = np.arange(1, _PROBES) / (_PROBES - 1)
 
@@ -324,49 +317,9 @@ class _Brackets:
         # bisect [a, b] until b - a <= max(tol_rel, 8 eps) max(1, mid): the
         # scan's max(tol_rel s, 8 eps s) with s = max(1, mid), the same float
         # since rounding is monotone
-        scale = max(tol_rel, 8.0 * _EPS)
-        if lo.size <= _NARROW:
-            mid = _walk(fn, a.tolist(), b.tolist(), lo.tolist(), hi.tolist(), self.s.tolist(),
-                        (~edge).nonzero()[0].tolist(), scale)
-            return np.where(edge, zero_at, mid).tolist()
-        one, half, scale = np.array(1.0), np.array(0.5), np.array(scale)
-        active = ~edge
-        # plain halvings: after l of them [a, b] is W / 2**l - ulp(b) wide or
-        # more, W = b - a > 0, and ulp(b) <= scale max(b, 1) / 4, so for
-        # floor(log2(W / (1.5 scale max(b, 1)))) levels the scan halves again,
-        # and a midpoint outside [lo, hi] takes the sign of that end; one in it
-        # moves neither end.  Level l runs on the prefix of roots whose
-        # budget, made non-increasing, exceeds l
-        budget = np.log2((b - a) / (1.5 * scale * np.maximum(b, one)))
-        budget = np.minimum.accumulate(np.floor(np.maximum(budget, 0.0)))
-        mid = np.empty_like(a)
-        for m, levels in itertools.groupby(np.searchsorted(-budget, -np.arange(budget[0])).tolist()):
-            am, bm, lm, hm, mm = a[:m], b[:m], lo[:m], hi[:m], mid[:m]
-            for _ in levels:
-                np.multiply(np.add(am, bm, out=mm), half, out=mm)
-                np.copyto(am, mm, where=mm < lm)
-                np.copyto(bm, mm, where=mm > hm)
-        while True:
-            mid = (a + b) * half
-            active &= (b - a) > np.maximum(mid, one) * scale
-            below = active & (mid < lo)
-            above = active & (mid > hi)
-            if np.count_nonzero(below) or np.count_nonzero(above):
-                np.copyto(a, mid, where=below)
-                np.copyto(b, mid, where=above)
-                continue
-            i = active.nonzero()[0]
-            if not i.size:
-                break
-            fx, left, right = self._signs(i, fn(mid[i]))
-            if np.count_nonzero(left | right) < i.size:
-                j = i[~(left | right)[i]]     # fn vanished or returned NaN
-                z = j[fx[j] == 0.0]
-                a[z] = mid[z]                 # a zero closes the window;
-                b[j] = mid[j]                 # NaN moves b, as the scan's sign test does
-            np.copyto(a, mid, where=left)
-            np.copyto(b, mid, where=right)
-        return np.where(edge, zero_at, 0.5 * (a + b)).tolist()
+        mid = _walk(fn, a.tolist(), b.tolist(), lo.tolist(), hi.tolist(), self.s.tolist(),
+                    (~edge).nonzero()[0].tolist(), max(tol_rel, 8.0 * _EPS))
+        return np.where(edge, zero_at, mid).tolist()
 
     def _to_one_cell(self, fn, cell: float, n_cells: int) -> None:
         """Evaluate the scan points inside each bracket, bisecting on the grid
@@ -394,8 +347,7 @@ def _walk(fn, a: list, b: list, lo: list, hi: list, s: list, waiting: list,
     """The midpoint that the replay's bisection of each cell [a, b] leaves,
     in floats, root by root: each root in ``waiting`` walks to its next
     midpoint inside its bracket [lo, hi] or to the tolerance, and one call
-    evaluates the midpoints so reached, in root order, as the numpy loop's
-    rounds do."""
+    evaluates the midpoints so reached, in root order."""
     mid = [0.0] * len(a)
     while waiting:
         stopped = []

@@ -8,16 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from asymwell import (Exponential, Linear, ScanResolutionError, WellSpec, _rootscan, shooting,
-                      spectrum)
+from asymwell import Exponential, Linear, ScanResolutionError, WellSpec, shooting, spectrum
 from asymwell._rootscan import _Brackets, _isolate, bracket_and_bisect, scan_step
 from oracles import reference_roots
 
 EPS = np.finfo(float).eps
-# values of _NARROW that put every replay on one path, whatever its root count:
-# the numpy halvings and rounds, then the root-by-root walk in floats; the
-# replay tests run on both, which must report the same floats
-REPLAY_PATHS = (0, 10**9)
 
 
 def polynomial(roots, counted=None):
@@ -302,18 +297,15 @@ def test_narrow_brackets_replay_the_fixed_scan(case):
         expected = []   # the fixed scan gave up
     # a zero on the cutoff blinds the cell below it, where the scan may lose a root
     complete = len(expected) == len(roots)
-    for narrow in REPLAY_PATHS:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_rootscan, "_NARROW", narrow)
-            try:
-                found = bracket_and_bisect(fn, count, e_max, 0.1, 1e-13)
-            except ScanResolutionError:
-                assert not complete, "the policy gave up where the fixed scan found every root"
-                continue
-        assert len(found) == len(roots)
-        assert all(abs(f - r) <= 1e-13 * max(1.0, r) for f, r in zip(found, sorted(roots)))
-        if complete:
-            assert found == expected
+    try:
+        found = bracket_and_bisect(fn, count, e_max, 0.1, 1e-13)
+    except ScanResolutionError:
+        assert not complete, "the policy gave up where the fixed scan found every root"
+        return
+    assert len(found) == len(roots)
+    assert all(abs(f - r) <= 1e-13 * max(1.0, r) for f, r in zip(found, sorted(roots)))
+    if complete:
+        assert found == expected
 
 
 @st.composite
@@ -387,8 +379,8 @@ def certified_roots(draw):
 @settings(max_examples=300)
 def test_certified_brackets_replay_the_fixed_scan(case):
     # seeds on the roots: the count certifies each within 128 to 256 ulp, far
-    # narrower than one tolerance, and the replay's budgeted plain halvings
-    # reach the scan's floats on either side of the tolerance's kink at E = 1
+    # narrower than one tolerance, and the replay's walk reaches the scan's
+    # floats on either side of the tolerance's kink at E = 1
     roots, e_max = case
     fn, count = polynomial(roots)
     lo, hi, *_ = _isolate(count, e_max, 0.1, 1e-13, lambda: np.array(roots))
@@ -400,11 +392,8 @@ def test_certified_brackets_replay_the_fixed_scan(case):
     except ScanResolutionError:
         assume(False)
     assume(len(expected) == len(roots))   # a zero on e_max can blind the scan's last cell
-    for narrow in REPLAY_PATHS:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_rootscan, "_NARROW", narrow)
-            found = bracket_and_bisect(fn, count, e_max, 0.1, 1e-13, lambda: np.array(roots))
-        assert found == expected
+    found = bracket_and_bisect(fn, count, e_max, 0.1, 1e-13, lambda: np.array(roots))
+    assert found == expected
 
 
 def zero_run(roots, halfwidth):
@@ -502,7 +491,7 @@ def test_certified_closed_form_makes_no_polish_pass(e_max, monkeypatch):
 def test_a_missed_seed_is_polished_to_the_same_floats(spec, e_max, missed, monkeypatch):
     # a seed whose gap misses its level leaves it to the polish, which makes
     # passes before the replay; the floats are those of the policy without
-    # seeds, on either replay path
+    # seeds
     before_replay, replaying = [], []
     replay = _Brackets.replay
 
@@ -521,15 +510,11 @@ def test_a_missed_seed_is_polished_to_the_same_floats(spec, e_max, missed, monke
     monkeypatch.setattr(spectrum, "bracket_and_bisect", policy)
     if missed:
         monkeypatch.setattr(spectrum, "_SEED_ITERS", 5)
-    for narrow in REPLAY_PATHS:
-        monkeypatch.setattr(_rootscan, "_NARROW", narrow)
-        before_replay.clear()
-        replaying.clear()
-        levels = [state.energy for state in spectrum.find_spectrum(spec, e_max)]
-        assert bool(before_replay) == missed
-        assert levels == bracket_and_bisect(lambda es: spectrum._characteristic_many(spec, es),
-                                            lambda es: spectrum._count_below(spec, es), e_max,
-                                            scan_step(spec.a, spec.b), spectrum._BISECT_TOL)
+    levels = [state.energy for state in spectrum.find_spectrum(spec, e_max)]
+    assert bool(before_replay) == missed
+    assert levels == bracket_and_bisect(lambda es: spectrum._characteristic_many(spec, es),
+                                        lambda es: spectrum._count_below(spec, es), e_max,
+                                        scan_step(spec.a, spec.b), spectrum._BISECT_TOL)
 
 
 @pytest.mark.parametrize("roots", [[0.5], [5.0]], ids=["refused", "empty"])
@@ -614,8 +599,9 @@ def test_numerov_count_parity_is_the_sign_of_fn(spec, e_max):
 # over at 8 tolerances and bisected a stalled bracket, the count's one call
 # took, next to its 31 probes, only the pair E_n -+ 128 eps E_n around each
 # level's Pruefer-phase seed, with fn the characteristic itself, and the
-# replay took each root's budget of plain halvings in bulk; the same on
-# either replay path
+# replay took each root's budget of plain halvings in bulk (on arrays, above
+# 64 roots, where the 190-level log was recorded); the replay's one walk in
+# floats keeps them all
 CALL_LOG_SHA256 = {
     (3.0, 3.0, 20.0, 100.0):
         "6a2238b853427ff687295bdc507e276f653bd1462c3a277d656bec670dfb450a",
@@ -642,11 +628,9 @@ def test_closed_form_calls_see_the_same_energies(well, monkeypatch):
 
     monkeypatch.setattr(spectrum, "bracket_and_bisect", policy)
     a, b, v0, e_max = well
-    for narrow in REPLAY_PATHS:
-        monkeypatch.setattr(_rootscan, "_NARROW", narrow)
-        digest = hashlib.sha256()
-        assert spectrum.find_spectrum(WellSpec(a, b, v0), e_max)
-        assert digest.hexdigest() == CALL_LOG_SHA256[well]
+    digest = hashlib.sha256()
+    assert spectrum.find_spectrum(WellSpec(a, b, v0), e_max)
+    assert digest.hexdigest() == CALL_LOG_SHA256[well]
 
 
 # the same log for the Numerov route, whose fn and count both run Numerov
