@@ -612,6 +612,9 @@ CALL_LOG_SHA256 = {
     # 190 levels, more than the 18, 30 and 63 above
     (3.0, 3.0, 20.0, 1e4):
         "b213c0bae70ed51f622cf6dce692aaa104af40e7b1134b5bfdb1d647f33b208b",
+    # 13 levels, all below E = 1, where the walk's tolerance is absolute
+    (30.0, 30.0, 0.02, 0.5):
+        "c01d95a885618e9486a83b3420dcad26ba06c3ac272bf829154aca4cabced16b",
 }
 
 
