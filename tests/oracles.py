@@ -16,7 +16,8 @@ through ``.12g`` for CSV, and through a ``.12g`` round trip and the pure-Python
 and ``reference_compare_rows`` are the closed form one state at a time, with
 the math module's functions, ``reference_state`` the state at an energy in
 40 digits (mpmath), and ``pruefer_count`` the Sturm count from the Pruefer
-phase.  ``enclosure_counts`` bounds the level count of any floor
+phase.  ``sq_integral_one_path`` is the side integral of ``spectrum`` as it was
+when every element took the series and both branches.  ``enclosure_counts`` bounds the level count of any floor
 by those of two piecewise-constant floors, solved with exact cell matrices.
 """
 from __future__ import annotations
@@ -301,6 +302,22 @@ def render_json(table) -> str:
     if table.markers:
         doc["markers"] = {k: scrub(v) for k, v in table.markers.items()}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def sq_integral_one_path(kappa: np.ndarray, length: float, below=False) -> np.ndarray:
+    """``spectrum._sq_integral`` on one path: the u^15 series, u - sin u and the
+    selection between them on every element, sinh u - u where ``below`` above 0.8."""
+    u = 2.0 * kappa * length
+    u2 = u * u
+    v = np.where(below, u2, -u2)
+    series = v / 217945728000.0
+    for d in (1037836800.0, 6652800.0, 60480.0, 840.0, 20.0):
+        series = (series + 1.0 / d) * v
+    small = u < 0.8
+    out = np.where(small, u * u2 / 6.0 * (1.0 + series), u - np.sin(u))
+    big = below & ~small
+    out[big] = np.sinh(u[big]) - u[big]
+    return out / (4.0 * kappa)
 
 
 # ---------------------------------------------------------------- per-state closed form

@@ -26,7 +26,7 @@ from asymwell import (
 from asymwell import spectrum
 from asymwell._rootscan import _HANDOVER, _isolate, bracket_and_bisect, scan_step
 from asymwell.spectrum import ScanResolutionError, _characteristic_many, _count_below
-from oracles import pruefer_count, reference_roots
+from oracles import pruefer_count, reference_roots, sq_integral_one_path
 
 # 12-digit spectrum of the standard well (a = b = 3, v0 = 20), frozen after
 # cross-checking against 50-digit root refinement, Numerov shooting, and
@@ -812,6 +812,27 @@ class TestSideProbabilities:
             x = mpmath.mpf(u)
             expected = ((mpmath.sinh(x) - x) if below else (x - mpmath.sin(x))) / (2 * x)
             assert abs(got - expected) <= 1.5e-15 * expected
+
+    @given(case=st.integers(0, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.one_of(st.floats(1e-6, 0.399), st.floats(0.4, 350.0),
+                           st.sampled_from([0.4, np.nextafter(0.4, 0.0)])),
+                 min_size=n, max_size=n),
+        st.one_of(st.booleans(), st.lists(st.booleans(), min_size=n, max_size=n)))))
+    @example(case=([], False))
+    @example(case=([], []))
+    @example(case=([0.01, 0.1, 0.3], True))               # every element on the series
+    @example(case=([0.5, 3.0, 100.0], [True, False, True]))   # none on it
+    @example(case=([0.01, 0.5, 0.3, 20.0], [True, True, False, False]))
+    @settings(max_examples=300)
+    def test_side_integral_is_the_one_path_float(self, case):
+        # the series only below u = 0.8 (kappa = 0.4 at L = 1) and sinh only
+        # below the step above it: every element the same float as when each
+        # took the series and both branches
+        kappa, below = np.array(case[0], dtype=float), case[1]
+        if isinstance(below, list):
+            below = np.array(below, dtype=bool)
+        got = spectrum._sq_integral(kappa, 1.0, below)
+        assert np.array_equal(got, sq_integral_one_path(kappa, 1.0, below))
 
     def test_antinode_state_near_half(self, standard_states):
         # frozen value, confirmed by the finite-difference oracle; note it
