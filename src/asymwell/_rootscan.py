@@ -216,17 +216,22 @@ class _Brackets:
     def polish(self, fn, tol_rel: float) -> None:
         """Inverse quadratic steps, else Illinois regula falsi, until each
         bracket is narrower than ``_HANDOVER`` tolerances, with a bisection
-        step for a bracket that has not halved its width in ``_STALL`` passes."""
+        step for a bracket that has not halved its width in ``_STALL`` passes.
+        Brackets all narrower than that, none ending on a zero of fn (the
+        closed form's, certified by its seeds), return before any pass."""
         lo, hi, flo, fhi = self.lo, self.hi, self.flo, self.fhi
         # handover = _HANDOVER * tol with tol = max(tol_rel, 8 eps) max(1, hi),
         # the replay's tolerance at hi; scaling by a power of two is exact, so
         # its half and quarter are the same floats from scaled constants
         scale = _HANDOVER * max(tol_rel, 8.0 * _EPS)
+        width = hi - lo
+        if not (np.count_nonzero(width >= np.maximum(hi, 1.0) * scale)
+                or np.count_nonzero(flo == 0.0)):
+            return
         one, half, half_scale = np.array(1.0), np.array(0.5), np.array(0.5 * scale)
         scale = np.array(scale)
         handed = (flo == 0.0).nonzero()[0]
         zero_at = lo[handed]
-        width = hi - lo
         half_ref = 0.5 * width
         halved_at = np.zeros(lo.size, dtype=int)  # last pass that halved the width, or 0
         moved_lo = moved_hi = np.zeros(lo.size, dtype=bool)  # the end the last pass moved
