@@ -214,10 +214,10 @@ def _newton(phase, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.nda
         if i >= 5:
             inside &= np.abs(step) <= np.maximum(0.5 * np.abs(prev), _SEED_STEP * x)
         prev = step
-        x = np.where(inside, nxt, 0.5 * (lo + hi))
+        # count_nonzero costs a third of all() on arrays this short
+        x = nxt if np.count_nonzero(inside) == x.size else np.where(inside, nxt, 0.5 * (lo + hi))
         small = np.abs(step) <= _SEED_STEP * x
         done = inside & small
-        # count_nonzero costs a third of all() on arrays this short
         if np.count_nonzero(done) == x.size or (
                 np.count_nonzero(small) == x.size
                 and np.count_nonzero(done | (hi - lo <= _CLOSED * x)) == x.size):
