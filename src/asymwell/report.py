@@ -64,13 +64,13 @@ class RunConfig:
     out: str = _flag("-", header=False, help="output path ('-' for stdout)")
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value, meta = getattr(self, f.name), f.metadata
+        for name, meta in _CHECKED:
+            value = getattr(self, name)
             if "choices" in meta and value not in meta["choices"]:
-                raise ValueError(f"{f.name} must be one of {', '.join(meta['choices'])}, "
+                raise ValueError(f"{name} must be one of {', '.join(meta['choices'])}, "
                                  f"got {value!r}")
             if "floor" in meta and value is not None:
-                potential_mod._integer(value, f.name, meta["floor"])
+                potential_mod._integer(value, name, meta["floor"])
         if (self.e_max is None) == (self.n_max is None):
             raise ValueError("exactly one of e_max / n_max must be set")
         for name in ("e_max", "p_max"):
@@ -109,9 +109,22 @@ def _level_cap(well: WellSpec, n: int) -> float:
         return float(np.min(potential_mod.sample(well, xs) + kinetic)) + 1.0
 
 
+_RUN_FIELDS = fields(RunConfig)
+# the fields __post_init__ checks, with their metadata
+_CHECKED = tuple((f.name, f.metadata) for f in _RUN_FIELDS
+                 if "choices" in f.metadata or "floor" in f.metadata)
+
+
 def _fields(command: str | None) -> list[Field]:
     """RunConfig fields owned by ``command``; None selects the shared ones."""
-    return [f for f in fields(RunConfig) if f.metadata.get("command") == command]
+    return [f for f in _RUN_FIELDS if f.metadata.get("command") == command]
+
+
+# the names of the header's shared settings, and of each owning command's own
+_SHARED_HEADER = tuple(f.name for f in _fields(None) if f.metadata.get("header", True))
+_OWN_HEADER = {command: tuple(f.name for f in _fields(command))
+               for command in {f.metadata["command"] for f in _RUN_FIELDS
+                               if "command" in f.metadata}}
 
 
 @dataclass
@@ -126,10 +139,9 @@ class Table:
 def _config_items(config: RunConfig, command: str,
                   **extras: object) -> list[tuple[str, object]]:
     """Header items: the shared settings, ``extras``, then ``command``'s own settings."""
-    items = [(f.name, getattr(config, f.name)) for f in _fields(None)
-             if f.metadata.get("header", True)]
+    items = [(name, getattr(config, name)) for name in _SHARED_HEADER]
     items.extend(extras.items())
-    items.extend((f.name, getattr(config, f.name)) for f in _fields(command))
+    items.extend((name, getattr(config, name)) for name in _OWN_HEADER.get(command, ()))
     return items
 
 
@@ -226,6 +238,10 @@ def cmd_wavefunction(config: RunConfig, n: int) -> Table:
                  ["x", "psi", "density", "potential", "classical_density"], rows)
 
 
+# the match_class cell of each kind _match_classes names, None where the bounds coincide
+_KIND_NAMES = {kind: kind.value for kind in spectrum_mod.MatchKind} | {None: None}
+
+
 def cmd_compare(config: RunConfig) -> Table:
     """Per-state table of quantum vs classical left-side probability and bounds.
 
@@ -251,7 +267,7 @@ def cmd_compare(config: RunConfig) -> Table:
     bound_cells = np.full((energy.size, 3), None, dtype=object)
     bound_cells[above, 0], bound_cells[above, 1] = lower, upper
     kinds, _, _ = spectrum_mod._match_classes(p_left[above], lower, upper)
-    bound_cells[above, 2] = [None if kind is None else kind.value for kind in kinds]
+    bound_cells[above, 2] = [_KIND_NAMES[kind] for kind in kinds]
     columns = (range(1, energy.size + 1), energy.tolist(), p_left.tolist(), p_cl.tolist(),
                *bound_cells.T.tolist())
     rows = [list(row) for row in zip(*columns)]
