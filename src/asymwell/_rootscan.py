@@ -142,7 +142,7 @@ def _isolate(count, e_max: float, step: float, tol_rel: float, seeds) -> tuple[n
         gap = _SEED_GAP * _EPS * x
         x = np.concatenate([x - gap, x + gap])
         new = np.concatenate([new, x[(0.0 < x) & (x < e_max)]])
-    e, n, f = np.empty(0), np.empty(0, dtype=int), np.empty(0)
+    e = None
     while True:
         n_new, f_new = count(new)
         n_new = np.asarray(n_new, dtype=float)
@@ -157,7 +157,11 @@ def _isolate(count, e_max: float, step: float, tol_rel: float, seeds) -> tuple[n
                                       f"function at E={float(new[i])!r}: N = {n_new[i]}, "
                                       f"fn = {f_new[i]:.6g}")
         n_new += (new == e_max) & (f_new == 0.0)    # a level on e_max, in the spectrum
-        e, n, f = np.concatenate([e, new]), np.concatenate([n, n_new]), np.concatenate([f, f_new])
+        if e is None:
+            e, n, f = new, n_new, np.asarray(f_new, dtype=float)
+        else:
+            e, n, f = (np.concatenate([e, new]), np.concatenate([n, n_new]),
+                       np.concatenate([f, f_new]))
         order = np.argsort(e, kind="stable")
         e, n, f = e[order], n[order], f[order]
         if n[0] != 0:
@@ -305,10 +309,11 @@ class _Brackets:
                 raise ScanResolutionError(f"no scan cell down to {cell:.3e} separates the roots "
                                           f"in [{lo[0]:.9g}, {hi[-1]:.9g}]")
             n_cells = int(math.ceil(e_max / cell))
-            self._to_one_cell(fn, cell, n_cells)
+            j = self._to_one_cell(fn, cell, n_cells)
             on_zero = (self.flo == 0.0) | (self.fhi == 0.0)
             zero_at = np.where(self.flo == 0.0, lo, hi)
-            j = _first_at_or_above(np.where(on_zero, zero_at, hi), cell)
+            if np.count_nonzero(on_zero):
+                j = _first_at_or_above(np.where(on_zero, zero_at, hi), cell)
             edge = on_zero & (np.minimum(cell * j, e_max) == zero_at)
             # the scan cannot see a root in (0, cell] or a root past its last
             # point, and a root on a grid point blinds both cells next to it,
@@ -326,17 +331,18 @@ class _Brackets:
                     (~edge).nonzero()[0].tolist(), max(tol_rel, 8.0 * _EPS))
         return np.where(edge, zero_at, mid).tolist()
 
-    def _to_one_cell(self, fn, cell: float, n_cells: int) -> None:
+    def _to_one_cell(self, fn, cell: float, n_cells: int) -> np.ndarray:
         """Evaluate the scan points inside each bracket, bisecting on the grid
-        index, until no bracket holds one.  A zero of fn on a scan point ends
-        its bracket there."""
+        index, until no bracket holds one, and return the grid index of each
+        bracket's hi.  A zero of fn on a scan point ends its bracket there."""
         lo, hi, flo, fhi = self.lo, self.hi, self.flo, self.fhi
         while True:
             first = _first_at_or_above(np.nextafter(lo, np.inf), cell)
-            last = np.minimum(_first_at_or_above(hi, cell) - 1, n_cells)
+            top = _first_at_or_above(hi, cell)
+            last = np.minimum(top - 1, n_cells)
             i = (first <= last).nonzero()[0]
             if not i.size:
-                return
+                return top
             x = cell * np.floor(0.5 * (first[i] + last[i]))
             fx = fn(x)
             left = np.sign(fx) == self.s[i]
