@@ -5,6 +5,8 @@ a dense finite-difference matrix, classical probabilities come from a
 time-stepped bounce simulation, and momentum amplitudes from adaptive
 quadrature of the transform integral.  ``reference_roots`` is the fixed-step
 scan and bisection whose floats the count-directed root policy reports, and
+``walk_every_halving`` its replay walk as it was when every halving tested the
+tolerance at its midpoint, and
 ``reference_solution`` the one-state-at-a-time pass from b whose values the
 batched one reproduces, and ``stitched_solution`` an independent two-sided
 route to the same states.  ``longdouble_roots`` are the roots of the plain
@@ -189,6 +191,42 @@ def _scan_and_bisect(fn, e_max: float, step: float, tol_rel: float) -> list[floa
         hi[other] = mid[other]
     roots = [float(0.5 * (l + h)) for l, h in zip(lo, hi)] + exact
     return sorted(roots)
+
+
+def walk_every_halving(fn, a: list, b: list, lo: list, hi: list, s: list, waiting: list,
+                       scale: float) -> list:
+    """``_rootscan._walk`` with the stop test b - a <= max(1, mid) scale on every
+    halving: the bisection of each cell [a, b] walks in floats to its next midpoint
+    inside [lo, hi], one call evaluating those, until the test stops it."""
+    mid = [0.0] * len(a)
+    while waiting:
+        stopped = []
+        for k in waiting:
+            x, y = a[k], b[k]
+            while True:
+                m = (x + y) * 0.5
+                if y - x <= max(1.0, m) * scale:
+                    break
+                if m < lo[k]:
+                    x = m
+                elif m > hi[k]:
+                    y = m
+                else:
+                    stopped.append(k)
+                    mid[k] = m
+                    break
+            a[k], b[k] = x, y
+        if not stopped:
+            break
+        for k, f in zip(stopped, fn(np.array([mid[k] for k in stopped])).tolist()):
+            if f == 0.0:
+                a[k] = b[k] = mid[k]
+            elif f * s[k] > 0.0:
+                a[k] = mid[k]
+            else:
+                b[k] = mid[k]
+        waiting = stopped
+    return [0.5 * (x + y) for x, y in zip(a, b)]
 
 
 def reference_solution(grid, energy: float) -> np.ndarray:

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from asymwell import Exponential, Linear, ScanResolutionError, WellSpec, shooting, spectrum
+from asymwell import (Exponential, Linear, ScanResolutionError, WellSpec, _rootscan, shooting,
+                      spectrum)
 from asymwell._rootscan import _Brackets, _isolate, bracket_and_bisect, scan_step
-from oracles import reference_roots
+from oracles import reference_roots, walk_every_halving
 
 EPS = np.finfo(float).eps
 
@@ -394,6 +395,79 @@ def test_certified_brackets_replay_the_fixed_scan(case):
     assume(len(expected) == len(roots))   # a zero on e_max can blind the scan's last cell
     found = bracket_and_bisect(fn, count, e_max, 0.1, 1e-13, lambda: np.array(roots))
     assert found == expected
+
+
+def half_ulp_above(roots):
+    """``polynomial(roots)`` with each zero moved half an ulp above its root,
+    between two floats, where fn never vanishes: its count, the roots below E,
+    is unchanged at every float E."""
+    shifts = [0.5 * (np.nextafter(r, np.inf) - r) for r in roots]
+
+    def fn(es):
+        return np.prod([(r - es) + h for r, h in zip(roots, shifts)], axis=0)
+
+    return fn, lambda e: (sum(r < e for r in roots), fn(e))
+
+
+@st.composite
+def ulp_brackets(draw):
+    """1-5 roots 1e-9 relative apart or more, all below E = 1 or straddling
+    it, near 1 and on scan points k * 0.1 among them, a cutoff above them,
+    and for each root the ulp counts below and above it of a bracket 1 to
+    256 ulp wide around its zero."""
+    near_one = st.sampled_from([1.0 - 1e-13, np.nextafter(1.0, 0.0), 1.0, 1.0 + 1e-13])
+    below = st.one_of(st.floats(0.15, 0.999), st.integers(2, 9).map(lambda k: k * 0.1))
+    above = st.one_of(st.floats(1.0, 3.0), st.integers(10, 30).map(lambda k: k * 0.1), near_one)
+    roots = draw(st.lists(below, min_size=1, max_size=5, unique=True))
+    if draw(st.booleans()):
+        roots += draw(st.lists(above, min_size=1, max_size=3, unique=True))
+    roots = sorted(set(roots))
+    assume(all(r1 - r0 > 1e-9 * r1 for r0, r1 in zip(roots, roots[1:])))
+    ulps = []
+    for _ in roots:
+        under = draw(st.integers(0, 255))
+        ulps.append((under, draw(st.integers(1, 256 - under))))
+    return roots, roots[-1] + draw(st.sampled_from([1e-6, 0.05, 0.5])), ulps
+
+
+@given(ulp_brackets())
+@example(([0.3, 0.95], 1.0, [(0, 1), (255, 1)]))
+@example(([0.5, np.nextafter(1.0, 0.0), 1.7], 2.2, [(128, 128), (0, 1), (0, 256)]))
+@example(([0.9, 1.0, 2.0], 2.05, [(3, 4), (0, 1), (100, 2)]))    # roots on scan points
+@settings(max_examples=200)
+def test_blind_halvings_replay_the_fixed_scan(case):
+    # below E = 1 the tolerance is absolute, above it relative to the midpoint:
+    # the walk halving blind until its cell is within the tolerance at its top
+    # reports the fixed scan's floats, with the call log of the walk that tests
+    # every halving, from brackets 1 to 256 ulp wide and from the seeded policy
+    roots, e_max, ulps = case
+    fn, count = half_ulp_above(roots)
+    try:
+        expected = reference_roots(fn, count, e_max, 0.1, 1e-13)
+    except ScanResolutionError:
+        assume(False)
+    assume(len(expected) == len(roots))
+    spacing = np.spacing(np.array(roots))
+    under, over = np.array(ulps, dtype=float).T
+
+    def replayed(f):
+        lo, hi = roots - under * spacing, roots + over * spacing
+        flo = fn(lo)
+        return _Brackets(lo, hi, flo, fn(hi), np.sign(flo)).replay(f, e_max, 0.1, 1e-13)
+
+    def seeded(f):
+        return bracket_and_bisect(f, count, e_max, 0.1, 1e-13, lambda: np.array(roots))
+
+    for policy in (replayed, seeded):
+        runs = []
+        for walk in (_rootscan._walk, walk_every_halving):
+            log = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_rootscan, "_walk", walk)
+                found = policy(lambda es: log.append(es.tobytes()) or fn(es))
+            runs.append((found, log))
+        assert runs[0][0] == expected
+        assert runs[0] == runs[1]
 
 
 def zero_run(roots, halfwidth):
