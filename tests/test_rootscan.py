@@ -675,7 +675,8 @@ def test_numerov_count_parity_is_the_sign_of_fn(spec, e_max):
 # level's Pruefer-phase seed, with fn the characteristic itself, and the
 # replay took each root's budget of plain halvings in bulk (on arrays, above
 # 64 roots, where the 190-level log was recorded); the replay's one walk in
-# floats keeps them all
+# floats keeps them all, and so do its blind halvings, which the 13-level log
+# below E = 1 was recorded before
 CALL_LOG_SHA256 = {
     (3.0, 3.0, 20.0, 100.0):
         "6a2238b853427ff687295bdc507e276f653bd1462c3a277d656bec670dfb450a",
