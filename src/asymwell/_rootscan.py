@@ -361,15 +361,17 @@ def _walk(fn, a: list, b: list, lo: list, hi: list, s: list, waiting: list,
     evaluates the midpoints so reached, in root order.  A walk halves blind
     while its cell is wider than the tolerance at its top b, max(1, b) scale:
     no midpoint m <= b can stop it there, as max(1, m) scale rounds to no
-    more, so only the last few halvings test the tolerance at m."""
+    more, so only the last few halvings compute the tolerance at m."""
     mid = [0.0] * len(a)
     while waiting:
         stopped = []
         for k in waiting:
             x, y, l, h = a[k], b[k], lo[k], hi[k]
             wide = (y if y > 1.0 else 1.0) * scale   # max() is a call, and slower
-            while y - x > wide:
+            while True:
                 m = (x + y) * 0.5
+                if y - x <= wide and y - x <= (m if m > 1.0 else 1.0) * scale:
+                    break
                 if m < l:
                     x = m
                 elif m > h:
@@ -378,19 +380,6 @@ def _walk(fn, a: list, b: list, lo: list, hi: list, s: list, waiting: list,
                     stopped.append(k)
                     mid[k] = m
                     break
-            else:
-                while True:
-                    m = (x + y) * 0.5
-                    if y - x <= (m if m > 1.0 else 1.0) * scale:
-                        break
-                    if m < l:
-                        x = m
-                    elif m > h:
-                        y = m
-                    else:
-                        stopped.append(k)
-                        mid[k] = m
-                        break
             a[k], b[k] = x, y
         if not stopped:
             break
