@@ -348,7 +348,7 @@ def _sq_integral(kappa: np.ndarray, length: float, below=False) -> np.ndarray:
     series to u^15, whose truncation there meets the cancellation above it:
     the integral lies within 1e-15 relative of a 50-digit value.  The series
     runs only on the elements below 0.8, and sinh only on those below the
-    step above it; each element takes the same arithmetic as on its own."""
+    step above it; no element's arithmetic depends on the others."""
     u = 2.0 * kappa * length
     small = u < 0.8
     big = below & ~small
